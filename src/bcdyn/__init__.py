@@ -54,7 +54,7 @@ from .stability import StabilityReport, block_spectrum, classify, empirical_chec
 from .sweep import BifurcationResult, SweepSpec, build_grid, run_bifurcate, run_sweep
 from .validation import run_validation
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

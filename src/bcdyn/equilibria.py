@@ -8,10 +8,18 @@ Four families are searched:
 * coexisting:  all five components > 0
 
 Every family shares the estrogen component E* = p(1-k)/theta because the
-estrogen equation is linear and decoupled.  The authoritative method is
-"derive the reduced equations + Newton on the steady subsystem"; the
-printed closed-form polynomials are kept only as seeds and cross-checks
-(see :func:`reduced_polynomials` and its mismatch report).
+estrogen equation is linear and decoupled.  Each finder eliminates
+variables down to one polynomial, takes its positive real roots and
+polishes them with Newton on the steady subsystem: M(I) from the drug
+equation turns the immune equation into R(T) I^2 + S(T) I + U(T) = 0,
+which is a quadratic in I at T = 0 (tumor_free, dead1), a quartic in T
+once the tumor equation gives I(T) at N = 0 (dead2), and an octic in T
+once it gives I(T) with the closed-form N(T) (coexisting).  Polynomial
+roots come from companion-matrix eigenvalues, so no grid or seed decides
+which points are found.  With g1 = 0 the tumor equation does not involve
+I; it fixes T instead and I comes from the immune quadratic.  The paper's
+printed polynomials are kept only for :func:`reduced_polynomials` and its
+mismatch report.
 
 A note on the tumor-free family: with T = 0 the tumor equation still
 carries the transformation feed l1*N*E*(1-k), so the classical tumor-free
@@ -39,7 +47,10 @@ from .model import (
     rhs,
     validate_params,
 )
-from .numerics import NewtonError, Polynomial, newton_solve, poly_roots
+from .numerics import NewtonError, Polynomial, newton_solve
+# No finder calls poly_roots any more (roots come from np.roots), but
+# perfbench/tracer.py wraps it by name on this module, so the name stays.
+from .numerics import poly_roots  # noqa: F401
 
 __all__ = [
     "FAMILIES",
@@ -70,7 +81,8 @@ SNAP_TOL = 1e-9
 #: Relative infinity-norm distance below which two points are duplicates.
 DEDUP_TOL = 1e-6
 
-_GRID_POINTS = 16
+#: Roots with |imag| below this fraction of their modulus are taken as real.
+NEAR_REAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -93,13 +105,16 @@ class Equilibrium:
 @dataclass(frozen=True)
 class ReducedPolynomials:
     """Reduced steady-state polynomials: the derived dead1 quadratic in I,
-    the printed variants, and the per-coefficient mismatch between the
-    derived and printed dead1 forms (both normalized to unit max-abs
-    coefficient before comparison)."""
+    the derived dead2 quartic and coexisting octic in T (None when g1 = 0,
+    where the tumor equation cannot be solved for I), the printed variants,
+    and the per-coefficient mismatch between the derived and printed dead1
+    forms (both normalized to unit max-abs coefficient before comparison)."""
 
     dead1_quadratic: Polynomial
     dead1_quadratic_paper: Polynomial
+    dead2_quartic: Polynomial | None
     dead2_cubic: Polynomial | None
+    coexist_octic: Polynomial | None
     coexist_quadratic: Polynomial | None
     mismatch_report: dict[str, object]
 
@@ -138,9 +153,61 @@ def _dead1_quadratic_derived(params: ModelParams) -> tuple[float, float, float]:
     return (c2, c1, c0)
 
 
+def _immune_quadratic(params: ModelParams, E: float):
+    """Coefficients (R, S, U) in T of the steady immune equation with M(I)
+    substituted and the denominators (o+T)(q1*I + q0) cleared:
+    R(T)*I^2 + S(T)*I + U(T) = 0.  Each is a descending coefficient array
+    of length 3 (U has degree 1)."""
+    A = immune_clearance_rate(params, E)
+    q1 = params.v_M + params.j_M * (params.n_M - params.chi)
+    q0 = params.xi * (params.v_M + params.j_M * params.n_M)
+    pv = params.p_M * params.v_M
+    o_plus_T = np.array([0.0, 1.0, params.o])
+    L = np.array([-params.g2, params.r - params.g2 * params.o - A, -A * params.o])
+    R = q1 * L + pv * o_plus_T
+    S = (params.s * q1 + pv * params.xi) * o_plus_T + q0 * L
+    U = params.s * q0 * o_plus_T
+    return R, S, U
+
+
+def _dead2_quartic(params: ModelParams, E: float) -> np.ndarray:
+    """g1^2 times the immune equation with I = (a2*d - m_d - b2*T)/g1
+    substituted: a quartic in T, descending."""
+    R, S, U = _immune_quadratic(params, E)
+    g1 = params.g1
+    g1_I = np.array([-params.b2, params.a2 * params.d - params.m_d])
+    return np.polyadd(
+        np.polyadd(np.convolve(R, np.convolve(g1_I, g1_I)), g1 * np.convolve(S, g1_I)),
+        g1 * g1 * U,
+    )
+
+
+def _coexist_tumor_numerator(params: ModelParams, E: float) -> np.ndarray:
+    """P3 with I = P3/Q2 from the steady tumor equation once N(T) is
+    substituted; Q2 = g1*b1*T*(1 + epsilon*T).  A cubic in T, descending."""
+    c = params.l1 * E * (1.0 - params.k)
+    eps = params.epsilon
+    net_growth = np.array([-params.b2, params.a2 * params.d - params.m_d])
+    growth = params.b1 * np.convolve([eps, 1.0, 0.0], net_growth)
+    feed = c * np.array([0.0, 0.0, (params.a1 - c) * eps - params.d1, params.a1 - c])
+    return growth + feed
+
+
+def _coexist_octic(params: ModelParams, E: float) -> np.ndarray:
+    """R*P3^2 + S*P3*Q2 + U*Q2^2: the immune equation with I = P3/Q2
+    substituted and Q2^2 cleared.  Degree 8 in T, descending."""
+    R, S, U = _immune_quadratic(params, E)
+    P3 = _coexist_tumor_numerator(params, E)
+    Q2 = params.g1 * params.b1 * np.array([params.epsilon, 1.0, 0.0])
+    return np.polyadd(
+        np.polyadd(np.convolve(R, np.convolve(P3, P3)), np.convolve(S, np.convolve(P3, Q2))),
+        np.convolve(U, np.convolve(Q2, Q2)),
+    )
+
+
 def _dead1_quadratic_printed(params: ModelParams) -> tuple[float, float, float]:
     """The printed dead1 quadratic, transcribed as printed (it omits j_M
-    entirely; kept for the mismatch report and as a seed)."""
+    entirely; kept for the mismatch report)."""
     E = estrogen_level(params)
     A = immune_clearance_rate(params, E)
     c2 = A * params.chi + params.p_M * params.v_M
@@ -152,7 +219,8 @@ def _dead1_quadratic_printed(params: ModelParams) -> tuple[float, float, float]:
 def printed_dead2_cubic(params: ModelParams, I: float) -> Polynomial | None:
     """The printed cubic in T for the dead type-2 family, transcribed as
     printed, with its C term evaluated at the trial immune level ``I``.
-    Used only for seeding; the solver works on the steady subsystem."""
+    The printed form treats C as constant in T, so it is kept only for
+    :func:`reduced_polynomials`; the finder uses the derived quartic."""
     M = drug_level(params, I)
     if M is None:
         return None
@@ -192,7 +260,8 @@ def reduced_polynomials(
     coexist_N: float | None = None,
 ) -> ReducedPolynomials:
     """Assemble the reduced polynomials and the derived-vs-printed dead1
-    mismatch report.  Emitted on every equilibrium run."""
+    mismatch report.  The printed dead2 cubic needs a trial immune level
+    and the coexisting quadratic a trial N; each is None without it."""
     derived = _dead1_quadratic_derived(params)
     printed = _dead1_quadratic_printed(params)
 
@@ -225,10 +294,17 @@ def reduced_polynomials(
             coeffs = (1e-300, *coeffs[1:])  # keep a degenerate quadratic representable
         return Polynomial(coeffs)
 
+    def derived_in_T(coeffs):
+        coeffs = np.trim_zeros(coeffs, "f")
+        return Polynomial(tuple(coeffs)) if params.g1 > 0 and coeffs.size else None
+
+    E = estrogen_level(params)
     return ReducedPolynomials(
         dead1_quadratic=as_poly(derived),
         dead1_quadratic_paper=as_poly(printed),
+        dead2_quartic=derived_in_T(_dead2_quartic(params, E)),
         dead2_cubic=dead2,
+        coexist_octic=derived_in_T(_coexist_octic(params, E)),
         coexist_quadratic=coexist,
         mismatch_report=report,
     )
@@ -434,90 +510,80 @@ def dead_type1(params: ModelParams) -> list[Equilibrium]:
     return results
 
 
-def _dead2_scalar_residual(params: ModelParams, T: float) -> float | None:
-    """Steady immune-equation residual along the dead2 slice, with I
-    eliminated through the tumor equation and M through the drug equation."""
-    a2d = params.a2 * params.d
-    I = (a2d - params.b2 * T - params.m_d) / params.g1
-    if I < 0:
+def _positive_real_roots(coeffs) -> list[float]:
+    """Positive roots of a real polynomial from its companion-matrix
+    eigenvalues.  A root whose imaginary part is below NEAR_REAL_TOL of its
+    modulus is the rounded image of a (near-)double real root and is taken
+    as real; the polish decides whether it is an equilibrium."""
+    # Trailing zeros are roots at T = 0, never positive.
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float))
+    if coeffs.size < 2:
+        return []
+    # The companion matrix divides by the leading coefficient; when that is
+    # the smaller end (epsilon near 0 makes it subnormal) it can overflow,
+    # so root the reversed polynomial in 1/T instead.
+    if abs(coeffs[0]) >= abs(coeffs[-1]):
+        roots = np.roots(coeffs)
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            roots = 1.0 / np.roots(coeffs[::-1])
+    return sorted(
+        {
+            float(z.real)
+            for z in roots
+            if 0 < z.real < math.inf and abs(z.imag) <= NEAR_REAL_TOL * abs(z)
+        }
+    )
+
+
+def _polish(params: ModelParams, active: tuple[int, ...], template: list[float]):
+    """Newton-polish a root of the eliminated polynomial on the steady
+    subsystem over ``active``; the snapped full state, or None on failure."""
+    assemble, F, J = _subsystem(params, active, template)
+    try:
+        sol = newton_solve(F, J, np.array([template[i] for i in active]), tol=1e-13)
+    except (NewtonError, DomainError, OverflowError) as exc:
+        log.debug("polish failed from %s: %s", template, exc)
         return None
-    M = drug_level(params, I)
-    if M is None:
-        return None
-    E = estrogen_level(params)
-    state = SystemState(0.0, T, I, E, M)
-    return rhs(state, params)[2]
+    return _snap(assemble(sol))
 
 
 def dead_type2(params: ModelParams) -> list[Equilibrium]:
-    """Dead type-2 equilibria: N = 0, T > 0, solved on the (T, I, M)
-    steady subsystem by Newton from multi-start seeds (printed cubic
-    roots plus grid brackets of the reduced scalar equation)."""
+    """Dead type-2 equilibria: N = 0, T > 0.  With g1 > 0 the tumor
+    equation gives I = (a2*d - m_d - b2*T)/g1, and the immune equation with
+    M(I) substituted becomes a quartic in T; its positive real roots with
+    admissible I and M are Newton-polished on the (T, I, M) subsystem.
+    With g1 = 0 the tumor equation fixes T = (a2*d - m_d)/b2 and I comes
+    from the immune quadratic at that T."""
     _check(params)
-    if params.g1 <= 0:
-        log.debug("dead2: finder requires g1 > 0")
-        return []
     a2d = params.a2 * params.d
     T_max = (a2d - params.m_d) / params.b2
     if T_max <= 0:
         return []
     E = estrogen_level(params)
 
-    seeds: list[float] = []
-    grid = np.exp(
-        np.linspace(math.log(T_max * 1e-4), math.log(T_max), _GRID_POINTS)
-    )
-    # Seeds from the printed cubic, C evaluated at each trial immune level.
-    for T_trial in grid:
-        I_trial = (a2d - params.b2 * T_trial - params.m_d) / params.g1
-        if I_trial < 0:
-            continue
-        cubic = printed_dead2_cubic(params, I_trial)
-        if cubic is None:
-            continue
-        try:
-            roots = poly_roots(cubic)
-        except Exception:
-            continue
-        for z in roots.roots:
-            if abs(z.imag) < 1e-9 and 0 < z.real <= T_max * (1 + 1e-9):
-                seeds.append(float(z.real))
-    # Seeds from sign changes of the reduced scalar equation.
-    scan = np.linspace(T_max / 64.0, T_max, 64)
-    vals = [_dead2_scalar_residual(params, float(T)) for T in scan]
-    for (Ta, fa), (Tb, fb) in zip(zip(scan, vals), zip(scan[1:], vals[1:])):
-        if fa is None or fb is None or fa * fb > 0:
-            continue
-        lo, hi, flo = float(Ta), float(Tb), fa
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = _dead2_scalar_residual(params, mid)
-            if fm is None:
-                break
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        seeds.append(0.5 * (lo + hi))
+    if params.g1 > 0:
+        seeds = [
+            (T, (a2d - params.m_d - params.b2 * T) / params.g1)
+            for T in _positive_real_roots(_dead2_quartic(params, E))
+        ]
+    else:
+        R, S, U = _immune_quadratic(params, E)
+        quad = tuple(float(np.polyval(c, T_max)) for c in (R, S, U))
+        seeds = [(T_max, I) for I in _quadratic_positive_roots(quad)]
 
     points: list[SystemState] = []
-    for T0 in seeds:
-        I0 = (a2d - params.b2 * T0 - params.m_d) / params.g1
-        if I0 < 0:
+    for T0, I0 in seeds:
+        if I0 < -SNAP_TOL:
             continue
-        M0 = drug_level(params, max(I0, 0.0))
+        I0 = max(I0, 0.0)
+        M0 = drug_level(params, I0)
         if M0 is None:
             continue
-        assemble, F, J = _subsystem(params, (1, 2, 4), [0.0, T0, I0, E, M0])
-        try:
-            sol = newton_solve(F, J, np.array([T0, I0, M0]), tol=1e-13)
-        except NewtonError as exc:
-            log.debug("dead2 refinement failed from T=%g: %s", T0, exc)
+        point = _polish(params, (1, 2, 4), [0.0, T0, I0, E, M0])
+        if point is None or point.T <= 0 or point.I < 0 or point.M <= 0:
             continue
-        T1, I1, M1 = (float(v) for v in sol)
-        if T1 <= 0 or I1 < -SNAP_TOL or M1 <= 0:
-            continue
-        points.append(_snap(SystemState(0.0, T1, max(I1, 0.0), E, M1)))
+        points.append(point)
 
     results = []
     for point in _dedup(points):
@@ -552,41 +618,41 @@ def _coexist_closed_N(params: ModelParams, T: float, E: float) -> float:
 
 
 def coexisting(params: ModelParams) -> list[Equilibrium]:
-    """Coexisting equilibria: all components positive, solved by full 5-D
-    Newton from a seeded (T, I) grid with N, E, M eliminated through their
-    closed forms.  An empty list is a valid outcome."""
+    """Coexisting equilibria: all components positive.  N(T) is closed
+    form; with g1 > 0 the tumor equation gives I = P3/Q2, and the immune
+    equation with M(I) substituted becomes an octic in T.  Its positive
+    real roots with N, I, M > 0 are Newton-polished on the (N, T, I, M)
+    subsystem.  With g1 = 0 the tumor equation reduces to P3(T) = 0 and I
+    comes from the immune quadratic at each root.  An empty list is a valid
+    outcome."""
     _check(params)
     E = estrogen_level(params)
     a2d = params.a2 * params.d
-    T_hi = max(a2d / params.b2, 1e-2)
-    if params.g1 > 0:
-        I_hi = max((a2d - params.m_d) / params.g1, params.s / params.m)
-    else:
-        I_hi = params.s / params.m
-    I_hi = max(I_hi, 1e-2)
+    feed_rate = params.l1 * E * (1.0 - params.k)
 
-    t_grid = np.exp(np.linspace(math.log(T_hi * 1e-3), math.log(T_hi), 8))
-    i_grid = np.exp(np.linspace(math.log(I_hi * 1e-3), math.log(I_hi), 8))
+    seeds: list[tuple[float, float]] = []
+    if params.g1 > 0:
+        for T in _positive_real_roots(_coexist_octic(params, E)):
+            N = _coexist_closed_N(params, T, E)
+            I = (T * (a2d - params.m_d - params.b2 * T) + feed_rate * N) / (params.g1 * T)
+            seeds.append((T, I))
+    else:
+        R, S, U = _immune_quadratic(params, E)
+        for T in _positive_real_roots(_coexist_tumor_numerator(params, E)):
+            quad = tuple(float(np.polyval(poly, T)) for poly in (R, S, U))
+            seeds.extend((T, I) for I in _quadratic_positive_roots(quad))
 
     points: list[SystemState] = []
-    for T0 in t_grid:
-        N0 = _coexist_closed_N(params, float(T0), E)
-        if N0 <= 0:
+    for T0, I0 in seeds:
+        N0 = _coexist_closed_N(params, T0, E)
+        M0 = drug_level(params, I0) if I0 > 0 else None
+        if N0 <= 0 or M0 is None:
             continue
-        for I0 in i_grid:
-            M0 = drug_level(params, float(I0))
-            if M0 is None:
-                continue
-            # E is pinned at its closed form so every family shares the
-            # identical float value; the E equation is decoupled anyway.
-            assemble, F, J = _subsystem(params, (0, 1, 2, 4), [N0, float(T0), float(I0), E, M0])
-            try:
-                sol = newton_solve(F, J, np.array([N0, T0, I0, M0]), tol=1e-13, max_iter=60)
-            except (NewtonError, DomainError):
-                continue
-            cand = _snap(assemble(sol))
-            if all(v > 0 for v in cand.as_tuple()):
-                points.append(cand)
+        # E is pinned at its closed form so every family shares the
+        # identical float value; the E equation is decoupled anyway.
+        point = _polish(params, (0, 1, 2, 4), [N0, T0, I0, E, M0])
+        if point is not None and all(v > 0 for v in point.as_tuple()):
+            points.append(point)
 
     results = []
     for point in _dedup(points):

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .equilibria import estrogen_level, find_all
+from .equilibria import drug_level, estrogen_level, find_all
 from .integrator import IntegrationConfig, integrate
 from .model import ModelParams, SystemState, jacobian, make_rhs
 from .numerics import Polynomial, poly_roots, routh_hurwitz
@@ -30,6 +30,7 @@ __all__ = [
     "suite_positivity",
     "suite_block_spectrum",
     "suite_estrogen_closed_form",
+    "suite_catalog_completeness",
 ]
 
 
@@ -254,6 +255,68 @@ def suite_estrogen_closed_form(seed: int, draws: int = 50) -> SuiteResult:
     )
 
 
+def _eliminated_curves(params: ModelParams):
+    """The dead2 and coexisting steady curves as (families, state(T), T_hi):
+    N from its closed form (or 0), I from the steady tumor equation and M
+    from the steady drug equation, so only the immune equation is left.
+    ``state(T)`` is None where a component is inadmissible.  Needs g1 > 0."""
+    E = estrogen_level(params)
+    a2d_net = params.a2 * params.d - params.m_d
+    c = params.l1 * E * (1.0 - params.k)
+
+    def with_drug(N: float, T: float, I: float):
+        M = drug_level(params, I)
+        return None if M is None else (N, T, I, E, M)
+
+    def dead2(T: float):
+        I = (a2d_net - params.b2 * T) / params.g1
+        return with_drug(0.0, T, I) if I >= 0.0 else None
+
+    def coexisting(T: float):
+        N = (params.a1 - params.d1 * T / (1.0 + params.epsilon * T) - c) / params.b1
+        I = (T * (a2d_net - params.b2 * T) + c * N) / (params.g1 * T)
+        return with_drug(N, T, I) if N > 0.0 and I > 0.0 else None
+
+    # With I > 0, b2*T^2 < (a2*d - m_d)*T + c*N and N <= (a1 - c)/b1.
+    feed = max(c * (params.a1 - c) / params.b1, 0.0)
+    T_hi = (a2d_net + math.sqrt(a2d_net * a2d_net + 4.0 * params.b2 * feed)) / (2.0 * params.b2)
+    curves = [(("coexisting", "dead2"), coexisting, T_hi)]
+    if a2d_net > 0.0:
+        curves.append((("dead2",), dead2, a2d_net / params.b2))
+    return curves
+
+
+def suite_catalog_completeness(seed: int, draws: int = 50, grid_points: int = 400) -> SuiteResult:
+    """Every sign change of the steady immune residual along the dead2 and
+    coexisting curves has a confirmed catalog point of that family inside
+    its bracket.  The residual is the vector field's immune component on a
+    log grid in T, not the eliminated polynomial, so the check does not
+    share the finders' coefficients."""
+    rng = np.random.default_rng(seed)
+    brackets = missed = 0
+    for _ in range(draws):
+        params = draw_params(rng)
+        confirmed = [eq for eq in find_all(params) if eq.confirmed]
+        f = make_rhs(params)
+        for families, state_at, T_hi in _eliminated_curves(params):
+            if not T_hi > 0.0:
+                continue
+            grid = np.geomspace(T_hi * 1e-6, T_hi, grid_points)
+            states = [state_at(float(T)) for T in grid]
+            values = [None if st is None else f(*st)[2] for st in states]
+            for Ta, Tb, fa, fb in zip(grid, grid[1:], values, values[1:]):
+                if fa is None or fb is None or fa * fb >= 0.0:
+                    continue
+                brackets += 1
+                missed += not any(
+                    eq.family in families and Ta <= eq.point.T <= Tb for eq in confirmed
+                )
+    return SuiteResult(
+        "catalog_completeness", missed == 0 and brackets > 0,
+        f"draws={draws} brackets={brackets} missed={missed}",
+    )
+
+
 _SUITES = (
     suite_jacobian_fd,
     suite_vieta,
@@ -262,6 +325,7 @@ _SUITES = (
     suite_positivity,
     suite_block_spectrum,
     suite_estrogen_closed_form,
+    suite_catalog_completeness,
 )
 
 

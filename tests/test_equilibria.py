@@ -18,8 +18,25 @@ from bcdyn.equilibria import (
     tumor_free,
 )
 from bcdyn.numerics import Polynomial, poly_roots
+from bcdyn.stability import classify
+from bcdyn.validation import draw_params
 
 from conftest import random_params
+
+
+def stream_draw(index: int):
+    """Draw ``index`` (0-based) of one draw_params(default_rng(0)) stream."""
+    rng = np.random.default_rng(0)
+    for _ in range(index):
+        draw_params(rng)
+    return draw_params(rng)
+
+
+def confirmed_near(catalog, family, T, tol=1e-6):
+    return [
+        eq for eq in catalog
+        if eq.family == family and eq.confirmed and abs(eq.point.T - T) < tol
+    ]
 
 
 class TestClosedForms:
@@ -141,6 +158,42 @@ class TestCoexisting:
                 assert eq.existence_flags["no_realistic_roots"] == (b > 0 and c > 0)
 
 
+class TestEliminationRegressions:
+    """Points the earlier grid and scan seeding missed."""
+
+    def test_draw_147_stable_coexisting(self):
+        pm = stream_draw(147)
+        hits = confirmed_near(find_all(pm), "coexisting", 5.140919)
+        assert len(hits) == 1
+        assert hits[0].point.N == pytest.approx(0.039048, abs=1e-6)
+        assert classify(hits[0], pm).verdict == "stable"
+
+    @pytest.mark.parametrize("index, T", [(196, 0.004175), (225, 0.034901)])
+    def test_small_tumor_dead2(self, index, T):
+        assert len(confirmed_near(find_all(stream_draw(index)), "dead2", T)) == 1
+
+    def test_dead2_without_immune_kill(self):
+        """With g1 = 0 the tumor equation fixes T = (a2*d - m_d)/b2."""
+        rng = np.random.default_rng(0)
+        found = 0
+        for _ in range(10):
+            pm = draw_params(rng).replace(g1=0.0)
+            T_fixed = (pm.a2 * pm.d - pm.m_d) / pm.b2
+            for eq in dead_type2(pm):
+                assert eq.point.T == pytest.approx(T_fixed, rel=1e-12)
+                assert eq.confirmed
+                found += 1
+        assert found > 0
+
+    def test_near_double_root_taken_as_real(self):
+        from bcdyn.equilibria import _positive_real_roots
+
+        double = np.convolve([1.0, -2.0], [1.0, -2.0])
+        split = _positive_real_roots(double + [0.0, 0.0, 1e-16])
+        assert split == [pytest.approx(2.0, rel=1e-7)]
+        assert _positive_real_roots(double + [0.0, 0.0, 1e-4]) == []
+
+
 class TestFindAll:
     def test_residuals_and_count(self):
         for seed in range(40):
@@ -216,3 +269,25 @@ class TestReducedPolynomials:
             out = rhs(SystemState(0.0, 0.0, I, e0, M), base_params)
             assert abs(out[2]) < 1e-9
             assert abs(out[4]) < 1e-9
+
+    def test_derived_polynomials_vanish_at_the_catalog(self):
+        """Every confirmed dead2 point is a root of the derived quartic and
+        every confirmed coexisting point a root of the derived octic."""
+        checked = 0
+        for seed in range(40):
+            pm = random_params(seed)
+            rp = reduced_polynomials(pm)
+            assert rp.dead2_quartic.degree <= 4
+            assert rp.coexist_octic.degree <= 8
+            polys = {"dead2": rp.dead2_quartic, "coexisting": rp.coexist_octic}
+            for eq in find_all(pm):
+                if eq.confirmed and eq.family in polys:
+                    p = polys[eq.family]
+                    scale = sum(abs(c) * eq.point.T ** (p.degree - i) for i, c in enumerate(p.coeffs))
+                    assert abs(p(eq.point.T)) < 1e-9 * scale
+                    checked += 1
+        assert checked > 0
+
+    def test_no_derived_T_polynomials_without_immune_kill(self, base_params):
+        rp = reduced_polynomials(base_params.replace(g1=0.0))
+        assert rp.dead2_quartic is None and rp.coexist_octic is None

@@ -10,7 +10,7 @@ class TestSuites:
     def test_default_seed_all_pass(self):
         report, passed = run_validation(0)
         assert passed
-        assert report.count("PASS") == 7
+        assert report.count("PASS") == 8
         assert "FAIL" not in report
 
     def test_deterministic_report(self):
