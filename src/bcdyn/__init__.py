@@ -30,6 +30,7 @@ from .model import (
     SystemState,
     coefficients,
     jacobian,
+    make_jacobian,
     make_rhs,
     reproduction_numbers,
     residual_norm,
@@ -64,6 +65,7 @@ __all__ = [
     "ReproductionNumbers",
     "validate_params",
     "make_rhs",
+    "make_jacobian",
     "rhs",
     "residual_norm",
     "jacobian",

@@ -119,6 +119,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             },
             "accepted_steps": traj.accepted_steps,
             "rejected_steps": traj.rejected_steps,
+            "stiff_switch_time": traj.stiff_switch_time,
         }
         files.append((f"{scenario.label}_trajectory.json", json.dumps(payload, indent=2) + "\n"))
     if args.svg:

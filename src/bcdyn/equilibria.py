@@ -371,6 +371,12 @@ def _snap(point: SystemState) -> SystemState:
     )
 
 
+def _drug_admissible(params: ModelParams, M: float) -> bool:
+    """M > 0, or M = 0 exactly when there is no infusion (v_M = 0 makes
+    M = 0 the drug's steady state)."""
+    return M > 0 or (M == 0 and params.v_M == 0)
+
+
 def _im_candidates(params: ModelParams) -> list[tuple[float, float]]:
     """Admissible steady (I, M) pairs of the immune/drug subsystem at
     N = T = 0: positive roots of the derived quadratic, Newton-refined on
@@ -389,7 +395,7 @@ def _im_candidates(params: ModelParams) -> list[tuple[float, float]]:
             log.debug("immune/drug refinement failed from I=%g: %s", I0, exc)
             continue
         I_ref, M_ref = float(sol[0]), float(sol[1])
-        if I_ref > 0 and M_ref > 0 and drug_level(params, I_ref) is not None:
+        if I_ref > 0 and _drug_admissible(params, M_ref) and drug_level(params, I_ref) is not None:
             candidates.append((I_ref, M_ref))
     # Deduplicate refined pairs.
     unique: list[tuple[float, float]] = []
@@ -542,7 +548,7 @@ def _polish(params: ModelParams, active: tuple[int, ...], template: list[float])
     assemble, F, J = _subsystem(params, active, template)
     try:
         sol = newton_solve(F, J, np.array([template[i] for i in active]), tol=1e-13)
-    except (NewtonError, DomainError, OverflowError) as exc:
+    except (NewtonError, DomainError) as exc:
         log.debug("polish failed from %s: %s", template, exc)
         return None
     return _snap(assemble(sol))
@@ -581,7 +587,7 @@ def dead_type2(params: ModelParams) -> list[Equilibrium]:
         if M0 is None:
             continue
         point = _polish(params, (1, 2, 4), [0.0, T0, I0, E, M0])
-        if point is None or point.T <= 0 or point.I < 0 or point.M <= 0:
+        if point is None or point.T <= 0 or point.I < 0 or not _drug_admissible(params, point.M):
             continue
         points.append(point)
 
@@ -651,7 +657,11 @@ def coexisting(params: ModelParams) -> list[Equilibrium]:
         # E is pinned at its closed form so every family shares the
         # identical float value; the E equation is decoupled anyway.
         point = _polish(params, (0, 1, 2, 4), [N0, T0, I0, E, M0])
-        if point is not None and all(v > 0 for v in point.as_tuple()):
+        if (
+            point is not None
+            and all(v > 0 for v in point.as_tuple()[:4])
+            and _drug_admissible(params, point.M)
+        ):
             points.append(point)
 
     results = []

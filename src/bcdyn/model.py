@@ -32,6 +32,7 @@ __all__ = [
     "ReproductionNumbers",
     "validate_params",
     "make_rhs",
+    "make_jacobian",
     "rhs",
     "jacobian",
     "coefficients",
@@ -249,6 +250,88 @@ def _denominators(state: SystemState, params: ModelParams) -> dict[str, float]:
     return dens
 
 
+def make_jacobian(params: ModelParams):
+    """Bind ``params`` into a scalar Jacobian function.
+
+    Returns ``jac(N, T, I, E, M)`` giving the analytic 5x5 Jacobian of the
+    vector field as five row tuples of plain floats, entry [i][j] =
+    d(rhs_i)/d(state_j).  This is the single transcription of the
+    Jacobian; :func:`jacobian` and the integrator's Rosenbrock step
+    delegate to it.  A state whose entries overflow raises DomainError.
+    """
+    _require_valid(params)
+    a1, b1, d1, epsilon, l1 = params.a1, params.b1, params.d1, params.epsilon, params.l1
+    a2, d, b2, g1, m_d = params.a2, params.d, params.b2, params.g1, params.m_d
+    r, o, g2, m = params.r, params.o, params.g2, params.m
+    l3, g, p_M, j_M = params.l3, params.g, params.p_M, params.j_M
+    theta, n_M, chi, xi = params.theta, params.n_M, params.chi, params.xi
+    omk = 1.0 - params.k
+
+    def jac(N: float, T: float, I: float, E: float, M: float):
+        den_sat = 1.0 + epsilon * T
+        den_o = o + T
+        den_g = g + E
+        den_j = j_M + M
+        den_xi = xi + I
+        if abs(den_sat) < DENOM_GUARD:
+            raise DomainError("singular denominator 1 + epsilon*T")
+        if abs(den_o) < DENOM_GUARD:
+            raise DomainError("singular denominator o + T")
+        if abs(den_g) < DENOM_GUARD:
+            raise DomainError("singular denominator g + E")
+        if abs(den_j) < DENOM_GUARD:
+            raise DomainError("singular denominator j_M + M")
+        if abs(den_xi) < DENOM_GUARD:
+            raise DomainError("singular denominator xi + I")
+        try:
+            return (
+                # N row
+                (
+                    a1 - 2.0 * b1 * N - d1 * T / den_sat - l1 * E * omk,
+                    -d1 * N / den_sat**2,
+                    0.0,
+                    -l1 * N * omk,
+                    0.0,
+                ),
+                # T row
+                (
+                    l1 * E * omk,
+                    a2 * d - 2.0 * b2 * T - g1 * I - m_d,
+                    -g1 * T,
+                    l1 * N * omk,
+                    0.0,
+                ),
+                # I row
+                (
+                    0.0,
+                    r * I * o / den_o**2 - g2 * I,
+                    r * T / den_o
+                    - g2 * T
+                    - m
+                    - l3 * E * omk / den_g
+                    + p_M * M / den_j,
+                    -l3 * I * g * omk / den_g**2,
+                    p_M * I * j_M / den_j**2,
+                ),
+                # E row: linear, decoupled
+                (0.0, 0.0, 0.0, -theta, 0.0),
+                # M row
+                (
+                    0.0,
+                    0.0,
+                    chi * M * xi / den_xi**2,
+                    0.0,
+                    -n_M + chi * I / den_xi,
+                ),
+            )
+        except OverflowError as exc:
+            raise DomainError(
+                f"Jacobian overflows at state {(N, T, I, E, M)}"
+            ) from exc
+
+    return jac
+
+
 def jacobian(state: SystemState, params: ModelParams) -> np.ndarray:
     """Analytic 5x5 Jacobian of :func:`rhs`, entry (i, j) = d(rhs_i)/d(state_j).
 
@@ -258,44 +341,7 @@ def jacobian(state: SystemState, params: ModelParams) -> np.ndarray:
     """
     if not state.is_finite():
         raise DomainError(f"non-finite state {state}")
-    _require_valid(params)
-    N, T, I, E, M = state.as_tuple()
-    dens = _denominators(state, params)
-    den_sat = dens["1 + epsilon*T"]
-    den_o = dens["o + T"]
-    den_g = dens["g + E"]
-    den_j = dens["j_M + M"]
-    den_xi = dens["xi + I"]
-    pm = params
-    omk = 1.0 - pm.k
-
-    J = np.zeros((5, 5))
-    # N row
-    J[0, 0] = pm.a1 - 2.0 * pm.b1 * N - pm.d1 * T / den_sat - pm.l1 * E * omk
-    J[0, 1] = -pm.d1 * N / den_sat**2
-    J[0, 3] = -pm.l1 * N * omk
-    # T row
-    J[1, 0] = pm.l1 * E * omk
-    J[1, 1] = pm.a2 * pm.d - 2.0 * pm.b2 * T - pm.g1 * I - pm.m_d
-    J[1, 2] = -pm.g1 * T
-    J[1, 3] = pm.l1 * N * omk
-    # I row
-    J[2, 1] = pm.r * I * pm.o / den_o**2 - pm.g2 * I
-    J[2, 2] = (
-        pm.r * T / den_o
-        - pm.g2 * T
-        - pm.m
-        - pm.l3 * E * omk / den_g
-        + pm.p_M * M / den_j
-    )
-    J[2, 3] = -pm.l3 * I * pm.g * omk / den_g**2
-    J[2, 4] = pm.p_M * I * pm.j_M / den_j**2
-    # E row: linear, decoupled
-    J[3, 3] = -pm.theta
-    # M row
-    J[4, 2] = pm.chi * M * pm.xi / den_xi**2
-    J[4, 4] = -pm.n_M + pm.chi * I / den_xi
-    return J
+    return np.array(make_jacobian(params)(*state.as_tuple()))
 
 
 _COEFF_LENGTHS = {"A": 11, "B": 9, "C": 10}

@@ -31,6 +31,20 @@ class TestSimulate:
             == trajectory_to_csv(traj)
         )
 
+    def test_json_reports_stiff_switch(self, tmp_path, base_scenario_doc, write_scenario):
+        assert run(["simulate", "--out", str(tmp_path), "--format", "json"]) == 0
+        doc = json.loads((tmp_path / "default_trajectory.json").read_text(encoding="utf-8"))
+        assert doc["stiff_switch_time"] is None
+        stiff = base_scenario_doc
+        stiff["params"]["n_M"] *= 1e4
+        stiff["params"]["v_M"] *= 1e4
+        stiff["label"] = "stiff"
+        path = write_scenario(stiff)
+        assert run(["simulate", "--scenario", path, "--out", str(tmp_path),
+                    "--format", "json"]) == 0
+        doc = json.loads((tmp_path / "stiff_trajectory.json").read_text(encoding="utf-8"))
+        assert 0.0 < doc["stiff_switch_time"] < doc["t"][-1]
+
     def test_sourceless_zero_scenario(self, tmp_path, base_scenario_doc, write_scenario):
         doc = base_scenario_doc
         doc["params"]["s"] = 0.0

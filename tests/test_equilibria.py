@@ -185,6 +185,29 @@ class TestEliminationRegressions:
                 found += 1
         assert found > 0
 
+    def test_drug_free_points_without_infusion(self):
+        """With v_M = 0, M = 0 is the drug's steady state; the catalog was
+        empty before M = 0 was admitted."""
+        pm = draw_params(np.random.default_rng(5)).replace(v_M=0.0)
+        drug_free = [eq for eq in find_all(pm) if eq.confirmed and eq.point.M == 0.0]
+        assert drug_free
+        assert all(eq.residual < CONFIRM_TOL for eq in drug_free)
+        E = estrogen_level(pm)
+        dead1 = [eq for eq in drug_free if eq.family == "dead1"]
+        assert len(dead1) == 1
+        assert dead1[0].point.I == pytest.approx(pm.s / immune_clearance_rate(pm, E), rel=1e-12)
+
+    def test_drug_free_families_over_draws(self):
+        rng = np.random.default_rng(5)
+        families = set()
+        for _ in range(30):
+            pm = draw_params(rng).replace(v_M=0.0)
+            for eq in find_all(pm):
+                if eq.confirmed:
+                    assert eq.point.M == 0.0
+                    families.add(eq.family)
+        assert families >= {"dead1", "dead2", "coexisting"}
+
     def test_near_double_root_taken_as_real(self):
         from bcdyn.equilibria import _positive_real_roots
 

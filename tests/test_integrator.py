@@ -69,7 +69,8 @@ class TestIntegrate:
         x0 = SystemState(1.0, 0.3, 0.5, 0.4, 0.2)
         cfg = IntegrationConfig(t0=0.0, t_end=50.0, rel_tol=1e-6, abs_tol=1e-9)
         traj = integrate(x0, base_params, cfg, sample_count=2)
-        ref = rk4_reference(x0, base_params, 50.0, 1e-4)
+        # At h = 1e-3 this reference agrees with h = 1e-4 to 8.5e-13 relative.
+        ref = rk4_reference(x0, base_params, 50.0, 1e-3)
         got = traj.states[-1]
         rel = max(
             abs(g - r) / max(1.0, abs(r)) for g, r in zip(got, ref)
@@ -91,6 +92,7 @@ class TestIntegrate:
             )
             assert min(traj.positivity_violations) >= -1e-9
             assert np.all(traj.states >= 0.0)
+            assert traj.stiff_switch_time is None
 
     def test_deterministic(self, base_params):
         cfg = IntegrationConfig(t0=0.0, t_end=20.0)
@@ -107,6 +109,44 @@ class TestIntegrate:
             IntegrationConfig(t0=0.0, t_end=1.0, rel_tol=0.0)
         with pytest.raises(DomainError):
             IntegrationConfig(t0=0.0, t_end=1.0, negativity_floor=0.5)
+
+
+class TestStiff:
+    """Fast drug turnover (n_M and v_M scaled up) makes the run stiff; the
+    stiffness test must hand it to the Rosenbrock step."""
+
+    def test_scaled_drug_turnover_switches(self, base_params):
+        pm = base_params.replace(n_M=base_params.n_M * 1e4, v_M=base_params.v_M * 1e4)
+        x0 = SystemState(1.0, 0.3, 0.5, 0.4, 0.2)
+        traj = integrate(x0, pm, IntegrationConfig(t0=0.0, t_end=100.0))
+        # Dormand-Prince alone takes about 121k accepted steps here.
+        assert traj.accepted_steps < 1000
+        assert traj.stiff_switch_time is not None and traj.stiff_switch_time < 1.0
+        e_star = estrogen_level(pm)
+        exact = e_star + (x0.E - e_star) * np.exp(-pm.theta * traj.times)
+        assert np.max(np.abs(traj.states[:, 3] - exact)) / max(x0.E, e_star) < 1e-6
+        assert min(traj.positivity_violations) >= -1e-9
+        assert np.all(traj.states >= 0.0)
+
+    def test_switched_run_against_fixed_step_reference(self, base_params):
+        pm = base_params.replace(n_M=base_params.n_M * 1e2, v_M=base_params.v_M * 1e2)
+        x0 = SystemState(1.0, 0.3, 0.5, 0.4, 0.2)
+        traj = integrate(x0, pm, IntegrationConfig(t0=0.0, t_end=20.0), sample_count=2)
+        assert traj.stiff_switch_time is not None
+        # Fixed-step RK4 is stable here (h * n_M = 0.04) and never switches.
+        ref = rk4_reference(x0, pm, 20.0, 1e-3)
+        rel = max(abs(g - r) / max(1.0, abs(r)) for g, r in zip(traj.states[-1], ref))
+        assert rel < 1e-5
+
+    def test_switch_is_deterministic(self, base_params):
+        pm = base_params.replace(n_M=base_params.n_M * 1e3, v_M=base_params.v_M * 1e3)
+        cfg = IntegrationConfig(t0=0.0, t_end=20.0)
+        x0 = SystemState(1.0, 0.3, 0.5, 0.4, 0.2)
+        a = integrate(x0, pm, cfg)
+        b = integrate(x0, pm, cfg)
+        assert a.stiff_switch_time is not None
+        assert a.stiff_switch_time == b.stiff_switch_time
+        assert np.array_equal(a.states, b.states)
 
 
 class TestSettle:

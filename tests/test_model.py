@@ -8,12 +8,13 @@ from bcdyn import (
     DomainError,
     SystemState,
     coefficients,
+    classify,
     jacobian,
     reproduction_numbers,
     rhs,
     validate_params,
 )
-from bcdyn.equilibria import find_all
+from bcdyn.equilibria import Equilibrium, estrogen_level, find_all
 from bcdyn.validation import draw_params, draw_state
 
 from conftest import random_params
@@ -110,6 +111,17 @@ class TestJacobian:
                 xm[j] -= h
                 fd = (np.array(f(*xp)) - np.array(f(*xm))) / (2.0 * h)
                 assert np.max(np.abs(fd - J[:, j]) / np.maximum(1.0, np.abs(J[:, j]))) < 1e-6
+
+
+    def test_overflow_is_a_domain_error(self):
+        """A huge immune level overflows (xi + I)**2; that is a DomainError,
+        not a bare OverflowError."""
+        pm = draw_params(np.random.default_rng(5)).replace(g1=1e-170)
+        st = SystemState(0.0, 0.1, 1e170, estrogen_level(pm), 1.0)
+        with pytest.raises(DomainError):
+            jacobian(st, pm)
+        with pytest.raises(DomainError):
+            classify(Equilibrium(point=st, family="dead2", residual=0.0), pm)
 
 
 class TestCoefficients:
