@@ -4,8 +4,10 @@ State (N, T, I, E, M): normal cells, tumor cells, immune effector cells,
 estrogen, and immunotherapy agent, under three treatment knobs: ketogenic
 diet strength d, endocrine-therapy efficacy k, and immunotherapy dosing
 v_M.  The package integrates trajectories, enumerates every equilibrium
-family, classifies local stability three independent ways, and sweeps or
-bisects treatment parameters to localize stability transitions.
+family, classifies local stability by eigenvalues, Routh-Hurwitz minors
+(both from characteristic polynomials of the same Jacobian) and the
+printed conditions, and sweeps or bisects treatment parameters to
+localize stability transitions.
 """
 from .equilibria import (
     Equilibrium,

@@ -42,15 +42,17 @@ from .model import (
     DomainError,
     ModelParams,
     SystemState,
-    jacobian,
-    residual_norm,
-    rhs,
-    validate_params,
+    _bind,
+    _require_valid,
 )
-from .numerics import NewtonError, Polynomial, newton_solve
-# No finder calls poly_roots any more (roots come from np.roots), but
-# perfbench/tracer.py wraps it by name on this module, so the name stays.
-from .numerics import poly_roots  # noqa: F401
+from .numerics import NewtonError, Polynomial
+
+# perfbench/tracer.py counts calls by wrapping these names on this module,
+# so they stay importable here; the finders evaluate the closures of
+# model._bind instead of rhs/jacobian and root with np.roots, so only
+# newton_solve is still called through this binding.
+from .model import jacobian, rhs, validate_params  # noqa: F401
+from .numerics import newton_solve, poly_roots  # noqa: F401
 
 __all__ = [
     "FAMILIES",
@@ -262,6 +264,7 @@ def reduced_polynomials(
     """Assemble the reduced polynomials and the derived-vs-printed dead1
     mismatch report.  The printed dead2 cubic needs a trial immune level
     and the coexisting quadratic a trial N; each is None without it."""
+    _require_valid(params)
     derived = _dead1_quadratic_derived(params)
     printed = _dead1_quadratic_printed(params)
 
@@ -332,43 +335,50 @@ def _quadratic_positive_roots(coeffs: tuple[float, float, float]) -> list[float]
     return sorted({r for r in roots if r > 0})
 
 
-def _subsystem(params: ModelParams, active: tuple[int, ...], template: list[float]):
-    """Steady-state residual and Jacobian restricted to ``active`` state
-    indices, with the remaining components frozen at ``template``."""
+def _subsystem(bound, active: tuple[int, ...], template: list[float]):
+    """Steady-state residual and Jacobian of the bound closures
+    ``(f, jac)`` restricted to ``active`` state indices, with the remaining
+    components frozen at ``template``."""
+    f, jac = bound
 
-    def assemble(x: np.ndarray) -> SystemState:
+    def assemble(x: np.ndarray) -> list[float]:
         vals = list(template)
         for idx, xi in zip(active, x):
             vals[idx] = float(xi)
-        return SystemState.from_sequence(vals)
+        return vals
 
     def F(x: np.ndarray) -> np.ndarray:
-        full = rhs(assemble(x), params)
+        full = f(*assemble(x))
         return np.array([full[i] for i in active])
 
     def J(x: np.ndarray) -> np.ndarray:
-        full = jacobian(assemble(x), params)
-        return full[np.ix_(active, active)]
+        rows = jac(*assemble(x))
+        return np.array([[rows[i][j] for j in active] for i in active])
 
     return assemble, F, J
 
 
-def _dedup(points: list[SystemState]) -> list[SystemState]:
-    kept: list[SystemState] = []
-    for pt in points:
-        arr = pt.as_array()
-        scale = 1.0 + float(np.max(np.abs(arr)))
-        if all(
-            float(np.max(np.abs(arr - q.as_array()))) / scale > DEDUP_TOL for q in kept
-        ):
-            kept.append(pt)
+def _residual(f, point: SystemState) -> float:
+    """||rhs||_inf at ``point`` through the bound vector field ``f``."""
+    return max(abs(v) for v in f(*point.as_tuple()))
+
+
+def _dedup(items: list, key) -> list:
+    """Keep each item whose ``key`` vector is farther than DEDUP_TOL, in the
+    infinity norm relative to 1 + its own largest magnitude, from every
+    item kept before it."""
+    kept, kept_keys = [], []
+    for item in items:
+        a = key(item)
+        scale = 1.0 + max(abs(v) for v in a)
+        if all(max(abs(x - y) for x, y in zip(a, b)) / scale > DEDUP_TOL for b in kept_keys):
+            kept.append(item)
+            kept_keys.append(a)
     return kept
 
 
-def _snap(point: SystemState) -> SystemState:
-    return SystemState.from_sequence(
-        0.0 if -SNAP_TOL < v < 0.0 else v for v in point.as_tuple()
-    )
+def _snap(vals) -> SystemState:
+    return SystemState.from_sequence(0.0 if -SNAP_TOL < v < 0.0 else v for v in vals)
 
 
 def _drug_admissible(params: ModelParams, M: float) -> bool:
@@ -377,10 +387,10 @@ def _drug_admissible(params: ModelParams, M: float) -> bool:
     return M > 0 or (M == 0 and params.v_M == 0)
 
 
-def _im_candidates(params: ModelParams) -> list[tuple[float, float]]:
+def _im_candidates(params: ModelParams, bound) -> list[tuple[float, float]]:
     """Admissible steady (I, M) pairs of the immune/drug subsystem at
     N = T = 0: positive roots of the derived quadratic, Newton-refined on
-    the 2-D subsystem."""
+    the 2-D subsystem of the bound closures."""
     E = estrogen_level(params)
     derived = _dead1_quadratic_derived(params)
     candidates = []
@@ -388,7 +398,7 @@ def _im_candidates(params: ModelParams) -> list[tuple[float, float]]:
         M0 = drug_level(params, I0)
         if M0 is None:
             continue
-        assemble, F, J = _subsystem(params, (2, 4), [0.0, 0.0, I0, E, M0])
+        _, F, J = _subsystem(bound, (2, 4), [0.0, 0.0, I0, E, M0])
         try:
             sol = newton_solve(F, J, np.array([I0, M0]), tol=1e-13)
         except NewtonError as exc:
@@ -397,16 +407,7 @@ def _im_candidates(params: ModelParams) -> list[tuple[float, float]]:
         I_ref, M_ref = float(sol[0]), float(sol[1])
         if I_ref > 0 and _drug_admissible(params, M_ref) and drug_level(params, I_ref) is not None:
             candidates.append((I_ref, M_ref))
-    # Deduplicate refined pairs.
-    unique: list[tuple[float, float]] = []
-    for cand in candidates:
-        if all(
-            max(abs(cand[0] - u[0]), abs(cand[1] - u[1])) / (1.0 + abs(cand[0]) + abs(cand[1]))
-            > DEDUP_TOL
-            for u in unique
-        ):
-            unique.append(cand)
-    return unique
+    return _dedup(candidates, key=lambda pair: pair)
 
 
 def _tumor_free_flags(params: ModelParams, I0: float, M0: float, E0: float):
@@ -449,14 +450,14 @@ def tumor_free(params: ModelParams) -> list[Equilibrium]:
     """Tumor-free candidates: N and E in closed form, (I, M) from the
     immune/drug subsystem.  The reported residual includes the tumor
     equation's transformation feed (see module docstring)."""
-    _check(params)
+    bound = _bind(params)
     E0 = estrogen_level(params)
     N0 = (params.a1 - params.l1 * E0 * (1.0 - params.k)) / params.b1
     if N0 <= 0:
         log.debug("no tumor-free candidate: closed-form N = %g <= 0", N0)
         return []
     results = []
-    for I0, M0 in _im_candidates(params):
+    for I0, M0 in _im_candidates(params, bound):
         point = SystemState(N0, 0.0, I0, E0, M0)
         flags, values = _tumor_free_flags(params, I0, M0, E0)
         feed = params.l1 * N0 * E0 * (1.0 - params.k)
@@ -466,7 +467,7 @@ def tumor_free(params: ModelParams) -> list[Equilibrium]:
             Equilibrium(
                 point=point,
                 family="tumor_free",
-                residual=residual_norm(point, params),
+                residual=_residual(bound[0], point),
                 existence_flags=flags,
                 flag_values=values,
                 provenance="closed_form" if params.chi == 0 and params.p_M == 0 else "newton_refined",
@@ -478,18 +479,11 @@ def tumor_free(params: ModelParams) -> list[Equilibrium]:
 def dead_type1(params: ModelParams) -> list[Equilibrium]:
     """Dead type-1 equilibria: N = T = 0, I from the derived quadratic,
     M = M(I), refined on the immune/drug subsystem."""
-    _check(params)
+    bound = _bind(params)
     E = estrogen_level(params)
-    derived = _dead1_quadratic_derived(params)
-    c2, c1, c0 = derived
-    if abs(c2) > 1e-14 * max(abs(c1), abs(c0), 1.0):
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0:
-            log.debug("dead1: negative discriminant %g of the derived quadratic", disc)
-            return []
     A = immune_clearance_rate(params, E)
     results = []
-    for I0, M0 in _im_candidates(params):
+    for I0, M0 in _im_candidates(params, bound):
         point = SystemState(0.0, 0.0, I0, E, M0)
         flags: dict[str, bool] = {}
         values: dict[str, float] = {}
@@ -507,7 +501,7 @@ def dead_type1(params: ModelParams) -> list[Equilibrium]:
             Equilibrium(
                 point=point,
                 family="dead1",
-                residual=residual_norm(point, params),
+                residual=_residual(bound[0], point),
                 existence_flags=flags,
                 flag_values=values,
                 provenance="poly_root",
@@ -542,10 +536,11 @@ def _positive_real_roots(coeffs) -> list[float]:
     )
 
 
-def _polish(params: ModelParams, active: tuple[int, ...], template: list[float]):
+def _polish(bound, active: tuple[int, ...], template: list[float]):
     """Newton-polish a root of the eliminated polynomial on the steady
-    subsystem over ``active``; the snapped full state, or None on failure."""
-    assemble, F, J = _subsystem(params, active, template)
+    subsystem of the bound closures over ``active``; the snapped full
+    state, or None on failure."""
+    assemble, F, J = _subsystem(bound, active, template)
     try:
         sol = newton_solve(F, J, np.array([template[i] for i in active]), tol=1e-13)
     except (NewtonError, DomainError) as exc:
@@ -561,7 +556,7 @@ def dead_type2(params: ModelParams) -> list[Equilibrium]:
     admissible I and M are Newton-polished on the (T, I, M) subsystem.
     With g1 = 0 the tumor equation fixes T = (a2*d - m_d)/b2 and I comes
     from the immune quadratic at that T."""
-    _check(params)
+    bound = _bind(params)
     a2d = params.a2 * params.d
     T_max = (a2d - params.m_d) / params.b2
     if T_max <= 0:
@@ -586,13 +581,13 @@ def dead_type2(params: ModelParams) -> list[Equilibrium]:
         M0 = drug_level(params, I0)
         if M0 is None:
             continue
-        point = _polish(params, (1, 2, 4), [0.0, T0, I0, E, M0])
+        point = _polish(bound, (1, 2, 4), [0.0, T0, I0, E, M0])
         if point is None or point.T <= 0 or point.I < 0 or not _drug_admissible(params, point.M):
             continue
         points.append(point)
 
     results = []
-    for point in _dedup(points):
+    for point in _dedup(points, key=SystemState.as_tuple):
         flags: dict[str, bool] = {"partial_blockade": params.k < 1.0}
         values: dict[str, float] = {}
         den = params.b2 * (params.chi - params.g1 * params.n_M)
@@ -606,7 +601,7 @@ def dead_type2(params: ModelParams) -> list[Equilibrium]:
             Equilibrium(
                 point=point,
                 family="dead2",
-                residual=residual_norm(point, params),
+                residual=_residual(bound[0], point),
                 existence_flags=flags,
                 flag_values=values,
                 provenance="newton_refined",
@@ -631,7 +626,7 @@ def coexisting(params: ModelParams) -> list[Equilibrium]:
     subsystem.  With g1 = 0 the tumor equation reduces to P3(T) = 0 and I
     comes from the immune quadratic at each root.  An empty list is a valid
     outcome."""
-    _check(params)
+    bound = _bind(params)
     E = estrogen_level(params)
     a2d = params.a2 * params.d
     feed_rate = params.l1 * E * (1.0 - params.k)
@@ -656,7 +651,7 @@ def coexisting(params: ModelParams) -> list[Equilibrium]:
             continue
         # E is pinned at its closed form so every family shares the
         # identical float value; the E equation is decoupled anyway.
-        point = _polish(params, (0, 1, 2, 4), [N0, T0, I0, E, M0])
+        point = _polish(bound, (0, 1, 2, 4), [N0, T0, I0, E, M0])
         if (
             point is not None
             and all(v > 0 for v in point.as_tuple()[:4])
@@ -665,7 +660,7 @@ def coexisting(params: ModelParams) -> list[Equilibrium]:
             points.append(point)
 
     results = []
-    for point in _dedup(points):
+    for point in _dedup(points, key=SystemState.as_tuple):
         b = params.g1 * point.I + params.m_d - a2d
         c = -params.l1 * point.N * point.E * (1.0 - params.k)
         flags: dict[str, bool] = {}
@@ -683,7 +678,7 @@ def coexisting(params: ModelParams) -> list[Equilibrium]:
             Equilibrium(
                 point=point,
                 family="coexisting",
-                residual=residual_norm(point, params),
+                residual=_residual(bound[0], point),
                 existence_flags=flags,
                 flag_values=values,
                 provenance="newton_refined",
@@ -692,28 +687,13 @@ def coexisting(params: ModelParams) -> list[Equilibrium]:
     return results
 
 
-def _check(params: ModelParams) -> None:
-    violations = validate_params(params)
-    if violations:
-        raise DomainError("invalid parameters: " + "; ".join(violations))
-
-
 def find_all(params: ModelParams) -> list[Equilibrium]:
     """Union of the four family finders, deduplicated across families and
     sorted by family order then tumor load."""
     catalog: list[Equilibrium] = []
     for finder in (tumor_free, dead_type1, dead_type2, coexisting):
         catalog.extend(finder(params))
-    kept: list[Equilibrium] = []
-    for eq in catalog:
-        arr = eq.point.as_array()
-        scale = 1.0 + float(np.max(np.abs(arr)))
-        duplicate = any(
-            float(np.max(np.abs(arr - other.point.as_array()))) / scale <= DEDUP_TOL
-            for other in kept
-        )
-        if not duplicate:
-            kept.append(eq)
+    kept = _dedup(catalog, key=lambda eq: eq.point.as_tuple())
     kept.sort(key=lambda eq: (FAMILIES.index(eq.family), eq.point.T))
     return kept
 

@@ -174,13 +174,26 @@ def _require_valid(params: ModelParams) -> None:
         raise DomainError("invalid parameters: " + "; ".join(violations))
 
 
-def make_rhs(params: ModelParams):
-    """Bind ``params`` into a scalar derivative function.
+# The five Michaelis-Menten denominators, in the order the closures of
+# _bind and coefficients() compute them.
+_DENOMINATORS = ("1 + epsilon*T", "o + T", "g + E", "j_M + M", "xi + I")
 
-    Returns ``f(N, T, I, E, M) -> (dN, dT, dI, dE, dM)`` operating on plain
-    floats.  This is the single source of truth for the vector field; both
-    :func:`rhs` and the integrator delegate to it.
-    """
+
+def _singular(dens) -> DomainError | None:
+    """The error naming the first denominator in ``dens`` below
+    DENOM_GUARD, or None when all are safe."""
+    for name, value in zip(_DENOMINATORS, dens):
+        if abs(value) < DENOM_GUARD:
+            return DomainError(f"singular denominator {name}")
+    return None
+
+
+def _bind(params: ModelParams):
+    """Validate ``params`` once and bind them into the vector-field and
+    Jacobian closures ``(f, jac)`` of :func:`make_rhs` and
+    :func:`make_jacobian`.  The denominator guards stay inline in both
+    closures: they run on every evaluation, where a helper call would
+    cost about half again as much per call."""
     _require_valid(params)
     a1, b1, d1, epsilon, l1 = params.a1, params.b1, params.d1, params.epsilon, params.l1
     a2, d, b2, g1, m_d = params.a2, params.d, params.b2, params.g1, params.m_d
@@ -196,16 +209,14 @@ def make_rhs(params: ModelParams):
         den_g = g + E
         den_j = j_M + M
         den_xi = xi + I
-        if abs(den_sat) < DENOM_GUARD:
-            raise DomainError("singular denominator 1 + epsilon*T in the N equation")
-        if abs(den_o) < DENOM_GUARD:
-            raise DomainError("singular denominator o + T in the I equation")
-        if abs(den_g) < DENOM_GUARD:
-            raise DomainError("singular denominator g + E in the I equation")
-        if abs(den_j) < DENOM_GUARD:
-            raise DomainError("singular denominator j_M + M in the I equation")
-        if abs(den_xi) < DENOM_GUARD:
-            raise DomainError("singular denominator xi + I in the M equation")
+        if (
+            abs(den_sat) < DENOM_GUARD
+            or abs(den_o) < DENOM_GUARD
+            or abs(den_g) < DENOM_GUARD
+            or abs(den_j) < DENOM_GUARD
+            or abs(den_xi) < DENOM_GUARD
+        ):
+            raise _singular((den_sat, den_o, den_g, den_j, den_xi))
         transform = l1 * N * E * omk
         dN = N * (a1 - b1 * N) - d1 * T * N / den_sat - transform
         dT = T * (a2 * d - b2 * T) - g1 * I * T - m_d * T + transform
@@ -221,68 +232,20 @@ def make_rhs(params: ModelParams):
         dM = v_M - n_M * M + chi * M * I / den_xi
         return dN, dT, dI, dE, dM
 
-    return f
-
-
-def rhs(state: SystemState, params: ModelParams) -> tuple[float, float, float, float, float]:
-    """Evaluate the vector field at ``state``."""
-    if not state.is_finite():
-        raise DomainError(f"non-finite state {state}")
-    return make_rhs(params)(*state.as_tuple())
-
-
-def residual_norm(state: SystemState, params: ModelParams) -> float:
-    """Infinity norm of the vector field; zero at an exact equilibrium."""
-    return max(abs(v) for v in rhs(state, params))
-
-
-def _denominators(state: SystemState, params: ModelParams) -> dict[str, float]:
-    dens = {
-        "1 + epsilon*T": 1.0 + params.epsilon * state.T,
-        "o + T": params.o + state.T,
-        "g + E": params.g + state.E,
-        "j_M + M": params.j_M + state.M,
-        "xi + I": params.xi + state.I,
-    }
-    for name, value in dens.items():
-        if abs(value) < DENOM_GUARD:
-            raise DomainError(f"singular denominator {name}")
-    return dens
-
-
-def make_jacobian(params: ModelParams):
-    """Bind ``params`` into a scalar Jacobian function.
-
-    Returns ``jac(N, T, I, E, M)`` giving the analytic 5x5 Jacobian of the
-    vector field as five row tuples of plain floats, entry [i][j] =
-    d(rhs_i)/d(state_j).  This is the single transcription of the
-    Jacobian; :func:`jacobian` and the integrator's Rosenbrock step
-    delegate to it.  A state whose entries overflow raises DomainError.
-    """
-    _require_valid(params)
-    a1, b1, d1, epsilon, l1 = params.a1, params.b1, params.d1, params.epsilon, params.l1
-    a2, d, b2, g1, m_d = params.a2, params.d, params.b2, params.g1, params.m_d
-    r, o, g2, m = params.r, params.o, params.g2, params.m
-    l3, g, p_M, j_M = params.l3, params.g, params.p_M, params.j_M
-    theta, n_M, chi, xi = params.theta, params.n_M, params.chi, params.xi
-    omk = 1.0 - params.k
-
     def jac(N: float, T: float, I: float, E: float, M: float):
         den_sat = 1.0 + epsilon * T
         den_o = o + T
         den_g = g + E
         den_j = j_M + M
         den_xi = xi + I
-        if abs(den_sat) < DENOM_GUARD:
-            raise DomainError("singular denominator 1 + epsilon*T")
-        if abs(den_o) < DENOM_GUARD:
-            raise DomainError("singular denominator o + T")
-        if abs(den_g) < DENOM_GUARD:
-            raise DomainError("singular denominator g + E")
-        if abs(den_j) < DENOM_GUARD:
-            raise DomainError("singular denominator j_M + M")
-        if abs(den_xi) < DENOM_GUARD:
-            raise DomainError("singular denominator xi + I")
+        if (
+            abs(den_sat) < DENOM_GUARD
+            or abs(den_o) < DENOM_GUARD
+            or abs(den_g) < DENOM_GUARD
+            or abs(den_j) < DENOM_GUARD
+            or abs(den_xi) < DENOM_GUARD
+        ):
+            raise _singular((den_sat, den_o, den_g, den_j, den_xi))
         try:
             return (
                 # N row
@@ -329,7 +292,41 @@ def make_jacobian(params: ModelParams):
                 f"Jacobian overflows at state {(N, T, I, E, M)}"
             ) from exc
 
-    return jac
+    return f, jac
+
+
+def make_rhs(params: ModelParams):
+    """Bind ``params`` into a scalar derivative function.
+
+    Returns ``f(N, T, I, E, M) -> (dN, dT, dI, dE, dM)`` operating on plain
+    floats.  This is the single source of truth for the vector field; both
+    :func:`rhs` and the integrator delegate to it.
+    """
+    return _bind(params)[0]
+
+
+def rhs(state: SystemState, params: ModelParams) -> tuple[float, float, float, float, float]:
+    """Evaluate the vector field at ``state``."""
+    if not state.is_finite():
+        raise DomainError(f"non-finite state {state}")
+    return make_rhs(params)(*state.as_tuple())
+
+
+def residual_norm(state: SystemState, params: ModelParams) -> float:
+    """Infinity norm of the vector field; zero at an exact equilibrium."""
+    return max(abs(v) for v in rhs(state, params))
+
+
+def make_jacobian(params: ModelParams):
+    """Bind ``params`` into a scalar Jacobian function.
+
+    Returns ``jac(N, T, I, E, M)`` giving the analytic 5x5 Jacobian of the
+    vector field as five row tuples of plain floats, entry [i][j] =
+    d(rhs_i)/d(state_j).  This is the single transcription of the
+    Jacobian; :func:`jacobian` and the integrator's Rosenbrock step
+    delegate to it.  A state whose entries overflow raises DomainError.
+    """
+    return _bind(params)[1]
 
 
 def jacobian(state: SystemState, params: ModelParams) -> np.ndarray:
@@ -389,15 +386,14 @@ def coefficients(state: SystemState, params: ModelParams, tag: str) -> Coefficie
     if tag not in _COEFF_LENGTHS:
         raise DomainError(f"unknown coefficient tag {tag!r}")
     N, T, I, E, M = state.as_tuple()
-    dens = _denominators(state, params)
-    den_sat = dens["1 + epsilon*T"]
-    den_o = dens["o + T"]
-    den_g = dens["g + E"]
-    den_j = dens["j_M + M"]
-    den_xi = dens["xi + I"]
-    if abs(params.o) < DENOM_GUARD:
-        raise DomainError("singular denominator o in A4/B3")
     pm = params
+    dens = (1.0 + pm.epsilon * T, pm.o + T, pm.g + E, pm.j_M + M, pm.xi + I)
+    error = _singular(dens)
+    if error is not None:
+        raise error
+    den_sat, den_o, den_g, den_j, den_xi = dens
+    if abs(pm.o) < DENOM_GUARD:
+        raise DomainError("singular denominator o in A4/B3")
     omk = 1.0 - pm.k
 
     # Shared building blocks between the three families.

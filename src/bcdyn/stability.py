@@ -1,11 +1,16 @@
 """Local stability classification of equilibria.
 
-Three verdict paths are computed and compared:
+Three verdicts are computed and compared:
 
 * eigenvalues of the analytic Jacobian (authoritative),
 * Routh-Hurwitz minors of the characteristic polynomial,
 * the family-specific printed conditions (reproduction numbers and
   coefficient-sign tests), reported but never used to override.
+
+The first two are not independent: the eigenvalues are the roots of
+Faddeev-LeVerrier characteristic polynomials of the Jacobian's blocks,
+and the Hurwitz minors come from the same recurrence on the same
+Jacobian, so an error in the Jacobian or in char_poly reaches both.
 
 The printed tumor-free conditions carry known sign slips relative to the
 derived Jacobian blocks, so in addition to the verbatim R0/R1 predicates
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import Equilibrium
+from .equilibria import Equilibrium, _json_num
 from .integrator import default_horizon, settle
 from .model import (
     DomainError,
@@ -147,13 +152,28 @@ def _block_conditions(J: np.ndarray) -> dict[str, ConditionCheck]:
     return checks
 
 
+def _repro(eq: Equilibrium, params: ModelParams) -> ReproductionNumbers | None:
+    """R0, R1 and R_IM for the families whose conditions use them."""
+    if eq.family in ("tumor_free", "dead1"):
+        return reproduction_numbers(eq.point, params)
+    return None
+
+
 def theorem_conditions(eq: Equilibrium, params: ModelParams) -> dict[str, ConditionCheck]:
     """Family-specific printed stability conditions with their evaluated
     left/right-hand values."""
+    J = jacobian(eq.point, params)
+    return _conditions(eq, params, J, routh_hurwitz(char_poly(J)), _repro(eq, params))
+
+
+def _conditions(
+    eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict, rn: ReproductionNumbers | None
+) -> dict[str, ConditionCheck]:
+    """:func:`theorem_conditions` from the Jacobian ``J`` at ``eq``, its
+    Hurwitz verdict ``hv`` and the reproduction numbers ``rn``."""
     point = eq.point
     checks: dict[str, ConditionCheck] = {}
     if eq.family == "tumor_free":
-        rn = reproduction_numbers(point, params)
         checks["R0_lt_1"] = ConditionCheck("R0_lt_1", rn.r0_defined and rn.r0 < 1.0, rn.r0, 1.0)
         checks["R1_lt_1"] = ConditionCheck("R1_lt_1", rn.r1_defined and rn.r1 < 1.0, rn.r1, 1.0)
         # Informational auxiliary bounds on I (not part of any verdict; the upper
@@ -168,16 +188,15 @@ def theorem_conditions(eq: Equilibrium, params: ModelParams) -> dict[str, Condit
         upper = upper_num / params.g1 if params.g1 > 0 else math.inf
         checks["aux_I_lower"] = ConditionCheck("aux_I_lower", lower < point.I, lower, point.I)
         checks["aux_I_upper"] = ConditionCheck("aux_I_upper", point.I < upper, point.I, upper)
-        checks.update(_block_conditions(jacobian(point, params)))
+        checks.update(_block_conditions(J))
     elif eq.family == "dead1":
-        rn = reproduction_numbers(point, params)
         B = coefficients(point, params, "B")
         checks["R_IM_lt_1"] = ConditionCheck(
             "R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0
         )
         for idx in (0, 2, 4, 8):
             checks[f"B{idx}_neg"] = ConditionCheck(f"B{idx}_neg", B[idx] < 0.0, B[idx], 0.0)
-        checks.update(_block_conditions(jacobian(point, params)))
+        checks.update(_block_conditions(J))
     elif eq.family == "dead2":
         C = coefficients(point, params, "C")
         rhs_i = (
@@ -190,7 +209,6 @@ def theorem_conditions(eq: Equilibrium, params: ModelParams) -> dict[str, Condit
         const = C[2] * C[5] * C[9] - C[2] * C[6] * C[8] + C[3] * C[4] * C[9]
         checks["reduced_cubic_const_pos"] = ConditionCheck("reduced_cubic_const_pos", const > 0.0, const, 0.0)
     else:  # coexisting: eigenvalue signs, checked via Hurwitz minors
-        hv = routh_hurwitz(char_poly(jacobian(point, params)))
         smallest = min(hv.minors)
         checks["hurwitz_minors_positive"] = ConditionCheck(
             "hurwitz_minors_positive", hv.all_positive, smallest, 0.0
@@ -226,12 +244,8 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     verdict = _eig_verdict(eig.max_real)
 
     theta_gap = min(abs(z - (-params.theta)) for z in eig.roots)
-    checks = theorem_conditions(eq, params)
-    repro = (
-        reproduction_numbers(eq.point, params)
-        if eq.family in ("tumor_free", "dead1")
-        else None
-    )
+    repro = _repro(eq, params)
+    checks = _conditions(eq, params, J, hv, repro)
 
     agreement: dict[str, bool | None] = {}
     if verdict == "inconclusive" or hv.verdict == "inconclusive":
@@ -311,29 +325,21 @@ def report_to_json(report: StabilityReport) -> str:
             None
             if report.repro is None
             else {
-                "R0": _num(report.repro.r0),
-                "R1": _num(report.repro.r1),
-                "R_IM": _num(report.repro.r_im),
+                "R0": _json_num(report.repro.r0),
+                "R1": _json_num(report.repro.r1),
+                "R_IM": _json_num(report.repro.r_im),
                 "R0_defined": report.repro.r0_defined,
                 "R1_defined": report.repro.r1_defined,
                 "R_IM_defined": report.repro.r_im_defined,
             }
         ),
         "theorem_checks": {
-            name: {"holds": c.holds, "lhs": _num(c.lhs), "rhs": _num(c.rhs)}
+            name: {"holds": c.holds, "lhs": _json_num(c.lhs), "rhs": _json_num(c.rhs)}
             for name, c in report.theorem_checks.items()
         },
         "agreement": report.agreement,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _num(v: float):
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
 
 
 def summary_csv_header() -> str:

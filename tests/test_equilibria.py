@@ -265,6 +265,13 @@ class TestFindAll:
 
 
 class TestReducedPolynomials:
+    @pytest.mark.parametrize(
+        "change", [{"theta": 0.0}, {"theta": -1.0}, {"k": 2.0}, {"o": 0.0}]
+    )
+    def test_invalid_params_rejected(self, base_params, change):
+        with pytest.raises(DomainError, match="invalid parameters"):
+            reduced_polynomials(base_params.replace(**change))
+
     def test_mismatch_report_always_emitted(self, base_params):
         rp = reduced_polynomials(base_params)
         report = rp.mismatch_report

@@ -4,17 +4,33 @@ import math
 import numpy as np
 import pytest
 
+import re
+import sys
+
 from bcdyn import (
     DomainError,
     SystemState,
     coefficients,
     classify,
+    default_scenario,
+    integrate,
     jacobian,
+    make_jacobian,
+    make_rhs,
     reproduction_numbers,
+    residual_norm,
     rhs,
     validate_params,
 )
-from bcdyn.equilibria import Equilibrium, estrogen_level, find_all
+from bcdyn.equilibria import (
+    Equilibrium,
+    coexisting,
+    dead_type1,
+    dead_type2,
+    estrogen_level,
+    find_all,
+    tumor_free,
+)
 from bcdyn.validation import draw_params, draw_state
 
 from conftest import random_params
@@ -231,3 +247,88 @@ class TestValidateParams:
 
     def test_negative_rate_rejected(self, base_params):
         assert validate_params(base_params.replace(s=-0.1))
+
+
+_STATE = SystemState(1.0, 1.0, 1.0, 1.0, 1.0)
+
+ENTRY_POINTS = {
+    "make_rhs": make_rhs,
+    "make_jacobian": make_jacobian,
+    "rhs": lambda pm: rhs(_STATE, pm),
+    "jacobian": lambda pm: jacobian(_STATE, pm),
+    "residual_norm": lambda pm: residual_norm(_STATE, pm),
+    "coefficients": lambda pm: coefficients(_STATE, pm, "A"),
+    "reproduction_numbers": lambda pm: reproduction_numbers(_STATE, pm),
+    "tumor_free": tumor_free,
+    "dead_type1": dead_type1,
+    "dead_type2": dead_type2,
+    "coexisting": coexisting,
+    "find_all": find_all,
+    "integrate": lambda pm: integrate(_STATE, pm, default_scenario().integration),
+}
+
+# With the default scenario's parameters, each state component below makes
+# exactly one denominator vanish.
+SINGULAR = {
+    "1 + epsilon*T": {"T": -4.0},
+    "o + T": {"T": -0.7},
+    "g + E": {"E": -0.5},
+    "j_M + M": {"M": -0.6},
+    "xi + I": {"I": -0.8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_rejects_invalid_params(name, base_params):
+    with pytest.raises(DomainError, match="theta must be positive"):
+        ENTRY_POINTS[name](base_params.replace(theta=-1.0))
+
+
+@pytest.mark.parametrize("denominator", sorted(SINGULAR))
+def test_singular_denominator_is_named(denominator, base_params):
+    values = {"N": 1.0, "T": 1.0, "I": 1.0, "E": 1.0, "M": 1.0, **SINGULAR[denominator]}
+    state = SystemState(**values)
+    message = re.escape(f"singular denominator {denominator}")
+    for evaluate in (rhs, jacobian, lambda st, pm: coefficients(st, pm, "A")):
+        with pytest.raises(DomainError, match=message):
+            evaluate(state, base_params)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap the model function ``name`` wherever a bcdyn module binds it;
+    the returned list grows by one entry per call."""
+    import bcdyn.model
+
+    original = getattr(bcdyn.model, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "bcdyn" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestBindOnce:
+    """Each call validates its parameter set once and reuses what it
+    computed, instead of repeating the work on every evaluation."""
+
+    def test_find_all_validates_once_per_finder(self, base_params, monkeypatch):
+        calls = count_calls(monkeypatch, "validate_params")
+        find_all(base_params)
+        assert len(calls) == 4
+
+    def test_integrate_validates_once(self, monkeypatch):
+        sc = default_scenario()
+        calls = count_calls(monkeypatch, "validate_params")
+        integrate(sc.initial_state, sc.params, sc.integration, sc.sample_count)
+        assert len(calls) == 1
+
+    def test_classify_evaluates_the_jacobian_once(self, base_params, monkeypatch):
+        (eq,) = [eq for eq in find_all(base_params) if eq.family == "coexisting"]
+        calls = count_calls(monkeypatch, "jacobian")
+        classify(eq, base_params)
+        assert len(calls) == 1
