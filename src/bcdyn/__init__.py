@@ -5,9 +5,9 @@ estrogen, and immunotherapy agent, under three treatment knobs: ketogenic
 diet strength d, endocrine-therapy efficacy k, and immunotherapy dosing
 v_M.  The package integrates trajectories, enumerates every equilibrium
 family, classifies local stability by eigenvalues, Routh-Hurwitz minors
-(both from characteristic polynomials of the same Jacobian) and the
-printed conditions, and sweeps or bisects treatment parameters to
-localize stability transitions.
+(two paths that share only the Jacobian) and the printed conditions,
+and sweeps or bisects treatment parameters to localize stability
+transitions.
 """
 from .equilibria import (
     Equilibrium,
@@ -44,7 +44,6 @@ from .numerics import (
     NewtonError,
     NumericsError,
     Polynomial,
-    RootFindingError,
     RootSet,
     char_poly,
     eigenvalues,
@@ -77,7 +76,6 @@ __all__ = [
     "RootSet",
     "HurwitzVerdict",
     "NumericsError",
-    "RootFindingError",
     "NewtonError",
     "poly_roots",
     "char_poly",

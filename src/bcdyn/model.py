@@ -383,6 +383,12 @@ def coefficients(state: SystemState, params: ModelParams, tag: str) -> Coefficie
     if not state.is_finite():
         raise DomainError(f"non-finite state {state}")
     _require_valid(params)
+    return _coefficients(state, params, tag)
+
+
+def _coefficients(state: SystemState, params: ModelParams, tag: str) -> CoefficientSet:
+    """:func:`coefficients` at a finite ``state`` for ``params`` that are
+    already validated.  A term that overflows raises DomainError."""
     if tag not in _COEFF_LENGTHS:
         raise DomainError(f"unknown coefficient tag {tag!r}")
     N, T, I, E, M = state.as_tuple()
@@ -396,60 +402,65 @@ def coefficients(state: SystemState, params: ModelParams, tag: str) -> Coefficie
         raise DomainError("singular denominator o in A4/B3")
     omk = 1.0 - pm.k
 
-    # Shared building blocks between the three families.
-    estro_suppression = pm.l3 * E * omk / den_g
-    drug_activation = pm.p_M * M / den_j
-    drug_feedback = pm.chi * M * pm.xi / den_xi**2
-    immuno_gain = pm.p_M * I * pm.j_M / den_j**2
-    drug_decay = -pm.n_M + pm.chi * I / den_xi
-
     warning = None
-    if tag == "A":
-        if abs(T) > 1e-9:
-            warning = "A coefficients evaluated away from a tumor-free state (T != 0)"
-        values = (
-            pm.a1 - 2.0 * pm.b1 * N - pm.l1 * E * omk,         # A0
-            pm.l1 * E * omk,                                    # A1
-            pm.d1 * N,                                          # A2
-            pm.a2 * pm.d - pm.g1 * I - pm.m_d,                  # A3
-            pm.r * I / pm.o - pm.g2 * I,                        # A4
-            -pm.m - estro_suppression + drug_activation,        # A5
-            drug_feedback,                                      # A6
-            pm.l1 * N * omk,                                    # A7
-            pm.l3 * I * pm.g * omk / den_g,                     # A8
-            immuno_gain,                                        # A9
-            drug_decay,                                         # A10
-        )
-    elif tag == "B":
-        if abs(T) > 1e-9 or abs(N) > 1e-9:
-            warning = "B coefficients evaluated away from a dead type-1 state (N = T = 0)"
-        values = (
-            pm.a1 - pm.l1 * E * omk,                            # B0
-            pm.l1 * E * omk,                                    # B1
-            pm.a2 * pm.d - pm.g1 * I - pm.m_d,                  # B2
-            pm.r * I / pm.o - pm.g2 * I,                        # B3
-            -pm.m - estro_suppression + drug_activation,        # B4
-            drug_feedback,                                      # B5
-            -pm.l3 * I * pm.g * omk / den_g**2,                 # B6
-            immuno_gain,                                        # B7
-            drug_decay,                                         # B8
-        )
-    else:
-        if abs(N) > 1e-9:
-            warning = "C coefficients evaluated away from a dead type-2 state (N != 0)"
-        values = (
-            pm.a1 - pm.d1 * T / den_sat - pm.l1 * E,            # C0
-            pm.l1 * E * omk,                                    # C1
-            pm.a2 * pm.d - 2.0 * pm.b2 * T - pm.g1 * I - pm.m_d,  # C2
-            pm.r * I * pm.o / den_o**2 - pm.g2 * I,             # C3
-            pm.g1 * T,                                          # C4
-            pm.r * T / den_o - pm.g2 * T - pm.m
-            - estro_suppression + drug_activation,              # C5
-            drug_feedback,                                      # C6
-            -pm.l3 * I * pm.g * omk / den_g**2,                 # C7
-            immuno_gain,                                        # C8
-            drug_decay,                                         # C9
-        )
+    try:
+        # Shared building blocks between the three families.
+        estro_suppression = pm.l3 * E * omk / den_g
+        drug_activation = pm.p_M * M / den_j
+        drug_feedback = pm.chi * M * pm.xi / den_xi**2
+        immuno_gain = pm.p_M * I * pm.j_M / den_j**2
+        drug_decay = -pm.n_M + pm.chi * I / den_xi
+
+        if tag == "A":
+            if abs(T) > 1e-9:
+                warning = "A coefficients evaluated away from a tumor-free state (T != 0)"
+            values = (
+                pm.a1 - 2.0 * pm.b1 * N - pm.l1 * E * omk,         # A0
+                pm.l1 * E * omk,                                    # A1
+                pm.d1 * N,                                          # A2
+                pm.a2 * pm.d - pm.g1 * I - pm.m_d,                  # A3
+                pm.r * I / pm.o - pm.g2 * I,                        # A4
+                -pm.m - estro_suppression + drug_activation,        # A5
+                drug_feedback,                                      # A6
+                pm.l1 * N * omk,                                    # A7
+                pm.l3 * I * pm.g * omk / den_g,                     # A8
+                immuno_gain,                                        # A9
+                drug_decay,                                         # A10
+            )
+        elif tag == "B":
+            if abs(T) > 1e-9 or abs(N) > 1e-9:
+                warning = "B coefficients evaluated away from a dead type-1 state (N = T = 0)"
+            values = (
+                pm.a1 - pm.l1 * E * omk,                            # B0
+                pm.l1 * E * omk,                                    # B1
+                pm.a2 * pm.d - pm.g1 * I - pm.m_d,                  # B2
+                pm.r * I / pm.o - pm.g2 * I,                        # B3
+                -pm.m - estro_suppression + drug_activation,        # B4
+                drug_feedback,                                      # B5
+                -pm.l3 * I * pm.g * omk / den_g**2,                 # B6
+                immuno_gain,                                        # B7
+                drug_decay,                                         # B8
+            )
+        else:
+            if abs(N) > 1e-9:
+                warning = "C coefficients evaluated away from a dead type-2 state (N != 0)"
+            values = (
+                pm.a1 - pm.d1 * T / den_sat - pm.l1 * E,            # C0
+                pm.l1 * E * omk,                                    # C1
+                pm.a2 * pm.d - 2.0 * pm.b2 * T - pm.g1 * I - pm.m_d,  # C2
+                pm.r * I * pm.o / den_o**2 - pm.g2 * I,             # C3
+                pm.g1 * T,                                          # C4
+                pm.r * T / den_o - pm.g2 * T - pm.m
+                - estro_suppression + drug_activation,              # C5
+                drug_feedback,                                      # C6
+                -pm.l3 * I * pm.g * omk / den_g**2,                 # C7
+                immuno_gain,                                        # C8
+                drug_decay,                                         # C9
+            )
+    except OverflowError as exc:
+        raise DomainError(
+            f"{tag} coefficients overflow at state {state.as_tuple()}"
+        ) from exc
     return CoefficientSet(tag=tag, values=values, evaluated_at=state, family_warning=warning)
 
 
@@ -481,11 +492,22 @@ def _safe_ratio(num: float, den: float) -> tuple[float, bool]:
 def reproduction_numbers(eq_point: SystemState, params: ModelParams) -> ReproductionNumbers:
     """Evaluate R0, R1 (and R_IM at dead type-1 states) at an equilibrium."""
     A = coefficients(eq_point, params, "A")
+    B = _coefficients(eq_point, params, "B") if _at_dead1_state(eq_point) else None
+    return _reproduction(A, B)
+
+
+def _at_dead1_state(state: SystemState) -> bool:
+    """N = T = 0 to within 1e-9, where the B family and R_IM apply."""
+    return abs(state.N) < 1e-9 and abs(state.T) < 1e-9
+
+
+def _reproduction(A: CoefficientSet, B: CoefficientSet | None) -> ReproductionNumbers:
+    """R0 and R1 from the A family; R_IM from the B family, undefined
+    when ``B`` is None."""
     r0, r0_ok = _safe_ratio(A[6] * A[9], A[10] * A[5])
     r1, r1_ok = _safe_ratio(A[1] * A[2], A[0] * A[3])
     r_im, r_im_ok = math.nan, False
-    if abs(eq_point.N) < 1e-9 and abs(eq_point.T) < 1e-9:
-        B = coefficients(eq_point, params, "B")
+    if B is not None:
         r_im, r_im_ok = _safe_ratio(B[5] * B[7], B[4] * B[8])
     return ReproductionNumbers(
         r0=r0, r1=r1, r_im=r_im,

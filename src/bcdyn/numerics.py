@@ -6,7 +6,6 @@ functions are pure and deterministic.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -15,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "NumericsError",
-    "RootFindingError",
     "NewtonError",
     "Polynomial",
     "RootSet",
@@ -39,16 +37,6 @@ MAX_DEGREE = 8
 
 class NumericsError(RuntimeError):
     pass
-
-
-class RootFindingError(NumericsError):
-    """Root iteration did not converge; carries the best iterate found."""
-
-    def __init__(self, message: str, roots, residuals, iterations: int):
-        super().__init__(message)
-        self.roots = tuple(roots)
-        self.residuals = tuple(residuals)
-        self.iterations = iterations
 
 
 class NewtonError(NumericsError):
@@ -105,7 +93,6 @@ class RootSet:
 
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
-    iterations: int
 
     @property
     def max_real(self) -> float:
@@ -116,91 +103,19 @@ def _sorted_roots(roots: Sequence[complex]) -> list[complex]:
     return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
-def poly_roots(p: Polynomial, tol: float = 1e-12, max_iter: int = 200) -> RootSet:
-    """All complex roots of ``p`` by Aberth-Ehrlich simultaneous iteration.
+def _root_set(roots, p: Polynomial) -> RootSet:
+    """``roots`` as complex numbers in sorted order, with residuals |p(z)|."""
+    ordered = _sorted_roots([complex(z) for z in roots])
+    return RootSet(roots=tuple(ordered), residuals=tuple(abs(p(z)) for z in ordered))
 
-    Exact zero roots (trailing zero coefficients) are deflated first.  The
-    remaining roots start on a deterministic circle inside the Cauchy bound
-    and are iterated until every root satisfies
-    ``|p(z)| <= tol * ||p|| * max(1, |z|)**n``.
-    """
+
+def poly_roots(p: Polynomial) -> RootSet:
+    """All complex roots of ``p`` as the eigenvalues of its companion
+    matrix (``np.roots``; Edelman & Murakami 1995).  Trailing zero
+    coefficients give exact zero roots."""
     if p.degree < 1:
         raise NumericsError("degree must be at least 1")
-
-    coeffs = list(p.coeffs)
-    zero_roots = 0
-    while coeffs[-1] == 0.0 and len(coeffs) > 1:
-        coeffs.pop()
-        zero_roots += 1
-
-    n = len(coeffs) - 1
-    norm = p.norm
-    if n == 0:
-        roots = [0.0 + 0.0j] * zero_roots
-        return RootSet(
-            roots=tuple(_sorted_roots(roots)),
-            residuals=tuple(abs(p(z)) for z in _sorted_roots(roots)),
-            iterations=0,
-        )
-
-    q = Polynomial(tuple(coeffs))
-    dq = q.derivative()
-
-    if n == 1:
-        z = [complex(-coeffs[1] / coeffs[0])]
-    else:
-        # Cauchy upper bound on root magnitudes; deterministic angular offset
-        # keeps the initial guesses off the real axis.
-        radius = 1.0 + max(abs(c / coeffs[0]) for c in coeffs[1:])
-        z = [
-            radius * cmath.exp(2j * math.pi * (j + 0.35) / n)
-            for j in range(n)
-        ]
-
-    def scaled_residual(zj: complex) -> float:
-        return abs(q(zj)) / (norm * max(1.0, abs(zj)) ** n)
-
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        offsets = []
-        for j in range(n):
-            pv = q(z[j])
-            if pv == 0:
-                offsets.append(0.0 + 0.0j)
-                continue
-            dv = dq(z[j])
-            if dv == 0:
-                # Nudge off a stationary point deterministically.
-                z[j] += 1e-8 * (1.0 + abs(z[j]))
-                dv = dq(z[j])
-                pv = q(z[j])
-            w = pv / dv
-            ssum = 0.0 + 0.0j
-            for i in range(n):
-                if i != j:
-                    diff = z[j] - z[i]
-                    if diff == 0:
-                        diff = 1e-14 * (1.0 + abs(z[j]))
-                    ssum += 1.0 / diff
-            denom = 1.0 - w * ssum
-            offsets.append(w if abs(denom) < 1e-30 else w / denom)
-        max_step = 0.0
-        for j in range(n):
-            z[j] -= offsets[j]
-            max_step = max(max_step, abs(offsets[j]) / (1.0 + abs(z[j])))
-        if max_step < 1e-15 or all(scaled_residual(zj) < tol for zj in z):
-            converged = all(scaled_residual(zj) < tol for zj in z)
-            break
-
-    roots = _sorted_roots(list(z) + [0.0 + 0.0j] * zero_roots)
-    residuals = tuple(abs(p(zj)) for zj in roots)
-    if not converged:
-        raise RootFindingError(
-            f"root iteration did not converge in {iterations} iterations",
-            roots, residuals, iterations,
-        )
-    return RootSet(roots=tuple(roots), residuals=residuals, iterations=iterations)
+    return _root_set(np.roots(p.coeffs), p)
 
 
 def char_poly(matrix: np.ndarray) -> Polynomial:
@@ -222,10 +137,12 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 200) -> RootSet:
-    """Eigenvalues of a small dense matrix as the roots of its
-    characteristic polynomial."""
-    return poly_roots(char_poly(matrix), tol=tol, max_iter=max_iter)
+def eigenvalues(matrix: np.ndarray) -> RootSet:
+    """Eigenvalues of a small dense matrix straight from LAPACK
+    (``np.linalg.eigvals``), with residuals |p(z)| against its
+    characteristic polynomial p.  Real eigenvalues have imaginary part
+    exactly 0.0."""
+    return _root_set(np.linalg.eigvals(np.asarray(matrix, dtype=float)), char_poly(matrix))
 
 
 @dataclass(frozen=True)

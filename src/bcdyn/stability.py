@@ -2,15 +2,15 @@
 
 Three verdicts are computed and compared:
 
-* eigenvalues of the analytic Jacobian (authoritative),
-* Routh-Hurwitz minors of the characteristic polynomial,
+* eigenvalues of the analytic Jacobian (authoritative), straight from
+  LAPACK (``np.linalg.eigvals``),
+* Routh-Hurwitz minors of its Faddeev-LeVerrier characteristic polynomial,
 * the family-specific printed conditions (reproduction numbers and
   coefficient-sign tests), reported but never used to override.
 
-The first two are not independent: the eigenvalues are the roots of
-Faddeev-LeVerrier characteristic polynomials of the Jacobian's blocks,
-and the Hurwitz minors come from the same recurrence on the same
-Jacobian, so an error in the Jacobian or in char_poly reaches both.
+The first two share only the Jacobian: an error in char_poly moves the
+Hurwitz verdict alone and shows as an eigen/Hurwitz disagreement, while
+an error in the Jacobian reaches both.
 
 The printed tumor-free conditions carry known sign slips relative to the
 derived Jacobian blocks, so in addition to the verbatim R0/R1 predicates
@@ -28,19 +28,22 @@ import numpy as np
 from .equilibria import Equilibrium, _json_num
 from .integrator import default_horizon, settle
 from .model import (
+    CoefficientSet,
     DomainError,
     ModelParams,
     ReproductionNumbers,
     SystemState,
-    coefficients,
+    _at_dead1_state,
+    _coefficients,
+    _reproduction,
     jacobian,
-    reproduction_numbers,
 )
 from .numerics import (
     MARGINAL_RE,
     HurwitzVerdict,
     Polynomial,
     RootSet,
+    _root_set,
     char_poly,
     poly_roots,
     routh_hurwitz,
@@ -86,36 +89,6 @@ class StabilityReport:
         return self.eigenvalues.max_real
 
 
-def _structured_spectrum(J: np.ndarray, theta: float, cp: Polynomial) -> RootSet:
-    """Spectrum of the model Jacobian through its exact factorizations.
-
-    The E row carries only the diagonal entry -theta, so -theta splits off
-    exactly.  When the remaining 4x4 has no (N, T) <- (I, M) coupling (true
-    at every T = 0 state) the quartic factors into the two 2x2 blocks.
-    This keeps clustered eigenvalues far better conditioned than rooting
-    the full quintic.  Residuals are reported against the full
-    characteristic polynomial ``cp``.
-    """
-    idx = (0, 1, 2, 4)
-    J4 = J[np.ix_(idx, idx)]
-    decoupled = (
-        J4[0, 2] == 0.0 and J4[0, 3] == 0.0 and J4[1, 2] == 0.0 and J4[1, 3] == 0.0
-    )
-    if decoupled:
-        nt = poly_roots(char_poly(J4[:2, :2]))
-        im = poly_roots(char_poly(J4[2:, 2:]))
-        roots = list(nt.roots) + list(im.roots)
-        iterations = nt.iterations + im.iterations
-    else:
-        rs = poly_roots(char_poly(J4))
-        roots = list(rs.roots)
-        iterations = rs.iterations
-    roots.append(complex(-theta))
-    roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    residuals = tuple(abs(cp(z)) for z in roots)
-    return RootSet(roots=tuple(roots), residuals=residuals, iterations=iterations)
-
-
 def _eig_verdict(max_re: float) -> str:
     if max_re < -MARGINAL_RE:
         return "stable"
@@ -152,10 +125,25 @@ def _block_conditions(J: np.ndarray) -> dict[str, ConditionCheck]:
     return checks
 
 
-def _repro(eq: Equilibrium, params: ModelParams) -> ReproductionNumbers | None:
+def _coefficient_sets(eq: Equilibrium, params: ModelParams) -> dict[str, CoefficientSet]:
+    """The coefficient families that the reproduction numbers and printed
+    conditions of ``eq``'s family read, each built once.  ``params`` must
+    already be validated (:func:`jacobian` does it)."""
+    point = eq.point
+    if eq.family == "dead2":
+        return {"C": _coefficients(point, params, "C")}
+    if eq.family not in ("tumor_free", "dead1"):
+        return {}
+    sets = {"A": _coefficients(point, params, "A")}
+    if eq.family == "dead1" or _at_dead1_state(point):
+        sets["B"] = _coefficients(point, params, "B")
+    return sets
+
+
+def _repro(eq: Equilibrium, sets: dict[str, CoefficientSet]) -> ReproductionNumbers | None:
     """R0, R1 and R_IM for the families whose conditions use them."""
     if eq.family in ("tumor_free", "dead1"):
-        return reproduction_numbers(eq.point, params)
+        return _reproduction(sets["A"], sets["B"] if _at_dead1_state(eq.point) else None)
     return None
 
 
@@ -163,14 +151,21 @@ def theorem_conditions(eq: Equilibrium, params: ModelParams) -> dict[str, Condit
     """Family-specific printed stability conditions with their evaluated
     left/right-hand values."""
     J = jacobian(eq.point, params)
-    return _conditions(eq, params, J, routh_hurwitz(char_poly(J)), _repro(eq, params))
+    sets = _coefficient_sets(eq, params)
+    return _conditions(eq, params, J, routh_hurwitz(char_poly(J)), _repro(eq, sets), sets)
 
 
 def _conditions(
-    eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict, rn: ReproductionNumbers | None
+    eq: Equilibrium,
+    params: ModelParams,
+    J: np.ndarray,
+    hv: HurwitzVerdict,
+    rn: ReproductionNumbers | None,
+    sets: dict[str, CoefficientSet],
 ) -> dict[str, ConditionCheck]:
     """:func:`theorem_conditions` from the Jacobian ``J`` at ``eq``, its
-    Hurwitz verdict ``hv`` and the reproduction numbers ``rn``."""
+    Hurwitz verdict ``hv``, the reproduction numbers ``rn`` and the
+    coefficient families ``sets``."""
     point = eq.point
     checks: dict[str, ConditionCheck] = {}
     if eq.family == "tumor_free":
@@ -190,7 +185,7 @@ def _conditions(
         checks["aux_I_upper"] = ConditionCheck("aux_I_upper", point.I < upper, point.I, upper)
         checks.update(_block_conditions(J))
     elif eq.family == "dead1":
-        B = coefficients(point, params, "B")
+        B = sets["B"]
         checks["R_IM_lt_1"] = ConditionCheck(
             "R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0
         )
@@ -198,7 +193,7 @@ def _conditions(
             checks[f"B{idx}_neg"] = ConditionCheck(f"B{idx}_neg", B[idx] < 0.0, B[idx], 0.0)
         checks.update(_block_conditions(J))
     elif eq.family == "dead2":
-        C = coefficients(point, params, "C")
+        C = sets["C"]
         rhs_i = (
             params.d1 * point.T / (1.0 + params.epsilon * point.T)
             - params.l1 * point.E
@@ -239,13 +234,16 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
         )
     J = jacobian(eq.point, params)
     cp = char_poly(J)
-    eig = _structured_spectrum(J, params.theta, cp)
+    # numerics.eigenvalues(J), reusing cp for the residuals: the roots
+    # come from LAPACK on J and never from cp.
+    eig = _root_set(np.linalg.eigvals(J), cp)
     hv = routh_hurwitz(cp)
     verdict = _eig_verdict(eig.max_real)
 
     theta_gap = min(abs(z - (-params.theta)) for z in eig.roots)
-    repro = _repro(eq, params)
-    checks = _conditions(eq, params, J, hv, repro)
+    sets = _coefficient_sets(eq, params)
+    repro = _repro(eq, sets)
+    checks = _conditions(eq, params, J, hv, repro, sets)
 
     agreement: dict[str, bool | None] = {}
     if verdict == "inconclusive" or hv.verdict == "inconclusive":

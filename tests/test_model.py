@@ -7,6 +7,9 @@ import pytest
 import re
 import sys
 
+import bcdyn.model
+import bcdyn.stability
+
 from bcdyn import (
     DomainError,
     SystemState,
@@ -181,6 +184,17 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             coefficients(SystemState(1, 0, 1, 1, 1), base_params, "D")
 
+    @pytest.mark.parametrize("tag", ["A", "B", "C"])
+    def test_overflow_is_a_domain_error(self, tag):
+        """(xi + I)**2 overflows at a huge immune level; coefficients and
+        reproduction numbers raise DomainError there, as jacobian does."""
+        pm = draw_params(np.random.default_rng(5)).replace(g1=1e-170)
+        st = SystemState(0.0, 0.1, 1e170, estrogen_level(pm), 1.0)
+        with pytest.raises(DomainError):
+            coefficients(st, pm, tag)
+        with pytest.raises(DomainError):
+            reproduction_numbers(st, pm)
+
 
 class TestReproductionNumbers:
     def test_chi_zero_r0(self, base_params):
@@ -326,6 +340,31 @@ class TestBindOnce:
         calls = count_calls(monkeypatch, "validate_params")
         integrate(sc.initial_state, sc.params, sc.integration, sc.sample_count)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", ["tumor_free", "dead1", "dead2", "coexisting"])
+    def test_classify_validates_once_per_family(self, family, monkeypatch):
+        """classify validates through its one Jacobian and builds each
+        coefficient family it reads once."""
+        # Confirmed tumor-free points need no transformation feed (k = 1).
+        k = 1.0 if family == "tumor_free" else None
+        eq, pm = next(
+            (eq, pm)
+            for pm in (random_params(seed, k=k) for seed in range(100))
+            for eq in find_all(pm)
+            if eq.family == family and eq.confirmed
+        )
+        calls = count_calls(monkeypatch, "validate_params")
+        built = []
+        original = bcdyn.model._coefficients
+
+        def counted(state, params, tag):
+            built.append(tag)
+            return original(state, params, tag)
+
+        monkeypatch.setattr(bcdyn.stability, "_coefficients", counted)
+        classify(eq, pm)
+        assert len(calls) == 1
+        assert len(built) == len(set(built))
 
     def test_classify_evaluates_the_jacobian_once(self, base_params, monkeypatch):
         (eq,) = [eq for eq in find_all(base_params) if eq.family == "coexisting"]

@@ -112,11 +112,16 @@ class TestEigenvalues:
         assert got == pytest.approx([1, 2, 3, 4, 5], abs=1e-10)
 
     def test_companion_matrix(self, rng):
-        coeffs = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, size=5)])
+        """The companion matrix of a polynomial with planted roots has
+        exactly those roots as eigenvalues."""
+        x, y = rng.uniform(-1.0, 1.0, size=2)
+        planted = [complex(r) for r in np.arange(-1.0, 2.0) + rng.uniform(-0.3, 0.3, size=3)]
+        planted += [complex(x, 0.5 + abs(y)), complex(x, -0.5 - abs(y))]
+        coeffs = np.poly(planted).real
         comp = np.zeros((5, 5))
-        comp[0, :] = -coeffs[1:] / coeffs[0]
+        comp[0, :] = -coeffs[1:]
         comp[1:, :-1] = np.eye(4)
-        want = list(poly_roots(Polynomial(tuple(coeffs))).roots)
+        want = list(planted)
         for z in eigenvalues(comp).roots:
             nearest = min(want, key=lambda w: abs(w - z))
             assert abs(nearest - z) < 1e-8

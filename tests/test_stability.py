@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import bcdyn.stability
 from bcdyn import DomainError, SystemState, classify, empirical_check, jacobian
 from bcdyn.equilibria import dead_type1, find_all, tumor_free
 from bcdyn.integrator import IntegrationConfig, integrate
+from bcdyn.numerics import char_poly
 from bcdyn.stability import (
     block_spectrum,
     report_to_json,
@@ -15,6 +17,7 @@ from bcdyn.stability import (
     summary_csv_row,
     theorem_conditions,
 )
+from bcdyn.validation import draw_params
 
 from conftest import random_params
 
@@ -58,6 +61,23 @@ class TestSpectrum:
                     1.0, abs(z)
                 ) ** rep.char_coeffs.degree
 
+    def test_lapack_spectrum_at_draw_68_dead2(self):
+        """At the dead2 point of draw 68 every eigenvalue is an eigenvalue
+        of J to rounding, sigma_min(J - zI) < 1e-12 ||J||, and none carries
+        a spurious imaginary part: the five are real and distinct (closest
+        pair -2.191707 and -2.191327), so each has imag exactly 0.0."""
+        rng = np.random.default_rng(0)
+        for _ in range(68):
+            draw_params(rng)
+        pm = draw_params(rng)
+        (eq,) = [eq for eq in find_all(pm) if eq.family == "dead2" and eq.confirmed]
+        rep = classify(eq, pm)
+        J = rep.jacobian
+        norm = np.linalg.norm(J, 2)
+        for z in rep.eigenvalues.roots:
+            assert np.linalg.svd(J - z * np.eye(5), compute_uv=False)[-1] < 1e-12 * norm
+            assert z.imag == 0.0
+
     def test_planted_positive_eigenvalue(self):
         """Raising the diet factor d until the tumor block gains a positive
         trace makes the tumor-free point unstable."""
@@ -89,6 +109,20 @@ class TestVerdicts:
                 continue
             assert rep.verdict == rep.hurwitz.verdict
             assert rep.agreement["eigen_hurwitz"] is True
+
+    def test_eigenvalues_do_not_use_char_poly(self, monkeypatch):
+        """The eigenvalue path does not go through char_poly: a wrong
+        characteristic polynomial (that of -J, every root mirrored) moves
+        only the Hurwitz verdict, and the agreement entry reports it."""
+        pm, eq, rep = next(
+            (pm, eq, rep) for pm, eq, rep in classified(range(80)) if rep.verdict == "stable"
+        )
+        monkeypatch.setattr(bcdyn.stability, "char_poly", lambda J: char_poly(-J))
+        wrong = classify(eq, pm)
+        assert wrong.eigenvalues.roots == rep.eigenvalues.roots
+        assert wrong.verdict == "stable"
+        assert wrong.hurwitz.verdict == "unstable"
+        assert wrong.agreement["eigen_hurwitz"] is False
 
     def test_refuses_unconfirmed_point(self, base_params):
         cands = tumor_free(base_params)
