@@ -5,21 +5,24 @@ Four families are searched:
 * tumor_free:  T = 0, N > 0
 * dead1:       N = T = 0
 * dead2:       N = 0, T > 0
-* coexisting:  all five components > 0
+* coexisting:  N, T > 0
 
 Every family shares the estrogen component E* = p(1-k)/theta because the
-estrogen equation is linear and decoupled.  Each finder eliminates
-variables down to one polynomial, takes its positive real roots and
-polishes them with Newton on the steady subsystem: M(I) from the drug
-equation turns the immune equation into R(T) I^2 + S(T) I + U(T) = 0,
-which is a quadratic in I at T = 0 (tumor_free, dead1), a quartic in T
-once the tumor equation gives I(T) at N = 0 (dead2), and an octic in T
-once it gives I(T) with the closed-form N(T) (coexisting).  Polynomial
-roots come from companion-matrix eigenvalues, so no grid or seed decides
-which points are found.  With g1 = 0 the tumor equation does not involve
-I; it fixes T instead and I comes from the immune quadratic.  The paper's
-printed polynomials are kept only for :func:`reduced_polynomials` and its
-mismatch report.
+estrogen equation is linear and decoupled.  The drug equation gives M(I),
+which turns the immune equation into R(T) I^2 + S(T) I + U(T) = 0.
+
+One pipeline runs a four-row family table.  A row says whether N is free
+(the closed form N(T), else 0) and whether T is free (else 0), and gives
+the family's flags and provenance.  T is 0 or a positive real root of
+R P^2 + S P Q + U Q^2, where I = P/Q solves the steady tumor equation (the
+roots of P when g1 = 0 makes Q vanish).  I is P/Q or a root of the immune
+quadratic, which has the exact root I = 0 when s = 0.  Roots come from
+companion-matrix eigenvalues, so no grid decides which points are found.
+Newton polishes the free components with E pinned, and one test admits a
+point: free N > 0, free T > 0, I > 0 (or I = 0 when s = 0) and M > 0 (or
+M = 0 when v_M = 0).  E is not tested, so k = 1 and p = 0, where E* = 0,
+keep their interior points.  The paper's printed polynomials are kept only
+for :func:`reduced_polynomials` and its mismatch report.
 
 A note on the tumor-free family: with T = 0 the tumor equation still
 carries the transformation feed l1*N*E*(1-k), so the classical tumor-free
@@ -34,6 +37,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -142,68 +146,46 @@ def drug_level(params: ModelParams, I: float) -> float | None:
     return params.v_M * (params.xi + I) / den
 
 
-def _dead1_quadratic_derived(params: ModelParams) -> tuple[float, float, float]:
-    """Quadratic in I obtained by substituting M(I) into the steady immune
-    equation at N = T = 0 and clearing denominators.  Descending order."""
-    E = estrogen_level(params)
-    A = immune_clearance_rate(params, E)
-    q0 = params.xi * (params.j_M * params.n_M + params.v_M)
-    q1 = params.j_M * (params.n_M - params.chi) + params.v_M
-    c2 = params.p_M * params.v_M - A * q1
-    c1 = params.s * q1 - A * q0 + params.p_M * params.v_M * params.xi
-    c0 = params.s * q0
-    return (c2, c1, c0)
-
-
 def _immune_quadratic(params: ModelParams, E: float):
     """Coefficients (R, S, U) in T of the steady immune equation with M(I)
     substituted and the denominators (o+T)(q1*I + q0) cleared:
-    R(T)*I^2 + S(T)*I + U(T) = 0.  Each is a descending coefficient array
-    of length 3 (U has degree 1)."""
+    R(T)*I^2 + S(T)*I + U(T) = 0.  Each is a descending coefficient tuple
+    of length 3 (U has degree 1).  Plain floats, not arrays: the T = 0
+    rows only evaluate them, where numpy costs more than the arithmetic."""
     A = immune_clearance_rate(params, E)
     q1 = params.v_M + params.j_M * (params.n_M - params.chi)
     q0 = params.xi * (params.v_M + params.j_M * params.n_M)
     pv = params.p_M * params.v_M
-    o_plus_T = np.array([0.0, 1.0, params.o])
-    L = np.array([-params.g2, params.r - params.g2 * params.o - A, -A * params.o])
-    R = q1 * L + pv * o_plus_T
-    S = (params.s * q1 + pv * params.xi) * o_plus_T + q0 * L
-    U = params.s * q0 * o_plus_T
+    o = params.o
+    L = (-params.g2, params.r - params.g2 * o - A, -A * o)
+    sv = params.s * q1 + pv * params.xi
+    R = (q1 * L[0], q1 * L[1] + pv, q1 * L[2] + pv * o)
+    S = (q0 * L[0], sv + q0 * L[1], sv * o + q0 * L[2])
+    U = (0.0, params.s * q0, params.s * q0 * o)
     return R, S, U
 
 
-def _dead2_quartic(params: ModelParams, E: float) -> np.ndarray:
-    """g1^2 times the immune equation with I = (a2*d - m_d - b2*T)/g1
-    substituted: a quartic in T, descending."""
-    R, S, U = _immune_quadratic(params, E)
-    g1 = params.g1
-    g1_I = np.array([-params.b2, params.a2 * params.d - params.m_d])
-    return np.polyadd(
-        np.polyadd(np.convolve(R, np.convolve(g1_I, g1_I)), g1 * np.convolve(S, g1_I)),
-        g1 * g1 * U,
-    )
-
-
-def _coexist_tumor_numerator(params: ModelParams, E: float) -> np.ndarray:
-    """P3 with I = P3/Q2 from the steady tumor equation once N(T) is
-    substituted; Q2 = g1*b1*T*(1 + epsilon*T).  A cubic in T, descending."""
+def _tumor_ratio(params: ModelParams, E: float, n_free: bool):
+    """(P, Q), descending in T, with I = P(T)/Q(T) from the steady tumor
+    equation.  At N = 0, I = (a2*d - m_d - b2*T)/g1.  With the closed-form
+    N(T) both are multiplied by b1*(1 + epsilon*T): P is a cubic and
+    Q = g1*b1*T*(1 + epsilon*T).  Q vanishes when g1 = 0."""
+    net_growth = np.array([-params.b2, params.a2 * params.d - params.m_d])
+    if not n_free:
+        return net_growth, np.array([params.g1])
     c = params.l1 * E * (1.0 - params.k)
     eps = params.epsilon
-    net_growth = np.array([-params.b2, params.a2 * params.d - params.m_d])
     growth = params.b1 * np.convolve([eps, 1.0, 0.0], net_growth)
     feed = c * np.array([0.0, 0.0, (params.a1 - c) * eps - params.d1, params.a1 - c])
-    return growth + feed
+    return growth + feed, params.g1 * params.b1 * np.array([eps, 1.0, 0.0])
 
 
-def _coexist_octic(params: ModelParams, E: float) -> np.ndarray:
-    """R*P3^2 + S*P3*Q2 + U*Q2^2: the immune equation with I = P3/Q2
-    substituted and Q2^2 cleared.  Degree 8 in T, descending."""
-    R, S, U = _immune_quadratic(params, E)
-    P3 = _coexist_tumor_numerator(params, E)
-    Q2 = params.g1 * params.b1 * np.array([params.epsilon, 1.0, 0.0])
+def _eliminate(R, S, U, P, Q) -> np.ndarray:
+    """R*P^2 + S*P*Q + U*Q^2: the immune equation with I = P/Q substituted
+    and Q^2 cleared.  A quartic in T at N = 0, an octic with N(T)."""
     return np.polyadd(
-        np.polyadd(np.convolve(R, np.convolve(P3, P3)), np.convolve(S, np.convolve(P3, Q2))),
-        np.convolve(U, np.convolve(Q2, Q2)),
+        np.polyadd(np.convolve(R, np.convolve(P, P)), np.convolve(S, np.convolve(P, Q))),
+        np.convolve(U, np.convolve(Q, Q)),
     )
 
 
@@ -265,7 +247,9 @@ def reduced_polynomials(
     mismatch report.  The printed dead2 cubic needs a trial immune level
     and the coexisting quadratic a trial N; each is None without it."""
     _require_valid(params)
-    derived = _dead1_quadratic_derived(params)
+    E = estrogen_level(params)
+    R, S, U = _immune_quadratic(params, E)
+    derived = tuple(c[-1] / params.o for c in (R, S, U))
     printed = _dead1_quadratic_printed(params)
 
     def normalized(coeffs):
@@ -286,11 +270,7 @@ def reduced_polynomials(
         ],
     }
     dead2 = printed_dead2_cubic(params, dead2_trial_I) if dead2_trial_I is not None else None
-    coexist = (
-        coexist_quadratic(params, coexist_N, estrogen_level(params))
-        if coexist_N is not None
-        else None
-    )
+    coexist = coexist_quadratic(params, coexist_N, E) if coexist_N is not None else None
 
     def as_poly(coeffs):
         if coeffs[0] == 0.0:
@@ -301,13 +281,12 @@ def reduced_polynomials(
         coeffs = np.trim_zeros(coeffs, "f")
         return Polynomial(tuple(coeffs)) if params.g1 > 0 and coeffs.size else None
 
-    E = estrogen_level(params)
     return ReducedPolynomials(
         dead1_quadratic=as_poly(derived),
         dead1_quadratic_paper=as_poly(printed),
-        dead2_quartic=derived_in_T(_dead2_quartic(params, E)),
+        dead2_quartic=derived_in_T(_eliminate(R, S, U, *_tumor_ratio(params, E, False))),
         dead2_cubic=dead2,
-        coexist_octic=derived_in_T(_coexist_octic(params, E)),
+        coexist_octic=derived_in_T(_eliminate(R, S, U, *_tumor_ratio(params, E, True))),
         coexist_quadratic=coexist,
         mismatch_report=report,
     )
@@ -335,16 +314,92 @@ def _quadratic_positive_roots(coeffs: tuple[float, float, float]) -> list[float]
     return sorted({r for r in roots if r > 0})
 
 
-def _subsystem(bound, active: tuple[int, ...], template: list[float]):
-    """Steady-state residual and Jacobian of the bound closures
-    ``(f, jac)`` restricted to ``active`` state indices, with the remaining
-    components frozen at ``template``."""
+def _residual(f, point: SystemState) -> float:
+    """||rhs||_inf at ``point`` through the bound vector field ``f``."""
+    return max(map(abs, f(*point.as_tuple())))
+
+
+def _dedup(items: list, key) -> list:
+    """Keep each item whose ``key`` vector is farther than DEDUP_TOL, in the
+    infinity norm relative to 1 + its own largest magnitude, from every
+    item kept before it."""
+    kept, kept_keys = [], []
+    for item in items:
+        a = key(item)
+        scale = 1.0 + max(map(abs, a))
+        if all(max(abs(x - y) for x, y in zip(a, b)) / scale > DEDUP_TOL for b in kept_keys):
+            kept.append(item)
+            kept_keys.append(a)
+    return kept
+
+
+def _snap(vals) -> SystemState:
+    return SystemState(*[0.0 if -SNAP_TOL < v < 0.0 else v for v in vals])
+
+
+def _positive_real_roots(coeffs) -> list[float]:
+    """Positive roots of a real polynomial from its companion-matrix
+    eigenvalues.  A root whose imaginary part is below NEAR_REAL_TOL of its
+    modulus is the rounded image of a (near-)double real root and is taken
+    as real; the polish decides whether it is an equilibrium."""
+    # Trailing zeros are roots at T = 0, never positive.  (np.trim_zeros
+    # costs more than the slicing.)
+    coeffs = np.asarray(coeffs, dtype=float)
+    nonzero = np.flatnonzero(coeffs)
+    if nonzero.size == 0 or nonzero[-1] == nonzero[0]:
+        return []
+    coeffs = coeffs[nonzero[0]:nonzero[-1] + 1]
+    # The companion matrix divides by the leading coefficient; when that is
+    # the smaller end (epsilon near 0 makes it subnormal) it can overflow,
+    # so root the reversed polynomial in 1/T instead.
+    if abs(coeffs[0]) >= abs(coeffs[-1]):
+        roots = np.roots(coeffs)
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            roots = 1.0 / np.roots(coeffs[::-1])
+    return sorted(
+        {
+            float(z.real)
+            for z in roots
+            if 0 < z.real < math.inf and abs(z.imag) <= NEAR_REAL_TOL * abs(z)
+        }
+    )
+
+
+def _horner(coeffs, T: float) -> float:
+    """Descending polynomial ``coeffs`` at T, in np.polyval's order."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * T + c
+    return float(acc)
+
+
+def _immune_roots(params: ModelParams, R, S, U, T: float) -> list[float]:
+    """Admissible roots in I of the immune quadratic at ``T``: the positive
+    ones, led by I = 0 when s = 0 (U vanishes identically then)."""
+    roots = _quadratic_positive_roots([(c2 * T + c1) * T + c0 for c2, c1, c0 in (R, S, U)])
+    return [0.0, *roots] if params.s == 0 else roots
+
+
+def _closed_N(params: ModelParams, T: float, E: float) -> float:
+    """N > 0 from the steady normal-cell equation at tumor load T."""
+    return (
+        params.a1
+        - params.d1 * T / (1.0 + params.epsilon * T)
+        - params.l1 * E * (1.0 - params.k)
+    ) / params.b1
+
+
+def _polish(bound, active: tuple[int, ...], template: list[float]):
+    """Newton-polish a seed on the steady subsystem of the bound closures
+    ``(f, jac)`` over the ``active`` state indices, the other components
+    frozen at ``template``; the snapped full state, or None on failure."""
     f, jac = bound
 
     def assemble(x: np.ndarray) -> list[float]:
         vals = list(template)
-        for idx, xi in zip(active, x):
-            vals[idx] = float(xi)
+        for idx, xi in zip(active, x.tolist()):
+            vals[idx] = xi
         return vals
 
     def F(x: np.ndarray) -> np.ndarray:
@@ -355,63 +410,17 @@ def _subsystem(bound, active: tuple[int, ...], template: list[float]):
         rows = jac(*assemble(x))
         return np.array([[rows[i][j] for j in active] for i in active])
 
-    return assemble, F, J
+    try:
+        sol = newton_solve(F, J, [template[i] for i in active], tol=1e-13)
+    except (NewtonError, DomainError) as exc:
+        log.debug("polish failed from %s: %s", template, exc)
+        return None
+    return _snap(assemble(sol))
 
 
-def _residual(f, point: SystemState) -> float:
-    """||rhs||_inf at ``point`` through the bound vector field ``f``."""
-    return max(abs(v) for v in f(*point.as_tuple()))
-
-
-def _dedup(items: list, key) -> list:
-    """Keep each item whose ``key`` vector is farther than DEDUP_TOL, in the
-    infinity norm relative to 1 + its own largest magnitude, from every
-    item kept before it."""
-    kept, kept_keys = [], []
-    for item in items:
-        a = key(item)
-        scale = 1.0 + max(abs(v) for v in a)
-        if all(max(abs(x - y) for x, y in zip(a, b)) / scale > DEDUP_TOL for b in kept_keys):
-            kept.append(item)
-            kept_keys.append(a)
-    return kept
-
-
-def _snap(vals) -> SystemState:
-    return SystemState.from_sequence(0.0 if -SNAP_TOL < v < 0.0 else v for v in vals)
-
-
-def _drug_admissible(params: ModelParams, M: float) -> bool:
-    """M > 0, or M = 0 exactly when there is no infusion (v_M = 0 makes
-    M = 0 the drug's steady state)."""
-    return M > 0 or (M == 0 and params.v_M == 0)
-
-
-def _im_candidates(params: ModelParams, bound) -> list[tuple[float, float]]:
-    """Admissible steady (I, M) pairs of the immune/drug subsystem at
-    N = T = 0: positive roots of the derived quadratic, Newton-refined on
-    the 2-D subsystem of the bound closures."""
-    E = estrogen_level(params)
-    derived = _dead1_quadratic_derived(params)
-    candidates = []
-    for I0 in _quadratic_positive_roots(derived):
-        M0 = drug_level(params, I0)
-        if M0 is None:
-            continue
-        _, F, J = _subsystem(bound, (2, 4), [0.0, 0.0, I0, E, M0])
-        try:
-            sol = newton_solve(F, J, np.array([I0, M0]), tol=1e-13)
-        except NewtonError as exc:
-            log.debug("immune/drug refinement failed from I=%g: %s", I0, exc)
-            continue
-        I_ref, M_ref = float(sol[0]), float(sol[1])
-        if I_ref > 0 and _drug_admissible(params, M_ref) and drug_level(params, I_ref) is not None:
-            candidates.append((I_ref, M_ref))
-    return _dedup(candidates, key=lambda pair: pair)
-
-
-def _tumor_free_flags(params: ModelParams, I0: float, M0: float, E0: float):
+def _tumor_free_flags(params: ModelParams, point: SystemState):
     pm = params
+    I0, M0, E0 = point.I, point.M, point.E
     omk = 1.0 - pm.k
     flags: dict[str, bool] = {}
     values: dict[str, float] = {}
@@ -443,248 +452,155 @@ def _tumor_free_flags(params: ModelParams, I0: float, M0: float, E0: float):
     values["l1_bound_a1"] = bound_iv_a1
     values["l1_bound_a2"] = bound_iv_a2
     flags["k_lt_1"] = pm.k < 1.0
+    feed = pm.l1 * point.N * E0 * omk
+    flags["tumor_feed_zero"] = abs(feed) < CONFIRM_TOL
+    values["tumor_feed"] = feed
     return flags, values
 
 
-def tumor_free(params: ModelParams) -> list[Equilibrium]:
-    """Tumor-free candidates: N and E in closed form, (I, M) from the
-    immune/drug subsystem.  The reported residual includes the tumor
-    equation's transformation feed (see module docstring)."""
-    bound = _bind(params)
-    E0 = estrogen_level(params)
-    N0 = (params.a1 - params.l1 * E0 * (1.0 - params.k)) / params.b1
-    if N0 <= 0:
-        log.debug("no tumor-free candidate: closed-form N = %g <= 0", N0)
-        return []
-    results = []
-    for I0, M0 in _im_candidates(params, bound):
-        point = SystemState(N0, 0.0, I0, E0, M0)
-        flags, values = _tumor_free_flags(params, I0, M0, E0)
-        feed = params.l1 * N0 * E0 * (1.0 - params.k)
-        flags["tumor_feed_zero"] = abs(feed) < CONFIRM_TOL
-        values["tumor_feed"] = feed
-        results.append(
-            Equilibrium(
-                point=point,
-                family="tumor_free",
-                residual=_residual(bound[0], point),
-                existence_flags=flags,
-                flag_values=values,
-                provenance="closed_form" if params.chi == 0 and params.p_M == 0 else "newton_refined",
-            )
-        )
-    return results
+def _dead1_flags(params: ModelParams, point: SystemState):
+    A = immune_clearance_rate(params, point.E)
+    flags: dict[str, bool] = {}
+    values: dict[str, float] = {}
+    den = params.s * params.chi * A * params.n_M
+    ratio = params.p_M * params.v_M * params.xi / den if abs(den) > DENOM_GUARD else math.inf
+    flags["drug_feed_ratio_lt_1"] = ratio < 1.0
+    values["drug_feed_ratio"] = ratio
+    flags["partial_blockade"] = params.k < 1.0
+    production = params.chi * point.I / (params.xi + point.I)
+    flags["drug_clearance_dominates"] = params.n_M >= production
+    values["drug_production_rate"] = production
+    return flags, values
 
 
-def dead_type1(params: ModelParams) -> list[Equilibrium]:
-    """Dead type-1 equilibria: N = T = 0, I from the derived quadratic,
-    M = M(I), refined on the immune/drug subsystem."""
-    bound = _bind(params)
-    E = estrogen_level(params)
-    A = immune_clearance_rate(params, E)
-    results = []
-    for I0, M0 in _im_candidates(params, bound):
-        point = SystemState(0.0, 0.0, I0, E, M0)
-        flags: dict[str, bool] = {}
-        values: dict[str, float] = {}
-        den = params.s * params.chi * A * params.n_M
-        ratio = (
-            params.p_M * params.v_M * params.xi / den if abs(den) > DENOM_GUARD else math.inf
-        )
-        flags["drug_feed_ratio_lt_1"] = ratio < 1.0
-        values["drug_feed_ratio"] = ratio
-        flags["partial_blockade"] = params.k < 1.0
-        production = params.chi * I0 / (params.xi + I0)
-        flags["drug_clearance_dominates"] = params.n_M >= production
-        values["drug_production_rate"] = production
-        results.append(
-            Equilibrium(
-                point=point,
-                family="dead1",
-                residual=_residual(bound[0], point),
-                existence_flags=flags,
-                flag_values=values,
-                provenance="poly_root",
-            )
-        )
-    return results
+def _dead2_flags(params: ModelParams, point: SystemState):
+    T_max = (params.a2 * params.d - params.m_d) / params.b2
+    flags: dict[str, bool] = {"partial_blockade": params.k < 1.0}
+    values: dict[str, float] = {}
+    den = params.b2 * (params.chi - params.g1 * params.n_M)
+    lower = T_max - params.g1**2 * params.n_M / den if abs(den) > DENOM_GUARD else -math.inf
+    flags["tumor_within_band"] = lower <= point.T <= T_max
+    values["tumor_band_lower"] = lower
+    values["tumor_band_upper"] = T_max
+    return flags, values
 
 
-def _positive_real_roots(coeffs) -> list[float]:
-    """Positive roots of a real polynomial from its companion-matrix
-    eigenvalues.  A root whose imaginary part is below NEAR_REAL_TOL of its
-    modulus is the rounded image of a (near-)double real root and is taken
-    as real; the polish decides whether it is an equilibrium."""
-    # Trailing zeros are roots at T = 0, never positive.
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float))
-    if coeffs.size < 2:
-        return []
-    # The companion matrix divides by the leading coefficient; when that is
-    # the smaller end (epsilon near 0 makes it subnormal) it can overflow,
-    # so root the reversed polynomial in 1/T instead.
-    if abs(coeffs[0]) >= abs(coeffs[-1]):
-        roots = np.roots(coeffs)
-    else:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            roots = 1.0 / np.roots(coeffs[::-1])
-    return sorted(
-        {
-            float(z.real)
-            for z in roots
-            if 0 < z.real < math.inf and abs(z.imag) <= NEAR_REAL_TOL * abs(z)
-        }
-    )
-
-
-def _polish(bound, active: tuple[int, ...], template: list[float]):
-    """Newton-polish a root of the eliminated polynomial on the steady
-    subsystem of the bound closures over ``active``; the snapped full
-    state, or None on failure."""
-    assemble, F, J = _subsystem(bound, active, template)
-    try:
-        sol = newton_solve(F, J, np.array([template[i] for i in active]), tol=1e-13)
-    except (NewtonError, DomainError) as exc:
-        log.debug("polish failed from %s: %s", template, exc)
-        return None
-    return _snap(assemble(sol))
-
-
-def dead_type2(params: ModelParams) -> list[Equilibrium]:
-    """Dead type-2 equilibria: N = 0, T > 0.  With g1 > 0 the tumor
-    equation gives I = (a2*d - m_d - b2*T)/g1, and the immune equation with
-    M(I) substituted becomes a quartic in T; its positive real roots with
-    admissible I and M are Newton-polished on the (T, I, M) subsystem.
-    With g1 = 0 the tumor equation fixes T = (a2*d - m_d)/b2 and I comes
-    from the immune quadratic at that T."""
-    bound = _bind(params)
+def _coexisting_flags(params: ModelParams, point: SystemState):
     a2d = params.a2 * params.d
-    T_max = (a2d - params.m_d) / params.b2
-    if T_max <= 0:
-        return []
-    E = estrogen_level(params)
-
+    b = params.g1 * point.I + params.m_d - a2d
+    c = -params.l1 * point.N * point.E * (1.0 - params.k)
+    flags: dict[str, bool] = {}
+    values: dict[str, float] = {"coexist_b": b, "coexist_c": c}
     if params.g1 > 0:
-        seeds = [
-            (T, (a2d - params.m_d - params.b2 * T) / params.g1)
-            for T in _positive_real_roots(_dead2_quartic(params, E))
-        ]
+        upper = (a2d - params.m_d) / params.g1
+        flags["immune_within_band"] = 0.0 < point.I < upper and params.k < 1.0
+        values["immune_band_upper"] = upper
     else:
-        R, S, U = _immune_quadratic(params, E)
-        quad = tuple(float(np.polyval(c, T_max)) for c in (R, S, U))
-        seeds = [(T_max, I) for I in _quadratic_positive_roots(quad)]
+        flags["immune_within_band"] = False
+        values["immune_band_upper"] = math.inf
+    flags["single_positive_root"] = c < 0
+    flags["no_realistic_roots"] = b > 0 and c > 0
+    return flags, values
 
+
+class _Family(NamedTuple):
+    """One row of the family table.  N is the closed form N(T) when
+    ``n_free`` and 0 otherwise; T is a positive root of the eliminated
+    polynomial when ``t_free`` and 0 otherwise."""
+
+    n_free: bool
+    t_free: bool
+    flags: Callable[[ModelParams, SystemState], tuple[dict, dict]]
+    provenance: Callable[[ModelParams], str]
+
+
+_TABLE = {
+    "tumor_free": _Family(
+        True, False, _tumor_free_flags,
+        lambda pm: "closed_form" if pm.chi == 0 and pm.p_M == 0 else "newton_refined",
+    ),
+    "dead1": _Family(False, False, _dead1_flags, lambda pm: "poly_root"),
+    "dead2": _Family(False, True, _dead2_flags, lambda pm: "newton_refined"),
+    "coexisting": _Family(True, True, _coexisting_flags, lambda pm: "newton_refined"),
+}
+
+
+def _seeds(params: ModelParams, row: _Family, E: float) -> list[tuple[float, float]]:
+    """(T, I) seeds of one family.  T = 0 rows take I from the immune
+    quadratic.  Otherwise T runs over the positive roots of R*P^2 + S*P*Q
+    + U*Q^2 and I = P/Q; with g1 = 0 (Q = 0) T runs over the roots of P
+    and I comes from the immune quadratic at each."""
+    R, S, U = _immune_quadratic(params, E)
+    if not row.t_free:
+        return [(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)]
+    P, Q = _tumor_ratio(params, E, row.n_free)
+    if not (P > 0).any():
+        return []  # P < 0 for every T > 0: no seed has I = P/Q >= 0
+    if params.g1 == 0:
+        return [
+            (T, I) for T in _positive_real_roots(P) for I in _immune_roots(params, R, S, U, T)
+        ]
+    return [
+        (T, _horner(P, T) / _horner(Q, T))
+        for T in _positive_real_roots(_eliminate(R, S, U, P, Q))
+    ]
+
+
+def _find(params: ModelParams, family: str) -> list[Equilibrium]:
+    """Run one row of the family table: seed, back-substitute N and M,
+    polish the free components, admit, dedup and flag."""
+    row = _TABLE[family]
+    bound = _bind(params)
+    E = estrogen_level(params)
+    active = (0,) * row.n_free + (1,) * row.t_free + (2, 4)
     points: list[SystemState] = []
-    for T0, I0 in seeds:
+    for T0, I0 in _seeds(params, row, E):
         if I0 < -SNAP_TOL:
             continue
         I0 = max(I0, 0.0)
+        N0 = _closed_N(params, T0, E) if row.n_free else 0.0
         M0 = drug_level(params, I0)
-        if M0 is None:
-            continue
-        point = _polish(bound, (1, 2, 4), [0.0, T0, I0, E, M0])
-        if point is None or point.T <= 0 or point.I < 0 or not _drug_admissible(params, point.M):
-            continue
-        points.append(point)
-
-    results = []
-    for point in _dedup(points, key=SystemState.as_tuple):
-        flags: dict[str, bool] = {"partial_blockade": params.k < 1.0}
-        values: dict[str, float] = {}
-        den = params.b2 * (params.chi - params.g1 * params.n_M)
-        lower = (
-            T_max - params.g1**2 * params.n_M / den if abs(den) > DENOM_GUARD else -math.inf
-        )
-        flags["tumor_within_band"] = lower <= point.T <= T_max
-        values["tumor_band_lower"] = lower
-        values["tumor_band_upper"] = T_max
-        results.append(
-            Equilibrium(
-                point=point,
-                family="dead2",
-                residual=_residual(bound[0], point),
-                existence_flags=flags,
-                flag_values=values,
-                provenance="newton_refined",
-            )
-        )
-    return results
-
-
-def _coexist_closed_N(params: ModelParams, T: float, E: float) -> float:
-    return (
-        params.a1
-        - params.d1 * T / (1.0 + params.epsilon * T)
-        - params.l1 * E * (1.0 - params.k)
-    ) / params.b1
-
-
-def coexisting(params: ModelParams) -> list[Equilibrium]:
-    """Coexisting equilibria: all components positive.  N(T) is closed
-    form; with g1 > 0 the tumor equation gives I = P3/Q2, and the immune
-    equation with M(I) substituted becomes an octic in T.  Its positive
-    real roots with N, I, M > 0 are Newton-polished on the (N, T, I, M)
-    subsystem.  With g1 = 0 the tumor equation reduces to P3(T) = 0 and I
-    comes from the immune quadratic at each root.  An empty list is a valid
-    outcome."""
-    bound = _bind(params)
-    E = estrogen_level(params)
-    a2d = params.a2 * params.d
-    feed_rate = params.l1 * E * (1.0 - params.k)
-
-    seeds: list[tuple[float, float]] = []
-    if params.g1 > 0:
-        for T in _positive_real_roots(_coexist_octic(params, E)):
-            N = _coexist_closed_N(params, T, E)
-            I = (T * (a2d - params.m_d - params.b2 * T) + feed_rate * N) / (params.g1 * T)
-            seeds.append((T, I))
-    else:
-        R, S, U = _immune_quadratic(params, E)
-        for T in _positive_real_roots(_coexist_tumor_numerator(params, E)):
-            quad = tuple(float(np.polyval(poly, T)) for poly in (R, S, U))
-            seeds.extend((T, I) for I in _quadratic_positive_roots(quad))
-
-    points: list[SystemState] = []
-    for T0, I0 in seeds:
-        N0 = _coexist_closed_N(params, T0, E)
-        M0 = drug_level(params, I0) if I0 > 0 else None
-        if N0 <= 0 or M0 is None:
+        if (row.n_free and N0 <= 0) or M0 is None:
             continue
         # E is pinned at its closed form so every family shares the
         # identical float value; the E equation is decoupled anyway.
-        point = _polish(bound, (0, 1, 2, 4), [N0, T0, I0, E, M0])
+        point = _polish(bound, active, [N0, T0, I0, E, M0])
         if (
             point is not None
-            and all(v > 0 for v in point.as_tuple()[:4])
-            and _drug_admissible(params, point.M)
+            and (point.N > 0 or not row.n_free)
+            and (point.T > 0 or not row.t_free)
+            and (point.I > 0 or (point.I == 0 and params.s == 0))
+            and (point.M > 0 or (point.M == 0 and params.v_M == 0))
         ):
             points.append(point)
-
-    results = []
-    for point in _dedup(points, key=SystemState.as_tuple):
-        b = params.g1 * point.I + params.m_d - a2d
-        c = -params.l1 * point.N * point.E * (1.0 - params.k)
-        flags: dict[str, bool] = {}
-        values: dict[str, float] = {"coexist_b": b, "coexist_c": c}
-        if params.g1 > 0:
-            upper = (a2d - params.m_d) / params.g1
-            flags["immune_within_band"] = 0.0 < point.I < upper and params.k < 1.0
-            values["immune_band_upper"] = upper
-        else:
-            flags["immune_within_band"] = False
-            values["immune_band_upper"] = math.inf
-        flags["single_positive_root"] = c < 0
-        flags["no_realistic_roots"] = b > 0 and c > 0
-        results.append(
-            Equilibrium(
-                point=point,
-                family="coexisting",
-                residual=_residual(bound[0], point),
-                existence_flags=flags,
-                flag_values=values,
-                provenance="newton_refined",
-            )
+    return [
+        Equilibrium(
+            point, family, _residual(bound[0], point), *row.flags(params, point),
+            provenance=row.provenance(params),
         )
-    return results
+        for point in _dedup(points, key=SystemState.as_tuple)
+    ]
+
+
+def tumor_free(params: ModelParams) -> list[Equilibrium]:
+    """Tumor-free candidates: T = 0, N > 0.  The reported residual includes
+    the tumor equation's transformation feed (see module docstring)."""
+    return _find(params, "tumor_free")
+
+
+def dead_type1(params: ModelParams) -> list[Equilibrium]:
+    """Dead type-1 equilibria: N = T = 0."""
+    return _find(params, "dead1")
+
+
+def dead_type2(params: ModelParams) -> list[Equilibrium]:
+    """Dead type-2 equilibria: N = 0, T > 0."""
+    return _find(params, "dead2")
+
+
+def coexisting(params: ModelParams) -> list[Equilibrium]:
+    """Coexisting equilibria: N, T > 0.  An empty list is a valid outcome."""
+    return _find(params, "coexisting")
 
 
 def find_all(params: ModelParams) -> list[Equilibrium]:

@@ -17,7 +17,7 @@ therapy efficacy, scales every (1-k) term) and v_M (immunotherapy infusion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,20 +151,22 @@ class SystemState:
 def validate_params(params: ModelParams) -> list[str]:
     """Report every violated parameter constraint; an empty list means valid."""
     violations: list[str] = []
-    for field in fields(params):
-        value = getattr(params, field.name)
+    # PARAM_NAMES is the field order; dataclasses.fields() costs more than
+    # the checks themselves.
+    for name in PARAM_NAMES:
+        value = getattr(params, name)
         if not isinstance(value, (int, float)) or not math.isfinite(value):
-            violations.append(f"{field.name} must be finite, got {value!r}")
+            violations.append(f"{name} must be finite, got {value!r}")
             continue
-        if field.name == "k":
+        if name == "k":
             if not 0.0 <= value <= 1.0:
                 violations.append("k outside [0,1]")
-        elif field.name in _NONNEGATIVE_OK:
+        elif name in _NONNEGATIVE_OK:
             if value < 0.0:
-                violations.append(f"{field.name} must be nonnegative")
+                violations.append(f"{name} must be nonnegative")
         else:
             if value <= 0.0:
-                violations.append(f"{field.name} must be positive")
+                violations.append(f"{name} must be positive")
     return violations
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -80,33 +80,23 @@ class Polynomial:
             acc = acc * z + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        n = self.degree
-        if n == 0:
-            raise NumericsError("derivative of a constant is the zero polynomial")
-        return Polynomial(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
-
 
 @dataclass(frozen=True)
 class RootSet:
-    """All complex roots of a polynomial, with per-root residuals |p(root)|."""
+    """All complex roots of a polynomial or eigenvalues of a matrix."""
 
     roots: tuple[complex, ...]
-    residuals: tuple[float, ...]
 
     @property
     def max_real(self) -> float:
         return max(z.real for z in self.roots)
 
 
-def _sorted_roots(roots: Sequence[complex]) -> list[complex]:
-    return sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-
-
-def _root_set(roots, p: Polynomial) -> RootSet:
-    """``roots`` as complex numbers in sorted order, with residuals |p(z)|."""
-    ordered = _sorted_roots([complex(z) for z in roots])
-    return RootSet(roots=tuple(ordered), residuals=tuple(abs(p(z)) for z in ordered))
+def _root_set(roots) -> RootSet:
+    """``roots`` as complex numbers sorted by rounded real, then imaginary
+    part."""
+    ordered = sorted(map(complex, roots), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    return RootSet(roots=tuple(ordered))
 
 
 def poly_roots(p: Polynomial) -> RootSet:
@@ -115,7 +105,7 @@ def poly_roots(p: Polynomial) -> RootSet:
     coefficients give exact zero roots."""
     if p.degree < 1:
         raise NumericsError("degree must be at least 1")
-    return _root_set(np.roots(p.coeffs), p)
+    return _root_set(np.roots(p.coeffs))
 
 
 def char_poly(matrix: np.ndarray) -> Polynomial:
@@ -139,10 +129,9 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
 
 def eigenvalues(matrix: np.ndarray) -> RootSet:
     """Eigenvalues of a small dense matrix straight from LAPACK
-    (``np.linalg.eigvals``), with residuals |p(z)| against its
-    characteristic polynomial p.  Real eigenvalues have imaginary part
-    exactly 0.0."""
-    return _root_set(np.linalg.eigvals(np.asarray(matrix, dtype=float)), char_poly(matrix))
+    (``np.linalg.eigvals``).  Real eigenvalues have imaginary part exactly
+    0.0."""
+    return _root_set(np.linalg.eigvals(np.asarray(matrix, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -197,7 +186,7 @@ def newton_solve(
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     fx = np.atleast_1d(np.asarray(F(x), dtype=float))
-    norm = float(np.max(np.abs(fx)))
+    norm = float(np.abs(fx).max())
     for _ in range(max_iter):
         if norm < tol:
             return x
@@ -212,7 +201,7 @@ def newton_solve(
         while True:
             xn = x + lam * step
             fn = np.atleast_1d(np.asarray(F(xn), dtype=float))
-            nn = float(np.max(np.abs(fn))) if np.all(np.isfinite(fn)) else math.inf
+            nn = float(np.abs(fn).max()) if np.isfinite(fn).all() else math.inf
             if nn < norm or nn < tol:
                 break
             lam *= 0.5

@@ -43,8 +43,8 @@ from .numerics import (
     HurwitzVerdict,
     Polynomial,
     RootSet,
-    _root_set,
     char_poly,
+    eigenvalues,
     poly_roots,
     routh_hurwitz,
 )
@@ -234,9 +234,7 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
         )
     J = jacobian(eq.point, params)
     cp = char_poly(J)
-    # numerics.eigenvalues(J), reusing cp for the residuals: the roots
-    # come from LAPACK on J and never from cp.
-    eig = _root_set(np.linalg.eigvals(J), cp)
+    eig = eigenvalues(J)
     hv = routh_hurwitz(cp)
     verdict = _eig_verdict(eig.max_real)
 

@@ -36,7 +36,6 @@ class SweepSpec:
     grid: tuple[float, ...]
     second_parameter: str | None = None
     second_grid: tuple[float, ...] = ()
-    analyses: tuple[str, ...] = ("equilibria", "stability", "repro")
 
     def __post_init__(self) -> None:
         _check_grid(self.parameter_name, self.grid)
@@ -93,7 +92,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
                 if spec.second_parameter is not None:
                     row["parameter2"] = spec.second_parameter
                     row["value2"] = float(v2)
-                if "stability" in spec.analyses and eq.confirmed:
+                if eq.confirmed:
                     rep = classify(eq, params)
                     row["verdict"] = rep.verdict
                     row["maxReLambda"] = rep.max_real

@@ -85,11 +85,9 @@ class TestClosedForms:
 
 class TestDead1:
     def test_quadratic_vieta(self):
-        from bcdyn.equilibria import _dead1_quadratic_derived
-
         for seed in range(30):
             pm = random_params(seed)
-            c2, c1, c0 = _dead1_quadratic_derived(pm)
+            c2, c1, c0 = reduced_polynomials(pm).dead1_quadratic.coeffs
             if abs(c2) < 1e-12:
                 continue
             roots = poly_roots(Polynomial((c2, c1, c0))).roots
@@ -321,3 +319,55 @@ class TestReducedPolynomials:
     def test_no_derived_T_polynomials_without_immune_kill(self, base_params):
         rp = reduced_polynomials(base_params.replace(g1=0.0))
         assert rp.dead2_quartic is None and rp.coexist_octic is None
+
+
+class TestDegenerateSlices:
+    """Boundary slices the per-family finders missed before the family
+    table gave every family one admission test."""
+
+    @pytest.mark.parametrize("change", [{"k": 1.0}, {"p": 0.0}])
+    def test_interior_points_without_estrogen(self, change):
+        """E* = p(1-k)/theta is 0 at full blockade and at p = 0; interior
+        points were dropped there because the admission required E > 0."""
+        rng = np.random.default_rng(5)
+        found = 0
+        for _ in range(60):
+            pm = draw_params(rng).replace(**change)
+            for eq in find_all(pm):
+                if eq.family == "coexisting" and eq.confirmed:
+                    assert eq.point.E == 0.0
+                    assert eq.residual < CONFIRM_TOL
+                    found += 1
+        assert found >= 17
+
+    def test_immune_free_dead1_without_source(self):
+        """With s = 0, I = 0 is an exact root of the immune equation, and
+        (0, 0, 0, E*, v_M/n_M) is a dead1 equilibrium."""
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            pm = draw_params(rng).replace(s=0.0)
+            hits = [
+                eq for eq in dead_type1(pm)
+                if eq.confirmed and eq.point.I == 0.0
+            ]
+            assert len(hits) == 1
+            point = hits[0].point
+            assert (point.N, point.T, point.E) == (0.0, 0.0, estrogen_level(pm))
+            assert point.M == pytest.approx(pm.v_M / pm.n_M, rel=1e-12)
+            assert hits[0].residual < CONFIRM_TOL
+
+
+def test_pinned_catalog_counts():
+    """Confirmed points by family and verdict over 300 draws: a guard for
+    any rewrite of the finders or of classify."""
+    rng = np.random.default_rng(0)
+    families, verdicts = {}, {}
+    for _ in range(300):
+        pm = draw_params(rng)
+        for eq in find_all(pm):
+            if eq.confirmed:
+                families[eq.family] = families.get(eq.family, 0) + 1
+                verdict = classify(eq, pm).verdict
+                verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    assert families == {"dead1": 300, "dead2": 134, "coexisting": 261}
+    assert verdicts == {"stable": 304, "unstable": 391}

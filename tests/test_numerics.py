@@ -39,10 +39,6 @@ class TestPolynomial:
         with pytest.raises(NumericsError):
             Polynomial(tuple(range(1, 12)))
 
-    def test_derivative(self):
-        p = Polynomial((1.0, 2.0, 3.0))
-        assert p.derivative().coeffs == (2.0, 2.0)
-
 
 class TestPolyRoots:
     def test_factored_quadratic(self):
