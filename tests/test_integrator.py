@@ -1,5 +1,6 @@
-"""Adaptive integration: accuracy, positivity accounting and settling."""
+"""Adaptive integration: accuracy, dense output, positivity and settling."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ import pytest
 from bcdyn import (
     DomainError,
     IntegrationConfig,
+    PositivityError,
     SystemState,
+    default_scenario,
     integrate,
+    integrator,
     settle,
 )
 from bcdyn.equilibria import estrogen_level, find_all
 from bcdyn.integrator import default_horizon, trajectory_to_csv
-from bcdyn.model import make_rhs
+from bcdyn.model import make_jacobian, make_rhs
 from bcdyn.validation import draw_params, draw_state
 
 from conftest import random_params
@@ -111,6 +115,98 @@ class TestIntegrate:
             IntegrationConfig(t0=0.0, t_end=1.0, negativity_floor=0.5)
 
 
+def pool_draw(seed, index):
+    """Input ``index`` of a pool of draw_params/draw_state pairs drawn in
+    turn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index):
+        draw_params(rng)
+        draw_state(rng)
+    return draw_params(rng), draw_state(rng)
+
+
+class TestSampleGrid:
+    """The steps do not depend on how many samples a run asks for."""
+
+    # Runs whose T decays onto the negativity floor.
+    @pytest.mark.parametrize("seed, index", [(2, 1807), (3, 1841), (4, 1816)])
+    def test_same_steps_at_every_sample_count(self, seed, index):
+        params, x0 = pool_draw(seed, index)
+        cfg = IntegrationConfig(t0=0.0, t_end=100.0)
+        runs = [integrate(x0, params, cfg, sample_count=n) for n in (51, 101, 201, 1001)]
+        for traj in runs:
+            assert min(traj.positivity_violations) >= cfg.negativity_floor
+            assert np.all(traj.states >= 0.0)
+            assert traj.accepted_steps == runs[0].accepted_steps
+            assert traj.rejected_steps == runs[0].rejected_steps
+            assert np.array_equal(traj.states[-1], runs[0].states[-1])
+
+    def test_shared_sample_times_agree(self, base_params):
+        cfg = IntegrationConfig(t0=0.0, t_end=50.0)
+        x0 = SystemState(1.0, 0.3, 0.5, 0.4, 0.2)
+        coarse = integrate(x0, base_params, cfg, sample_count=11)
+        fine = integrate(x0, base_params, cfg, sample_count=101)
+        assert np.array_equal(coarse.times, fine.times[::10])
+        scale = 1.0 + np.max(np.abs(fine.states))
+        assert np.max(np.abs(coarse.states - fine.states[::10])) / scale < 1e-14
+
+
+class TestDenseOutput:
+    """One step from the default initial state: at fixed theta the error of
+    the continuous extension falls by 2^(p+1) per halving of h, for the
+    dense-output order p (4 for Dormand-Prince, 3 for RODAS)."""
+
+    @pytest.mark.parametrize("method, order", [("dopri", 4), ("rodas", 3)])
+    def test_error_ratio_at_fixed_theta(self, method, order):
+        sc = default_scenario()
+        x0, pm = sc.initial_state, sc.params
+        f, jac = make_rhs(pm), make_jacobian(pm)
+        y0 = x0.as_tuple()
+        k1 = f(*y0)
+        for theta in (0.3, 0.7):
+            errors = []
+            for h in (0.05, 0.025, 0.0125):
+                if method == "dopri":
+                    y1, k7, _, _, stages = integrator._dopri_step(f, y0, k1, h)
+                    coeffs, _ = integrator._dopri_dense(y0, y1, k7, stages, h)
+                else:
+                    y1, k7, _, _, stages = integrator._rodas_step(f, y0, k1, jac(*y0), h)
+                    coeffs, _ = integrator._rodas_dense(y0, y1, k7, stages, h)
+                got = np.array(integrator._interpolate(coeffs, theta))
+                ref = np.array(rk4_reference(x0, pm, theta * h, theta * h / 200))
+                errors.append(np.max(np.abs(got - ref)))
+            ratio = errors[-2] / errors[-1]
+            assert 0.85 * 2 ** (order + 1) < ratio < 1.15 * 2 ** (order + 1)
+
+
+class TestPositivity:
+    def test_field_leaving_the_orthant_fails_loudly(self, base_params, monkeypatch):
+        def leaky_rhs(params):
+            f = make_rhs(params)
+
+            def g(N, T, I, E, M):
+                dN, _, dI, dE, dM = f(N, T, I, E, M)
+                return dN, -1.0, dI, dE, dM
+
+            return g
+
+        monkeypatch.setattr(integrator, "make_rhs", leaky_rhs)
+        start = time.perf_counter()
+        with pytest.raises(PositivityError) as info:
+            integrate(
+                SystemState(1.0, 0.3, 0.5, 0.4, 0.2), base_params,
+                IntegrationConfig(t0=0.0, t_end=10.0),
+            )
+        assert time.perf_counter() - start < 1.0
+        assert info.value.component == "T"
+        assert 0.29 < info.value.t < 0.31
+
+    def test_default_scenario_step_count(self):
+        sc = default_scenario()
+        traj = integrate(sc.initial_state, sc.params, sc.integration, sc.sample_count)
+        assert traj.accepted_steps < 300
+
+
 class TestStiff:
     """Fast drug turnover (n_M and v_M scaled up) makes the run stiff; the
     stiffness test must hand it to the Rosenbrock step."""
@@ -120,7 +216,7 @@ class TestStiff:
         x0 = SystemState(1.0, 0.3, 0.5, 0.4, 0.2)
         traj = integrate(x0, pm, IntegrationConfig(t0=0.0, t_end=100.0))
         # Dormand-Prince alone takes about 121k accepted steps here.
-        assert traj.accepted_steps < 1000
+        assert traj.accepted_steps < 200
         assert traj.stiff_switch_time is not None and traj.stiff_switch_time < 1.0
         e_star = estrogen_level(pm)
         exact = e_star + (x0.E - e_star) * np.exp(-pm.theta * traj.times)
