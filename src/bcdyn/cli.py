@@ -43,19 +43,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
+    def common(
+        name: str, summary: str, fmt: bool = False, svg: bool = False
+    ) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--scenario", type=str, default=None, help="scenario JSON path")
         sp.add_argument("--out", type=str, default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        sp.add_argument("--svg", action="store_true", help="also write SVG charts")
+        if fmt:
+            sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
+        if svg:
+            sp.add_argument("--svg", action="store_true", help="also write SVG charts")
+        return sp
 
-    common(sub.add_parser("simulate", help="integrate the scenario and write the trajectory"))
-    common(sub.add_parser("equilibria", help="solve and catalog every equilibrium family"))
-    common(sub.add_parser("stability", help="classify every cataloged equilibrium"))
+    common("simulate", "integrate the scenario and write the trajectory", fmt=True, svg=True)
+    common("equilibria", "solve and catalog every equilibrium family", fmt=True)
+    common("stability", "classify every cataloged equilibrium", fmt=True)
 
-    sp = sub.add_parser("sweep", help="re-analyze the model over a parameter grid")
-    common(sp)
+    sp = common("sweep", "re-analyze the model over a parameter grid", svg=True)
     sp.add_argument("--parameter", required=True, help="parameter to sweep")
     sp.add_argument("--min", dest="lo", type=float, required=True)
     sp.add_argument("--max", dest="hi", type=float, required=True)
@@ -66,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max2", type=float, default=None)
     sp.add_argument("--count2", type=int, default=11)
 
-    sp = sub.add_parser("bifurcate", help="bracket stability flips along one parameter")
-    common(sp)
+    sp = common("bifurcate", "bracket stability flips along one parameter")
     sp.add_argument("--parameter", required=True)
     sp.add_argument("--min", dest="lo", type=float, required=True)
     sp.add_argument("--max", dest="hi", type=float, required=True)
@@ -79,19 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> Scenario:
-    scenario = default_scenario() if args.scenario is None else load_scenario(args.scenario)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ScenarioError("seed must be nonnegative")
-        scenario = Scenario(
-            params=scenario.params,
-            initial_state=scenario.initial_state,
-            integration=scenario.integration,
-            sample_count=scenario.sample_count,
-            seed=args.seed,
-            label=scenario.label,
-        )
-    return scenario
+    return default_scenario() if args.scenario is None else load_scenario(args.scenario)
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:

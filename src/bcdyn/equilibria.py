@@ -21,8 +21,9 @@ companion-matrix eigenvalues, so no grid decides which points are found.
 Newton polishes the free components with E pinned, and one test admits a
 point: free N > 0, free T > 0, I > 0 (or I = 0 when s = 0) and M > 0 (or
 M = 0 when v_M = 0).  E is not tested, so k = 1 and p = 0, where E* = 0,
-keep their interior points.  The paper's printed polynomials are kept only
-for :func:`reduced_polynomials` and its mismatch report.
+keep their interior points.  Of the paper's printed polynomials only the
+dead1 quadratic is kept, for the mismatch report of
+:func:`reduced_polynomials`.
 
 A note on the tumor-free family: with T = 0 the tumor equation still
 carries the transformation feed l1*N*E*(1-k), so the classical tumor-free
@@ -111,17 +112,15 @@ class Equilibrium:
 @dataclass(frozen=True)
 class ReducedPolynomials:
     """Reduced steady-state polynomials: the derived dead1 quadratic in I,
-    the derived dead2 quartic and coexisting octic in T (None when g1 = 0,
-    where the tumor equation cannot be solved for I), the printed variants,
-    and the per-coefficient mismatch between the derived and printed dead1
+    its printed variant, the derived dead2 quartic and coexisting octic in T
+    (None when g1 = 0, where the tumor equation cannot be solved for I), and
+    the per-coefficient mismatch between the derived and printed dead1
     forms (both normalized to unit max-abs coefficient before comparison)."""
 
     dead1_quadratic: Polynomial
     dead1_quadratic_paper: Polynomial
     dead2_quartic: Polynomial | None
-    dead2_cubic: Polynomial | None
     coexist_octic: Polynomial | None
-    coexist_quadratic: Polynomial | None
     mismatch_report: dict[str, object]
 
 
@@ -200,52 +199,9 @@ def _dead1_quadratic_printed(params: ModelParams) -> tuple[float, float, float]:
     return (c2, c1, c0)
 
 
-def printed_dead2_cubic(params: ModelParams, I: float) -> Polynomial | None:
-    """The printed cubic in T for the dead type-2 family, transcribed as
-    printed, with its C term evaluated at the trial immune level ``I``.
-    The printed form treats C as constant in T, so it is kept only for
-    :func:`reduced_polynomials`; the finder uses the derived quartic."""
-    M = drug_level(params, I)
-    if M is None:
-        return None
-    E = estrogen_level(params)
-    C = (
-        params.l3 * E * (1.0 - params.k) / (params.g + E)
-        - params.p_M * M / (params.j_M + M)
-    )
-    a2d = params.a2 * params.d
-    b2, g2, m, r, o = params.b2, params.g2, params.m, params.r, params.o
-    m_d, g1, s, theta = params.m_d, params.g1, params.s, params.theta
-    c3 = b2 * g2
-    c2 = b2 * m + b2 * g2 * o - b2 * r + b2 * C - a2d * g2 - a2d * C + m_d * g2
-    c1 = (
-        b2 * m * o + b2 * C * o - a2d * m - a2d * g2 * o + r * a2d - a2d * o * C
-        + g1 * s + m_d * m + m_d * g2 * theta - r * m_d + m_d * C
-    )
-    c0 = m_d * C * o + m_d * m * o + g1 * s * o - a2d * m * o
-    if c3 == 0.0:
-        return None
-    return Polynomial((c3, c2, c1, c0))
-
-
-def coexist_quadratic(params: ModelParams, N_e: float, E_e: float) -> Polynomial:
-    """Quadratic in T for the coexisting family at given N_e, E_e:
-    b2*T^2 + (g1*I_e + m_d - a2*d)*T - l1*N_e*E_e*(1-k) with the I-dependent
-    middle coefficient left to the caller through its sign analysis; here
-    the I-free parts are assembled for the b/c sign-case bookkeeping."""
-    b = params.m_d - params.a2 * params.d  # g1*I_e added by the caller
-    c = -params.l1 * N_e * E_e * (1.0 - params.k)
-    return Polynomial((params.b2, b, c))
-
-
-def reduced_polynomials(
-    params: ModelParams,
-    dead2_trial_I: float | None = None,
-    coexist_N: float | None = None,
-) -> ReducedPolynomials:
+def reduced_polynomials(params: ModelParams) -> ReducedPolynomials:
     """Assemble the reduced polynomials and the derived-vs-printed dead1
-    mismatch report.  The printed dead2 cubic needs a trial immune level
-    and the coexisting quadratic a trial N; each is None without it."""
+    mismatch report."""
     _require_valid(params)
     E = estrogen_level(params)
     R, S, U = _immune_quadratic(params, E)
@@ -269,8 +225,6 @@ def reduced_polynomials(
             "xi_i / xi_1 subscripts in the printed dead1 and type-1 stability formulas are read as the single parameter xi",
         ],
     }
-    dead2 = printed_dead2_cubic(params, dead2_trial_I) if dead2_trial_I is not None else None
-    coexist = coexist_quadratic(params, coexist_N, E) if coexist_N is not None else None
 
     def as_poly(coeffs):
         if coeffs[0] == 0.0:
@@ -285,9 +239,7 @@ def reduced_polynomials(
         dead1_quadratic=as_poly(derived),
         dead1_quadratic_paper=as_poly(printed),
         dead2_quartic=derived_in_T(_eliminate(R, S, U, *_tumor_ratio(params, E, False))),
-        dead2_cubic=dead2,
         coexist_octic=derived_in_T(_eliminate(R, S, U, *_tumor_ratio(params, E, True))),
-        coexist_quadratic=coexist,
         mismatch_report=report,
     )
 

@@ -12,6 +12,15 @@ The first two share only the Jacobian: an error in char_poly moves the
 Hurwitz verdict alone and shows as an eigen/Hurwitz disagreement, while
 an error in the Jacobian reaches both.
 
+The printed conditions live in one table, ``_RULES``, with one rules
+function per equilibrium family, as ``equilibria._TABLE`` holds one finder
+row per family.  Given the point, its Jacobian and Hurwitz verdict, each
+returns the reproduction numbers its conditions read, the conditions by
+name and the paper's sufficient-condition claim: R0 and R1 for tumor-free,
+R_IM and the B-signs for dead1, the C-cubic for dead2 (necessary only, so
+no claim) and the Hurwitz minors for coexisting.  :func:`classify` and
+:func:`theorem_conditions` both read the table.
+
 The printed tumor-free conditions carry known sign slips relative to the
 derived Jacobian blocks, so in addition to the verbatim R0/R1 predicates
 the derived block conditions (trace/determinant of the actual 2x2 blocks)
@@ -28,7 +37,6 @@ import numpy as np
 from .equilibria import Equilibrium, _json_num
 from .integrator import default_horizon, settle
 from .model import (
-    CoefficientSet,
     DomainError,
     ModelParams,
     ReproductionNumbers,
@@ -125,104 +133,88 @@ def _block_conditions(J: np.ndarray) -> dict[str, ConditionCheck]:
     return checks
 
 
-def _coefficient_sets(eq: Equilibrium, params: ModelParams) -> dict[str, CoefficientSet]:
-    """The coefficient families that the reproduction numbers and printed
-    conditions of ``eq``'s family read, each built once.  ``params`` must
-    already be validated (:func:`jacobian` does it)."""
+def _tumor_free_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
+    """R0 < 1 and R1 < 1, the auxiliary bounds on I and the derived block
+    conditions.  R_IM is defined only where the point also has N = 0."""
     point = eq.point
-    if eq.family == "dead2":
-        return {"C": _coefficients(point, params, "C")}
-    if eq.family not in ("tumor_free", "dead1"):
-        return {}
-    sets = {"A": _coefficients(point, params, "A")}
-    if eq.family == "dead1" or _at_dead1_state(point):
-        sets["B"] = _coefficients(point, params, "B")
-    return sets
+    A = _coefficients(point, params, "A")
+    rn = _reproduction(A, _coefficients(point, params, "B") if _at_dead1_state(point) else None)
+    checks = {
+        "R0_lt_1": ConditionCheck("R0_lt_1", rn.r0_defined and rn.r0 < 1.0, rn.r0, 1.0),
+        "R1_lt_1": ConditionCheck("R1_lt_1", rn.r1_defined and rn.r1 < 1.0, rn.r1, 1.0),
+    }
+    # Informational auxiliary bounds on I (not part of any verdict; the upper
+    # bound uses a2(1+d), which appears nowhere else in the analysis).
+    lower = params.s * point.M / params.v_M if params.v_M > 0 else math.inf
+    upper_num = (
+        params.a2 * (1.0 + params.d)
+        - 2.0 * params.b1 * point.N
+        - params.l1 * point.E * (1.0 - params.k)
+        - params.m_d
+    )
+    upper = upper_num / params.g1 if params.g1 > 0 else math.inf
+    checks["aux_I_lower"] = ConditionCheck("aux_I_lower", lower < point.I, lower, point.I)
+    checks["aux_I_upper"] = ConditionCheck("aux_I_upper", point.I < upper, point.I, upper)
+    checks.update(_block_conditions(J))
+    return rn, checks, checks["R0_lt_1"].holds and checks["R1_lt_1"].holds
 
 
-def _repro(eq: Equilibrium, sets: dict[str, CoefficientSet]) -> ReproductionNumbers | None:
-    """R0, R1 and R_IM for the families whose conditions use them."""
-    if eq.family in ("tumor_free", "dead1"):
-        return _reproduction(sets["A"], sets["B"] if _at_dead1_state(eq.point) else None)
-    return None
+def _dead1_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
+    """R_IM < 1 and negative B0, B2, B4, B8, plus the derived block
+    conditions."""
+    point = eq.point
+    A = _coefficients(point, params, "A")
+    B = _coefficients(point, params, "B")
+    rn = _reproduction(A, B if _at_dead1_state(point) else None)
+    checks = {
+        "R_IM_lt_1": ConditionCheck("R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0)
+    }
+    for idx in (0, 2, 4, 8):
+        checks[f"B{idx}_neg"] = ConditionCheck(f"B{idx}_neg", B[idx] < 0.0, B[idx], 0.0)
+    claim = all(check.holds for check in checks.values())
+    checks.update(_block_conditions(J))
+    return rn, checks, claim
+
+
+def _dead2_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
+    """Invasion blocked and the two C-cubic coefficient signs.  These are
+    only necessary conditions, so the family makes no claim."""
+    point = eq.point
+    C = _coefficients(point, params, "C")
+    rhs_i = params.d1 * point.T / (1.0 + params.epsilon * point.T) - params.l1 * point.E
+    lin = C[6] * C[8] - C[5] * C[9] - C[3] * C[4] - C[2] * C[9] - C[2] * C[5]
+    const = C[2] * C[5] * C[9] - C[2] * C[6] * C[8] + C[3] * C[4] * C[9]
+    checks = (
+        ConditionCheck("invasion_blocked", params.a1 < rhs_i, params.a1, rhs_i),
+        ConditionCheck("reduced_cubic_mid_pos", lin > 0.0, lin, 0.0),
+        ConditionCheck("reduced_cubic_const_pos", const > 0.0, const, 0.0),
+    )
+    return None, {check.name: check for check in checks}, None
+
+
+def _coexisting_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
+    """Eigenvalue signs, checked through the Hurwitz minors."""
+    check = ConditionCheck("hurwitz_minors_positive", hv.all_positive, min(hv.minors), 0.0)
+    return None, {check.name: check}, check.holds
+
+
+#: Per family, ``rules(eq, params, J, hv) -> (repro, checks, claim)`` with
+#: ``J`` the Jacobian at ``eq`` and ``hv`` its Hurwitz verdict; ``claim`` is
+#: None when the family has no closed claim.  ``params`` must already be
+#: validated (:func:`jacobian` does it).
+_RULES = {
+    "tumor_free": _tumor_free_rules,
+    "dead1": _dead1_rules,
+    "dead2": _dead2_rules,
+    "coexisting": _coexisting_rules,
+}
 
 
 def theorem_conditions(eq: Equilibrium, params: ModelParams) -> dict[str, ConditionCheck]:
     """Family-specific printed stability conditions with their evaluated
     left/right-hand values."""
     J = jacobian(eq.point, params)
-    sets = _coefficient_sets(eq, params)
-    return _conditions(eq, params, J, routh_hurwitz(char_poly(J)), _repro(eq, sets), sets)
-
-
-def _conditions(
-    eq: Equilibrium,
-    params: ModelParams,
-    J: np.ndarray,
-    hv: HurwitzVerdict,
-    rn: ReproductionNumbers | None,
-    sets: dict[str, CoefficientSet],
-) -> dict[str, ConditionCheck]:
-    """:func:`theorem_conditions` from the Jacobian ``J`` at ``eq``, its
-    Hurwitz verdict ``hv``, the reproduction numbers ``rn`` and the
-    coefficient families ``sets``."""
-    point = eq.point
-    checks: dict[str, ConditionCheck] = {}
-    if eq.family == "tumor_free":
-        checks["R0_lt_1"] = ConditionCheck("R0_lt_1", rn.r0_defined and rn.r0 < 1.0, rn.r0, 1.0)
-        checks["R1_lt_1"] = ConditionCheck("R1_lt_1", rn.r1_defined and rn.r1 < 1.0, rn.r1, 1.0)
-        # Informational auxiliary bounds on I (not part of any verdict; the upper
-        # bound uses a2(1+d), which appears nowhere else in the analysis).
-        lower = params.s * point.M / params.v_M if params.v_M > 0 else math.inf
-        upper_num = (
-            params.a2 * (1.0 + params.d)
-            - 2.0 * params.b1 * point.N
-            - params.l1 * point.E * (1.0 - params.k)
-            - params.m_d
-        )
-        upper = upper_num / params.g1 if params.g1 > 0 else math.inf
-        checks["aux_I_lower"] = ConditionCheck("aux_I_lower", lower < point.I, lower, point.I)
-        checks["aux_I_upper"] = ConditionCheck("aux_I_upper", point.I < upper, point.I, upper)
-        checks.update(_block_conditions(J))
-    elif eq.family == "dead1":
-        B = sets["B"]
-        checks["R_IM_lt_1"] = ConditionCheck(
-            "R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0
-        )
-        for idx in (0, 2, 4, 8):
-            checks[f"B{idx}_neg"] = ConditionCheck(f"B{idx}_neg", B[idx] < 0.0, B[idx], 0.0)
-        checks.update(_block_conditions(J))
-    elif eq.family == "dead2":
-        C = sets["C"]
-        rhs_i = (
-            params.d1 * point.T / (1.0 + params.epsilon * point.T)
-            - params.l1 * point.E
-        )
-        checks["invasion_blocked"] = ConditionCheck("invasion_blocked", params.a1 < rhs_i, params.a1, rhs_i)
-        lin = C[6] * C[8] - C[5] * C[9] - C[3] * C[4] - C[2] * C[9] - C[2] * C[5]
-        checks["reduced_cubic_mid_pos"] = ConditionCheck("reduced_cubic_mid_pos", lin > 0.0, lin, 0.0)
-        const = C[2] * C[5] * C[9] - C[2] * C[6] * C[8] + C[3] * C[4] * C[9]
-        checks["reduced_cubic_const_pos"] = ConditionCheck("reduced_cubic_const_pos", const > 0.0, const, 0.0)
-    else:  # coexisting: eigenvalue signs, checked via Hurwitz minors
-        smallest = min(hv.minors)
-        checks["hurwitz_minors_positive"] = ConditionCheck(
-            "hurwitz_minors_positive", hv.all_positive, smallest, 0.0
-        )
-    return checks
-
-
-def _theorem_claim(family: str, checks: dict[str, ConditionCheck]) -> bool | None:
-    """The printed sufficient-condition predicate per family, or None
-    when the family has no closed claim."""
-    if family == "tumor_free":
-        return checks["R0_lt_1"].holds and checks["R1_lt_1"].holds
-    if family == "dead1":
-        return all(
-            checks[name].holds for name in ("R_IM_lt_1", "B0_neg", "B2_neg", "B4_neg", "B8_neg")
-        )
-    if family == "dead2":
-        return None  # only necessary conditions are available
-    return checks["hurwitz_minors_positive"].holds
+    return _RULES[eq.family](eq, params, J, routh_hurwitz(char_poly(J)))[1]
 
 
 def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
@@ -239,16 +231,13 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     verdict = _eig_verdict(eig.max_real)
 
     theta_gap = min(abs(z - (-params.theta)) for z in eig.roots)
-    sets = _coefficient_sets(eq, params)
-    repro = _repro(eq, sets)
-    checks = _conditions(eq, params, J, hv, repro, sets)
+    repro, checks, claim = _RULES[eq.family](eq, params, J, hv)
 
     agreement: dict[str, bool | None] = {}
     if verdict == "inconclusive" or hv.verdict == "inconclusive":
         agreement["eigen_hurwitz"] = None
     else:
         agreement["eigen_hurwitz"] = verdict == hv.verdict
-    claim = _theorem_claim(eq.family, checks)
     if claim is None or verdict == "inconclusive":
         agreement["theorem_eigen"] = None
     else:

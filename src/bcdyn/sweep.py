@@ -3,6 +3,13 @@
 A sweep re-solves the equilibrium catalog at every grid point (no branch
 continuation); the bifurcation scanner brackets sign changes of the leading
 eigenvalue real part per family and bisects each bracket.
+
+Each :func:`run_bifurcate` call solves a parameter value at most once: a
+memo local to the call keeps, per value, the confirmed points of every
+family with their leading eigenvalues.  Brackets of different families or
+branches in one scan interval share their midpoints, and the bisection
+carries the entries at both bracket ends, so the reported eigenvalues need
+no further solve.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import FAMILIES, find_all
-from .model import PARAM_NAMES, DomainError, ModelParams
+from .model import PARAM_NAMES, DomainError
 from .scenario import Scenario, ScenarioError
 from .stability import classify
 
@@ -132,18 +139,6 @@ class BifurcationResult:
     equilibrium_family: str = ""
 
 
-def _family_branches(params: ModelParams):
-    """Confirmed equilibria grouped by family with their leading eigenvalue
-    real parts and eigenvalues."""
-    out: dict[str, list] = {fam: [] for fam in FAMILIES}
-    for eq in find_all(params):
-        if not eq.confirmed:
-            continue
-        rep = classify(eq, params)
-        out[eq.family].append((eq.point.as_array(), rep.max_real, rep.eigenvalues))
-    return out
-
-
 def _nearest(entries, point):
     best = None
     best_dist = math.inf
@@ -167,67 +162,57 @@ def run_bifurcate(
     _check_grid(parameter_name, (lo, hi))
     if hi <= lo:
         raise DomainError(f"empty range [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, scan_points)
+    grid = [float(v) for v in np.linspace(lo, hi, scan_points)]
     width_target = bracket_rel_width * (hi - lo)
+    solved: dict[float, dict[str, list]] = {}
 
-    snapshots = [
-        _family_branches(scenario.params.replace(**{parameter_name: float(v)})) for v in grid
-    ]
+    def branches(v: float) -> dict[str, list]:
+        """Confirmed equilibria at ``v`` by family, each as (point, leading
+        eigenvalue); solved once per distinct value."""
+        if v not in solved:
+            params = scenario.params.replace(**{parameter_name: v})
+            solved[v] = {fam: [] for fam in FAMILIES}
+            for eq in find_all(params):
+                if eq.confirmed:
+                    roots = classify(eq, params).eigenvalues.roots
+                    lead = max(roots, key=lambda z: z.real)
+                    solved[v][eq.family].append((eq.point.as_array(), lead))
+        return solved[v]
 
     results: list[BifurcationResult] = []
     for family in FAMILIES:
-        for i in range(len(grid) - 1):
-            left = snapshots[i][family]
-            right = snapshots[i + 1][family]
-            for point, max_re, _eig in left:
-                match = _nearest(right, point)
-                if match is None:
+        for a0, b0 in zip(grid, grid[1:]):
+            for start in branches(a0)[family]:
+                lower, upper = start, _nearest(branches(b0)[family], start[0])
+                if upper is None:
                     continue  # family disappears mid-range; partial results
-                if max_re == 0.0 or match[1] == 0.0 or max_re * match[1] > 0:
+                fa, fb = start[1].real, upper[1].real
+                if fa == 0.0 or fb == 0.0 or fa * fb > 0:
                     continue
-
-                def leading(v: float, ref_point):
-                    branches = _family_branches(
-                        scenario.params.replace(**{parameter_name: float(v)})
-                    )[family]
-                    return _nearest(branches, ref_point)
-
-                a, b = float(grid[i]), float(grid[i + 1])
-                fa, pa = max_re, point
-                entry_b = match
+                a, b = a0, b0
                 while b - a > width_target:
                     mid = 0.5 * (a + b)
-                    entry = leading(mid, pa)
+                    entry = _nearest(branches(mid)[family], lower[0])
                     if entry is None:
                         break
-                    if fa * entry[1] <= 0:
-                        b, entry_b = mid, entry
+                    if lower[1].real * entry[1].real <= 0:
+                        b, upper = mid, entry
                     else:
-                        a, fa, pa = mid, entry[1], entry[0]
-                lam_a = _leading_eig(leading(a, pa))
-                lam_b = _leading_eig(entry_b)
+                        a, lower = mid, entry
                 results.append(
                     BifurcationResult(
                         parameter_name=parameter_name,
                         critical_value=0.5 * (a + b),
                         bracketing_interval=(a, b),
                         crossing_eigenvalue={
-                            "at_lower": lam_a,
-                            "at_upper": lam_b,
+                            "at_lower": {"re": lower[1].real, "im": lower[1].imag},
+                            "at_upper": {"re": upper[1].real, "im": upper[1].imag},
                         },
                         equilibrium_family=family,
                     )
                 )
     results.sort(key=lambda res: (res.equilibrium_family, res.critical_value))
     return results
-
-
-def _leading_eig(entry) -> dict:
-    if entry is None:
-        return {"re": math.nan, "im": math.nan}
-    eig = entry[2]
-    lead = max(eig.roots, key=lambda z: z.real)
-    return {"re": lead.real, "im": lead.imag}
 
 
 def bifurcation_to_json(results: list[BifurcationResult]) -> str:

@@ -169,6 +169,24 @@ class TestBifurcateCommand:
         assert isinstance(doc, list)
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bifurcate", "--format", "json", "--parameter", "d",
+             "--min", "0.5", "--max", "1.5", "--scan-points", "2"],
+            ["equilibria", "--svg"],
+            ["simulate", "--seed", "3"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_exit_2(self, tmp_path, args):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
 class TestValidateCommand:
     def test_exit_zero_and_deterministic(self, capsys):
         assert run(["validate", "--seed", "5"]) == 0

@@ -150,6 +150,21 @@ class TestTheoremChecks:
                 expect = pm.a1 - pm.l1 * e0 * (1.0 - pm.k) < 0.0
                 assert checks["B0_neg"].holds == expect
 
+    def test_theorem_conditions_match_classify(self):
+        rng = np.random.default_rng(11)
+        draws = [draw_params(rng) for _ in range(40)]
+        draws += [draw_params(rng, k=1.0) for _ in range(20)]
+        families = set()
+        for pm in draws:
+            for eq in find_all(pm):
+                if eq.confirmed:
+                    families.add(eq.family)
+                    # repr, not ==: undefined reproduction numbers are NaN
+                    assert repr(theorem_conditions(eq, pm)) == repr(
+                        classify(eq, pm).theorem_checks
+                    )
+        assert families == {"tumor_free", "dead1", "dead2", "coexisting"}
+
     def test_derived_block_conditions_match_spectrum(self):
         for pm, eq, rep in classified(range(30)):
             if eq.point.T != 0.0 or rep.verdict == "inconclusive":

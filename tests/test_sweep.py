@@ -151,6 +151,21 @@ class TestBifurcate:
         assert len(c1) == len(c2) == 1
         assert abs(c1[0] - c2[0]) < 1e-6 * (hi - lo)
 
+    def test_one_solve_per_parameter_value(self, monkeypatch):
+        import bcdyn.sweep
+
+        solved = []
+        find_all = bcdyn.sweep.find_all
+
+        def counted(params):
+            solved.append(params.d)
+            return find_all(params)
+
+        monkeypatch.setattr(bcdyn.sweep, "find_all", counted)
+        results = run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=64)
+        assert results
+        assert len(solved) == len(set(solved))
+
     def test_range_validation(self):
         pm, d_star, lo, hi = self.planted_instance()
         with pytest.raises(DomainError):
