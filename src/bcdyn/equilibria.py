@@ -17,7 +17,9 @@ the family's flags and provenance.  T is 0 or a positive real root of
 R P^2 + S P Q + U Q^2, where I = P/Q solves the steady tumor equation (the
 roots of P when g1 = 0 makes Q vanish).  I is P/Q or a root of the immune
 quadratic, which has the exact root I = 0 when s = 0.  Roots come from
-companion-matrix eigenvalues, so no grid decides which points are found.
+companion-matrix eigenvalues, so no grid decides which points are found;
+a batch of parameter sets roots all its companions of one size with one
+stacked LAPACK call, and one set is a batch of one.
 Newton polishes the free components with E pinned, and one test admits a
 point: free N > 0, free T > 0, I > 0 (or I = 0 when s = 0) and M > 0 (or
 M = 0 when v_M = 0).  E is not tested, so k = 1 and p = 0, where E* = 0,
@@ -54,8 +56,8 @@ from .numerics import NewtonError, Polynomial
 
 # perfbench/tracer.py counts calls by wrapping these names on this module,
 # so they stay importable here; the finders evaluate the closures of
-# model._bind instead of rhs/jacobian and root with np.roots, so only
-# newton_solve is still called through this binding.
+# model._bind instead of rhs/jacobian and root with stacked companion
+# eigenvalues, so only newton_solve is still called through this binding.
 from .model import jacobian, rhs, validate_params  # noqa: F401
 from .numerics import newton_solve, poly_roots  # noqa: F401
 
@@ -289,33 +291,46 @@ def _snap(vals) -> SystemState:
     return SystemState(*[0.0 if -SNAP_TOL < v < 0.0 else v for v in vals])
 
 
-def _positive_real_roots(coeffs) -> list[float]:
-    """Positive roots of a real polynomial from its companion-matrix
-    eigenvalues.  A root whose imaginary part is below NEAR_REAL_TOL of its
-    modulus is the rounded image of a (near-)double real root and is taken
-    as real; the polish decides whether it is an equilibrium."""
-    # Trailing zeros are roots at T = 0, never positive.  (np.trim_zeros
-    # costs more than the slicing.)
-    coeffs = np.asarray(coeffs, dtype=float)
-    nonzero = np.flatnonzero(coeffs)
-    if nonzero.size == 0 or nonzero[-1] == nonzero[0]:
-        return []
-    coeffs = coeffs[nonzero[0]:nonzero[-1] + 1]
-    # The companion matrix divides by the leading coefficient; when that is
-    # the smaller end (epsilon near 0 makes it subnormal) it can overflow,
-    # so root the reversed polynomial in 1/T instead.
-    if abs(coeffs[0]) >= abs(coeffs[-1]):
-        roots = np.roots(coeffs)
-    else:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            roots = 1.0 / np.roots(coeffs[::-1])
-    return sorted(
-        {
-            float(z.real)
-            for z in roots
-            if 0 < z.real < math.inf and abs(z.imag) <= NEAR_REAL_TOL * abs(z)
-        }
-    )
+def _positive_roots_each(polys) -> list[list[float]]:
+    """Positive roots of each real polynomial of ``polys`` from its
+    companion-matrix eigenvalues, laid out as ``np.roots`` lays them out.
+    The companions of one size go through one stacked LAPACK call.  A root
+    whose imaginary part is below NEAR_REAL_TOL of its modulus is the
+    rounded image of a (near-)double real root and is taken as real; the
+    polish decides whether it is an equilibrium."""
+    found: list[list[float]] = [[] for _ in polys]
+    by_size: dict[int, list[tuple[int, bool, np.ndarray]]] = {}
+    for i, coeffs in enumerate(polys):
+        # Trailing zeros are roots at T = 0, never positive.  (np.trim_zeros
+        # costs more than the slicing.)
+        coeffs = np.asarray(coeffs, dtype=float)
+        nonzero = np.flatnonzero(coeffs)
+        if nonzero.size == 0 or nonzero[-1] == nonzero[0]:
+            continue
+        coeffs = coeffs[nonzero[0]:nonzero[-1] + 1]
+        # The companion matrix divides by the leading coefficient; when that
+        # is the smaller end (epsilon near 0 makes it subnormal) it can
+        # overflow, so root the reversed polynomial in 1/T instead.
+        flip = abs(coeffs[0]) < abs(coeffs[-1])
+        if flip:
+            coeffs = coeffs[::-1]
+        companion = np.diag(np.ones(coeffs.size - 2), -1)
+        companion[0, :] = -coeffs[1:] / coeffs[0]
+        by_size.setdefault(coeffs.size, []).append((i, flip, companion))
+    for group in by_size.values():
+        stack = np.array([companion for _, _, companion in group])
+        for (i, flip, _), roots in zip(group, np.linalg.eigvals(stack)):
+            if flip:
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    roots = 1.0 / roots
+            found[i] = sorted(
+                {
+                    float(z.real)
+                    for z in roots
+                    if 0 < z.real < math.inf and abs(z.imag) <= NEAR_REAL_TOL * abs(z)
+                }
+            )
+    return found
 
 
 def _horner(coeffs, T: float) -> float:
@@ -477,36 +492,57 @@ _TABLE = {
 }
 
 
-def _seeds(params: ModelParams, row: _Family, E: float) -> list[tuple[float, float]]:
-    """(T, I) seeds of one family.  T = 0 rows take I from the immune
-    quadratic.  Otherwise T runs over the positive roots of R*P^2 + S*P*Q
-    + U*Q^2 and I = P/Q; with g1 = 0 (Q = 0) T runs over the roots of P
-    and I comes from the immune quadratic at each."""
-    R, S, U = _immune_quadratic(params, E)
-    if not row.t_free:
-        return [(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)]
-    P, Q = _tumor_ratio(params, E, row.n_free)
-    if not (P > 0).any():
-        return []  # P < 0 for every T > 0: no seed has I = P/Q >= 0
-    if params.g1 == 0:
-        return [
-            (T, I) for T in _positive_real_roots(P) for I in _immune_roots(params, R, S, U, T)
-        ]
+def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
+    """Run the rows ``families`` of the family table on every
+    ``(params, (f, jac))`` of ``bound_sets``, each parameter set validated
+    and bound by ``model._bind``.  The eliminated polynomials of all sets
+    and rows are rooted together (see :func:`_positive_roots_each`);
+    seeding, polish, admission, dedup and flags stay per set.  Per set: its
+    points, row by row in ``families`` order, each row deduplicated.
+
+    T = 0 rows take I from the immune quadratic.  Otherwise T runs over the
+    positive roots of R*P^2 + S*P*Q + U*Q^2 and I = P/Q; with g1 = 0 (Q = 0)
+    T runs over the roots of P and I comes from the immune quadratic at
+    each."""
+    rows = [(family, _TABLE[family]) for family in families]
+    sets, seeds, rooted, polys = [], [], [], []
+    for i, (params, bound) in enumerate(bound_sets):
+        E = estrogen_level(params)
+        R, S, U = _immune_quadratic(params, E)
+        sets.append((params, bound, E, R, S, U))
+        seeds.append([])
+        for j, (_, row) in enumerate(rows):
+            if not row.t_free:
+                seeds[i].append([(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)])
+                continue
+            seeds[i].append([])
+            P, Q = _tumor_ratio(params, E, row.n_free)
+            if not (P > 0).any():
+                continue  # P < 0 for every T > 0: no seed has I = P/Q >= 0
+            rooted.append((i, j, P, Q))
+            polys.append(P if params.g1 == 0 else _eliminate(R, S, U, P, Q))
+    for (i, j, P, Q), roots in zip(rooted, _positive_roots_each(polys)):
+        params, _, _, R, S, U = sets[i]
+        if params.g1 == 0:
+            seeds[i][j] = [(T, I) for T in roots for I in _immune_roots(params, R, S, U, T)]
+        else:
+            seeds[i][j] = [(T, _horner(P, T) / _horner(Q, T)) for T in roots]
     return [
-        (T, _horner(P, T) / _horner(Q, T))
-        for T in _positive_real_roots(_eliminate(R, S, U, P, Q))
+        [
+            eq
+            for (family, row), row_seeds in zip(rows, set_seeds)
+            for eq in _admit(params, bound, E, family, row, row_seeds)
+        ]
+        for (params, bound, E, *_), set_seeds in zip(sets, seeds)
     ]
 
 
-def _find(params: ModelParams, family: str) -> list[Equilibrium]:
-    """Run one row of the family table: seed, back-substitute N and M,
-    polish the free components, admit, dedup and flag."""
-    row = _TABLE[family]
-    bound = _bind(params)
-    E = estrogen_level(params)
+def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seeds):
+    """Back-substitute N and M into each (T, I) seed of one family, polish
+    the free components, admit, dedup and flag."""
     active = (0,) * row.n_free + (1,) * row.t_free + (2, 4)
     points: list[SystemState] = []
-    for T0, I0 in _seeds(params, row, E):
+    for T0, I0 in seeds:
         if I0 < -SNAP_TOL:
             continue
         I0 = max(I0, 0.0)
@@ -532,6 +568,25 @@ def _find(params: ModelParams, family: str) -> list[Equilibrium]:
         )
         for point in _dedup(points, key=SystemState.as_tuple)
     ]
+
+
+def _find(params: ModelParams, family: str) -> list[Equilibrium]:
+    """One row of the family table on one parameter set."""
+    return _find_batch([(params, _bind(params))], (family,))[0]
+
+
+def _catalog(equilibria: list[Equilibrium]) -> list[Equilibrium]:
+    """Deduplicate across families and sort by family order, then tumor
+    load."""
+    kept = _dedup(equilibria, key=lambda eq: eq.point.as_tuple())
+    kept.sort(key=lambda eq: (FAMILIES.index(eq.family), eq.point.T))
+    return kept
+
+
+def _find_all_batch(bound_sets) -> list[list[Equilibrium]]:
+    """:func:`find_all` of every ``(params, model._bind(params))`` of
+    ``bound_sets``, in one batch."""
+    return [_catalog(eqs) for eqs in _find_batch(bound_sets, FAMILIES)]
 
 
 def tumor_free(params: ModelParams) -> list[Equilibrium]:
@@ -561,9 +616,7 @@ def find_all(params: ModelParams) -> list[Equilibrium]:
     catalog: list[Equilibrium] = []
     for finder in (tumor_free, dead_type1, dead_type2, coexisting):
         catalog.extend(finder(params))
-    kept = _dedup(catalog, key=lambda eq: eq.point.as_tuple())
-    kept.sort(key=lambda eq: (FAMILIES.index(eq.family), eq.point.T))
-    return kept
+    return _catalog(catalog)
 
 
 def catalog_to_json(catalog: list[Equilibrium]) -> str:

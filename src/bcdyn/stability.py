@@ -51,8 +51,8 @@ from .numerics import (
     HurwitzVerdict,
     Polynomial,
     RootSet,
+    _root_set,
     char_poly,
-    eigenvalues,
     poly_roots,
     routh_hurwitz,
 )
@@ -105,6 +105,27 @@ def _eig_verdict(max_re: float) -> str:
     return "inconclusive"
 
 
+def _spectra(Js: np.ndarray) -> list[RootSet]:
+    """Sorted eigenvalues of each Jacobian of a (B, 5, 5) stack, from one
+    LAPACK call; the same bits as one call per Jacobian."""
+    return [_root_set(w) for w in np.linalg.eigvals(Js)] if len(Js) else []
+
+
+def _repro(eq: Equilibrium, params: ModelParams, B=None) -> ReproductionNumbers | None:
+    """R0 and R1 from the A family, and R_IM from the B family where the
+    point has N = T = 0: the reproduction numbers of the tumor-free and
+    dead1 rules.  None for the other families.  ``B`` is the B family at
+    the point when the caller has it already.  ``params`` must already be
+    validated."""
+    if eq.family not in ("tumor_free", "dead1"):
+        return None
+    point = eq.point
+    A = _coefficients(point, params, "A")
+    if not _at_dead1_state(point):
+        return _reproduction(A, None)
+    return _reproduction(A, B if B is not None else _coefficients(point, params, "B"))
+
+
 def block_spectrum(J: np.ndarray) -> tuple[RootSet, RootSet]:
     """Eigenvalues of the (N, T) and (I, M) 2x2 blocks of a Jacobian.
 
@@ -137,8 +158,7 @@ def _tumor_free_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: H
     """R0 < 1 and R1 < 1, the auxiliary bounds on I and the derived block
     conditions.  R_IM is defined only where the point also has N = 0."""
     point = eq.point
-    A = _coefficients(point, params, "A")
-    rn = _reproduction(A, _coefficients(point, params, "B") if _at_dead1_state(point) else None)
+    rn = _repro(eq, params)
     checks = {
         "R0_lt_1": ConditionCheck("R0_lt_1", rn.r0_defined and rn.r0 < 1.0, rn.r0, 1.0),
         "R1_lt_1": ConditionCheck("R1_lt_1", rn.r1_defined and rn.r1 < 1.0, rn.r1, 1.0),
@@ -162,10 +182,8 @@ def _tumor_free_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: H
 def _dead1_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
     """R_IM < 1 and negative B0, B2, B4, B8, plus the derived block
     conditions."""
-    point = eq.point
-    A = _coefficients(point, params, "A")
-    B = _coefficients(point, params, "B")
-    rn = _reproduction(A, B if _at_dead1_state(point) else None)
+    B = _coefficients(eq.point, params, "B")
+    rn = _repro(eq, params, B)
     checks = {
         "R_IM_lt_1": ConditionCheck("R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0)
     }
@@ -226,7 +244,7 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
         )
     J = jacobian(eq.point, params)
     cp = char_poly(J)
-    eig = eigenvalues(J)
+    eig = _spectra(J[None])[0]
     hv = routh_hurwitz(cp)
     verdict = _eig_verdict(eig.max_real)
 

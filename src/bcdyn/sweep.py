@@ -1,15 +1,22 @@
 """Treatment-parameter sweeps and bifurcation localization.
 
-A sweep re-solves the equilibrium catalog at every grid point (no branch
-continuation); the bifurcation scanner brackets sign changes of the leading
-eigenvalue real part per family and bisects each bracket.
+A sweep solves its whole grid (1-D or 2-D) in one batched call of the
+equilibrium pipeline: every grid point is validated once and the
+eliminated polynomials of all points are rooted together.  Each row then
+takes its verdict, max Re(lambda), R0 and R1 from one stacked spectrum of
+the Jacobians at all confirmed points, with the same bits as
+:func:`classify` gives them (no branch continuation).
 
-Each :func:`run_bifurcate` call solves a parameter value at most once: a
-memo local to the call keeps, per value, the confirmed points of every
-family with their leading eigenvalues.  Brackets of different families or
-branches in one scan interval share their midpoints, and the bisection
-carries the entries at both bracket ends, so the reported eigenvalues need
-no further solve.
+The bifurcation scanner brackets sign changes of the leading eigenvalue
+real part per family and bisects each bracket.  It solves its scan grid
+in one batch and each bisection midpoint as a batch of one, and reads only
+eigenvalues: no characteristic polynomial, Hurwitz minors or theorem rules.
+A memo local to each :func:`run_bifurcate` call keeps, per parameter
+value, the confirmed points of every family with their leading
+eigenvalues, so a value is solved at most once.  Brackets of different
+families or branches in one scan interval share their midpoints, and the
+bisection carries the entries at both bracket ends, so the reported
+eigenvalues need no further solve.
 """
 from __future__ import annotations
 
@@ -19,10 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import FAMILIES, find_all
-from .model import PARAM_NAMES, DomainError
+from .equilibria import FAMILIES, _find_all_batch
+from .model import PARAM_NAMES, DomainError, _bind
 from .scenario import Scenario, ScenarioError
-from .stability import classify
+from .stability import _eig_verdict, _repro, _spectra
+
+# perfbench/tracer.py wraps these names on this module, so they stay
+# importable here; the sweeps call the batched pipeline instead.
+from .equilibria import find_all  # noqa: F401
+from .stability import classify  # noqa: F401
 
 __all__ = [
     "SweepSpec",
@@ -73,10 +85,26 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     return tuple(np.linspace(lo, hi, count))
 
 
+def _solve(bound_sets) -> list[list[tuple]]:
+    """Per ``(params, model._bind(params))`` of ``bound_sets``, its catalog
+    as (equilibrium, spectrum) pairs, the spectrum None for unconfirmed
+    points.  All sets go through one batched solve, and the Jacobians at all
+    confirmed points through one stacked eigenvalue call."""
+    solved = _find_all_batch(bound_sets)
+    Js = [
+        jac(*eq.point.as_tuple())
+        for (_, (_, jac)), catalog in zip(bound_sets, solved)
+        for eq in catalog
+        if eq.confirmed
+    ]
+    spectra = iter(_spectra(np.array(Js)))
+    return [[(eq, next(spectra) if eq.confirmed else None) for eq in catalog] for catalog in solved]
+
+
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
     """One row per grid point per equilibrium, grid-major then family."""
-    rows: list[dict] = []
     second = spec.second_grid if spec.second_parameter else (None,)
+    points, bound_sets = [], []
     for v1 in spec.grid:
         for v2 in second:
             overrides = {spec.parameter_name: float(v1)}
@@ -84,29 +112,32 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
                 overrides[spec.second_parameter] = float(v2)
             try:
                 params = scenario.params.replace(**overrides)
-                catalog = find_all(params)
+                bound_sets.append((params, _bind(params)))
             except DomainError as exc:
                 raise ScenarioError(f"sweep point {overrides} invalid: {exc}") from exc
-            for eq in catalog:
-                row = {
-                    "parameter": spec.parameter_name,
-                    "value": float(v1),
-                    "family": eq.family,
-                    "N": eq.point.N, "T": eq.point.T, "I": eq.point.I,
-                    "E": eq.point.E, "M": eq.point.M,
-                    "residual": eq.residual,
-                }
-                if spec.second_parameter is not None:
-                    row["parameter2"] = spec.second_parameter
-                    row["value2"] = float(v2)
-                if eq.confirmed:
-                    rep = classify(eq, params)
-                    row["verdict"] = rep.verdict
-                    row["maxReLambda"] = rep.max_real
-                    if rep.repro is not None:
-                        row["R0"] = rep.repro.r0
-                        row["R1"] = rep.repro.r1
-                rows.append(row)
+            points.append((v1, v2))
+    rows: list[dict] = []
+    for (v1, v2), (params, _), catalog in zip(points, bound_sets, _solve(bound_sets)):
+        for eq, spectrum in catalog:
+            row = {
+                "parameter": spec.parameter_name,
+                "value": float(v1),
+                "family": eq.family,
+                "N": eq.point.N, "T": eq.point.T, "I": eq.point.I,
+                "E": eq.point.E, "M": eq.point.M,
+                "residual": eq.residual,
+            }
+            if spec.second_parameter is not None:
+                row["parameter2"] = spec.second_parameter
+                row["value2"] = float(v2)
+            if spectrum is not None:
+                row["verdict"] = _eig_verdict(spectrum.max_real)
+                row["maxReLambda"] = spectrum.max_real
+                repro = _repro(eq, params)
+                if repro is not None:
+                    row["R0"] = repro.r0
+                    row["R1"] = repro.r1
+            rows.append(row)
     return rows
 
 
@@ -166,18 +197,26 @@ def run_bifurcate(
     width_target = bracket_rel_width * (hi - lo)
     solved: dict[float, dict[str, list]] = {}
 
+    def solve(values: list[float]) -> None:
+        """Solve new parameter values in one batch and keep, per value and
+        family, each confirmed point with its leading eigenvalue."""
+        params_list = [scenario.params.replace(**{parameter_name: v}) for v in values]
+        catalogs = _solve([(params, _bind(params)) for params in params_list])
+        for v, catalog in zip(values, catalogs):
+            solved[v] = {fam: [] for fam in FAMILIES}
+            for eq, spectrum in catalog:
+                if spectrum is not None:
+                    lead = max(spectrum.roots, key=lambda z: z.real)
+                    solved[v][eq.family].append((eq.point.as_array(), lead))
+
     def branches(v: float) -> dict[str, list]:
         """Confirmed equilibria at ``v`` by family, each as (point, leading
-        eigenvalue); solved once per distinct value."""
+        eigenvalue); a bisection midpoint is solved as a batch of one."""
         if v not in solved:
-            params = scenario.params.replace(**{parameter_name: v})
-            solved[v] = {fam: [] for fam in FAMILIES}
-            for eq in find_all(params):
-                if eq.confirmed:
-                    roots = classify(eq, params).eigenvalues.roots
-                    lead = max(roots, key=lambda z: z.real)
-                    solved[v][eq.family].append((eq.point.as_array(), lead))
+            solve([v])
         return solved[v]
+
+    solve(list(dict.fromkeys(grid)))
 
     results: list[BifurcationResult] = []
     for family in FAMILIES:

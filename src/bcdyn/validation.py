@@ -286,35 +286,43 @@ def _eliminated_curves(params: ModelParams):
     return curves
 
 
+#: catalog_completeness runs the same seeded draws as drawn and on two
+#: slices: total blockade (k = 1, so E* = 0) and epsilon = 0, where the
+#: coexisting octic loses degree.
+_COMPLETENESS_SLICES = (("", {}), ("k=1", {"k": 1.0}), ("epsilon=0", {"epsilon": 0.0}))
+
+
 def suite_catalog_completeness(seed: int, draws: int = 50, grid_points: int = 400) -> SuiteResult:
     """Every sign change of the steady immune residual along the dead2 and
     coexisting curves has a confirmed catalog point of that family inside
     its bracket.  The residual is the vector field's immune component on a
     log grid in T, not the eliminated polynomial, so the check does not
     share the finders' coefficients."""
-    rng = np.random.default_rng(seed)
-    brackets = missed = 0
-    for _ in range(draws):
-        params = draw_params(rng)
-        confirmed = [eq for eq in find_all(params) if eq.confirmed]
-        f = make_rhs(params)
-        for families, state_at, T_hi in _eliminated_curves(params):
-            if not T_hi > 0.0:
-                continue
-            grid = np.geomspace(T_hi * 1e-6, T_hi, grid_points)
-            states = [state_at(float(T)) for T in grid]
-            values = [None if st is None else f(*st)[2] for st in states]
-            for Ta, Tb, fa, fb in zip(grid, grid[1:], values, values[1:]):
-                if fa is None or fb is None or fa * fb >= 0.0:
+    passed = True
+    details = []
+    for label, pinned in _COMPLETENESS_SLICES:
+        rng = np.random.default_rng(seed)
+        brackets = missed = 0
+        for _ in range(draws):
+            params = draw_params(rng).replace(**pinned)
+            confirmed = [eq for eq in find_all(params) if eq.confirmed]
+            f = make_rhs(params)
+            for families, state_at, T_hi in _eliminated_curves(params):
+                if not T_hi > 0.0:
                     continue
-                brackets += 1
-                missed += not any(
-                    eq.family in families and Ta <= eq.point.T <= Tb for eq in confirmed
-                )
-    return SuiteResult(
-        "catalog_completeness", missed == 0 and brackets > 0,
-        f"draws={draws} brackets={brackets} missed={missed}",
-    )
+                grid = np.geomspace(T_hi * 1e-6, T_hi, grid_points)
+                states = [state_at(float(T)) for T in grid]
+                values = [None if st is None else f(*st)[2] for st in states]
+                for Ta, Tb, fa, fb in zip(grid, grid[1:], values, values[1:]):
+                    if fa is None or fb is None or fa * fb >= 0.0:
+                        continue
+                    brackets += 1
+                    missed += not any(
+                        eq.family in families and Ta <= eq.point.T <= Tb for eq in confirmed
+                    )
+        passed &= missed == 0 and brackets > 0
+        details.append((f"{label}: " if label else "") + f"brackets={brackets} missed={missed}")
+    return SuiteResult("catalog_completeness", passed, f"draws={draws} " + "; ".join(details))
 
 
 _SUITES = (

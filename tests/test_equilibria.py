@@ -207,12 +207,12 @@ class TestEliminationRegressions:
         assert families >= {"dead1", "dead2", "coexisting"}
 
     def test_near_double_root_taken_as_real(self):
-        from bcdyn.equilibria import _positive_real_roots
+        from bcdyn.equilibria import _positive_roots_each
 
         double = np.convolve([1.0, -2.0], [1.0, -2.0])
-        split = _positive_real_roots(double + [0.0, 0.0, 1e-16])
+        split, none = _positive_roots_each([double + [0.0, 0.0, 1e-16], double + [0.0, 0.0, 1e-4]])
         assert split == [pytest.approx(2.0, rel=1e-7)]
-        assert _positive_real_roots(double + [0.0, 0.0, 1e-4]) == []
+        assert none == []
 
 
 class TestFindAll:

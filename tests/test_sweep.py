@@ -1,10 +1,20 @@
 """Parameter sweeps and bifurcation bracketing."""
 import math
 
+import numpy as np
 import pytest
 
-from bcdyn import DomainError, SweepSpec, build_grid, default_scenario, run_bifurcate, run_sweep
-from bcdyn.scenario import Scenario
+from bcdyn import (
+    DomainError,
+    SweepSpec,
+    build_grid,
+    classify,
+    default_scenario,
+    find_all,
+    run_bifurcate,
+    run_sweep,
+)
+from bcdyn.scenario import Scenario, ScenarioError
 from bcdyn.sweep import sweep_to_csv
 
 from conftest import random_params
@@ -96,6 +106,104 @@ class TestSweep:
         assert header.startswith("parameter,value,parameter2,value2,family")
 
 
+def point_by_point_csv(scenario, spec):
+    """sweep_to_csv of rows built from find_all and classify at each grid
+    point in turn: the reference for the batched sweep."""
+    rows = []
+    second = spec.second_grid if spec.second_parameter else (None,)
+    for v1 in spec.grid:
+        for v2 in second:
+            overrides = {spec.parameter_name: float(v1)}
+            if spec.second_parameter is not None:
+                overrides[spec.second_parameter] = float(v2)
+            params = scenario.params.replace(**overrides)
+            for eq in find_all(params):
+                row = {
+                    "parameter": spec.parameter_name, "value": float(v1), "family": eq.family,
+                    "N": eq.point.N, "T": eq.point.T, "I": eq.point.I,
+                    "E": eq.point.E, "M": eq.point.M, "residual": eq.residual,
+                }
+                if spec.second_parameter is not None:
+                    row["parameter2"] = spec.second_parameter
+                    row["value2"] = float(v2)
+                if eq.confirmed:
+                    rep = classify(eq, params)
+                    row["verdict"] = rep.verdict
+                    row["maxReLambda"] = rep.max_real
+                    if rep.repro is not None:
+                        row["R0"] = rep.repro.r0
+                        row["R1"] = rep.repro.r1
+                rows.append(row)
+    return sweep_to_csv(rows, spec)
+
+
+class TestBatchedSweep:
+    """run_sweep solves its grid in one batch; its bytes must equal the
+    point-by-point find_all + classify rows."""
+
+    def scenarios(self):
+        return [default_scenario()] + [scenario_with(random_params(seed)) for seed in (3, 17)]
+
+    def test_two_parameter_k_d_grid(self):
+        spec = SweepSpec("k", build_grid(0.0, 1.0, 6), "d", build_grid(0.05, 5.0, 7))
+        for sc in self.scenarios():
+            assert sweep_to_csv(run_sweep(sc, spec), spec) == point_by_point_csv(sc, spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # epsilon = 0 drops the octic's degree; at 1e-155 its leading
+            # coefficient is subnormal, so the reversed polynomial is
+            # rooted; k = 1 makes E* = 0.
+            SweepSpec("epsilon", (0.0, 1e-300, 1e-155, 0.4), "k", (0.0, 0.6, 1.0)),
+            # g1 = 0 roots P instead of the eliminated polynomial; s = 0
+            # seeds I = 0.
+            SweepSpec("g1", (0.0, 0.3), "s", (0.0, 0.4)),
+            SweepSpec("k", (0.2, 1.0), "epsilon", (0.0, 0.5)),
+        ],
+    )
+    def test_grids_mixing_polynomial_degrees(self, spec):
+        for sc in self.scenarios():
+            assert sweep_to_csv(run_sweep(sc, spec), spec) == point_by_point_csv(sc, spec)
+
+    def test_one_validation_per_grid_point(self, monkeypatch):
+        import bcdyn.model
+
+        calls = []
+        validate = bcdyn.model.validate_params
+
+        def counted(params):
+            calls.append(params)
+            return validate(params)
+
+        monkeypatch.setattr(bcdyn.model, "validate_params", counted)
+        spec = SweepSpec("k", build_grid(0.0, 1.0, 4), "d", build_grid(0.5, 1.5, 3))
+        run_sweep(default_scenario(), spec)
+        assert len(calls) == 12
+
+    def test_stacked_eigenvalue_calls_do_not_grow_with_the_grid(self, monkeypatch):
+        counts = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            counts[-1] += 1
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for count in (8, 32):
+            counts.append(0)
+            run_sweep(default_scenario(), SweepSpec("d", build_grid(0.5, 1.5, count)))
+        assert counts[0] == counts[1] > 0
+
+    def test_invalid_grid_point_names_the_point(self):
+        spec = SweepSpec("d", (0.5, 0.0, 1.0))
+        with pytest.raises(ScenarioError) as exc:
+            run_sweep(default_scenario(), spec)
+        assert str(exc.value) == (
+            "sweep point {'d': 0.0} invalid: invalid parameters: d must be positive"
+        )
+
+
 class TestBifurcate:
     def planted_instance(self):
         """A total-blockade instance whose tumor-free point flips exactly at
@@ -155,16 +263,17 @@ class TestBifurcate:
         import bcdyn.sweep
 
         solved = []
-        find_all = bcdyn.sweep.find_all
+        solve = bcdyn.sweep._solve
 
-        def counted(params):
-            solved.append(params.d)
-            return find_all(params)
+        def counted(bound_sets):
+            solved.extend(params.d for params, _ in bound_sets)
+            return solve(bound_sets)
 
-        monkeypatch.setattr(bcdyn.sweep, "find_all", counted)
+        monkeypatch.setattr(bcdyn.sweep, "_solve", counted)
         results = run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=64)
         assert results
         assert len(solved) == len(set(solved))
+        assert len(solved) >= 64
 
     def test_range_validation(self):
         pm, d_star, lo, hi = self.planted_instance()

@@ -3,7 +3,7 @@ control."""
 import numpy as np
 
 from bcdyn import jacobian, run_validation
-from bcdyn.validation import suite_jacobian_fd
+from bcdyn.validation import suite_catalog_completeness, suite_jacobian_fd
 
 
 class TestSuites:
@@ -27,3 +27,18 @@ class TestSuites:
 
         result = suite_jacobian_fd(0, draws=10, jac_fn=flipped)
         assert not result.passed
+
+    def test_completeness_covers_blockade_and_epsilon_zero_slices(self, monkeypatch):
+        """The k = 1 and epsilon = 0 slices each find brackets, and a lost
+        dead2 family is caught in every slice."""
+        import bcdyn.equilibria
+
+        result = suite_catalog_completeness(0, draws=10)
+        assert result.passed
+        assert "k=1: brackets=" in result.detail
+        assert "epsilon=0: brackets=" in result.detail
+
+        monkeypatch.setattr(bcdyn.equilibria, "dead_type2", lambda params: [])
+        lost = suite_catalog_completeness(0, draws=10)
+        assert not lost.passed
+        assert lost.detail.count("missed=0") == 0
