@@ -52,7 +52,7 @@ from .model import (
     _bind,
     _require_valid,
 )
-from .numerics import NewtonError, Polynomial
+from .numerics import MAX_DEGREE, NewtonError, NumericsError, Polynomial
 
 # perfbench/tracer.py counts calls by wrapping these names on this module,
 # so they stay importable here; the finders evaluate the closures of
@@ -291,42 +291,46 @@ def _snap(vals) -> SystemState:
     return SystemState(*[0.0 if -SNAP_TOL < v < 0.0 else v for v in vals])
 
 
+#: The companion matrix of each coefficient count, as ``np.roots`` lays it
+#: out, with its first row still zero.
+_COMPANIONS = {size: np.diag(np.ones(size - 2), -1) for size in range(2, MAX_DEGREE + 2)}
+
+
 def _positive_roots_each(polys) -> list[list[float]]:
-    """Positive roots of each real polynomial of ``polys`` from its
-    companion-matrix eigenvalues, laid out as ``np.roots`` lays them out.
-    The companions of one size go through one stacked LAPACK call.  A root
-    whose imaginary part is below NEAR_REAL_TOL of its modulus is the
-    rounded image of a (near-)double real root and is taken as real; the
-    polish decides whether it is an equilibrium."""
+    """Positive roots of each real polynomial of ``polys`` (sequences of
+    finite floats, degree at most MAX_DEGREE) from its companion-matrix
+    eigenvalues, laid out as ``np.roots`` lays them out.  The companions of
+    one size go through one stacked LAPACK call.  A root whose imaginary
+    part is below NEAR_REAL_TOL of its modulus is the rounded image of a
+    (near-)double real root and is taken as real; the polish decides
+    whether it is an equilibrium."""
     found: list[list[float]] = [[] for _ in polys]
-    by_size: dict[int, list[tuple[int, bool, np.ndarray]]] = {}
+    by_size: dict[int, list[tuple[int, bool, list[float]]]] = {}
     for i, coeffs in enumerate(polys):
-        # Trailing zeros are roots at T = 0, never positive.  (np.trim_zeros
-        # costs more than the slicing.)
-        coeffs = np.asarray(coeffs, dtype=float)
-        nonzero = np.flatnonzero(coeffs)
-        if nonzero.size == 0 or nonzero[-1] == nonzero[0]:
+        # Trailing zeros are roots at T = 0, never positive.
+        nonzero = [k for k, c in enumerate(coeffs) if c != 0.0]
+        if len(nonzero) < 2:
             continue
-        coeffs = coeffs[nonzero[0]:nonzero[-1] + 1]
+        coeffs = list(coeffs[nonzero[0]:nonzero[-1] + 1])
         # The companion matrix divides by the leading coefficient; when that
         # is the smaller end (epsilon near 0 makes it subnormal) it can
         # overflow, so root the reversed polynomial in 1/T instead.
         flip = abs(coeffs[0]) < abs(coeffs[-1])
         if flip:
-            coeffs = coeffs[::-1]
-        companion = np.diag(np.ones(coeffs.size - 2), -1)
-        companion[0, :] = -coeffs[1:] / coeffs[0]
-        by_size.setdefault(coeffs.size, []).append((i, flip, companion))
-    for group in by_size.values():
-        stack = np.array([companion for _, _, companion in group])
+            coeffs.reverse()
+        top = [-c / coeffs[0] for c in coeffs[1:]]
+        by_size.setdefault(len(coeffs), []).append((i, flip, top))
+    for size, group in by_size.items():
+        stack = np.array([_COMPANIONS[size]] * len(group))
+        stack[:, 0, :] = [top for _, _, top in group]
         for (i, flip, _), roots in zip(group, np.linalg.eigvals(stack)):
             if flip:
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     roots = 1.0 / roots
             found[i] = sorted(
                 {
-                    float(z.real)
-                    for z in roots
+                    z.real
+                    for z in roots.tolist()
                     if 0 < z.real < math.inf and abs(z.imag) <= NEAR_REAL_TOL * abs(z)
                 }
             )
@@ -511,7 +515,7 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
         R, S, U = _immune_quadratic(params, E)
         sets.append((params, bound, E, R, S, U))
         seeds.append([])
-        for j, (_, row) in enumerate(rows):
+        for j, (family, row) in enumerate(rows):
             if not row.t_free:
                 seeds[i].append([(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)])
                 continue
@@ -519,8 +523,11 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
             P, Q = _tumor_ratio(params, E, row.n_free)
             if not (P > 0).any():
                 continue  # P < 0 for every T > 0: no seed has I = P/Q >= 0
+            poly = (P if params.g1 == 0 else _eliminate(R, S, U, P, Q)).tolist()
+            if not all(map(math.isfinite, poly)):
+                raise NumericsError(f"{family} polynomial in T overflows")
             rooted.append((i, j, P, Q))
-            polys.append(P if params.g1 == 0 else _eliminate(R, S, U, P, Q))
+            polys.append(poly)
     for (i, j, P, Q), roots in zip(rooted, _positive_roots_each(polys)):
         params, _, _, R, S, U = sets[i]
         if params.g1 == 0:

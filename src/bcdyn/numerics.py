@@ -61,9 +61,9 @@ class Polynomial:
             raise NumericsError(f"degree {len(self.coeffs) - 1} exceeds {MAX_DEGREE}")
         if self.coeffs[0] == 0.0:
             raise NumericsError("leading coefficient must be nonzero")
-        if not all(math.isfinite(c) for c in self.coeffs):
+        if not all(map(math.isfinite, self.coeffs)):
             raise NumericsError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(float, self.coeffs)))
 
     @property
     def degree(self) -> int:
@@ -108,22 +108,41 @@ def poly_roots(p: Polynomial) -> RootSet:
     return _root_set(np.roots(p.coeffs))
 
 
+def _trace(M: np.ndarray) -> float:
+    """``np.trace(M)`` as plain float adds: its reduction adds the diagonal
+    left to right onto +0.0."""
+    total = 0.0
+    for x in M.diagonal().tolist():
+        total += x
+    return total
+
+
 def char_poly(matrix: np.ndarray) -> Polynomial:
     """Characteristic polynomial det(lambda*I - M) by the Faddeev-LeVerrier
-    recurrence; monic, degree equal to the matrix dimension."""
+    recurrence; monic, degree equal to the matrix dimension.
+
+    Each step adds ``c_k`` in place to the diagonal of ``M_k`` (a copy of
+    the matrix at first) instead of adding ``c_k*I``.  The diagonal sums
+    are the same, and an off-diagonal entry can differ only in the sign of
+    a zero, which reaches no coefficient: a signed zero changes no nonzero
+    product or sum, and the trace adds onto +0.0.  Raises
+    :class:`NumericsError` when the powers of a finite matrix overflow."""
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NumericsError(f"need a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NumericsError("non-finite matrix entry")
     n = A.shape[0]
     coeffs = [1.0]
-    Mk = np.zeros_like(A)
-    identity = np.eye(n)
-    for kk in range(1, n + 1):
-        Mk = A @ (Mk + coeffs[-1] * identity) if kk > 1 else A.copy()
-        ck = -np.trace(Mk) / kk
-        coeffs.append(float(ck))
+    Mk = A.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kk in range(1, n + 1):
+            if kk > 1:
+                Mk.flat[:: n + 1] += coeffs[-1]
+                Mk = A @ Mk
+            coeffs.append(-_trace(Mk) / kk)
+    if not all(map(math.isfinite, coeffs)):
+        raise NumericsError("characteristic polynomial overflows")
     return Polynomial(tuple(coeffs))
 
 
@@ -148,20 +167,42 @@ class HurwitzVerdict:
     verdict: str
 
 
+def _hurwitz_index(n: int) -> np.ndarray:
+    """(n, n, n) indices into ``a + [0.0, 1.0]`` (``a`` the n + 1
+    coefficients) that lay out, in slice k - 1, the k x k leading block of
+    the Hurwitz matrix H[i, j] = a[2i - j + 1] padded with the identity."""
+    zero, one = n + 1, n + 2
+
+    def entry(k: int, i: int, j: int) -> int:
+        if i < k and j < k:
+            return 2 * i - j + 1 if 0 <= 2 * i - j + 1 <= n else zero
+        return one if i == j else zero
+
+    return np.array(
+        [[[entry(k, i, j) for j in range(n)] for i in range(n)] for k in range(1, n + 1)]
+    )
+
+
+_HURWITZ_INDEX = {n: _hurwitz_index(n) for n in range(1, 6)}
+
+
 def routh_hurwitz(p: Polynomial, marginal: float = MARGINAL_MINOR) -> HurwitzVerdict:
-    """Classify root locations of ``p`` (degree 1..5) via Hurwitz minors."""
+    """Classify root locations of ``p`` (degree 1..5) via Hurwitz minors.
+
+    All n leading minors come from one stacked ``np.linalg.det`` over the
+    leading k x k blocks padded with the identity to n x n.  Partial
+    pivoting never picks a padding row, which is zero in the block's
+    columns (on a tie at zero the first candidate, a block row, wins); the
+    elimination subtracts only zero products from the padding; and its
+    unit pivots add nothing to the sign or log-magnitude that ``det``
+    combines.  So each minor has the bits of ``det(H[:k, :k])``."""
     n = p.degree
     if not 1 <= n <= 5:
         raise NumericsError(f"routh_hurwitz supports degree 1..5, got {n}")
     a = list(p.coeffs)
     if a[0] < 0:
         a = [-c for c in a]
-
-    def coeff(idx: int) -> float:
-        return a[idx] if 0 <= idx <= n else 0.0
-
-    H = np.array([[coeff(2 * i - j + 1) for j in range(n)] for i in range(n)])
-    minors = tuple(float(np.linalg.det(H[: kk + 1, : kk + 1])) for kk in range(n))
+    minors = tuple(np.linalg.det(np.array(a + [0.0, 1.0])[_HURWITZ_INDEX[n]]).tolist())
     all_positive = all(mi > 0.0 for mi in minors)
     if any(abs(mi) < marginal for mi in minors):
         verdict = "inconclusive"

@@ -52,6 +52,7 @@ from .numerics import (
     Polynomial,
     RootSet,
     _root_set,
+    _trace,
     char_poly,
     poly_roots,
     routh_hurwitz,
@@ -126,25 +127,31 @@ def _repro(eq: Equilibrium, params: ModelParams, B=None) -> ReproductionNumbers 
     return _reproduction(A, B if B is not None else _coefficients(point, params, "B"))
 
 
+#: Fancy indices that take the (N, T) and (I, M) 2x2 blocks of a Jacobian
+#: as one (2, 2, 2) stack.
+_BLOCK_ROWS = np.array([[[0], [1]], [[2], [4]]])
+_BLOCK_COLS = np.array([[[0, 1]], [[2, 4]]])
+
+
 def block_spectrum(J: np.ndarray) -> tuple[RootSet, RootSet]:
     """Eigenvalues of the (N, T) and (I, M) 2x2 blocks of a Jacobian.
 
     At any state with T = 0 the full spectrum is the union of these two
     block spectra plus {-theta} (the block-reducible structure of the
     linearization at tumor-free and dead type-1 states)."""
-    nt = J[np.ix_((0, 1), (0, 1))]
-    im = J[np.ix_((2, 4), (2, 4))]
+    nt, im = J[_BLOCK_ROWS, _BLOCK_COLS]
     return poly_roots(char_poly(nt)), poly_roots(char_poly(im))
 
 
 def _block_conditions(J: np.ndarray) -> dict[str, ConditionCheck]:
     """Derived stability conditions of the two 2x2 blocks: negative trace
-    and positive determinant of each.  Exact at T = 0."""
+    and positive determinant of each.  Exact at T = 0.
+
+    Both determinants come from one stacked ``np.linalg.det``."""
+    blocks = J[_BLOCK_ROWS, _BLOCK_COLS]
     checks = {}
-    for name, idx in (("nt", (0, 1)), ("im", (2, 4))):
-        block = J[np.ix_(idx, idx)]
-        tr = float(np.trace(block))
-        det = float(np.linalg.det(block))
+    for name, block, det in zip(("nt", "im"), blocks, np.linalg.det(blocks).tolist()):
+        tr = _trace(block)
         checks[f"derived_{name}_trace_neg"] = ConditionCheck(
             f"derived_{name}_trace_neg", tr < 0.0, tr, 0.0
         )

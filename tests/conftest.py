@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bcdyn import ModelParams, default_scenario
+from bcdyn import ModelParams, default_scenario, find_all, jacobian
 from bcdyn.validation import draw_params, draw_state
 
 
@@ -51,3 +51,16 @@ def random_params(seed: int, k: float | None = None) -> ModelParams:
 
 def random_state(seed: int):
     return draw_state(np.random.default_rng(seed))
+
+
+def corpus_jacobians(draws: int = 40) -> list[np.ndarray]:
+    """The Jacobians classify works on: one at every confirmed point of
+    seeded draws and of their v_M = 0, g1 = 0 and s = 0 slices, whose
+    boundary points give exact zeros of both signs."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(draws):
+        pm = draw_params(rng)
+        for p in (pm, pm.replace(v_M=0.0), pm.replace(g1=0.0), pm.replace(s=0.0)):
+            out += [jacobian(eq.point, p) for eq in find_all(p) if eq.confirmed]
+    return out

@@ -105,6 +105,20 @@ class TestEquilibria:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["equilibria", "stability", "sweep"])
+    def test_overflowing_polynomial_exit_3(
+        self, tmp_path, capsys, base_scenario_doc, write_scenario, command
+    ):
+        base_scenario_doc["params"]["a2"] = 1e160
+        path = write_scenario(base_scenario_doc)
+        out = tmp_path / "out"
+        extra = ["--parameter", "d", "--min", "0.5", "--max", "1.5"] if command == "sweep" else []
+        assert run([command, "--scenario", str(path), "--out", str(out), *extra]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "numeric failure: dead2 polynomial in T overflows\n"
+
+
 class TestStability:
     def test_summary_rows(self, tmp_path):
         assert run(["stability", "--out", str(tmp_path)]) == 0

@@ -17,7 +17,7 @@ from bcdyn.equilibria import (
     reduced_polynomials,
     tumor_free,
 )
-from bcdyn.numerics import Polynomial, poly_roots
+from bcdyn.numerics import NumericsError, Polynomial, poly_roots
 from bcdyn.stability import classify
 from bcdyn.validation import draw_params
 
@@ -260,6 +260,14 @@ class TestFindAll:
     def test_invalid_params_rejected(self, base_params):
         with pytest.raises(DomainError):
             find_all(base_params.replace(theta=-1.0))
+
+    def test_overflowing_polynomial_raises_numerics_error(self, base_params):
+        """Valid parameters whose eliminated polynomial overflows fail with a
+        NumericsError naming the family, not a LinAlgError and a warning."""
+        cases = [base_params.replace(a2=1e160), random_params(0).replace(d=1e200)]
+        for pm in cases:
+            with pytest.raises(NumericsError, match="^dead2 polynomial in T overflows$"):
+                find_all(pm)
 
 
 class TestReducedPolynomials:

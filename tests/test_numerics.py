@@ -1,4 +1,6 @@
 """Polynomial roots, characteristic polynomials, Routh-Hurwitz and Newton."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from bcdyn.numerics import (
     routh_hurwitz,
 )
 
+from conftest import corpus_jacobians
+
 
 def cofactor_det(A: np.ndarray) -> float:
     """Independent determinant by cofactor expansion along the first row."""
@@ -24,6 +28,72 @@ def cofactor_det(A: np.ndarray) -> float:
         minor = np.delete(np.delete(A, 0, axis=0), j, axis=1)
         total += (-1.0) ** j * float(A[0, j]) * cofactor_det(minor)
     return total
+
+
+def bits(values) -> list[str]:
+    """Exact float images, -0.0 told apart from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def char_poly_reference(A: np.ndarray) -> list[float]:
+    """The Faddeev-LeVerrier recurrence with an explicit identity:
+    M_k = A (M_{k-1} + c_{k-1} I), c_k = -trace(M_k)/k."""
+    n = A.shape[0]
+    coeffs = [1.0]
+    Mk = np.zeros_like(A)
+    identity = np.eye(n)
+    for kk in range(1, n + 1):
+        Mk = A @ (Mk + coeffs[-1] * identity) if kk > 1 else A.copy()
+        coeffs.append(float(-np.trace(Mk) / kk))
+    return coeffs
+
+
+def hurwitz_minors_reference(coeffs) -> list[float]:
+    """Each leading minor of the Hurwitz matrix from its own det call."""
+    a = [-c for c in coeffs] if coeffs[0] < 0 else list(coeffs)
+    n = len(a) - 1
+    H = np.array(
+        [[a[2 * i - j + 1] if 0 <= 2 * i - j + 1 <= n else 0.0 for j in range(n)]
+         for i in range(n)]
+    )
+    return [float(np.linalg.det(H[:k, :k])) for k in range(1, n + 1)]
+
+
+@pytest.fixture(scope="module")
+def jacobians():
+    return corpus_jacobians()
+
+
+def seeded_polynomials(count: int = 400) -> list[Polynomial]:
+    """Degree 1..5, coefficients over 12 decades, some exactly zero."""
+    rng = np.random.default_rng(11)
+    polys = []
+    while len(polys) < count:
+        degree = int(rng.integers(1, 6))
+        coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-6, 6, degree + 1)
+        coeffs[1:][rng.random(degree) < 0.15] = 0.0
+        polys.append(Polynomial(tuple(coeffs)))
+    return polys
+
+
+class TestBitIdentity:
+    """routh_hurwitz and char_poly give the bits of the per-minor det calls
+    and the explicit-identity recurrence they replace, on the matrices
+    classify sees and on seeded polynomials."""
+
+    def test_hurwitz_minors_match_per_minor_det(self, jacobians):
+        polys = [char_poly(J) for J in jacobians] + seeded_polynomials()
+        for p in polys:
+            assert bits(routh_hurwitz(p).minors) == bits(hurwitz_minors_reference(p.coeffs))
+
+    def test_char_poly_matches_recurrence(self, jacobians, rng):
+        signed_zeros = np.array(
+            [[-0.0, 1.0, -0.0], [2.0, -0.0, 0.0], [-0.0, -3.0, -0.0]]
+        )
+        matrices = [signed_zeros, np.diag([-0.0] * 4)] + jacobians
+        matrices += [rng.uniform(-1.0, 1.0, size=(n, n)) for n in range(1, 6)]
+        for A in matrices:
+            assert bits(char_poly(A).coeffs) == bits(char_poly_reference(A))
 
 
 class TestPolynomial:
@@ -95,6 +165,12 @@ class TestCharPoly:
         with pytest.raises(NumericsError):
             char_poly(np.zeros((2, 3)))
 
+    def test_overflow_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="^characteristic polynomial overflows$"):
+                char_poly(np.diag([1.0, 1.0, 1.0, -1e200, 1.0]))
+
 
 class TestEigenvalues:
     def test_upper_triangular(self, rng):
@@ -157,6 +233,19 @@ class TestRouthHurwitz:
     def test_rejects_degree_over_5(self):
         with pytest.raises(NumericsError):
             routh_hurwitz(Polynomial((1.0,) * 7))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_one_det_call(self, monkeypatch, degree):
+        calls = []
+        det = np.linalg.det
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        routh_hurwitz(Polynomial(tuple(range(1, degree + 2))))
+        assert calls == [(degree, degree, degree)]
 
 
 class TestNewton:

@@ -11,6 +11,7 @@ from bcdyn.equilibria import dead_type1, find_all, tumor_free
 from bcdyn.integrator import IntegrationConfig, integrate
 from bcdyn.numerics import char_poly
 from bcdyn.stability import (
+    _block_conditions,
     block_spectrum,
     report_to_json,
     summary_csv_header,
@@ -19,7 +20,7 @@ from bcdyn.stability import (
 )
 from bcdyn.validation import draw_params
 
-from conftest import random_params
+from conftest import corpus_jacobians, random_params
 
 
 def classified(seed_range):
@@ -124,6 +125,28 @@ class TestVerdicts:
         assert wrong.hurwitz.verdict == "unstable"
         assert wrong.agreement["eigen_hurwitz"] is False
 
+    def test_one_eigvals_and_at_most_two_det_calls(self, monkeypatch):
+        counts = {"eigvals": 0, "det": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(a, name=name, original=original):
+                counts[name] += 1
+                return original(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        families = set()
+        for seed in range(16):
+            pm = random_params(seed, k=1.0 if seed % 4 == 3 else None)
+            for eq in find_all(pm):
+                if eq.confirmed:
+                    counts.update(eigvals=0, det=0)
+                    classify(eq, pm)
+                    assert counts["eigvals"] == 1
+                    assert counts["det"] == (2 if eq.point.T == 0.0 else 1)
+                    families.add(eq.family)
+        assert families == {"tumor_free", "dead1", "dead2", "coexisting"}
+
     def test_refuses_unconfirmed_point(self, base_params):
         cands = tumor_free(base_params)
         bad = [eq for eq in cands if not eq.confirmed]
@@ -178,6 +201,19 @@ class TestTheoremChecks:
                 )
             )
             assert block_stable == (rep.verdict == "stable")
+
+    def test_block_conditions_match_per_block_calls(self):
+        """The stacked det and the float traces give the bits of one
+        np.linalg.det and one np.trace per block, exact zeros included."""
+        signed_zeros = np.diag([-0.0, -0.0, 0.0, 1.0, -0.0])
+        for J in [signed_zeros] + corpus_jacobians():
+            checks = _block_conditions(J)
+            for name, idx in (("nt", (0, 1)), ("im", (2, 4))):
+                block = J[np.ix_(idx, idx)]
+                det = checks[f"derived_{name}_det_pos"].lhs
+                tr = checks[f"derived_{name}_trace_neg"].lhs
+                assert det.hex() == float(np.linalg.det(block)).hex()
+                assert tr.hex() == float(np.trace(block)).hex()
 
 
 class TestEmpirical:

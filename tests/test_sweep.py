@@ -14,6 +14,7 @@ from bcdyn import (
     run_bifurcate,
     run_sweep,
 )
+from bcdyn.numerics import NumericsError
 from bcdyn.scenario import Scenario, ScenarioError
 from bcdyn.sweep import sweep_to_csv
 
@@ -194,6 +195,11 @@ class TestBatchedSweep:
             counts.append(0)
             run_sweep(default_scenario(), SweepSpec("d", build_grid(0.5, 1.5, count)))
         assert counts[0] == counts[1] > 0
+
+    def test_overflowing_polynomial_raises_numerics_error(self):
+        spec = SweepSpec("d", (1.0, 1e200))
+        with pytest.raises(NumericsError, match="^dead2 polynomial in T overflows$"):
+            run_sweep(default_scenario(), spec)
 
     def test_invalid_grid_point_names_the_point(self):
         spec = SweepSpec("d", (0.5, 0.0, 1.0))
