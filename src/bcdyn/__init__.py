@@ -11,10 +11,8 @@ transitions.
 """
 from .equilibria import (
     Equilibrium,
-    ReducedPolynomials,
     estrogen_level,
     find_all,
-    reduced_polynomials,
     tumor_free,
 )
 from .integrator import (
@@ -46,13 +44,12 @@ from .numerics import (
     Polynomial,
     RootSet,
     char_poly,
-    eigenvalues,
     newton_solve,
     poly_roots,
     routh_hurwitz,
 )
 from .scenario import Scenario, ScenarioError, default_scenario, load_scenario, parse_scenario
-from .stability import StabilityReport, block_spectrum, classify, empirical_check
+from .stability import StabilityReport, block_spectrum, classify
 from .sweep import BifurcationResult, SweepSpec, build_grid, run_bifurcate, run_sweep
 from .validation import run_validation
 
@@ -79,7 +76,6 @@ __all__ = [
     "NewtonError",
     "poly_roots",
     "char_poly",
-    "eigenvalues",
     "routh_hurwitz",
     "newton_solve",
     "IntegrationConfig",
@@ -89,15 +85,12 @@ __all__ = [
     "integrate",
     "settle",
     "Equilibrium",
-    "ReducedPolynomials",
     "estrogen_level",
     "tumor_free",
     "find_all",
-    "reduced_polynomials",
     "StabilityReport",
     "classify",
     "block_spectrum",
-    "empirical_check",
     "Scenario",
     "ScenarioError",
     "load_scenario",

@@ -23,9 +23,9 @@ stacked LAPACK call, and one set is a batch of one.
 Newton polishes the free components with E pinned, and one test admits a
 point: free N > 0, free T > 0, I > 0 (or I = 0 when s = 0) and M > 0 (or
 M = 0 when v_M = 0).  E is not tested, so k = 1 and p = 0, where E* = 0,
-keep their interior points.  Of the paper's printed polynomials only the
-dead1 quadratic is kept, for the mismatch report of
-:func:`reduced_polynomials`.
+keep their interior points.  None of the paper's printed polynomials is
+transcribed: the printed dead1 quadratic omits j_M, and the derived one
+(the immune quadratic at T = 0) is the one solved.
 
 A note on the tumor-free family: with T = 0 the tumor equation still
 carries the transformation feed l1*N*E*(1-k), so the classical tumor-free
@@ -50,9 +50,8 @@ from .model import (
     ModelParams,
     SystemState,
     _bind,
-    _require_valid,
 )
-from .numerics import MAX_DEGREE, NewtonError, NumericsError, Polynomial
+from .numerics import MAX_DEGREE, NewtonError, NumericsError
 
 # perfbench/tracer.py counts calls by wrapping these names on this module,
 # so they stay importable here; the finders evaluate the closures of
@@ -65,7 +64,6 @@ __all__ = [
     "FAMILIES",
     "CONFIRM_TOL",
     "Equilibrium",
-    "ReducedPolynomials",
     "estrogen_level",
     "immune_clearance_rate",
     "drug_level",
@@ -74,7 +72,6 @@ __all__ = [
     "dead_type2",
     "coexisting",
     "find_all",
-    "reduced_polynomials",
     "catalog_to_json",
     "catalog_to_csv",
 ]
@@ -109,21 +106,6 @@ class Equilibrium:
     @property
     def confirmed(self) -> bool:
         return self.residual < CONFIRM_TOL
-
-
-@dataclass(frozen=True)
-class ReducedPolynomials:
-    """Reduced steady-state polynomials: the derived dead1 quadratic in I,
-    its printed variant, the derived dead2 quartic and coexisting octic in T
-    (None when g1 = 0, where the tumor equation cannot be solved for I), and
-    the per-coefficient mismatch between the derived and printed dead1
-    forms (both normalized to unit max-abs coefficient before comparison)."""
-
-    dead1_quadratic: Polynomial
-    dead1_quadratic_paper: Polynomial
-    dead2_quartic: Polynomial | None
-    coexist_octic: Polynomial | None
-    mismatch_report: dict[str, object]
 
 
 def estrogen_level(params: ModelParams) -> float:
@@ -187,62 +169,6 @@ def _eliminate(R, S, U, P, Q) -> np.ndarray:
     return np.polyadd(
         np.polyadd(np.convolve(R, np.convolve(P, P)), np.convolve(S, np.convolve(P, Q))),
         np.convolve(U, np.convolve(Q, Q)),
-    )
-
-
-def _dead1_quadratic_printed(params: ModelParams) -> tuple[float, float, float]:
-    """The printed dead1 quadratic, transcribed as printed (it omits j_M
-    entirely; kept for the mismatch report)."""
-    E = estrogen_level(params)
-    A = immune_clearance_rate(params, E)
-    c2 = A * params.chi + params.p_M * params.v_M
-    c1 = -(A * params.n_M - params.p_M * params.v_M * params.xi + params.s * params.chi)
-    c0 = params.s * params.n_M
-    return (c2, c1, c0)
-
-
-def reduced_polynomials(params: ModelParams) -> ReducedPolynomials:
-    """Assemble the reduced polynomials and the derived-vs-printed dead1
-    mismatch report."""
-    _require_valid(params)
-    E = estrogen_level(params)
-    R, S, U = _immune_quadratic(params, E)
-    derived = tuple(c[-1] / params.o for c in (R, S, U))
-    printed = _dead1_quadratic_printed(params)
-
-    def normalized(coeffs):
-        scale = max(abs(c) for c in coeffs)
-        return [c / scale for c in coeffs] if scale > 0 else list(coeffs)
-
-    nd, npr = normalized(derived), normalized(printed)
-    deviations = {
-        f"I^{2 - i}": abs(a - b) / max(1.0, abs(a)) for i, (a, b) in enumerate(zip(nd, npr))
-    }
-    report = {
-        "coefficient_deviations": deviations,
-        "printed_form_confirmed": all(v < 1e-12 for v in deviations.values()),
-        "notes": [
-            "derived quadratic from M(I) substituted into the steady immune equation governs",
-            "printed form omits j_M and is kept for reference only",
-            "xi_i / xi_1 subscripts in the printed dead1 and type-1 stability formulas are read as the single parameter xi",
-        ],
-    }
-
-    def as_poly(coeffs):
-        if coeffs[0] == 0.0:
-            coeffs = (1e-300, *coeffs[1:])  # keep a degenerate quadratic representable
-        return Polynomial(coeffs)
-
-    def derived_in_T(coeffs):
-        coeffs = np.trim_zeros(coeffs, "f")
-        return Polynomial(tuple(coeffs)) if params.g1 > 0 and coeffs.size else None
-
-    return ReducedPolynomials(
-        dead1_quadratic=as_poly(derived),
-        dead1_quadratic_paper=as_poly(printed),
-        dead2_quartic=derived_in_T(_eliminate(R, S, U, *_tumor_ratio(params, E, False))),
-        coexist_octic=derived_in_T(_eliminate(R, S, U, *_tumor_ratio(params, E, True))),
-        mismatch_report=report,
     )
 
 
@@ -337,12 +263,13 @@ def _positive_roots_each(polys) -> list[list[float]]:
     return found
 
 
-def _horner(coeffs, T: float) -> float:
-    """Descending polynomial ``coeffs`` at T, in np.polyval's order."""
+def _horner(coeffs: list[float], T: float) -> float:
+    """Descending polynomial ``coeffs`` at T, in np.polyval's order, on
+    plain floats: an overflow gives inf, not a numpy warning."""
     acc = 0.0
     for c in coeffs:
         acc = acc * T + c
-    return float(acc)
+    return acc
 
 
 def _immune_roots(params: ModelParams, R, S, U, T: float) -> list[float]:
@@ -526,7 +453,7 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
             poly = (P if params.g1 == 0 else _eliminate(R, S, U, P, Q)).tolist()
             if not all(map(math.isfinite, poly)):
                 raise NumericsError(f"{family} polynomial in T overflows")
-            rooted.append((i, j, P, Q))
+            rooted.append((i, j, P.tolist(), Q.tolist()))
             polys.append(poly)
     for (i, j, P, Q), roots in zip(rooted, _positive_roots_each(polys)):
         params, _, _, R, S, U = sets[i]

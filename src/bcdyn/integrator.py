@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .model import (
@@ -126,15 +124,10 @@ class Trajectory:
     def final_state(self) -> SystemState:
         return self.state_at(len(self.times) - 1)
 
-    def iter_states(self) -> Iterable[SystemState]:
-        for row in self.states:
-            yield SystemState.from_sequence(row)
-
 
 # Dormand-Prince 5(4) tableau.  The first solution row is 5th order and is
 # propagated (FSAL: its last stage is the first stage of the next step);
 # the E row is the difference to the embedded 4th order solution.
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 _A21 = 1.0 / 5.0
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
 _A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0

@@ -352,14 +352,11 @@ class CoefficientSet:
     evaluated at a state.
 
     The A family is meant for tumor-free states (T = 0), B for states with
-    N = T = 0 and C for states with N = 0; evaluating elsewhere is allowed
-    but flagged through ``family_warning``.
+    N = T = 0 and C for states with N = 0; evaluating elsewhere is allowed.
     """
 
     tag: str
     values: tuple[float, ...]
-    evaluated_at: SystemState
-    family_warning: str | None = None
 
     def __post_init__(self) -> None:
         if self.tag not in _COEFF_LENGTHS:
@@ -404,7 +401,6 @@ def _coefficients(state: SystemState, params: ModelParams, tag: str) -> Coeffici
         raise DomainError("singular denominator o in A4/B3")
     omk = 1.0 - pm.k
 
-    warning = None
     try:
         # Shared building blocks between the three families.
         estro_suppression = pm.l3 * E * omk / den_g
@@ -414,8 +410,6 @@ def _coefficients(state: SystemState, params: ModelParams, tag: str) -> Coeffici
         drug_decay = -pm.n_M + pm.chi * I / den_xi
 
         if tag == "A":
-            if abs(T) > 1e-9:
-                warning = "A coefficients evaluated away from a tumor-free state (T != 0)"
             values = (
                 pm.a1 - 2.0 * pm.b1 * N - pm.l1 * E * omk,         # A0
                 pm.l1 * E * omk,                                    # A1
@@ -430,8 +424,6 @@ def _coefficients(state: SystemState, params: ModelParams, tag: str) -> Coeffici
                 drug_decay,                                         # A10
             )
         elif tag == "B":
-            if abs(T) > 1e-9 or abs(N) > 1e-9:
-                warning = "B coefficients evaluated away from a dead type-1 state (N = T = 0)"
             values = (
                 pm.a1 - pm.l1 * E * omk,                            # B0
                 pm.l1 * E * omk,                                    # B1
@@ -444,8 +436,6 @@ def _coefficients(state: SystemState, params: ModelParams, tag: str) -> Coeffici
                 drug_decay,                                         # B8
             )
         else:
-            if abs(N) > 1e-9:
-                warning = "C coefficients evaluated away from a dead type-2 state (N != 0)"
             values = (
                 pm.a1 - pm.d1 * T / den_sat - pm.l1 * E,            # C0
                 pm.l1 * E * omk,                                    # C1
@@ -463,7 +453,7 @@ def _coefficients(state: SystemState, params: ModelParams, tag: str) -> Coeffici
         raise DomainError(
             f"{tag} coefficients overflow at state {state.as_tuple()}"
         ) from exc
-    return CoefficientSet(tag=tag, values=values, evaluated_at=state, family_warning=warning)
+    return CoefficientSet(tag=tag, values=values)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ __all__ = [
     "HurwitzVerdict",
     "poly_roots",
     "char_poly",
-    "eigenvalues",
     "routh_hurwitz",
     "newton_solve",
     "MARGINAL_RE",
@@ -144,13 +143,6 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
     if not all(map(math.isfinite, coeffs)):
         raise NumericsError("characteristic polynomial overflows")
     return Polynomial(tuple(coeffs))
-
-
-def eigenvalues(matrix: np.ndarray) -> RootSet:
-    """Eigenvalues of a small dense matrix straight from LAPACK
-    (``np.linalg.eigvals``).  Real eigenvalues have imaginary part exactly
-    0.0."""
-    return _root_set(np.linalg.eigvals(np.asarray(matrix, dtype=float)))
 
 
 @dataclass(frozen=True)

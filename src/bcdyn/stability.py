@@ -18,8 +18,9 @@ row per family.  Given the point, its Jacobian and Hurwitz verdict, each
 returns the reproduction numbers its conditions read, the conditions by
 name and the paper's sufficient-condition claim: R0 and R1 for tumor-free,
 R_IM and the B-signs for dead1, the C-cubic for dead2 (necessary only, so
-no claim) and the Hurwitz minors for coexisting.  :func:`classify` and
-:func:`theorem_conditions` both read the table.
+no claim) and the Hurwitz minors for coexisting.  :func:`classify` reads
+the table; its ``theorem_checks`` are the only place the conditions are
+evaluated.
 
 The printed tumor-free conditions carry known sign slips relative to the
 derived Jacobian blocks, so in addition to the verbatim R0/R1 predicates
@@ -35,12 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import Equilibrium, _json_num
-from .integrator import default_horizon, settle
 from .model import (
     DomainError,
     ModelParams,
     ReproductionNumbers,
-    SystemState,
     _at_dead1_state,
     _coefficients,
     _reproduction,
@@ -62,8 +61,6 @@ __all__ = [
     "ConditionCheck",
     "StabilityReport",
     "classify",
-    "theorem_conditions",
-    "empirical_check",
     "block_spectrum",
     "report_to_json",
     "summary_csv_header",
@@ -235,13 +232,6 @@ _RULES = {
 }
 
 
-def theorem_conditions(eq: Equilibrium, params: ModelParams) -> dict[str, ConditionCheck]:
-    """Family-specific printed stability conditions with their evaluated
-    left/right-hand values."""
-    J = jacobian(eq.point, params)
-    return _RULES[eq.family](eq, params, J, routh_hurwitz(char_poly(J)))[1]
-
-
 def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     """Classify local stability of ``eq`` by eigenvalues, Routh-Hurwitz and
     the family-specific printed conditions."""
@@ -280,39 +270,6 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
         theorem_checks=checks,
         agreement=agreement,
     )
-
-
-def empirical_check(
-    report: StabilityReport,
-    params: ModelParams,
-    seed: int = 0,
-    n_directions: int = 10,
-    rel_perturbation: float = 1e-3,
-    return_tol: float = 1e-4,
-    horizon: float | None = None,
-) -> bool:
-    """Confirm a stable verdict by simulation: perturb the equilibrium in
-    seeded random directions (projected to the nonnegative orthant) and
-    check that every run settles back within ``return_tol`` relative."""
-    if report.verdict != "stable":
-        raise DomainError(f"empirical_check requires a stable verdict, got {report.verdict}")
-    point = report.equilibrium.point.as_array()
-    scale = 1.0 + float(np.max(np.abs(point)))
-    if horizon is None:
-        horizon = min(default_horizon(params), 40.0 / max(-report.max_real, 1e-3))
-    window = horizon / 10.0
-    rng = np.random.default_rng(seed)
-    for _ in range(n_directions):
-        direction = rng.standard_normal(5)
-        direction /= float(np.max(np.abs(direction)))
-        x0 = np.maximum(point + rel_perturbation * scale * direction, 0.0)
-        settled, limit = settle(
-            SystemState.from_sequence(x0), params, horizon, window, eps=return_tol / 10.0
-        )
-        gap = float(np.max(np.abs(limit.as_array() - point))) / scale
-        if not settled or gap > return_tol:
-            return False
-    return True
 
 
 def report_to_json(report: StabilityReport) -> str:

@@ -1,23 +1,22 @@
 """Equilibrium finders: closed forms, polynomials, residuals and flags."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bcdyn import DomainError, SystemState, residual_norm
+from bcdyn import DomainError, residual_norm
 from bcdyn.equilibria import (
     CONFIRM_TOL,
     coexisting,
     dead_type1,
     dead_type2,
-    drug_level,
     estrogen_level,
     find_all,
     immune_clearance_rate,
-    reduced_polynomials,
     tumor_free,
 )
-from bcdyn.numerics import NumericsError, Polynomial, poly_roots
+from bcdyn.numerics import NumericsError
 from bcdyn.stability import classify
 from bcdyn.validation import draw_params
 
@@ -84,18 +83,6 @@ class TestClosedForms:
 
 
 class TestDead1:
-    def test_quadratic_vieta(self):
-        for seed in range(30):
-            pm = random_params(seed)
-            c2, c1, c0 = reduced_polynomials(pm).dead1_quadratic.coeffs
-            if abs(c2) < 1e-12:
-                continue
-            roots = poly_roots(Polynomial((c2, c1, c0))).roots
-            rsum = sum(z.real for z in roots)
-            rprod = (roots[0] * roots[1]).real
-            assert rsum == pytest.approx(-c1 / c2, rel=1e-8, abs=1e-10)
-            assert rprod == pytest.approx(c0 / c2, rel=1e-8, abs=1e-10)
-
     def test_exact_boundary_components(self):
         for seed in range(30):
             pm = random_params(seed)
@@ -206,6 +193,24 @@ class TestEliminationRegressions:
                     families.add(eq.family)
         assert families >= {"dead1", "dead2", "coexisting"}
 
+    def test_planted_roots_direct_and_flipped(self):
+        """Only the positive roots of polynomials with planted positive,
+        negative and complex-pair roots come back, sorted, whether the
+        companion is built directly (|leading| >= |trailing|) or for the
+        reversed polynomial in 1/T (|leading| < |trailing|), and whatever
+        the sizes rooted together in one call."""
+        from bcdyn.equilibria import _positive_roots_each
+
+        small = [0.25, 0.5, -0.3, complex(0.2, 0.4), complex(0.2, -0.4)]
+        large = [3.0, 7.0, -5.0, complex(2.0, 4.0), complex(2.0, -4.0)]
+        cubic = [0.5, 1.5, -2.0]
+        polys = [np.poly(roots).real.tolist() for roots in (small, large, cubic)]
+        assert abs(polys[0][0]) >= abs(polys[0][-1])
+        assert abs(polys[1][0]) < abs(polys[1][-1])
+        got = _positive_roots_each(polys)
+        for found, want in zip(got, ([0.25, 0.5], [3.0, 7.0], [0.5, 1.5])):
+            assert found == pytest.approx(want, rel=1e-10)
+
     def test_near_double_root_taken_as_real(self):
         from bcdyn.equilibria import _positive_roots_each
 
@@ -270,63 +275,25 @@ class TestFindAll:
                 find_all(pm)
 
 
-class TestReducedPolynomials:
-    @pytest.mark.parametrize(
-        "change", [{"theta": 0.0}, {"theta": -1.0}, {"k": 2.0}, {"o": 0.0}]
-    )
-    def test_invalid_params_rejected(self, base_params, change):
-        with pytest.raises(DomainError, match="invalid parameters"):
-            reduced_polynomials(base_params.replace(**change))
-
-    def test_mismatch_report_always_emitted(self, base_params):
-        rp = reduced_polynomials(base_params)
-        report = rp.mismatch_report
-        assert set(report["coefficient_deviations"]) == {"I^2", "I^1", "I^0"}
-        assert isinstance(report["printed_form_confirmed"], bool)
-        assert report["notes"]
-
-    def test_printed_form_differs_generically(self, base_params):
-        rp = reduced_polynomials(base_params)
-        assert not rp.mismatch_report["printed_form_confirmed"]
-
-    def test_derived_quadratic_roots_are_steady(self, base_params):
-        """Positive roots of the derived quadratic zero the immune equation
-        once M is eliminated: the defining property of the reduction."""
-        from bcdyn.model import rhs
-
-        rp = reduced_polynomials(base_params)
-        e0 = estrogen_level(base_params)
-        for z in poly_roots(rp.dead1_quadratic).roots:
-            if abs(z.imag) > 1e-9 or z.real <= 0:
-                continue
-            I = z.real
-            M = drug_level(base_params, I)
-            assert M is not None
-            out = rhs(SystemState(0.0, 0.0, I, e0, M), base_params)
-            assert abs(out[2]) < 1e-9
-            assert abs(out[4]) < 1e-9
-
-    def test_derived_polynomials_vanish_at_the_catalog(self):
-        """Every confirmed dead2 point is a root of the derived quartic and
-        every confirmed coexisting point a root of the derived octic."""
-        checked = 0
-        for seed in range(40):
-            pm = random_params(seed)
-            rp = reduced_polynomials(pm)
-            assert rp.dead2_quartic.degree <= 4
-            assert rp.coexist_octic.degree <= 8
-            polys = {"dead2": rp.dead2_quartic, "coexisting": rp.coexist_octic}
-            for eq in find_all(pm):
-                if eq.confirmed and eq.family in polys:
-                    p = polys[eq.family]
-                    scale = sum(abs(c) * eq.point.T ** (p.degree - i) for i, c in enumerate(p.coeffs))
-                    assert abs(p(eq.point.T)) < 1e-9 * scale
-                    checked += 1
-        assert checked > 0
-
-    def test_no_derived_T_polynomials_without_immune_kill(self, base_params):
-        rp = reduced_polynomials(base_params.replace(g1=0.0))
-        assert rp.dead2_quartic is None and rp.coexist_octic is None
+class TestExtremeValues:
+    @pytest.mark.parametrize("name, classified", [("xi", False), ("r", True)])
+    def test_huge_rate_returns_a_catalog(self, base_params, name, classified):
+        """At xi or r = 1e300 the tumor ratio P/Q overflows at a root T; it
+        is evaluated on plain floats, so find_all returns a catalog instead
+        of ending in a numpy overflow warning.  classify then either
+        returns or names the overflowing Jacobian."""
+        pm = base_params.replace(**{name: 1e300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            catalog = find_all(pm)
+            confirmed = [eq for eq in catalog if eq.confirmed]
+            assert confirmed
+            for eq in confirmed:
+                if classified:
+                    classify(eq, pm)
+                else:
+                    with pytest.raises(DomainError, match="^Jacobian overflows"):
+                        classify(eq, pm)
 
 
 class TestDegenerateSlices:

@@ -174,12 +174,6 @@ class TestCoefficients:
             assert A[6] == pytest.approx(J[4, 2], rel=1e-12, abs=1e-15)
             assert A[10] == pytest.approx(J[4, 4], rel=1e-12, abs=1e-15)
 
-    def test_family_warning_off_slice(self, base_params):
-        st = SystemState(1.0, 0.5, 0.7, 0.3, 0.4)
-        assert coefficients(st, base_params, "A").family_warning is not None
-        on_slice = SystemState(1.0, 0.0, 0.7, 0.3, 0.4)
-        assert coefficients(on_slice, base_params, "A").family_warning is None
-
     def test_unknown_tag(self, base_params):
         with pytest.raises(DomainError):
             coefficients(SystemState(1, 0, 1, 1, 1), base_params, "D")

@@ -9,7 +9,6 @@ from bcdyn.numerics import (
     NumericsError,
     Polynomial,
     char_poly,
-    eigenvalues,
     newton_solve,
     poly_roots,
     routh_hurwitz,
@@ -170,34 +169,6 @@ class TestCharPoly:
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match="^characteristic polynomial overflows$"):
                 char_poly(np.diag([1.0, 1.0, 1.0, -1e200, 1.0]))
-
-
-class TestEigenvalues:
-    def test_upper_triangular(self, rng):
-        A = np.triu(rng.uniform(-1.0, 1.0, size=(5, 5)))
-        diag = sorted(np.diag(A))
-        got = sorted(z.real for z in eigenvalues(A).roots)
-        assert np.max(np.abs(np.array(got) - np.array(diag))) < 1e-9
-
-    def test_known_diagonal(self):
-        got = sorted(z.real for z in eigenvalues(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])).roots)
-        assert got == pytest.approx([1, 2, 3, 4, 5], abs=1e-10)
-
-    def test_companion_matrix(self, rng):
-        """The companion matrix of a polynomial with planted roots has
-        exactly those roots as eigenvalues."""
-        x, y = rng.uniform(-1.0, 1.0, size=2)
-        planted = [complex(r) for r in np.arange(-1.0, 2.0) + rng.uniform(-0.3, 0.3, size=3)]
-        planted += [complex(x, 0.5 + abs(y)), complex(x, -0.5 - abs(y))]
-        coeffs = np.poly(planted).real
-        comp = np.zeros((5, 5))
-        comp[0, :] = -coeffs[1:]
-        comp[1:, :-1] = np.eye(4)
-        want = list(planted)
-        for z in eigenvalues(comp).roots:
-            nearest = min(want, key=lambda w: abs(w - z))
-            assert abs(nearest - z) < 1e-8
-            want.remove(nearest)
 
 
 class TestRouthHurwitz:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bcdyn.stability
-from bcdyn import DomainError, SystemState, classify, empirical_check, jacobian
+from bcdyn import DomainError, SystemState, classify
 from bcdyn.equilibria import dead_type1, find_all, tumor_free
 from bcdyn.integrator import IntegrationConfig, integrate
 from bcdyn.numerics import char_poly
@@ -16,7 +16,6 @@ from bcdyn.stability import (
     report_to_json,
     summary_csv_header,
     summary_csv_row,
-    theorem_conditions,
 )
 from bcdyn.validation import draw_params
 
@@ -160,7 +159,7 @@ class TestTheoremChecks:
         pm = base_params.replace(chi=0.0, p_M=0.05)
         d1 = dead_type1(pm)
         assert d1
-        checks = theorem_conditions(d1[0], pm)
+        checks = classify(d1[0], pm).theorem_checks
         assert checks["R_IM_lt_1"].holds
         assert checks["R_IM_lt_1"].lhs == 0.0
 
@@ -168,25 +167,10 @@ class TestTheoremChecks:
         for seed in range(30):
             pm = random_params(seed)
             for eq in dead_type1(pm):
-                checks = theorem_conditions(eq, pm)
+                checks = classify(eq, pm).theorem_checks
                 e0 = eq.point.E
                 expect = pm.a1 - pm.l1 * e0 * (1.0 - pm.k) < 0.0
                 assert checks["B0_neg"].holds == expect
-
-    def test_theorem_conditions_match_classify(self):
-        rng = np.random.default_rng(11)
-        draws = [draw_params(rng) for _ in range(40)]
-        draws += [draw_params(rng, k=1.0) for _ in range(20)]
-        families = set()
-        for pm in draws:
-            for eq in find_all(pm):
-                if eq.confirmed:
-                    families.add(eq.family)
-                    # repr, not ==: undefined reproduction numbers are NaN
-                    assert repr(theorem_conditions(eq, pm)) == repr(
-                        classify(eq, pm).theorem_checks
-                    )
-        assert families == {"tumor_free", "dead1", "dead2", "coexisting"}
 
     def test_derived_block_conditions_match_spectrum(self):
         for pm, eq, rep in classified(range(30)):
@@ -222,18 +206,6 @@ class TestEmpirical:
             if rep.verdict == "stable":
                 return pm, rep
         pytest.fail("no stable equilibrium in the seed range")
-
-    def test_confirms_stable(self):
-        pm, rep = self._stable_report()
-        assert empirical_check(rep, pm, n_directions=3)
-
-    def test_rejects_unstable_verdict(self):
-        for pm, eq, rep in classified(range(80)):
-            if rep.verdict == "unstable":
-                with pytest.raises(DomainError):
-                    empirical_check(rep, pm)
-                return
-        pytest.fail("no unstable equilibrium in the seed range")
 
     def test_estrogen_direction_returns_at_rate_theta(self):
         pm, rep = self._stable_report()
