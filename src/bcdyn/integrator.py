@@ -26,7 +26,20 @@ against a fine RK4 reference.  As h halves from 0.1 to 0.00625, the
 dense-output error ratio tends to 32 for DOPRI5 (local error h^5) and 16
 for RODAS (h^4); ``tests/test_integrator.py`` repeats the check.  The
 step sequence, and so the final state and the step counts, do not
-depend on the number of samples.
+depend on the number of samples.  A step that is rejected at the minimum
+size, 1e-14 of the span, raises ``StepUnderflowError``: its retry would
+be the same computation.  So does a step whose scaled error is too large
+to square, once the rejections have shrunk it to that size.
+
+Per-step cost: the step kernels, their dense outputs and the error norm
+are straight-line code over the five components, on plain floats; a
+``zip`` or generator over a 5-tuple costs more than the arithmetic it
+carries.  A Dormand-Prince step is then six field evaluations plus about
+as much time again in arithmetic, and a RODAS step adds one Jacobian, one
+5x5 LU and six triangular solves.  Each stage sum adds its terms left to
+right in the order of the tableau's row, and the trajectories are pinned
+bit for bit: ``tests/test_integrator.py`` holds the sha256 of 17 of them,
+so a change that reorders any sum shows there.
 
 Positivity follows Shampine, Thompson, Kierzenka & Byrne (2005): a step
 whose continuous extension dips below the negativity floor anywhere in
@@ -43,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite, sqrt
 import numpy as np
 
 from .model import (
@@ -215,49 +229,67 @@ def _dopri_step(f, y, k1, h):
     """
     y1, y2, y3, y4, y5 = y
     k11, k12, k13, k14, k15 = k1
-    s2 = (
-        y1 + h * _A21 * k11, y2 + h * _A21 * k12,
-        y3 + h * _A21 * k13, y4 + h * _A21 * k14,
-        y5 + h * _A21 * k15,
+    k21, k22, k23, k24, k25 = f(
+        y1 + h * _A21 * k11, y2 + h * _A21 * k12, y3 + h * _A21 * k13,
+        y4 + h * _A21 * k14, y5 + h * _A21 * k15,
     )
-    k2 = f(*s2)
-    s3 = tuple(
-        yi + h * (_A31 * a + _A32 * b)
-        for yi, a, b in zip(y, k1, k2)
+    k3 = k31, k32, k33, k34, k35 = f(
+        y1 + h * (_A31 * k11 + _A32 * k21),
+        y2 + h * (_A31 * k12 + _A32 * k22),
+        y3 + h * (_A31 * k13 + _A32 * k23),
+        y4 + h * (_A31 * k14 + _A32 * k24),
+        y5 + h * (_A31 * k15 + _A32 * k25),
     )
-    k3 = f(*s3)
-    s4 = tuple(
-        yi + h * (_A41 * a + _A42 * b + _A43 * c)
-        for yi, a, b, c in zip(y, k1, k2, k3)
+    k4 = k41, k42, k43, k44, k45 = f(
+        y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
+        y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
+        y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33),
+        y4 + h * (_A41 * k14 + _A42 * k24 + _A43 * k34),
+        y5 + h * (_A41 * k15 + _A42 * k25 + _A43 * k35),
     )
-    k4 = f(*s4)
-    s5 = tuple(
-        yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * dd)
-        for yi, a, b, c, dd in zip(y, k1, k2, k3, k4)
+    k5 = k51, k52, k53, k54, k55 = f(
+        y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
+        y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
+        y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43),
+        y4 + h * (_A51 * k14 + _A52 * k24 + _A53 * k34 + _A54 * k44),
+        y5 + h * (_A51 * k15 + _A52 * k25 + _A53 * k35 + _A54 * k45),
     )
-    k5 = f(*s5)
-    s6 = tuple(
-        yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * dd + _A65 * e)
-        for yi, a, b, c, dd, e in zip(y, k1, k2, k3, k4, k5)
-    )
-    k6 = f(*s6)
-    y_new = tuple(
-        yi + h * (_B1 * a + _B3 * c + _B4 * dd + _B5 * e + _B6 * ff)
-        for yi, a, c, dd, e, ff in zip(y, k1, k3, k4, k5, k6)
-    )
-    if not all(math.isfinite(v) for v in y_new):
+    s61 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+    s62 = y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+    s63 = y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53)
+    s64 = y4 + h * (_A61 * k14 + _A62 * k24 + _A63 * k34 + _A64 * k44 + _A65 * k54)
+    s65 = y5 + h * (_A61 * k15 + _A62 * k25 + _A63 * k35 + _A64 * k45 + _A65 * k55)
+    k6 = k61, k62, k63, k64, k65 = f(s61, s62, s63, s64, s65)
+    n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
+    n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
+    n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
+    n4 = y4 + h * (_B1 * k14 + _B3 * k34 + _B4 * k44 + _B5 * k54 + _B6 * k64)
+    n5 = y5 + h * (_B1 * k15 + _B3 * k35 + _B4 * k45 + _B5 * k55 + _B6 * k65)
+    if not (isfinite(n1) and isfinite(n2) and isfinite(n3) and isfinite(n4) and isfinite(n5)):
         return None
-    k7 = f(*y_new)
-    if not all(math.isfinite(v) for v in k7):
+    k7 = k71, k72, k73, k74, k75 = f(n1, n2, n3, n4, n5)
+    if not (isfinite(k71) and isfinite(k72) and isfinite(k73) and isfinite(k74)
+            and isfinite(k75)):
         return None
-    est = tuple(
-        h * (_E1 * a + _E3 * c + _E4 * dd + _E5 * e + _E6 * ff + _E7 * gg)
-        for a, c, dd, e, ff, gg in zip(k1, k3, k4, k5, k6, k7)
+    est = (
+        h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71),
+        h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72),
+        h * (_E1 * k13 + _E3 * k33 + _E4 * k43 + _E5 * k53 + _E6 * k63 + _E7 * k73),
+        h * (_E1 * k14 + _E3 * k34 + _E4 * k44 + _E5 * k54 + _E6 * k64 + _E7 * k74),
+        h * (_E1 * k15 + _E3 * k35 + _E4 * k45 + _E5 * k55 + _E6 * k65 + _E7 * k75),
     )
-    num = sum((a - b) ** 2 for a, b in zip(k7, k6))
-    den = sum((a - b) ** 2 for a, b in zip(y_new, s6))
-    stiffness = h * math.sqrt(num / den) if den > 0.0 else 0.0
-    return y_new, k7, est, stiffness, (k1, k3, k4, k5, k6)
+    try:
+        num = ((k71 - k61) ** 2 + (k72 - k62) ** 2 + (k73 - k63) ** 2
+               + (k74 - k64) ** 2 + (k75 - k65) ** 2)
+        den = ((n1 - s61) ** 2 + (n2 - s62) ** 2 + (n3 - s63) ** 2
+               + (n4 - s64) ** 2 + (n5 - s65) ** 2)
+        stiffness = h * sqrt(num / den) if den > 0.0 else 0.0
+    except OverflowError:
+        # A difference beyond 1e154: the same ratio without the squares.
+        den = math.hypot(n1 - s61, n2 - s62, n3 - s63, n4 - s64, n5 - s65)
+        num = math.hypot(k71 - k61, k72 - k62, k73 - k63, k74 - k64, k75 - k65)
+        stiffness = h * (num / den) if den > 0.0 else 0.0
+    return (n1, n2, n3, n4, n5), k7, est, stiffness, (k1, k3, k4, k5, k6)
 
 
 def _dopri_dense(y, y_new, k7, stages, h):
@@ -265,26 +297,82 @@ def _dopri_dense(y, y_new, k7, stages, h):
     5-tuple ``(y0, diff, c, d, e)`` per component for :func:`_interpolate`,
     and for each component the lower bound min(y0, y1) - |c|/4 - 4|d|/27
     - |e|/16 of its extension over the step."""
-    coeffs, lows = [], []
-    for y0, y1, a, c, dd, e, ff, gg in zip(y, y_new, *stages, k7):
-        diff = y1 - y0
-        bspl = h * a - diff
-        d4 = diff - h * gg - bspl
-        d5 = h * (_D1 * a + _D3 * c + _D4 * dd + _D5 * e + _D6 * ff + _D7 * gg)
-        coeffs.append((y0, diff, bspl, d4, d5))
-        lows.append(min(y0, y1) - 0.25 * abs(bspl) - 4.0 / 27.0 * abs(d4) - 0.0625 * abs(d5))
+    y01, y02, y03, y04, y05 = y
+    y11, y12, y13, y14, y15 = y_new
+    k1, k3, k4, k5, k6 = stages
+    k11, k12, k13, k14, k15 = k1
+    k31, k32, k33, k34, k35 = k3
+    k41, k42, k43, k44, k45 = k4
+    k51, k52, k53, k54, k55 = k5
+    k61, k62, k63, k64, k65 = k6
+    k71, k72, k73, k74, k75 = k7
+    diff1 = y11 - y01
+    diff2 = y12 - y02
+    diff3 = y13 - y03
+    diff4 = y14 - y04
+    diff5 = y15 - y05
+    c1 = h * k11 - diff1
+    c2 = h * k12 - diff2
+    c3 = h * k13 - diff3
+    c4 = h * k14 - diff4
+    c5 = h * k15 - diff5
+    d1 = diff1 - h * k71 - c1
+    d2 = diff2 - h * k72 - c2
+    d3 = diff3 - h * k73 - c3
+    d4 = diff4 - h * k74 - c4
+    d5 = diff5 - h * k75 - c5
+    e1 = h * (_D1 * k11 + _D3 * k31 + _D4 * k41 + _D5 * k51 + _D6 * k61 + _D7 * k71)
+    e2 = h * (_D1 * k12 + _D3 * k32 + _D4 * k42 + _D5 * k52 + _D6 * k62 + _D7 * k72)
+    e3 = h * (_D1 * k13 + _D3 * k33 + _D4 * k43 + _D5 * k53 + _D6 * k63 + _D7 * k73)
+    e4 = h * (_D1 * k14 + _D3 * k34 + _D4 * k44 + _D5 * k54 + _D6 * k64 + _D7 * k74)
+    e5 = h * (_D1 * k15 + _D3 * k35 + _D4 * k45 + _D5 * k55 + _D6 * k65 + _D7 * k75)
+    coeffs = (
+        (y01, diff1, c1, d1, e1), (y02, diff2, c2, d2, e2), (y03, diff3, c3, d3, e3),
+        (y04, diff4, c4, d4, e4), (y05, diff5, c5, d5, e5),
+    )
+    lows = (
+        min(y01, y11) - 0.25 * abs(c1) - 4.0 / 27.0 * abs(d1) - 0.0625 * abs(e1),
+        min(y02, y12) - 0.25 * abs(c2) - 4.0 / 27.0 * abs(d2) - 0.0625 * abs(e2),
+        min(y03, y13) - 0.25 * abs(c3) - 4.0 / 27.0 * abs(d3) - 0.0625 * abs(e3),
+        min(y04, y14) - 0.25 * abs(c4) - 4.0 / 27.0 * abs(d4) - 0.0625 * abs(e4),
+        min(y05, y15) - 0.25 * abs(c5) - 4.0 / 27.0 * abs(d5) - 0.0625 * abs(e5),
+    )
     return coeffs, lows
 
 
 def _rodas_dense(y, y_new, k7, stages, h):
     """Coefficients of the step's order-3 continuous extension from the
     stages ``(u1, ..., u5)``, and lower bounds, as :func:`_dopri_dense`."""
-    coeffs, lows = [], []
-    for y0, y1, a, b, c, dd, e in zip(y, y_new, *stages):
-        d3 = _RD21 * a + _RD22 * b + _RD23 * c + _RD24 * dd + _RD25 * e
-        d4 = _RD31 * a + _RD32 * b + _RD33 * c + _RD34 * dd + _RD35 * e
-        coeffs.append((y0, y1 - y0, d3, d4, 0.0))
-        lows.append(min(y0, y1) - 0.25 * abs(d3) - 4.0 / 27.0 * abs(d4))
+    y01, y02, y03, y04, y05 = y
+    y11, y12, y13, y14, y15 = y_new
+    u1, u2, u3, u4, u5 = stages
+    u11, u12, u13, u14, u15 = u1
+    u21, u22, u23, u24, u25 = u2
+    u31, u32, u33, u34, u35 = u3
+    u41, u42, u43, u44, u45 = u4
+    u51, u52, u53, u54, u55 = u5
+    c1 = _RD21 * u11 + _RD22 * u21 + _RD23 * u31 + _RD24 * u41 + _RD25 * u51
+    c2 = _RD21 * u12 + _RD22 * u22 + _RD23 * u32 + _RD24 * u42 + _RD25 * u52
+    c3 = _RD21 * u13 + _RD22 * u23 + _RD23 * u33 + _RD24 * u43 + _RD25 * u53
+    c4 = _RD21 * u14 + _RD22 * u24 + _RD23 * u34 + _RD24 * u44 + _RD25 * u54
+    c5 = _RD21 * u15 + _RD22 * u25 + _RD23 * u35 + _RD24 * u45 + _RD25 * u55
+    d1 = _RD31 * u11 + _RD32 * u21 + _RD33 * u31 + _RD34 * u41 + _RD35 * u51
+    d2 = _RD31 * u12 + _RD32 * u22 + _RD33 * u32 + _RD34 * u42 + _RD35 * u52
+    d3 = _RD31 * u13 + _RD32 * u23 + _RD33 * u33 + _RD34 * u43 + _RD35 * u53
+    d4 = _RD31 * u14 + _RD32 * u24 + _RD33 * u34 + _RD34 * u44 + _RD35 * u54
+    d5 = _RD31 * u15 + _RD32 * u25 + _RD33 * u35 + _RD34 * u45 + _RD35 * u55
+    coeffs = (
+        (y01, y11 - y01, c1, d1, 0.0), (y02, y12 - y02, c2, d2, 0.0),
+        (y03, y13 - y03, c3, d3, 0.0), (y04, y14 - y04, c4, d4, 0.0),
+        (y05, y15 - y05, c5, d5, 0.0),
+    )
+    lows = (
+        min(y01, y11) - 0.25 * abs(c1) - 4.0 / 27.0 * abs(d1),
+        min(y02, y12) - 0.25 * abs(c2) - 4.0 / 27.0 * abs(d2),
+        min(y03, y13) - 0.25 * abs(c3) - 4.0 / 27.0 * abs(d3),
+        min(y04, y14) - 0.25 * abs(c4) - 4.0 / 27.0 * abs(d4),
+        min(y05, y15) - 0.25 * abs(c5) - 4.0 / 27.0 * abs(d5),
+    )
     return coeffs, lows
 
 
@@ -316,9 +404,18 @@ def _interpolate(coeffs, theta):
     """The continuous extension at ``t + theta * h``:
     y0 + theta (diff + (1-theta) (c + theta (d + (1-theta) e)))."""
     th1 = 1.0 - theta
-    return tuple(
-        y0 + theta * (diff + th1 * (c + theta * (dd + th1 * e)))
-        for y0, diff, c, dd, e in coeffs
+    C1, C2, C3, C4, C5 = coeffs
+    a1, b1, c1, d1, e1 = C1
+    a2, b2, c2, d2, e2 = C2
+    a3, b3, c3, d3, e3 = C3
+    a4, b4, c4, d4, e4 = C4
+    a5, b5, c5, d5, e5 = C5
+    return (
+        a1 + theta * (b1 + th1 * (c1 + theta * (d1 + th1 * e1))),
+        a2 + theta * (b2 + th1 * (c2 + theta * (d2 + th1 * e2))),
+        a3 + theta * (b3 + th1 * (c3 + theta * (d3 + th1 * e3))),
+        a4 + theta * (b4 + th1 * (c4 + theta * (d4 + th1 * e4))),
+        a5 + theta * (b5 + th1 * (c5 + theta * (d5 + th1 * e5))),
     )
 
 
@@ -375,10 +472,20 @@ def _rodas_step(f, y, k1, J, h):
     or None when the step matrix is singular or ``y_new`` or ``f(y_new)``
     is not finite.
     """
-    w = [[-v for v in row] for row in J]
     diag = 1.0 / (h * _GAMMA)
-    for i, row in enumerate(w):
-        row[i] += diag
+    J1, J2, J3, J4, J5 = J
+    j11, j12, j13, j14, j15 = J1
+    j21, j22, j23, j24, j25 = J2
+    j31, j32, j33, j34, j35 = J3
+    j41, j42, j43, j44, j45 = J4
+    j51, j52, j53, j54, j55 = J5
+    w = [
+        [diag - j11, -j12, -j13, -j14, -j15],
+        [-j21, diag - j22, -j23, -j24, -j25],
+        [-j31, -j32, diag - j33, -j34, -j35],
+        [-j41, -j42, -j43, diag - j44, -j45],
+        [-j51, -j52, -j53, -j54, diag - j55],
+    ]
     order = _lu_factor(w)
     if order is None:
         return None
@@ -386,51 +493,93 @@ def _rodas_step(f, y, k1, J, h):
     c41, c42, c43 = _RC41 / h, _RC42 / h, _RC43 / h
     c51, c52, c53, c54 = _RC51 / h, _RC52 / h, _RC53 / h, _RC54 / h
     c61, c62, c63, c64, c65 = _RC61 / h, _RC62 / h, _RC63 / h, _RC64 / h, _RC65 / h
+    y1, y2, y3, y4, y5 = y
 
-    u1 = _lu_solve(w, order, k1)
-    g = f(*[yi + _RA21 * a for yi, a in zip(y, u1)])
-    u2 = _lu_solve(w, order, [gi + c21 * a for gi, a in zip(g, u1)])
-    g = f(*[yi + _RA31 * a + _RA32 * b for yi, a, b in zip(y, u1, u2)])
-    u3 = _lu_solve(w, order, [gi + c31 * a + c32 * b for gi, a, b in zip(g, u1, u2)])
-    g = f(*[
-        yi + _RA41 * a + _RA42 * b + _RA43 * c
-        for yi, a, b, c in zip(y, u1, u2, u3)
-    ])
-    u4 = _lu_solve(w, order, [
-        gi + c41 * a + c42 * b + c43 * c
-        for gi, a, b, c in zip(g, u1, u2, u3)
-    ])
-    s5 = tuple(
-        yi + _RA51 * a + _RA52 * b + _RA53 * c + _RA54 * dd
-        for yi, a, b, c, dd in zip(y, u1, u2, u3, u4)
+    u1 = u11, u12, u13, u14, u15 = _lu_solve(w, order, k1)
+    g1, g2, g3, g4, g5 = f(
+        y1 + _RA21 * u11, y2 + _RA21 * u12, y3 + _RA21 * u13,
+        y4 + _RA21 * u14, y5 + _RA21 * u15,
     )
-    g = f(*s5)
-    u5 = _lu_solve(w, order, [
-        gi + c51 * a + c52 * b + c53 * c + c54 * dd
-        for gi, a, b, c, dd in zip(g, u1, u2, u3, u4)
-    ])
-    s6 = tuple(si + e for si, e in zip(s5, u5))
-    g = f(*s6)
-    u6 = _lu_solve(w, order, [
-        gi + c61 * a + c62 * b + c63 * c + c64 * dd + c65 * e
-        for gi, a, b, c, dd, e in zip(g, u1, u2, u3, u4, u5)
-    ])
-    y_new = tuple(si + e for si, e in zip(s6, u6))
-    if not all(math.isfinite(v) for v in y_new):
+    u2 = u21, u22, u23, u24, u25 = _lu_solve(w, order, (
+        g1 + c21 * u11, g2 + c21 * u12, g3 + c21 * u13, g4 + c21 * u14, g5 + c21 * u15,
+    ))
+    g1, g2, g3, g4, g5 = f(
+        y1 + _RA31 * u11 + _RA32 * u21,
+        y2 + _RA31 * u12 + _RA32 * u22,
+        y3 + _RA31 * u13 + _RA32 * u23,
+        y4 + _RA31 * u14 + _RA32 * u24,
+        y5 + _RA31 * u15 + _RA32 * u25,
+    )
+    u3 = u31, u32, u33, u34, u35 = _lu_solve(w, order, (
+        g1 + c31 * u11 + c32 * u21,
+        g2 + c31 * u12 + c32 * u22,
+        g3 + c31 * u13 + c32 * u23,
+        g4 + c31 * u14 + c32 * u24,
+        g5 + c31 * u15 + c32 * u25,
+    ))
+    g1, g2, g3, g4, g5 = f(
+        y1 + _RA41 * u11 + _RA42 * u21 + _RA43 * u31,
+        y2 + _RA41 * u12 + _RA42 * u22 + _RA43 * u32,
+        y3 + _RA41 * u13 + _RA42 * u23 + _RA43 * u33,
+        y4 + _RA41 * u14 + _RA42 * u24 + _RA43 * u34,
+        y5 + _RA41 * u15 + _RA42 * u25 + _RA43 * u35,
+    )
+    u4 = u41, u42, u43, u44, u45 = _lu_solve(w, order, (
+        g1 + c41 * u11 + c42 * u21 + c43 * u31,
+        g2 + c41 * u12 + c42 * u22 + c43 * u32,
+        g3 + c41 * u13 + c42 * u23 + c43 * u33,
+        g4 + c41 * u14 + c42 * u24 + c43 * u34,
+        g5 + c41 * u15 + c42 * u25 + c43 * u35,
+    ))
+    s51 = y1 + _RA51 * u11 + _RA52 * u21 + _RA53 * u31 + _RA54 * u41
+    s52 = y2 + _RA51 * u12 + _RA52 * u22 + _RA53 * u32 + _RA54 * u42
+    s53 = y3 + _RA51 * u13 + _RA52 * u23 + _RA53 * u33 + _RA54 * u43
+    s54 = y4 + _RA51 * u14 + _RA52 * u24 + _RA53 * u34 + _RA54 * u44
+    s55 = y5 + _RA51 * u15 + _RA52 * u25 + _RA53 * u35 + _RA54 * u45
+    g1, g2, g3, g4, g5 = f(s51, s52, s53, s54, s55)
+    u5 = u51, u52, u53, u54, u55 = _lu_solve(w, order, (
+        g1 + c51 * u11 + c52 * u21 + c53 * u31 + c54 * u41,
+        g2 + c51 * u12 + c52 * u22 + c53 * u32 + c54 * u42,
+        g3 + c51 * u13 + c52 * u23 + c53 * u33 + c54 * u43,
+        g4 + c51 * u14 + c52 * u24 + c53 * u34 + c54 * u44,
+        g5 + c51 * u15 + c52 * u25 + c53 * u35 + c54 * u45,
+    ))
+    s61, s62, s63, s64, s65 = s51 + u51, s52 + u52, s53 + u53, s54 + u54, s55 + u55
+    g1, g2, g3, g4, g5 = f(s61, s62, s63, s64, s65)
+    u6 = u61, u62, u63, u64, u65 = _lu_solve(w, order, (
+        g1 + c61 * u11 + c62 * u21 + c63 * u31 + c64 * u41 + c65 * u51,
+        g2 + c61 * u12 + c62 * u22 + c63 * u32 + c64 * u42 + c65 * u52,
+        g3 + c61 * u13 + c62 * u23 + c63 * u33 + c64 * u43 + c65 * u53,
+        g4 + c61 * u14 + c62 * u24 + c63 * u34 + c64 * u44 + c65 * u54,
+        g5 + c61 * u15 + c62 * u25 + c63 * u35 + c64 * u45 + c65 * u55,
+    ))
+    n1, n2, n3, n4, n5 = s61 + u61, s62 + u62, s63 + u63, s64 + u64, s65 + u65
+    if not (isfinite(n1) and isfinite(n2) and isfinite(n3) and isfinite(n4) and isfinite(n5)):
         return None
-    k7 = f(*y_new)
-    if not all(math.isfinite(v) for v in k7):
+    k7 = k71, k72, k73, k74, k75 = f(n1, n2, n3, n4, n5)
+    if not (isfinite(k71) and isfinite(k72) and isfinite(k73) and isfinite(k74)
+            and isfinite(k75)):
         return None
-    return y_new, k7, u6, None, (u1, u2, u3, u4, u5)
+    return (n1, n2, n3, n4, n5), k7, u6, None, (u1, u2, u3, u4, u5)
 
 
 def _error_norm(est, y, y_new, rtol: float, atol: float) -> float:
-    """Scaled RMS norm of a local error estimate."""
-    err_sq = 0.0
-    for ei, yi, yn in zip(est, y, y_new):
-        sc = atol + rtol * max(abs(yi), abs(yn))
-        err_sq += (ei / sc) ** 2
-    return math.sqrt(err_sq / 5.0)
+    """Scaled RMS norm of a local error estimate; inf when a scaled
+    component is too large to square."""
+    e1, e2, e3, e4, e5 = est
+    y1, y2, y3, y4, y5 = y
+    n1, n2, n3, n4, n5 = y_new
+    try:
+        err_sq = (
+            (e1 / (atol + rtol * max(abs(y1), abs(n1)))) ** 2
+            + (e2 / (atol + rtol * max(abs(y2), abs(n2)))) ** 2
+            + (e3 / (atol + rtol * max(abs(y3), abs(n3)))) ** 2
+            + (e4 / (atol + rtol * max(abs(y4), abs(n4)))) ** 2
+            + (e5 / (atol + rtol * max(abs(y5), abs(n5)))) ** 2
+        )
+    except OverflowError:
+        return math.inf
+    return sqrt(err_sq / 5.0)
 
 
 def integrate(
@@ -498,13 +647,21 @@ def integrate(
     switch_time = None
     dense = _dopri_dense
 
+    # The size of the last attempt from t, reset when a step is accepted,
+    # so at the top of the loop it is the size just rejected.  A retry of
+    # that size from the same state is the same computation and would be
+    # rejected again, forever; that happens once the controller is held at
+    # h_min.
+    h_tried = None
+
     while True:
         last = t + h >= t_end - 1e-14 * span
         h_eff = t_end - t if last else h
-        if h_eff < h_min:
+        if h_eff < h_min or h_eff == h_tried:
             raise StepUnderflowError(
                 f"step {h_eff:.3e} underflowed at t = {t:.6g}"
             )
+        h_tried = h_eff
 
         if jac is None:
             step = _dopri_step(f, y, k1, h_eff)
@@ -540,6 +697,7 @@ def integrate(
             continue
 
         accepted += 1
+        h_tried = None
         while sample_times[next_sample] < t_new:
             row = _interpolate(coeffs, (sample_times[next_sample] - t) / h_eff)
             if min(row) < 0.0:

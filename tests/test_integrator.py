@@ -1,6 +1,9 @@
 """Adaptive integration: accuracy, dense output, positivity and settling."""
+import hashlib
 import math
+import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from bcdyn import (
     DomainError,
     IntegrationConfig,
     PositivityError,
+    StepUnderflowError,
     SystemState,
     default_scenario,
     integrate,
@@ -17,7 +21,7 @@ from bcdyn import (
 )
 from bcdyn.equilibria import estrogen_level, find_all
 from bcdyn.integrator import default_horizon, trajectory_to_csv
-from bcdyn.model import make_jacobian, make_rhs
+from bcdyn.model import PARAM_NAMES, make_jacobian, make_rhs
 from bcdyn.validation import draw_params, draw_state
 
 from conftest import random_params
@@ -301,3 +305,164 @@ class TestCsv:
         assert len(lines) == 13  # header + 11 rows + trailing newline
         assert lines[-1] == ""
         assert "\r" not in text
+
+
+def stiff_inputs(seed, count):
+    """Inputs built like the benchmark's stiff workload: a draw_params set
+    with n_M and v_M scaled by a factor log-uniform in [1e2, 1e3], from a
+    draw_state state, over [0, 20] at 101 samples."""
+    rng = np.random.default_rng(seed)
+    cfg = IntegrationConfig(t0=0.0, t_end=20.0)
+    inputs = []
+    for _ in range(count):
+        params, x0 = draw_params(rng), draw_state(rng)
+        factor = float(10.0 ** rng.uniform(2.0, 3.0))
+        params = params.replace(n_M=params.n_M * factor, v_M=params.v_M * factor)
+        inputs.append((x0, params, cfg, 101))
+    return inputs
+
+
+def unscaled_inputs(seed, count):
+    """draw_params sets and draw_state states drawn in turn from
+    ``default_rng(seed)``, over [0, 100] at 101 samples."""
+    rng = np.random.default_rng(seed)
+    cfg = IntegrationConfig(t0=0.0, t_end=100.0)
+    inputs = []
+    for _ in range(count):
+        params, x0 = draw_params(rng), draw_state(rng)
+        inputs.append((x0, params, cfg, 101))
+    return inputs
+
+
+def default_inputs():
+    sc = default_scenario()
+    return [(sc.initial_state, sc.params, sc.integration, sc.sample_count)]
+
+
+GOLDEN_INPUTS = {
+    "stiff": lambda: stiff_inputs(1, 8),
+    "default": default_inputs,
+    "unscaled": lambda: unscaled_inputs(0, 8),
+}
+
+# (sha256 of trajectory_to_csv, accepted steps, rejected steps, switch time)
+GOLDEN = {
+    "stiff": [
+        ("fb1a1deea15cbd35d2d78187a0cf2bb5428a4bf5ba431b56372a8ee9577d1639", 170, 1, 1.3986205199653914),
+        ("aebf48f5437eefb4011bcbb65b60ed8042ad2a1a9549618e272463d65ab7f404", 102, 0, 0.0994252936361564),
+        ("34d9c98bfb37c8ae232afba42c65ab7d62281d3656959486d1261309adda65ca", 282, 1, 3.2217704902594266),
+        ("be5d8238cfdf3767be17db51a72fb8845a7c3d61ee09b06288fbf73dbe96ed06", 139, 2, 1.576646066075375),
+        ("4dc90262d148fd3d28823abea10df73a31e08562b17168a3832c840950081469", 94, 1, 0.18069248146457498),
+        ("f5ef04e499ca3c88fdff6678fd5496da40cd8529dae05286add2408a7077942a", 288, 0, 1.4920123540635513),
+        ("414ccc2d8ef02fceb44a49a61a2424ad1461fa23e6705fabb8f7f1087dd81960", 188, 1, 2.231431762578598),
+        ("46c986d9da1d1ffc63e763a72fdc15f9b36dbb57536a61c6b4b48e6371b62b9f", 93, 0, 1.79940635821433),
+    ],
+    "default": [
+        ("7aa8faf615b35c178ebebc4f6311d7f20e31339a0caa15348c5ce4dc2e08b74c", 244, 1, None),
+    ],
+    "unscaled": [
+        ("5502425a255c38ce8cccd00e8a88f2262635995ba6859ff007bc26bb763030ac", 83, 0, None),
+        ("d2eeca07cace225f69e6bbaf2f421bfda56099f843d5145ce4dc082f1471fb49", 76, 0, None),
+        ("3e86bea0e9424f85298e048b1d7b175347c551dfe1a8baa3892a3938f51f289a", 97, 1, None),
+        ("355763554dff0999c1a5ecdb3c250988ed0fb1cf763062e80d829d2b9b209881", 99, 0, 86.9366416380544),
+        ("00c563c78b28c844697ea99a9f7f320cf76d3449447e7ea11582acfc18db3fc6", 124, 0, 94.29251189182983),
+        ("6501e21d0dd48ab47af3ae48c653f8f99decc61fe0568d1863b253006a012f91", 72, 1, 79.26858081849633),
+        ("9a633919b41072afdcd7816a7d5d70f1e7c5657d1d702769613620a7eb5e44b9", 70, 1, 70.29258010169967),
+        ("03aadc2e80eb0deab3aa04379152a4935e348c4ed7eed6b8a4a0f012482101c2", 113, 1, None),
+    ],
+}
+
+
+class TestGoldenTrajectories:
+    """Trajectories pinned bit for bit, so that a change to the step
+    kernels that alters any floating-point operation or the step sequence
+    shows here.  The unscaled set holds runs that switch to RODAS and runs
+    that clamp a dip in [floor, 0)."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+    def test_pinned(self, name):
+        runs = [integrate(*item) for item in GOLDEN_INPUTS[name]()]
+        got = [
+            (
+                hashlib.sha256(trajectory_to_csv(traj).encode()).hexdigest(),
+                traj.accepted_steps, traj.rejected_steps, traj.stiff_switch_time,
+            )
+            for traj in runs
+        ]
+        assert got == GOLDEN[name]
+        if name == "unscaled":
+            assert any(traj.stiff_switch_time is not None for traj in runs)
+            assert any(min(traj.positivity_violations) < 0.0 for traj in runs)
+
+
+class _Timeout(Exception):
+    pass
+
+
+def bounded(call, seconds=1.0):
+    """Run ``call`` with warnings as errors and return its outcome: what it
+    returns, or the DomainError, PositivityError or StepUnderflowError it
+    raises.  Fails if the call takes longer than ``seconds``; an alarm at
+    five times that stops a call that would never return."""
+
+    def ring(signum, frame):
+        raise _Timeout(f"no return within {5 * seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 5 * seconds)
+    start = time.perf_counter()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = call()
+    except (DomainError, PositivityError, StepUnderflowError) as exc:
+        outcome = exc
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < seconds
+    return outcome
+
+
+class TestExtremeValues:
+    """Every call returns or fails with one of the library's errors, within
+    a second: no hang, no bare OverflowError, no numpy warning."""
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_parameter_extremes(self, name):
+        sc = default_scenario()
+        cfg = IntegrationConfig(t0=0.0, t_end=1.0)
+        for value in (1e-300, 1e-30, 1e30, 1e300):
+            params = sc.params.replace(**{name: value})
+            bounded(lambda: integrate(sc.initial_state, params, cfg, 11))
+
+    # At 1e-160 every attempt soon sits at the minimum step and is rejected
+    # for error; the run used to retry that same step forever.
+    @pytest.mark.parametrize("tol", [1e-160, 1e-200, 1e-300])
+    def test_unreachable_tolerance_underflows(self, tol):
+        sc = default_scenario()
+        cfg = IntegrationConfig(t0=0.0, t_end=1.0, rel_tol=tol, abs_tol=tol)
+        outcome = bounded(lambda: integrate(sc.initial_state, sc.params, cfg, 11))
+        assert isinstance(outcome, StepUnderflowError)
+
+    # Scaled errors beyond 1e154 used to raise a bare OverflowError from
+    # squaring them in the error norm.
+    @pytest.mark.parametrize("tol", [1e-200, 1e-300])
+    def test_overflowing_error_norm_underflows(self, tol):
+        cfg = IntegrationConfig(t0=0.0, t_end=1.0, rel_tol=tol, abs_tol=tol)
+        for x0, params, _, _ in unscaled_inputs(5, 4):
+            outcome = bounded(lambda: integrate(x0, params, cfg, 11))
+            assert isinstance(outcome, StepUnderflowError)
+
+    # On a linear field the stiffness estimate does not depend on the scale
+    # of the state; at 1e170 its squared differences used to overflow.
+    def test_stiffness_estimate_beyond_squares(self):
+        def f(*y):
+            return tuple(-30.0 * v for v in y)
+
+        estimates = []
+        for scale in (1.0, 1e170):
+            y = tuple(scale * v for v in (1.0, 0.5, 0.25, 2.0, 3.0))
+            estimates.append(integrator._dopri_step(f, y, f(*y), 0.1)[3])
+        assert estimates[0] > 0.0
+        assert estimates[1] == pytest.approx(estimates[0], rel=1e-12)
