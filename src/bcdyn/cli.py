@@ -1,31 +1,29 @@
 """Command-line front end.
 
 Every subcommand is a thin shell over library calls: load the scenario,
-compute everything in memory, then write files.  Nothing touches disk
-before the computation succeeds, so a failing run leaves no partial
-output.  Exit codes: 0 success, 2 input or validation error, 3 runtime
-numeric failure, 1 validation-suite failure.
+compute everything in memory and return the files as (name, text) pairs
+laid out by :mod:`bcdyn.formats`.  :func:`main` writes them only after
+the command succeeds, so a failing run leaves no partial output.  Exit
+codes: 0 success, 2 input or validation error, 3 runtime numeric
+failure, 1 validation-suite failure.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .equilibria import catalog_to_csv, catalog_to_json, find_all
-from .integrator import (
-    PositivityError,
-    StepUnderflowError,
-    integrate,
-    trajectory_to_csv,
+from .equilibria import find_all
+from .formats import (
+    bifurcation_to_json, catalog_to_csv, catalog_to_json, stability_to_csv, stability_to_json,
+    sweep_to_csv, sweep_to_svg, trajectory_to_csv, trajectory_to_json, trajectory_to_svg,
 )
+from .integrator import PositivityError, StepUnderflowError, integrate
 from .model import DomainError
 from .numerics import NumericsError
-from .plot import svg_line_chart
 from .scenario import Scenario, ScenarioError, default_scenario, load_scenario
-from .stability import classify, report_to_json, summary_csv_header, summary_csv_row
-from .sweep import SweepSpec, bifurcation_to_json, build_grid, run_bifurcate, run_sweep, sweep_to_csv
+from .stability import classify
+from .sweep import SweepSpec, build_grid, run_bifurcate, run_sweep
 from .validation import run_validation
 
 __all__ = ["main"]
@@ -85,83 +83,55 @@ def _load(args: argparse.Namespace) -> Scenario:
     return default_scenario() if args.scenario is None else load_scenario(args.scenario)
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _chosen(args: argparse.Namespace, stem: str, to_csv, to_json) -> list[tuple[str, str]]:
+    """The ``stem.csv`` and ``stem.json`` files that ``--format`` selects;
+    only their writers run."""
+    return [
+        (f"{stem}.{ext}", write())
+        for ext, write in (("csv", to_csv), ("json", to_json))
+        if args.format in (ext, "both")
+    ]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, str]]:
     scenario = _load(args)
     traj = integrate(
         scenario.initial_state, scenario.params, scenario.integration,
         sample_count=scenario.sample_count,
     )
-    files: list[tuple[str, str]] = []
-    if args.format in ("csv", "both"):
-        files.append((f"{scenario.label}_trajectory.csv", trajectory_to_csv(traj)))
-    if args.format in ("json", "both"):
-        payload = {
-            "label": scenario.label,
-            "t": list(traj.times),
-            "states": {
-                name: [float(v) for v in traj.states[:, i]]
-                for i, name in enumerate("NTIEM")
-            },
-            "accepted_steps": traj.accepted_steps,
-            "rejected_steps": traj.rejected_steps,
-            "stiff_switch_time": traj.stiff_switch_time,
-        }
-        files.append((f"{scenario.label}_trajectory.json", json.dumps(payload, indent=2) + "\n"))
+    stem = f"{scenario.label}_trajectory"
+    files = _chosen(
+        args, stem, lambda: trajectory_to_csv(traj),
+        lambda: trajectory_to_json(traj, scenario.label),
+    )
     if args.svg:
-        series = [
-            (name, list(traj.times), [float(v) for v in traj.states[:, i]])
-            for i, name in enumerate("NTIEM")
-        ]
-        files.append(
-            (f"{scenario.label}_trajectory.svg",
-             svg_line_chart(series, f"{scenario.label}: state vs time", "t", "level"))
-        )
-    for name, text in files:
-        _write(Path(args.out), name, text)
-    return _EXIT_OK
+        files.append((f"{stem}.svg", trajectory_to_svg(traj, scenario.label)))
+    return files
 
 
-def _cmd_equilibria(args: argparse.Namespace) -> int:
+def _cmd_equilibria(args: argparse.Namespace) -> list[tuple[str, str]]:
     scenario = _load(args)
     catalog = find_all(scenario.params)
-    files = []
-    if args.format in ("json", "both"):
-        files.append((f"{scenario.label}_equilibria.json", catalog_to_json(catalog)))
-    if args.format in ("csv", "both"):
-        files.append((f"{scenario.label}_equilibria.csv", catalog_to_csv(catalog)))
-    for name, text in files:
-        _write(Path(args.out), name, text)
-    return _EXIT_OK
+    return _chosen(
+        args, f"{scenario.label}_equilibria",
+        lambda: catalog_to_csv(catalog), lambda: catalog_to_json(catalog),
+    )
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
+def _cmd_stability(args: argparse.Namespace) -> list[tuple[str, str]]:
     scenario = _load(args)
     reports = [
         classify(eq, scenario.params)
         for eq in find_all(scenario.params)
         if eq.confirmed
     ]
-    files = []
-    if args.format in ("json", "both"):
-        body = "[\n" + ",\n".join(report_to_json(rep).rstrip("\n") for rep in reports) + "\n]\n"
-        if not reports:
-            body = "[]\n"
-        files.append((f"{scenario.label}_stability.json", body))
-    if args.format in ("csv", "both"):
-        lines = [summary_csv_header()] + [summary_csv_row(rep) for rep in reports]
-        files.append((f"{scenario.label}_stability.csv", "\n".join(lines) + "\n"))
-    for name, text in files:
-        _write(Path(args.out), name, text)
-    return _EXIT_OK
+    return _chosen(
+        args, f"{scenario.label}_stability",
+        lambda: stability_to_csv(reports), lambda: stability_to_json(reports),
+    )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> list[tuple[str, str]]:
     scenario = _load(args)
     second = args.parameter2
     if second is not None and (args.min2 is None or args.max2 is None):
@@ -178,60 +148,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(scenario, spec)
     files = [(f"{scenario.label}_sweep.csv", sweep_to_csv(rows, spec))]
     if args.svg:
-        files.extend(_sweep_charts(scenario.label, rows))
-    for name, text in files:
-        _write(Path(args.out), name, text)
-    return _EXIT_OK
+        files.extend(sweep_to_svg(rows, scenario.label))
+    return files
 
 
-def _sweep_charts(label: str, rows: list[dict]) -> list[tuple[str, str]]:
-    """Leading-eigenvalue and reproduction-number curves per family."""
-    by_family: dict[str, list[dict]] = {}
-    for row in rows:
-        by_family.setdefault(row["family"], []).append(row)
-    eig_series = []
-    repro_series = []
-    for family, frows in sorted(by_family.items()):
-        pts = [(r["value"], r["maxReLambda"]) for r in frows if "maxReLambda" in r]
-        if pts:
-            eig_series.append((family, [p[0] for p in pts], [p[1] for p in pts]))
-        for key in ("R0", "R1"):
-            pts = [
-                (r["value"], r[key]) for r in frows
-                if isinstance(r.get(key), float) and r[key] == r[key]
-            ]
-            if pts:
-                repro_series.append(
-                    (f"{family} {key}", [p[0] for p in pts], [p[1] for p in pts])
-                )
-    out = []
-    param = rows[0]["parameter"] if rows else "parameter"
-    if eig_series:
-        out.append(
-            (f"{label}_sweep.svg",
-             svg_line_chart(eig_series, f"{label}: max Re(lambda) vs {param}", param))
-        )
-    if repro_series:
-        out.append(
-            (f"{label}_sweep_repro.svg",
-             svg_line_chart(repro_series, f"{label}: reproduction numbers vs {param}", param))
-        )
-    return out
-
-
-def _cmd_bifurcate(args: argparse.Namespace) -> int:
+def _cmd_bifurcate(args: argparse.Namespace) -> list[tuple[str, str]]:
     scenario = _load(args)
     results = run_bifurcate(
         scenario, args.parameter, args.lo, args.hi, scan_points=args.scan_points
     )
-    _write(Path(args.out), f"{scenario.label}_bifurcation.json", bifurcation_to_json(results))
-    return _EXIT_OK
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    report, passed = run_validation(args.seed)
-    sys.stdout.write(report)
-    return _EXIT_OK if passed else _EXIT_SUITE_FAILURE
+    return [(f"{scenario.label}_bifurcation.json", bifurcation_to_json(results))]
 
 
 _COMMANDS = {
@@ -240,20 +166,29 @@ _COMMANDS = {
     "stability": _cmd_stability,
     "sweep": _cmd_sweep,
     "bifurcate": _cmd_bifurcate,
-    "validate": _cmd_validate,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "validate":
+            report, passed = run_validation(args.seed)
+            sys.stdout.write(report)
+            return _EXIT_OK if passed else _EXIT_SUITE_FAILURE
+        files = _COMMANDS[args.command](args)
     except (ScenarioError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except (PositivityError, StepUnderflowError, NumericsError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files:
+        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ with its true residual; only candidates whose full residual is below
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -72,8 +71,6 @@ __all__ = [
     "dead_type2",
     "coexisting",
     "find_all",
-    "catalog_to_json",
-    "catalog_to_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -551,38 +548,3 @@ def find_all(params: ModelParams) -> list[Equilibrium]:
     for finder in (tumor_free, dead_type1, dead_type2, coexisting):
         catalog.extend(finder(params))
     return _catalog(catalog)
-
-
-def catalog_to_json(catalog: list[Equilibrium]) -> str:
-    """Equilibrium catalog as a JSON array."""
-    payload = [
-        {
-            "family": eq.family,
-            "point": {"N": eq.point.N, "T": eq.point.T, "I": eq.point.I,
-                      "E": eq.point.E, "M": eq.point.M},
-            "residual": eq.residual,
-            "confirmed": eq.confirmed,
-            "flags": dict(eq.existence_flags),
-            "flag_values": {k: _json_num(v) for k, v in eq.flag_values.items()},
-            "provenance": eq.provenance,
-        }
-        for eq in catalog
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _json_num(v: float):
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
-
-
-def catalog_to_csv(catalog: list[Equilibrium]) -> str:
-    """Equilibrium catalog as CSV: one row per equilibrium."""
-    lines = ["family,N,T,I,E,M,residual,confirmed,provenance"]
-    for eq in catalog:
-        nums = ",".join(f"{v:.17g}" for v in (*eq.point.as_tuple(), eq.residual))
-        lines.append(f"{eq.family},{nums},{str(eq.confirmed).lower()},{eq.provenance}")
-    return "\n".join(lines) + "\n"

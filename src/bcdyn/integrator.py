@@ -64,7 +64,7 @@ from .model import (
     SystemState,
     STATE_NAMES,
     DomainError,
-    make_jacobian,
+    _closures,
     make_rhs,
 )
 
@@ -80,7 +80,6 @@ __all__ = [
     "integrate",
     "settle",
     "default_horizon",
-    "trajectory_to_csv",
 ]
 
 
@@ -732,7 +731,7 @@ def integrate(
         if jac is None and stiffness > _STIFF_RATIO:
             stiff_hits += 1
             if stiff_hits == _STIFF_STEPS:
-                jac = make_jacobian(params)
+                jac = _closures(params)[1]  # params validated by make_rhs
                 dense = _rodas_dense
                 switch_time = t
                 alpha, beta, shrink = _ROS_ALPHA, _ROS_BETA, _ROS_SHRINK
@@ -761,10 +760,9 @@ def settle(
     horizon: float,
     window: float,
     eps: float,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-11,
 ) -> tuple[bool, SystemState]:
-    """Integrate to ``horizon`` and test whether the state stopped moving.
+    """Integrate to ``horizon`` at tolerances 1e-8 relative and 1e-11
+    absolute and test whether the state stopped moving.
 
     Settled when every sample in the final ``window`` stays within ``eps``
     of the terminal state in the scaled infinity norm
@@ -773,19 +771,10 @@ def settle(
     if not horizon > window > 0:
         raise DomainError(f"need horizon > window > 0, got {horizon}, {window}")
     sample_count = int(min(5000, max(401, 20 * horizon / window))) + 1
-    cfg = IntegrationConfig(t0=0.0, t_end=horizon, rel_tol=rel_tol, abs_tol=abs_tol)
+    cfg = IntegrationConfig(t0=0.0, t_end=horizon, rel_tol=1e-8, abs_tol=1e-11)
     traj = integrate(x0, params, cfg, sample_count=sample_count)
     final = traj.states[-1]
     scale = 1.0 + float(np.max(np.abs(final)))
     mask = traj.times >= horizon - window
     dev = np.max(np.abs(traj.states[mask] - final), axis=1) / scale
     return bool(np.all(dev < eps)), traj.final_state()
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """Trajectory as CSV text: header ``t,N,T,I,E,M``, 17 significant
-    digits, LF line endings."""
-    lines = ["t,N,T,I,E,M"]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
-    return "\n".join(lines) + "\n"

@@ -193,10 +193,16 @@ def _singular(dens) -> DomainError | None:
 def _bind(params: ModelParams):
     """Validate ``params`` once and bind them into the vector-field and
     Jacobian closures ``(f, jac)`` of :func:`make_rhs` and
-    :func:`make_jacobian`.  The denominator guards stay inline in both
-    closures: they run on every evaluation, where a helper call would
-    cost about half again as much per call."""
+    :func:`make_jacobian`."""
     _require_valid(params)
+    return _closures(params)
+
+
+def _closures(params: ModelParams):
+    """The closures ``(f, jac)`` of already validated ``params``.  The
+    denominator guards stay inline in both closures: they run on every
+    evaluation, where a helper call would cost about half again as much
+    per call."""
     a1, b1, d1, epsilon, l1 = params.a1, params.b1, params.d1, params.epsilon, params.l1
     a2, d, b2, g1, m_d = params.a2, params.d, params.b2, params.g1, params.m_d
     s, r, o, g2, m = params.s, params.r, params.o, params.g2, params.m

@@ -178,7 +178,7 @@ def _hurwitz_index(n: int) -> np.ndarray:
 _HURWITZ_INDEX = {n: _hurwitz_index(n) for n in range(1, 6)}
 
 
-def routh_hurwitz(p: Polynomial, marginal: float = MARGINAL_MINOR) -> HurwitzVerdict:
+def routh_hurwitz(p: Polynomial) -> HurwitzVerdict:
     """Classify root locations of ``p`` (degree 1..5) via Hurwitz minors.
 
     All n leading minors come from one stacked ``np.linalg.det`` over the
@@ -187,16 +187,19 @@ def routh_hurwitz(p: Polynomial, marginal: float = MARGINAL_MINOR) -> HurwitzVer
     columns (on a tie at zero the first candidate, a block row, wins); the
     elimination subtracts only zero products from the padding; and its
     unit pivots add nothing to the sign or log-magnitude that ``det``
-    combines.  So each minor has the bits of ``det(H[:k, :k])``."""
+    combines.  So each minor has the bits of ``det(H[:k, :k])``.  A minor
+    beyond the float range is +-inf with its sign, without a warning.
+    Minors within MARGINAL_MINOR of zero give no verdict."""
     n = p.degree
     if not 1 <= n <= 5:
         raise NumericsError(f"routh_hurwitz supports degree 1..5, got {n}")
     a = list(p.coeffs)
     if a[0] < 0:
         a = [-c for c in a]
-    minors = tuple(np.linalg.det(np.array(a + [0.0, 1.0])[_HURWITZ_INDEX[n]]).tolist())
+    with np.errstate(over="ignore"):
+        minors = tuple(np.linalg.det(np.array(a + [0.0, 1.0])[_HURWITZ_INDEX[n]]).tolist())
     all_positive = all(mi > 0.0 for mi in minors)
-    if any(abs(mi) < marginal for mi in minors):
+    if any(abs(mi) < MARGINAL_MINOR for mi in minors):
         verdict = "inconclusive"
     elif all_positive and all(c > 0.0 for c in a):
         verdict = "stable"

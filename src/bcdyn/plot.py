@@ -10,9 +10,15 @@ _MARGIN = 54
 _PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#117a8b")
 
 
+def _widen(lo: float, hi: float) -> float:
+    """``hi``, moved off a flat range [lo, lo]: to lo + 1, or to lo + |lo|
+    where adding 1 leaves lo unchanged."""
+    if hi != lo:
+        return hi
+    return lo + 1.0 if lo + 1.0 != lo else lo + abs(lo)
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi == lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
@@ -29,10 +35,8 @@ def svg_line_chart(
         raise ValueError("no data to plot")
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_hi = _widen(x_lo, x_hi)
+    y_hi = _widen(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

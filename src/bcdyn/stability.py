@@ -29,13 +29,12 @@ are evaluated; those are exact for the block-reducible T = 0 families.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import Equilibrium, _json_num
+from .equilibria import Equilibrium
 from .model import (
     DomainError,
     ModelParams,
@@ -62,9 +61,6 @@ __all__ = [
     "StabilityReport",
     "classify",
     "block_spectrum",
-    "report_to_json",
-    "summary_csv_header",
-    "summary_csv_row",
 ]
 
 
@@ -269,70 +265,4 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
         repro=repro,
         theorem_checks=checks,
         agreement=agreement,
-    )
-
-
-def report_to_json(report: StabilityReport) -> str:
-    eq = report.equilibrium
-    payload = {
-        "family": eq.family,
-        "point": {"N": eq.point.N, "T": eq.point.T, "I": eq.point.I,
-                  "E": eq.point.E, "M": eq.point.M},
-        "residual": eq.residual,
-        "verdict": report.verdict,
-        "max_real_eigenvalue": report.max_real,
-        "char_coeffs": list(report.char_coeffs.coeffs),
-        "eigenvalues": [{"re": z.real, "im": z.imag} for z in report.eigenvalues.roots],
-        "hurwitz": {
-            "minors": list(report.hurwitz.minors),
-            "all_positive": report.hurwitz.all_positive,
-            "verdict": report.hurwitz.verdict,
-        },
-        "reproduction_numbers": (
-            None
-            if report.repro is None
-            else {
-                "R0": _json_num(report.repro.r0),
-                "R1": _json_num(report.repro.r1),
-                "R_IM": _json_num(report.repro.r_im),
-                "R0_defined": report.repro.r0_defined,
-                "R1_defined": report.repro.r1_defined,
-                "R_IM_defined": report.repro.r_im_defined,
-            }
-        ),
-        "theorem_checks": {
-            name: {"holds": c.holds, "lhs": _json_num(c.lhs), "rhs": _json_num(c.rhs)}
-            for name, c in report.theorem_checks.items()
-        },
-        "agreement": report.agreement,
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def summary_csv_header() -> str:
-    return "family,verdict,maxReLambda,R0,R1,R_IM,eigen_hurwitz_agree,theorem_eigen_agree,theta_in_spectrum"
-
-
-def summary_csv_row(report: StabilityReport) -> str:
-    rn = report.repro
-    r0 = f"{rn.r0:.17g}" if rn is not None else "nan"
-    r1 = f"{rn.r1:.17g}" if rn is not None else "nan"
-    rim = f"{rn.r_im:.17g}" if rn is not None else "nan"
-
-    def agree(key: str) -> str:
-        value = report.agreement.get(key)
-        return "na" if value is None else str(value).lower()
-
-    return ",".join(
-        [
-            report.equilibrium.family,
-            report.verdict,
-            f"{report.max_real:.17g}",
-            r0,
-            r1,
-            rim,
-            agree("eigen_hurwitz"),
-            agree("theorem_eigen"),
-            str(report.agreement.get("theta_in_spectrum", False)).lower(),
-        ]
     )

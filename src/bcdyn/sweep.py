@@ -20,7 +20,6 @@ eigenvalues need no further solve.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,9 +40,7 @@ __all__ = [
     "BifurcationResult",
     "build_grid",
     "run_sweep",
-    "sweep_to_csv",
     "run_bifurcate",
-    "bifurcation_to_json",
 ]
 
 _VALID_RANGES = {"k": (0.0, 1.0)}  # everything else: positive reals
@@ -141,26 +138,6 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def sweep_to_csv(rows: list[dict], spec: SweepSpec) -> str:
-    cols = ["parameter", "value"]
-    if spec.second_parameter is not None:
-        cols += ["parameter2", "value2"]
-    cols += ["family", "N", "T", "I", "E", "M", "residual", "verdict", "maxReLambda", "R0", "R1"]
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for col in cols:
-            value = row.get(col)
-            if value is None:
-                cells.append("na")
-            elif isinstance(value, float):
-                cells.append(f"{value:.17g}")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class BifurcationResult:
     parameter_name: str
@@ -252,17 +229,3 @@ def run_bifurcate(
                 )
     results.sort(key=lambda res: (res.equilibrium_family, res.critical_value))
     return results
-
-
-def bifurcation_to_json(results: list[BifurcationResult]) -> str:
-    payload = [
-        {
-            "parameter_name": res.parameter_name,
-            "critical_value": res.critical_value,
-            "bracketing_interval": list(res.bracketing_interval),
-            "crossing_eigenvalue": res.crossing_eigenvalue,
-            "equilibrium_family": res.equilibrium_family,
-        }
-        for res in results
-    ]
-    return json.dumps(payload, indent=2) + "\n"

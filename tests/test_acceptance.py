@@ -25,7 +25,8 @@ from bcdyn import (
 )
 from bcdyn.cli import main as cli_main
 from bcdyn.equilibria import estrogen_level, find_all, tumor_free
-from bcdyn.integrator import default_horizon, settle, trajectory_to_csv
+from bcdyn.formats import trajectory_to_csv
+from bcdyn.integrator import default_horizon, settle
 from bcdyn.model import make_rhs
 from bcdyn.numerics import poly_roots, routh_hurwitz
 from bcdyn.scenario import Scenario

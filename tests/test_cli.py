@@ -7,7 +7,7 @@ import pytest
 
 from bcdyn import default_scenario, integrate
 from bcdyn.cli import main
-from bcdyn.integrator import trajectory_to_csv
+from bcdyn.formats import trajectory_to_csv
 
 
 def run(args):
@@ -147,6 +147,23 @@ class TestStability:
             if cells[0] in ("tumor_free", "dead1") and cells[5] != "nan":
                 assert float(cells[5]) == 0.0
 
+    def test_overflowing_minor_is_strict_json(self, tmp_path, base_scenario_doc, write_scenario):
+        """At a1 = 1e30 the fifth Hurwitz minor of the dead1 point is -inf;
+        it is written as the string "-inf", not as the -Infinity token that
+        RFC 8259 JSON forbids."""
+        doc = base_scenario_doc
+        doc["params"]["a1"] = 1e30
+        doc["label"] = "huge"
+        path = write_scenario(doc)
+        assert run(["stability", "--scenario", path, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "huge_stability.json").read_text(encoding="utf-8")
+        (dead1,) = [rep for rep in json.loads(text, parse_constant=reject) if rep["family"] == "dead1"]
+        assert dead1["hurwitz"]["minors"][4] == "-inf"
+
+
+def reject(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
 
 class TestSweepCommand:
     def test_sweep_csv_and_svg(self, tmp_path):
@@ -161,6 +178,22 @@ class TestSweepCommand:
             k = float(cells[1])
             assert float(cells[6]) == sc.params.p * (1.0 - k) / sc.params.theta
         assert (tmp_path / "default_sweep.svg").exists()
+
+    def test_flat_svg_series(self, tmp_path, base_scenario_doc, write_scenario):
+        """At a1 = 1e30 every max Re(lambda) is 1e30, where adding 1 leaves
+        the value unchanged; the chart's flat range is widened to
+        [1e30, 2e30] instead, padded by 5 % on each side."""
+        doc = base_scenario_doc
+        doc["params"]["a1"] = 1e30
+        doc["label"] = "huge"
+        path = write_scenario(doc)
+        assert run([
+            "sweep", "--scenario", path, "--out", str(tmp_path), "--parameter", "k",
+            "--min", "0", "--max", "1", "--count", "5", "--svg",
+        ]) == 0
+        svg = (tmp_path / "huge_sweep.svg").read_text(encoding="utf-8")
+        assert ">9.5e+29<" in svg and ">2.05e+30<" in svg
+        assert "nan" not in svg and "inf" not in svg
 
     def test_grid_outside_validity_exit_2(self, tmp_path):
         out = tmp_path / "out"

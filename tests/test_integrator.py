@@ -20,7 +20,8 @@ from bcdyn import (
     settle,
 )
 from bcdyn.equilibria import estrogen_level, find_all
-from bcdyn.integrator import default_horizon, trajectory_to_csv
+from bcdyn.formats import trajectory_to_csv
+from bcdyn.integrator import default_horizon
 from bcdyn.model import PARAM_NAMES, make_jacobian, make_rhs
 from bcdyn.validation import draw_params, draw_state
 

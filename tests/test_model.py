@@ -330,10 +330,16 @@ class TestBindOnce:
         assert len(calls) == 4
 
     def test_integrate_validates_once(self, monkeypatch):
+        """Also when the run switches to RODAS and binds the Jacobian
+        (n_M and v_M scaled by 1e3 switch at t = 0.22)."""
         sc = default_scenario()
         calls = count_calls(monkeypatch, "validate_params")
-        integrate(sc.initial_state, sc.params, sc.integration, sc.sample_count)
-        assert len(calls) == 1
+        for scale in (1.0, 1e3):
+            params = sc.params.replace(n_M=sc.params.n_M * scale, v_M=sc.params.v_M * scale)
+            calls.clear()
+            traj = integrate(sc.initial_state, params, sc.integration, sc.sample_count)
+            assert (traj.stiff_switch_time is not None) == (scale > 1.0)
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("family", ["tumor_free", "dead1", "dead2", "coexisting"])
     def test_classify_validates_once_per_family(self, family, monkeypatch):

@@ -26,11 +26,20 @@ PUBLIC = [
     "settle", "tumor_free", "validate_params",
 ]
 
-#: Names deleted for want of a consumer, by the module that held them.
+#: Names deleted for want of a consumer, or moved to ``bcdyn.formats``, by
+#: the module that held them.
 DELETED = {
-    "equilibria": ["reduced_polynomials", "ReducedPolynomials", "_dead1_quadratic_printed"],
-    "stability": ["empirical_check", "theorem_conditions"],
+    "equilibria": [
+        "reduced_polynomials", "ReducedPolynomials", "_dead1_quadratic_printed",
+        "catalog_to_json", "catalog_to_csv", "_json_num",
+    ],
+    "stability": [
+        "empirical_check", "theorem_conditions",
+        "report_to_json", "summary_csv_header", "summary_csv_row",
+    ],
     "numerics": ["eigenvalues"],
+    "sweep": ["sweep_to_csv", "bifurcation_to_json"],
+    "integrator": ["trajectory_to_csv"],
 }
 
 

@@ -1,22 +1,19 @@
 """Stability classification: spectra, verdict concordance and reports."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import bcdyn.stability
-from bcdyn import DomainError, SystemState, classify
+from bcdyn import DomainError, SystemState, classify, default_scenario
 from bcdyn.equilibria import dead_type1, find_all, tumor_free
+from bcdyn.formats import report_to_json, stability_to_csv
 from bcdyn.integrator import IntegrationConfig, integrate
+from bcdyn.model import PARAM_NAMES
 from bcdyn.numerics import char_poly
-from bcdyn.stability import (
-    _block_conditions,
-    block_spectrum,
-    report_to_json,
-    summary_csv_header,
-    summary_csv_row,
-)
+from bcdyn.stability import _block_conditions, block_spectrum
 from bcdyn.validation import draw_params
 
 from conftest import corpus_jacobians, random_params
@@ -231,8 +228,28 @@ class TestReports:
             break
 
     def test_summary_csv_shape(self):
-        header = summary_csv_header()
         for pm, eq, rep in classified(range(6)):
-            row = summary_csv_row(rep)
+            header, row = stability_to_csv([rep]).strip("\n").split("\n")
             assert len(row.split(",")) == len(header.split(","))
             break
+
+
+class TestExtremeScale:
+    def test_overflowing_minors_classify_without_warnings(self):
+        """With one parameter of the default scenario at 1e-30 or 1e30 (k
+        must stay in [0, 1]), some Hurwitz minors exceed the float range;
+        they come back as +-inf without a RuntimeWarning."""
+        base = default_scenario().params
+        infinite = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in PARAM_NAMES:
+                if name == "k":
+                    continue
+                for value in (1e-30, 1e30):
+                    params = base.replace(**{name: value})
+                    for eq in find_all(params):
+                        if eq.confirmed:
+                            minors = classify(eq, params).hurwitz.minors
+                            infinite += any(math.isinf(mi) for mi in minors)
+        assert infinite == 19

@@ -16,7 +16,7 @@ from bcdyn import (
 )
 from bcdyn.numerics import NumericsError
 from bcdyn.scenario import Scenario, ScenarioError
-from bcdyn.sweep import sweep_to_csv
+from bcdyn.formats import sweep_to_csv
 
 from conftest import random_params
 
