@@ -156,17 +156,27 @@ def _tumor_ratio(params: ModelParams, E: float, n_free: bool):
     c = params.l1 * E * (1.0 - params.k)
     eps = params.epsilon
     growth = params.b1 * np.convolve([eps, 1.0, 0.0], net_growth)
-    feed = c * np.array([0.0, 0.0, (params.a1 - c) * eps - params.d1, params.a1 - c])
+    # Plain-float products with the array product's values (c * 0.0 is NaN
+    # for an infinite c): a feed that overflows is inf, not a numpy warning,
+    # and the eliminated polynomial's finiteness check names it.
+    a1c = params.a1 - c
+    feed = [c * 0.0, c * 0.0, c * (a1c * eps - params.d1), c * a1c]
     return growth + feed, params.g1 * params.b1 * np.array([eps, 1.0, 0.0])
 
 
-def _eliminate(R, S, U, P, Q) -> np.ndarray:
+def _eliminate(R, S, U, P, Q) -> list[float]:
     """R*P^2 + S*P*Q + U*Q^2: the immune equation with I = P/Q substituted
-    and Q^2 cleared.  A quartic in T at N = 0, an octic with N(T)."""
-    return np.polyadd(
-        np.polyadd(np.convolve(R, np.convolve(P, P)), np.convolve(S, np.convolve(P, Q))),
-        np.convolve(U, np.convolve(Q, Q)),
-    )
+    and Q^2 cleared.  A quartic in T at N = 0, an octic with N(T).  The
+    terms are summed as np.polyadd sums them, on plain floats, so overflowed
+    terms give inf or nan, not a numpy warning."""
+    terms = [
+        np.convolve(R, np.convolve(P, P)).tolist(),
+        np.convolve(S, np.convolve(P, Q)).tolist(),
+        np.convolve(U, np.convolve(Q, Q)).tolist(),
+    ]
+    n = len(terms[0])  # R*P^2 has the highest degree
+    a, b, c = ([0.0] * (n - len(t)) + t for t in terms)
+    return [x + y + z for x, y, z in zip(a, b, c)]
 
 
 def _quadratic_positive_roots(coeffs: tuple[float, float, float]) -> list[float]:
@@ -447,7 +457,7 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
             P, Q = _tumor_ratio(params, E, row.n_free)
             if not (P > 0).any():
                 continue  # P < 0 for every T > 0: no seed has I = P/Q >= 0
-            poly = (P if params.g1 == 0 else _eliminate(R, S, U, P, Q)).tolist()
+            poly = P.tolist() if params.g1 == 0 else _eliminate(R, S, U, P, Q)
             if not all(map(math.isfinite, poly)):
                 raise NumericsError(f"{family} polynomial in T overflows")
             rooted.append((i, j, P.tolist(), Q.tolist()))
@@ -512,12 +522,6 @@ def _catalog(equilibria: list[Equilibrium]) -> list[Equilibrium]:
     kept = _dedup(equilibria, key=lambda eq: eq.point.as_tuple())
     kept.sort(key=lambda eq: (FAMILIES.index(eq.family), eq.point.T))
     return kept
-
-
-def _find_all_batch(bound_sets) -> list[list[Equilibrium]]:
-    """:func:`find_all` of every ``(params, model._bind(params))`` of
-    ``bound_sets``, in one batch."""
-    return [_catalog(eqs) for eqs in _find_batch(bound_sets, FAMILIES)]
 
 
 def tumor_free(params: ModelParams) -> list[Equilibrium]:

@@ -9,14 +9,18 @@ the Jacobians at all confirmed points, with the same bits as
 
 The bifurcation scanner brackets sign changes of the leading eigenvalue
 real part per family and bisects each bracket.  It solves its scan grid
-in one batch and each bisection midpoint as a batch of one, and reads only
-eigenvalues: no characteristic polynomial, Hurwitz minors or theorem rules.
-A memo local to each :func:`run_bifurcate` call keeps, per parameter
-value, the confirmed points of every family with their leading
-eigenvalues, so a value is solved at most once.  Brackets of different
-families or branches in one scan interval share their midpoints, and the
-bisection carries the entries at both bracket ends, so the reported
-eigenvalues need no further solve.
+for all families in one batch, and reads only eigenvalues: no
+characteristic polynomial, Hurwitz minors or theorem rules.  A bisection
+midpoint is a batch of one solved only for the family prefix up to the
+last family bracketed in its scan interval: the cross-family dedup keeps
+a family's points by the families before it and never by those after it,
+so a prefix gives its families the points and eigenvalues of the full
+catalog, bit for bit.  A memo local to each :func:`run_bifurcate` call
+keeps, per parameter value, the confirmed points of each solved family
+with their leading eigenvalues, so a value is solved at most once.
+Brackets of different families or branches in one scan interval share
+their midpoints, and the bisection carries the entries at both bracket
+ends, so the reported eigenvalues need no further solve.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import FAMILIES, _find_all_batch
+from .equilibria import FAMILIES, _catalog, _find_batch
 from .model import PARAM_NAMES, DomainError, _bind
 from .scenario import Scenario, ScenarioError
 from .stability import _eig_verdict, _repro, _spectra
@@ -82,12 +86,14 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     return tuple(np.linspace(lo, hi, count))
 
 
-def _solve(bound_sets) -> list[list[tuple]]:
+def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
     """Per ``(params, model._bind(params))`` of ``bound_sets``, its catalog
-    as (equilibrium, spectrum) pairs, the spectrum None for unconfirmed
-    points.  All sets go through one batched solve, and the Jacobians at all
-    confirmed points through one stacked eigenvalue call."""
-    solved = _find_all_batch(bound_sets)
+    restricted to the rows ``families`` (a prefix of FAMILIES keeps the
+    full catalog's points of those families) as (equilibrium, spectrum)
+    pairs, the spectrum None for unconfirmed points.  All sets go through
+    one batched solve, and the Jacobians at all confirmed points through one
+    stacked eigenvalue call."""
+    solved = [_catalog(eqs) for eqs in _find_batch(bound_sets, families)]
     Js = [
         jac(*eq.point.as_tuple())
         for (_, (_, jac)), catalog in zip(bound_sets, solved)
@@ -174,58 +180,62 @@ def run_bifurcate(
     width_target = bracket_rel_width * (hi - lo)
     solved: dict[float, dict[str, list]] = {}
 
-    def solve(values: list[float]) -> None:
-        """Solve new parameter values in one batch and keep, per value and
-        family, each confirmed point with its leading eigenvalue."""
+    def solve(values: list[float], families=FAMILIES) -> None:
+        """Solve parameter values for the family prefix ``families`` in one
+        batch and keep, per value and solved family, each confirmed point
+        with its leading eigenvalue."""
         params_list = [scenario.params.replace(**{parameter_name: v}) for v in values]
-        catalogs = _solve([(params, _bind(params)) for params in params_list])
+        catalogs = _solve([(params, _bind(params)) for params in params_list], families)
         for v, catalog in zip(values, catalogs):
-            solved[v] = {fam: [] for fam in FAMILIES}
+            solved[v] = {fam: [] for fam in families}
             for eq, spectrum in catalog:
                 if spectrum is not None:
                     lead = max(spectrum.roots, key=lambda z: z.real)
                     solved[v][eq.family].append((eq.point.as_array(), lead))
 
-    def branches(v: float) -> dict[str, list]:
-        """Confirmed equilibria at ``v`` by family, each as (point, leading
-        eigenvalue); a bisection midpoint is solved as a batch of one."""
-        if v not in solved:
-            solve([v])
-        return solved[v]
-
     solve(list(dict.fromkeys(grid)))
 
-    results: list[BifurcationResult] = []
+    brackets = []
     for family in FAMILIES:
         for a0, b0 in zip(grid, grid[1:]):
-            for start in branches(a0)[family]:
-                lower, upper = start, _nearest(branches(b0)[family], start[0])
+            for start in solved[a0][family]:
+                upper = _nearest(solved[b0][family], start[0])
                 if upper is None:
                     continue  # family disappears mid-range; partial results
                 fa, fb = start[1].real, upper[1].real
                 if fa == 0.0 or fb == 0.0 or fa * fb > 0:
                     continue
-                a, b = a0, b0
-                while b - a > width_target:
-                    mid = 0.5 * (a + b)
-                    entry = _nearest(branches(mid)[family], lower[0])
-                    if entry is None:
-                        break
-                    if lower[1].real * entry[1].real <= 0:
-                        b, upper = mid, entry
-                    else:
-                        a, lower = mid, entry
-                results.append(
-                    BifurcationResult(
-                        parameter_name=parameter_name,
-                        critical_value=0.5 * (a + b),
-                        bracketing_interval=(a, b),
-                        crossing_eigenvalue={
-                            "at_lower": {"re": lower[1].real, "im": lower[1].imag},
-                            "at_upper": {"re": upper[1].real, "im": upper[1].imag},
-                        },
-                        equilibrium_family=family,
-                    )
-                )
+                brackets.append((family, a0, b0, start, upper))
+    # The brackets of one scan interval share their midpoints, so these are
+    # solved for the families up to the last one bracketed there (brackets
+    # come in family order); a midpoint is then solved once.
+    prefix = {a0: FAMILIES[:FAMILIES.index(family) + 1] for family, a0, *_ in brackets}
+
+    results: list[BifurcationResult] = []
+    for family, a, b, lower, upper in brackets:
+        families = prefix[a]
+        while b - a > width_target:
+            mid = 0.5 * (a + b)
+            if mid not in solved:
+                solve([mid], families)
+            entry = _nearest(solved[mid][family], lower[0])
+            if entry is None:
+                break
+            if lower[1].real * entry[1].real <= 0:
+                b, upper = mid, entry
+            else:
+                a, lower = mid, entry
+        results.append(
+            BifurcationResult(
+                parameter_name=parameter_name,
+                critical_value=0.5 * (a + b),
+                bracketing_interval=(a, b),
+                crossing_eigenvalue={
+                    "at_lower": {"re": lower[1].real, "im": lower[1].imag},
+                    "at_upper": {"re": upper[1].real, "im": upper[1].imag},
+                },
+                equilibrium_family=family,
+            )
+        )
     results.sort(key=lambda res: (res.equilibrium_family, res.critical_value))
     return results

@@ -16,6 +16,7 @@ from bcdyn.equilibria import (
     immune_clearance_rate,
     tumor_free,
 )
+from bcdyn.model import PARAM_NAMES
 from bcdyn.numerics import NumericsError
 from bcdyn.stability import classify
 from bcdyn.validation import draw_params
@@ -294,6 +295,41 @@ class TestExtremeValues:
                 else:
                     with pytest.raises(DomainError, match="^Jacobian overflows"):
                         classify(eq, pm)
+
+    #: Sets whose eliminated polynomial (b1) or tumor-ratio feed (the
+    #: others) overflows, with the error a finiteness check downstream
+    #: names them by.
+    OVERFLOWING = {
+        ("b1", 1e300): (NumericsError, "coexisting polynomial in T overflows"),
+        ("l1", 1e300): (NumericsError, "characteristic polynomial overflows"),
+        ("p", 1e300): (DomainError, "Jacobian overflows at state"),
+        ("theta", 1e-300): (DomainError, "Jacobian overflows at state"),
+    }
+
+    @pytest.mark.parametrize("value", [1e-300, 1e300])
+    @pytest.mark.parametrize("name", [name for name in PARAM_NAMES if name != "k"])
+    def test_extreme_parameter_returns_or_names_the_failure(self, base_params, name, value):
+        """With one parameter at 1e-300 or 1e300, find_all and classify of
+        each confirmed point return or raise DomainError/NumericsError, with
+        no numpy warning on the way."""
+
+        def catalog_and_classify():
+            pm = base_params.replace(**{name: value})
+            for eq in find_all(pm):
+                if eq.confirmed:
+                    classify(eq, pm)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if (name, value) in self.OVERFLOWING:
+                error, message = self.OVERFLOWING[name, value]
+                with pytest.raises(error, match=f"^{message}"):
+                    catalog_and_classify()
+                return
+            try:
+                catalog_and_classify()
+            except (DomainError, NumericsError):
+                pass
 
 
 class TestDegenerateSlices:

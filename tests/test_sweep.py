@@ -1,4 +1,5 @@
 """Parameter sweeps and bifurcation bracketing."""
+import hashlib
 import math
 
 import numpy as np
@@ -14,9 +15,12 @@ from bcdyn import (
     run_bifurcate,
     run_sweep,
 )
+from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, estrogen_level, tumor_free
+from bcdyn.formats import bifurcation_to_json, sweep_to_csv
+from bcdyn.model import _bind
 from bcdyn.numerics import NumericsError
 from bcdyn.scenario import Scenario, ScenarioError
-from bcdyn.formats import sweep_to_csv
+from bcdyn.validation import draw_params
 
 from conftest import random_params
 
@@ -265,23 +269,136 @@ class TestBifurcate:
         assert len(c1) == len(c2) == 1
         assert abs(c1[0] - c2[0]) < 1e-6 * (hi - lo)
 
-    def test_one_solve_per_parameter_value(self, monkeypatch):
+    def record_solves(self, monkeypatch, scenario, lo, hi, scan_points):
+        """run_bifurcate with every ``_solve`` request recorded as
+        {d: [families requested, in call order]}."""
         import bcdyn.sweep
 
-        solved = []
+        requests: dict[float, list[tuple[str, ...]]] = {}
         solve = bcdyn.sweep._solve
 
-        def counted(bound_sets):
-            solved.extend(params.d for params, _ in bound_sets)
-            return solve(bound_sets)
+        def counted(bound_sets, families=FAMILIES):
+            for params, _ in bound_sets:
+                requests.setdefault(params.d, []).append(families)
+            return solve(bound_sets, families)
 
         monkeypatch.setattr(bcdyn.sweep, "_solve", counted)
-        results = run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=64)
-        assert results
-        assert len(solved) == len(set(solved))
-        assert len(solved) >= 64
+        results = run_bifurcate(scenario, "d", lo, hi, scan_points=scan_points)
+        grid = [float(v) for v in np.linspace(lo, hi, scan_points)]
+        return results, requests, grid
+
+    def test_one_solve_per_parameter_value(self, monkeypatch):
+        """Each value is solved once: the grid for all families, a midpoint
+        for the prefix up to the last family bracketed in its scan interval.
+        The default scenario over [0.05, 5] brackets dead2 and coexisting in
+        one interval, whose shared midpoints are solved for all four."""
+        results, requests, grid = self.record_solves(
+            monkeypatch, default_scenario(), 0.05, 5.0, 64
+        )
+        assert {res.equilibrium_family for res in results} == {"dead2", "coexisting"}
+        assert set(grid) <= set(requests)
+        assert len(requests) > len(grid)
+        assert all(asked == [FAMILIES] for asked in requests.values())
+
+    def test_planted_midpoints_solve_tumor_free_only(self, monkeypatch):
+        pm, d_star, lo, hi = self.planted_instance()
+        results, requests, grid = self.record_solves(
+            monkeypatch, scenario_with(pm), lo, hi, 32
+        )
+        assert [res.equilibrium_family for res in results] == ["tumor_free"]
+        assert all(requests[v] == [FAMILIES] for v in grid)
+        midpoints = [asked for v, asked in requests.items() if v not in grid]
+        assert midpoints
+        assert all(asked == [("tumor_free",)] for asked in midpoints)
 
     def test_range_validation(self):
         pm, d_star, lo, hi = self.planted_instance()
         with pytest.raises(DomainError):
             run_bifurcate(scenario_with(pm), "d", hi, lo)
+
+
+class TestFamilyPrefix:
+    """A bisection midpoint is solved for a prefix of FAMILIES only.  The
+    cross-family dedup keeps a family's points by the families before it,
+    so a prefix gives each of its families the full catalog's points."""
+
+    def assert_prefix_exact(self, params):
+        full = find_all(params)
+        for i in range(len(FAMILIES)):
+            prefix = _catalog(_find_batch([(params, _bind(params))], FAMILIES[:i + 1])[0])
+            want = [eq for eq in full if FAMILIES.index(eq.family) <= i]
+            assert [repr((eq.family, eq.point, eq.residual)) for eq in prefix] == [
+                repr((eq.family, eq.point, eq.residual)) for eq in want
+            ]
+
+    def test_prefix_catalog_is_the_catalog_slice(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            self.assert_prefix_exact(draw_params(rng))
+
+    def test_shadowed_point_needs_the_families_before_it(self, base_params):
+        """With a1 just above the tumor-free feed, a tumor-free point with
+        N ~ 8e-12 shadows the dead1 point: the catalog drops dead1, a prefix
+        drops it too, and a dead1-only solve keeps it."""
+        pm = base_params
+        pm = pm.replace(a1=pm.l1 * estrogen_level(pm) * (1.0 - pm.k) * (1.0 + 1e-9))
+        self.assert_prefix_exact(pm)
+        assert [eq.family for eq in find_all(pm)] == ["tumor_free"]
+        assert [eq.family for eq in _find_batch([(pm, _bind(pm))], ("dead1",))[0]] == ["dead1"]
+
+
+def scan_instances(seed, count):
+    """Planted k = 1 instances drawn like the benchmark's scan workload:
+    draw_params sets whose tumor-free point is stable at 0.5 d* and
+    unstable at 1.5 d*, d* = (g1 I + m_d)/a2; each as (params, lo, hi)."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    while len(instances) < count:
+        pm = draw_params(rng, k=1.0)
+        free = [eq for eq in tumor_free(pm) if eq.confirmed]
+        if not free:
+            continue
+        d_star = (pm.g1 * free[0].point.I + pm.m_d) / pm.a2
+        lo, hi = 0.5 * d_star, 1.5 * d_star
+        verdicts = []
+        for d in (lo, hi):
+            p = pm.replace(d=d)
+            ends = [eq for eq in tumor_free(p) if eq.confirmed]
+            verdicts.append(classify(ends[0], p).verdict if ends else None)
+        if verdicts == ["stable", "unstable"]:
+            instances.append((pm, lo, hi))
+    return instances
+
+
+def bifurcation_sha256(results):
+    return hashlib.sha256(bifurcation_to_json(results).encode()).hexdigest()
+
+
+class TestBifurcationGolden:
+    """sha256 of bifurcation_to_json, pinned before midpoints were solved
+    for a family prefix instead of the full catalog."""
+
+    def test_default_scenario_dead2_and_coexisting(self):
+        results = run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=64)
+        assert bifurcation_sha256(results) == (
+            "bca28c8aeeacdc873da7e75fc630ceb1dca425d292081b899498542e8f8dcbb1"
+        )
+
+    def test_planted_instance(self):
+        pm, d_star, lo, hi = TestBifurcate().planted_instance()
+        results = run_bifurcate(scenario_with(pm), "d", lo, hi, scan_points=32)
+        assert bifurcation_sha256(results) == (
+            "e6e4fd1cbee73702a1621f959da82957e39dea3f3b495e63d9223e4dab43356f"
+        )
+
+    def test_scan_instances(self):
+        got = [
+            bifurcation_sha256(
+                run_bifurcate(scenario_with(pm), "d", lo, hi, scan_points=2, bracket_rel_width=0.05)
+            )
+            for pm, lo, hi in scan_instances(1, 2)
+        ]
+        assert got == [
+            "84cd291f70c88c26bf0c9f329b0fd6315a520e8178277e2895d88f9c10121886",
+            "c2b5d129f7f0d296ba43c510cac7d9d23068032dadc5a10348a0af95158eb2eb",
+        ]
