@@ -20,7 +20,10 @@ quadratic, which has the exact root I = 0 when s = 0.  Roots come from
 companion-matrix eigenvalues, so no grid decides which points are found;
 a batch of parameter sets roots all its companions of one size with one
 stacked LAPACK call, and one set is a batch of one.
-Newton polishes the free components with E pinned, and one test admits a
+Newton polishes the free components with E pinned.  A seed whose free
+components of the vector field are already below Newton's 1e-13 tolerance
+takes no step, and the field evaluated there is the point's residual
+unless the snap of tiny negative components moves it.  One test admits a
 point: free N > 0, free T > 0, I > 0 (or I = 0 when s = 0) and M > 0 (or
 M = 0 when v_M = 0).  E is not tested, so k = 1 and p = 0, where E* = 0,
 keep their interior points.  None of the paper's printed polynomials is
@@ -83,6 +86,9 @@ CONFIRM_TOL = 1e-10
 SNAP_TOL = 1e-9
 #: Relative infinity-norm distance below which two points are duplicates.
 DEDUP_TOL = 1e-6
+#: Newton stops once every polished component of the vector field is below
+#: this in magnitude.
+POLISH_TOL = 1e-13
 
 #: Roots with |imag| below this fraction of their modulus are taken as real.
 NEAR_REAL_TOL = 1e-6
@@ -298,8 +304,21 @@ def _closed_N(params: ModelParams, T: float, E: float) -> float:
 def _polish(bound, active: tuple[int, ...], template: list[float]):
     """Newton-polish a seed on the steady subsystem of the bound closures
     ``(f, jac)`` over the ``active`` state indices, the other components
-    frozen at ``template``; the snapped full state, or None on failure."""
+    frozen at ``template``: the snapped full state with its residual, or
+    None on failure.  A seed whose active components of the vector field
+    are already below the tolerance is its own solution (the test
+    :func:`newton_solve` makes before its first step), and the field
+    evaluated there is its residual unless the snap moved it; the residual
+    is None when it is still to be evaluated."""
     f, jac = bound
+    try:
+        full = f(*template)
+    except DomainError as exc:
+        log.debug("polish failed from %s: %s", template, exc)
+        return None
+    if all(abs(full[i]) < POLISH_TOL for i in active):
+        point = _snap(template)
+        return point, (max(map(abs, full)) if point.as_tuple() == tuple(template) else None)
 
     def assemble(x: np.ndarray) -> list[float]:
         vals = list(template)
@@ -316,11 +335,11 @@ def _polish(bound, active: tuple[int, ...], template: list[float]):
         return np.array([[rows[i][j] for j in active] for i in active])
 
     try:
-        sol = newton_solve(F, J, [template[i] for i in active], tol=1e-13)
+        sol = newton_solve(F, J, [template[i] for i in active], tol=POLISH_TOL)
     except (NewtonError, DomainError) as exc:
         log.debug("polish failed from %s: %s", template, exc)
         return None
-    return _snap(assemble(sol))
+    return _snap(assemble(sol)), None
 
 
 def _tumor_free_flags(params: ModelParams, point: SystemState):
@@ -449,9 +468,12 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
         R, S, U = _immune_quadratic(params, E)
         sets.append((params, bound, E, R, S, U))
         seeds.append([])
+        at_zero = None  # the (T, I) seeds at T = 0, shared by the T = 0 rows
         for j, (family, row) in enumerate(rows):
             if not row.t_free:
-                seeds[i].append([(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)])
+                if at_zero is None:
+                    at_zero = [(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)]
+                seeds[i].append(at_zero)
                 continue
             seeds[i].append([])
             P, Q = _tumor_ratio(params, E, row.n_free)
@@ -480,9 +502,11 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
 
 def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seeds):
     """Back-substitute N and M into each (T, I) seed of one family, polish
-    the free components, admit, dedup and flag."""
+    the free components, admit, dedup and flag.  A point keeps the residual
+    its polish evaluated and is evaluated again only when the polish moved
+    or snapped it."""
     active = (0,) * row.n_free + (1,) * row.t_free + (2, 4)
-    points: list[SystemState] = []
+    points: list[tuple[SystemState, float | None]] = []
     for T0, I0 in seeds:
         if I0 < -SNAP_TOL:
             continue
@@ -493,21 +517,23 @@ def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seed
             continue
         # E is pinned at its closed form so every family shares the
         # identical float value; the E equation is decoupled anyway.
-        point = _polish(bound, active, [N0, T0, I0, E, M0])
+        polished = _polish(bound, active, [N0, T0, I0, E, M0])
+        if polished is None:
+            continue
+        point = polished[0]
         if (
-            point is not None
-            and (point.N > 0 or not row.n_free)
+            (point.N > 0 or not row.n_free)
             and (point.T > 0 or not row.t_free)
             and (point.I > 0 or (point.I == 0 and params.s == 0))
             and (point.M > 0 or (point.M == 0 and params.v_M == 0))
         ):
-            points.append(point)
+            points.append(polished)
     return [
         Equilibrium(
-            point, family, _residual(bound[0], point), *row.flags(params, point),
-            provenance=row.provenance(params),
+            point, family, _residual(bound[0], point) if residual is None else residual,
+            *row.flags(params, point), provenance=row.provenance(params),
         )
-        for point in _dedup(points, key=SystemState.as_tuple)
+        for point, residual in _dedup(points, key=lambda pair: pair[0].as_tuple())
     ]
 
 

@@ -99,12 +99,6 @@ def _eig_verdict(max_re: float) -> str:
     return "inconclusive"
 
 
-def _spectra(Js: np.ndarray) -> list[RootSet]:
-    """Sorted eigenvalues of each Jacobian of a (B, 5, 5) stack, from one
-    LAPACK call; the same bits as one call per Jacobian."""
-    return [_root_set(w) for w in np.linalg.eigvals(Js)] if len(Js) else []
-
-
 def _repro(eq: Equilibrium, params: ModelParams, B=None) -> ReproductionNumbers | None:
     """R0 and R1 from the A family, and R_IM from the B family where the
     point has N = T = 0: the reproduction numbers of the tumor-free and
@@ -237,7 +231,7 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
         )
     J = jacobian(eq.point, params)
     cp = char_poly(J)
-    eig = _spectra(J[None])[0]
+    eig = _root_set(np.linalg.eigvals(J))
     hv = routh_hurwitz(cp)
     verdict = _eig_verdict(eig.max_real)
 

@@ -5,7 +5,9 @@ equilibrium pipeline: every grid point is validated once and the
 eliminated polynomials of all points are rooted together.  Each row then
 takes its verdict, max Re(lambda), R0 and R1 from one stacked spectrum of
 the Jacobians at all confirmed points, with the same bits as
-:func:`classify` gives them (no branch continuation).
+:func:`classify` gives them (no branch continuation).  Of each spectrum
+only the leading eigenvalue is kept, the one :func:`classify`'s sorted
+spectrum leads with; no spectrum is sorted.
 
 The bifurcation scanner brackets sign changes of the leading eigenvalue
 real part per family and bisects each bracket.  It solves its scan grid
@@ -20,7 +22,8 @@ keeps, per parameter value, the confirmed points of each solved family
 with their leading eigenvalues, so a value is solved at most once.
 Brackets of different families or branches in one scan interval share
 their midpoints, and the bisection carries the entries at both bracket
-ends, so the reported eigenvalues need no further solve.
+ends, so the reported eigenvalues need no further solve.  A bracket is
+halved down to its target width or until its ends are adjacent floats.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import numpy as np
 from .equilibria import FAMILIES, _catalog, _find_batch
 from .model import PARAM_NAMES, DomainError, _bind
 from .scenario import Scenario, ScenarioError
-from .stability import _eig_verdict, _repro, _spectra
+from .stability import _eig_verdict, _repro
 
 # perfbench/tracer.py wraps these names on this module, so they stay
 # importable here; the sweeps call the batched pipeline instead.
@@ -86,13 +89,28 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     return tuple(np.linspace(lo, hi, count))
 
 
+def _lead(eigenvalues) -> complex:
+    """The leading one of ``eigenvalues``, given in LAPACK order: the
+    largest real part, ties broken by the smaller imaginary part rounded to
+    12 digits, then by LAPACK order.  It is the eigenvalue that
+    ``max(roots, key=real)`` picks from the sorted spectrum of
+    :func:`classify`."""
+    lead = None
+    for z in eigenvalues:
+        if lead is None or z.real > lead.real or (
+            z.real == lead.real and round(z.imag, 12) < round(lead.imag, 12)
+        ):
+            lead = z
+    return complex(lead)
+
+
 def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
     """Per ``(params, model._bind(params))`` of ``bound_sets``, its catalog
     restricted to the rows ``families`` (a prefix of FAMILIES keeps the
-    full catalog's points of those families) as (equilibrium, spectrum)
-    pairs, the spectrum None for unconfirmed points.  All sets go through
-    one batched solve, and the Jacobians at all confirmed points through one
-    stacked eigenvalue call."""
+    full catalog's points of those families) as (equilibrium, leading
+    eigenvalue) pairs, the eigenvalue None for unconfirmed points.  All sets
+    go through one batched solve, and the Jacobians at all confirmed points
+    through one stacked eigenvalue call."""
     solved = [_catalog(eqs) for eqs in _find_batch(bound_sets, families)]
     Js = [
         jac(*eq.point.as_tuple())
@@ -100,8 +118,8 @@ def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
         for eq in catalog
         if eq.confirmed
     ]
-    spectra = iter(_spectra(np.array(Js)))
-    return [[(eq, next(spectra) if eq.confirmed else None) for eq in catalog] for catalog in solved]
+    leads = iter(map(_lead, np.linalg.eigvals(np.array(Js)).tolist()) if Js else ())
+    return [[(eq, next(leads) if eq.confirmed else None) for eq in catalog] for catalog in solved]
 
 
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
@@ -121,7 +139,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
             points.append((v1, v2))
     rows: list[dict] = []
     for (v1, v2), (params, _), catalog in zip(points, bound_sets, _solve(bound_sets)):
-        for eq, spectrum in catalog:
+        for eq, lead in catalog:
             row = {
                 "parameter": spec.parameter_name,
                 "value": float(v1),
@@ -133,9 +151,9 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
             if spec.second_parameter is not None:
                 row["parameter2"] = spec.second_parameter
                 row["value2"] = float(v2)
-            if spectrum is not None:
-                row["verdict"] = _eig_verdict(spectrum.max_real)
-                row["maxReLambda"] = spectrum.max_real
+            if lead is not None:
+                row["verdict"] = _eig_verdict(lead.real)
+                row["maxReLambda"] = lead.real
                 repro = _repro(eq, params)
                 if repro is not None:
                     row["R0"] = repro.r0
@@ -154,10 +172,13 @@ class BifurcationResult:
 
 
 def _nearest(entries, point):
+    """The first entry whose point is nearest ``point`` in the infinity
+    norm, relative to 1 + its largest magnitude."""
     best = None
     best_dist = math.inf
+    scale = 1.0 + max(map(abs, point))
     for entry in entries:
-        dist = float(np.max(np.abs(entry[0] - point))) / (1.0 + float(np.max(np.abs(point))))
+        dist = max(abs(x - y) for x, y in zip(entry[0], point)) / scale
         if dist < best_dist:
             best, best_dist = entry, dist
     return best
@@ -171,11 +192,19 @@ def run_bifurcate(
     scan_points: int = 64,
     bracket_rel_width: float = 1e-6,
 ) -> list[BifurcationResult]:
-    """Scan ``parameter_name`` over [lo, hi], bracket every sign change of
-    max Re(lambda) per equilibrium family and bisect each bracket."""
+    """Scan ``parameter_name`` over [lo, hi] at ``scan_points`` >= 2 values,
+    bracket every sign change of max Re(lambda) per equilibrium family and
+    bisect each bracket down to ``bracket_rel_width`` > 0 of the range, or
+    until its ends are adjacent floats."""
     _check_grid(parameter_name, (lo, hi))
     if hi <= lo:
         raise DomainError(f"empty range [{lo}, {hi}]")
+    if scan_points < 2:
+        raise DomainError(f"need at least 2 scan points, got {scan_points}")
+    if not (math.isfinite(bracket_rel_width) and bracket_rel_width > 0):
+        raise DomainError(
+            f"bracket_rel_width must be finite and positive, got {bracket_rel_width}"
+        )
     grid = [float(v) for v in np.linspace(lo, hi, scan_points)]
     width_target = bracket_rel_width * (hi - lo)
     solved: dict[float, dict[str, list]] = {}
@@ -188,10 +217,9 @@ def run_bifurcate(
         catalogs = _solve([(params, _bind(params)) for params in params_list], families)
         for v, catalog in zip(values, catalogs):
             solved[v] = {fam: [] for fam in families}
-            for eq, spectrum in catalog:
-                if spectrum is not None:
-                    lead = max(spectrum.roots, key=lambda z: z.real)
-                    solved[v][eq.family].append((eq.point.as_array(), lead))
+            for eq, lead in catalog:
+                if lead is not None:
+                    solved[v][eq.family].append((eq.point.as_tuple(), lead))
 
     solve(list(dict.fromkeys(grid)))
 
@@ -216,6 +244,8 @@ def run_bifurcate(
         families = prefix[a]
         while b - a > width_target:
             mid = 0.5 * (a + b)
+            if mid == a or mid == b:
+                break  # the ends are adjacent floats
             if mid not in solved:
                 solve([mid], families)
             entry = _nearest(solved[mid][family], lower[0])

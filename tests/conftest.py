@@ -1,10 +1,21 @@
 """Shared fixtures: seeded parameter/state draws and scenario documents."""
 import json
+import signal
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from bcdyn import ModelParams, default_scenario, find_all, jacobian
+from bcdyn import (
+    DomainError,
+    ModelParams,
+    PositivityError,
+    StepUnderflowError,
+    default_scenario,
+    find_all,
+    jacobian,
+)
 from bcdyn.validation import draw_params, draw_state
 
 
@@ -64,3 +75,32 @@ def corpus_jacobians(draws: int = 40) -> list[np.ndarray]:
         for p in (pm, pm.replace(v_M=0.0), pm.replace(g1=0.0), pm.replace(s=0.0)):
             out += [jacobian(eq.point, p) for eq in find_all(p) if eq.confirmed]
     return out
+
+
+class _Timeout(Exception):
+    pass
+
+
+def bounded(call, seconds=1.0):
+    """Run ``call`` with warnings as errors and return its outcome: what it
+    returns, or the DomainError, PositivityError or StepUnderflowError it
+    raises.  Fails if the call takes longer than ``seconds``; an alarm at
+    five times that stops a call that would never return."""
+
+    def ring(signum, frame):
+        raise _Timeout(f"no return within {5 * seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, 5 * seconds)
+    start = time.perf_counter()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = call()
+    except (DomainError, PositivityError, StepUnderflowError) as exc:
+        outcome = exc
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < seconds
+    return outcome

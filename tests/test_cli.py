@@ -215,6 +215,20 @@ class TestBifurcateCommand:
         )
         assert isinstance(doc, list)
 
+    # --scan-points -2 used to end in numpy's ValueError, and 1 in an
+    # empty result.
+    @pytest.mark.parametrize("points", ["1", "-2"])
+    def test_too_few_scan_points_exit_2(self, tmp_path, capsys, points):
+        out = tmp_path / "out"
+        assert run([
+            "bifurcate", "--out", str(out), "--parameter", "d",
+            "--min", "0.5", "--max", "1.5", "--scan-points", points,
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: need at least 2 scan points, got {points}\n"
+        )
+        assert not out.exists()
+
 
 class TestFlags:
     @pytest.mark.parametrize(

@@ -7,7 +7,10 @@ import pytest
 
 from bcdyn import DomainError, residual_norm
 from bcdyn.equilibria import (
+    _TABLE,
     CONFIRM_TOL,
+    _admit,
+    _polish,
     coexisting,
     dead_type1,
     dead_type2,
@@ -16,7 +19,7 @@ from bcdyn.equilibria import (
     immune_clearance_rate,
     tumor_free,
 )
-from bcdyn.model import PARAM_NAMES
+from bcdyn.model import PARAM_NAMES, SystemState, _bind
 from bcdyn.numerics import NumericsError
 from bcdyn.stability import classify
 from bcdyn.validation import draw_params
@@ -274,6 +277,68 @@ class TestFindAll:
         for pm in cases:
             with pytest.raises(NumericsError, match="^dead2 polynomial in T overflows$"):
                 find_all(pm)
+
+
+class TestPolishFastPath:
+    """A seed whose polished components of the vector field are already
+    below the Newton tolerance is taken as it is, and the one evaluation
+    of the field at it is the point's residual."""
+
+    @pytest.fixture
+    def newton_calls(self, monkeypatch):
+        import bcdyn.equilibria
+
+        calls = []
+        newton = bcdyn.equilibria.newton_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(bcdyn.equilibria, "newton_solve", counted)
+        return calls
+
+    def test_default_scenario_takes_no_newton_step(self, base_params, newton_calls):
+        assert [eq for eq in find_all(base_params) if eq.confirmed]
+        assert newton_calls == []
+
+    def test_perturbed_seed_runs_newton(self, base_params, newton_calls):
+        (eq,) = [eq for eq in find_all(base_params) if eq.family == "coexisting"]
+        seed = list(eq.point.as_tuple())
+        seed[1] *= 1.0 + 1e-6
+        point, residual = _polish(_bind(base_params), (0, 1, 2, 4), seed)
+        assert len(newton_calls) == 1
+        assert residual is None
+        # The point the polish has always landed on from this seed.
+        assert point == SystemState(
+            0.7055410884599924, 0.000805938923663368, 17.14155145470961,
+            eq.point.E, 1.4359711492989313,
+        )
+
+    def test_residual_is_the_field_norm_at_the_point(self):
+        rng = np.random.default_rng(0)
+        confirmed = 0
+        for _ in range(300):
+            pm = draw_params(rng)
+            for eq in find_all(pm):
+                if eq.confirmed:
+                    confirmed += 1
+                    assert eq.residual == residual_norm(eq.point, pm)
+        assert confirmed == 695
+
+    def test_snapped_seed_residual_is_evaluated_again(self, base_params, newton_calls):
+        pm = base_params.replace(k=1.0, p_M=0.05)
+        (free,) = tumor_free(pm)
+        T0 = -1e-15  # in (-SNAP_TOL, 0): the snap moves it to 0
+        (eq,) = _admit(
+            pm, _bind(pm), estrogen_level(pm), "tumor_free", _TABLE["tumor_free"],
+            [(T0, free.point.I)],
+        )
+        assert newton_calls == []
+        assert eq.point.T == 0.0
+        assert eq.residual == residual_norm(eq.point, pm)
+        seed = SystemState(eq.point.N, T0, eq.point.I, eq.point.E, eq.point.M)
+        assert eq.residual != residual_norm(seed, pm)
 
 
 class TestExtremeValues:

@@ -1,9 +1,7 @@
 """Adaptive integration: accuracy, dense output, positivity and settling."""
 import hashlib
 import math
-import signal
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from bcdyn.integrator import default_horizon
 from bcdyn.model import PARAM_NAMES, make_jacobian, make_rhs
 from bcdyn.validation import draw_params, draw_state
 
-from conftest import random_params
+from conftest import bounded, random_params
 
 
 def rk4_reference(x0, params, t_end, h):
@@ -394,35 +392,6 @@ class TestGoldenTrajectories:
         if name == "unscaled":
             assert any(traj.stiff_switch_time is not None for traj in runs)
             assert any(min(traj.positivity_violations) < 0.0 for traj in runs)
-
-
-class _Timeout(Exception):
-    pass
-
-
-def bounded(call, seconds=1.0):
-    """Run ``call`` with warnings as errors and return its outcome: what it
-    returns, or the DomainError, PositivityError or StepUnderflowError it
-    raises.  Fails if the call takes longer than ``seconds``; an alarm at
-    five times that stops a call that would never return."""
-
-    def ring(signum, frame):
-        raise _Timeout(f"no return within {5 * seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, ring)
-    signal.setitimer(signal.ITIMER_REAL, 5 * seconds)
-    start = time.perf_counter()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            outcome = call()
-    except (DomainError, PositivityError, StepUnderflowError) as exc:
-        outcome = exc
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.perf_counter() - start < seconds
-    return outcome
 
 
 class TestExtremeValues:

@@ -18,11 +18,12 @@ from bcdyn import (
 from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, estrogen_level, tumor_free
 from bcdyn.formats import bifurcation_to_json, sweep_to_csv
 from bcdyn.model import _bind
-from bcdyn.numerics import NumericsError
+from bcdyn.numerics import NumericsError, _root_set
 from bcdyn.scenario import Scenario, ScenarioError
+from bcdyn.sweep import _lead
 from bcdyn.validation import draw_params
 
-from conftest import random_params
+from conftest import bounded, random_params
 
 
 def scenario_with(params):
@@ -315,6 +316,80 @@ class TestBifurcate:
         pm, d_star, lo, hi = self.planted_instance()
         with pytest.raises(DomainError):
             run_bifurcate(scenario_with(pm), "d", hi, lo)
+
+    # Width 0 and below used to bisect forever; NaN skipped the bisection.
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_bracket_width_must_be_positive(self, width):
+        outcome = bounded(
+            lambda: run_bifurcate(default_scenario(), "d", 0.05, 5.0, bracket_rel_width=width),
+            seconds=2.0,
+        )
+        assert isinstance(outcome, DomainError)
+        assert "bracket_rel_width" in str(outcome)
+
+    # Fewer than two scan points used to return no crossings at all.
+    @pytest.mark.parametrize("scan_points", [1, 0, -2])
+    def test_needs_two_scan_points(self, scan_points):
+        with pytest.raises(DomainError, match="scan points"):
+            run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=scan_points)
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        """A width below the float spacing bisects each bracket down to
+        adjacent floats, and the crossings are those of the default width
+        refined further."""
+        sc = default_scenario()
+        results = bounded(
+            lambda: run_bifurcate(sc, "d", 0.05, 5.0, bracket_rel_width=1e-300), seconds=2.0
+        )
+        coarse = run_bifurcate(sc, "d", 0.05, 5.0)
+        assert [r.equilibrium_family for r in results] == [
+            r.equilibrium_family for r in coarse
+        ]
+        for res, ref in zip(results, coarse):
+            a, b = res.bracketing_interval
+            assert b == np.nextafter(a, math.inf)
+            assert ref.bracketing_interval[0] <= a < b <= ref.bracketing_interval[1]
+
+
+class TestLeadingEigenvalue:
+    """The sweep reads one eigenvalue per point: the one that
+    max(key=real) picks from classify's sorted spectrum."""
+
+    @staticmethod
+    def reference(w):
+        return max(_root_set(w).roots, key=lambda z: z.real)
+
+    @staticmethod
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            # A conjugate pair leads: the negative imaginary part first.
+            [-1.0, complex(0.5, 2.0), complex(0.5, -2.0), -3.0, -0.2],
+            [complex(0.5, -2.0), complex(0.5, 2.0), -1.0],
+            # Tied reals, told apart only by the sign of a zero.
+            [-1.0, complex(2.0, -0.0), complex(2.0, 0.0)],
+            [complex(2.0, 0.0), complex(2.0, -0.0), -1.0],
+            [complex(-0.0, 0.0), complex(0.0, 0.0), -4.0],
+            [complex(0.0, 0.0), complex(-0.0, 0.0), -4.0],
+            # Imaginary parts that tie after round(., 12): LAPACK order.
+            [complex(1.0, 1e-13), complex(1.0, -1e-13), 0.5],
+            [complex(1.0, 0.3 + 1e-14), complex(1.0, 0.3), 0.5],
+            # Real parts that tie only after rounding: the larger wins.
+            [complex(1.0, 5.0), complex(1.0 + 1e-15, 7.0), 0.5],
+        ],
+    )
+    def test_planted_spectra(self, w):
+        got = _lead(np.array(w, dtype=complex).tolist())
+        assert self.bits(got) == self.bits(self.reference(np.array(w, dtype=complex)))
+
+    def test_real_spectrum(self):
+        w = np.array([-2.0, 3.0, 3.0, -0.5])
+        got = _lead(w.tolist())
+        assert isinstance(got, complex)
+        assert self.bits(got) == self.bits(self.reference(w))
 
 
 class TestFamilyPrefix:
