@@ -451,11 +451,11 @@ _TABLE = {
 
 def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
     """Run the rows ``families`` of the family table on every
-    ``(params, (f, jac))`` of ``bound_sets``, each parameter set validated
-    and bound by ``model._bind``.  The eliminated polynomials of all sets
-    and rows are rooted together (see :func:`_positive_roots_each`);
-    seeding, polish, admission, dedup and flags stay per set.  Per set: its
-    points, row by row in ``families`` order, each row deduplicated.
+    ``(params, (f, jac))`` of ``bound_sets``, each parameter set bound by
+    ``model._bind``.  The eliminated polynomials of all sets and rows are
+    rooted together (see :func:`_positive_roots_each`); seeding, polish,
+    admission, dedup and flags stay per set.  Per set: its points, row by
+    row in ``families`` order, each row deduplicated.
 
     T = 0 rows take I from the immune quadratic.  Otherwise T runs over the
     positive roots of R*P^2 + S*P*Q + U*Q^2 and I = P/Q; with g1 = 0 (Q = 0)

@@ -64,12 +64,13 @@ from .model import (
     SystemState,
     STATE_NAMES,
     DomainError,
-    _closures,
+    _is_real,
+    make_jacobian,
     make_rhs,
 )
 
 # perfbench/tracer.py counts calls by wrapping this name on this module, so
-# it stays importable here; integrate validates through make_rhs.
+# it stays importable here; ModelParams validates itself on construction.
 from .model import validate_params  # noqa: F401
 
 __all__ = [
@@ -108,6 +109,11 @@ class IntegrationConfig:
     negativity_floor: float = -1e-9
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is None and name in ("max_step", "initial_step"):
+                continue
+            if not (_is_real(value) and math.isfinite(value)):
+                raise DomainError(f"{name} must be a finite real number, got {value!r}")
         if not self.t_end > self.t0:
             raise DomainError(f"t_end must exceed t0, got [{self.t0}, {self.t_end}]")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -598,7 +604,7 @@ def integrate(
     """
     if sample_count < 2:
         raise DomainError("sample_count must be at least 2")
-    f = make_rhs(params)  # validates params
+    f = make_rhs(params)
     if isinstance(x0, SystemState):
         y = x0.as_tuple()
     else:
@@ -731,7 +737,7 @@ def integrate(
         if jac is None and stiffness > _STIFF_RATIO:
             stiff_hits += 1
             if stiff_hits == _STIFF_STEPS:
-                jac = _closures(params)[1]  # params validated by make_rhs
+                jac = make_jacobian(params)
                 dense = _rodas_dense
                 switch_time = t
                 alpha, beta, shrink = _ROS_ALPHA, _ROS_BETA, _ROS_SHRINK

@@ -73,6 +73,10 @@ class ModelParams:
 
     Units are abstract: "cells", "concentration" and "per day"; no unit
     conversion is performed anywhere.
+
+    Valid by construction: the constructor, :meth:`replace`,
+    :meth:`from_dict` and ``dataclasses.replace`` all run
+    :func:`validate_params` and raise DomainError on a violation.
     """
 
     a1: float      # normal-cell logistic growth, per day
@@ -102,6 +106,11 @@ class ModelParams:
     chi: float     # drug production from activated immune cells, per day
     xi: float      # immune half-saturation for drug production, cells
 
+    def __post_init__(self) -> None:
+        violations = validate_params(self)
+        if violations:
+            raise DomainError("invalid parameters: " + "; ".join(violations))
+
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
@@ -118,7 +127,11 @@ class ModelParams:
             raise DomainError(
                 f"bad parameter set: missing={missing} unknown={unknown}"
             )
-        return cls(**{name: float(values[name]) for name in PARAM_NAMES})
+        # Only numbers become floats: a string reaches the rule, which rejects it.
+        return cls(**{
+            name: float(values[name]) if _is_real(values[name]) else values[name]
+            for name in PARAM_NAMES
+        })
 
 
 @dataclass(frozen=True)
@@ -148,32 +161,35 @@ class SystemState:
         return all(math.isfinite(v) for v in self.as_tuple())
 
 
+def _is_real(value) -> bool:
+    """An int or float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _violation(name: str, value) -> str | None:
+    """The constraint that ``value`` violates as parameter ``name``, or None."""
+    # A float needs no isinstance checks; this runs 26 times per set built.
+    if type(value) is not float and not _is_real(value):
+        return f"{name} must be a real number, got {value!r}"
+    if not math.isfinite(value):
+        return f"{name} must be finite, got {value!r}"
+    if name == "k":
+        return None if 0.0 <= value <= 1.0 else "k outside [0,1]"
+    if name in _NONNEGATIVE_OK:
+        return None if value >= 0.0 else f"{name} must be nonnegative"
+    return None if value > 0.0 else f"{name} must be positive"
+
+
 def validate_params(params: ModelParams) -> list[str]:
     """Report every violated parameter constraint; an empty list means valid."""
     violations: list[str] = []
     # PARAM_NAMES is the field order; dataclasses.fields() costs more than
     # the checks themselves.
     for name in PARAM_NAMES:
-        value = getattr(params, name)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            violations.append(f"{name} must be finite, got {value!r}")
-            continue
-        if name == "k":
-            if not 0.0 <= value <= 1.0:
-                violations.append("k outside [0,1]")
-        elif name in _NONNEGATIVE_OK:
-            if value < 0.0:
-                violations.append(f"{name} must be nonnegative")
-        else:
-            if value <= 0.0:
-                violations.append(f"{name} must be positive")
+        violation = _violation(name, getattr(params, name))
+        if violation is not None:
+            violations.append(violation)
     return violations
-
-
-def _require_valid(params: ModelParams) -> None:
-    violations = validate_params(params)
-    if violations:
-        raise DomainError("invalid parameters: " + "; ".join(violations))
 
 
 # The five Michaelis-Menten denominators, in the order the closures of
@@ -191,15 +207,8 @@ def _singular(dens) -> DomainError | None:
 
 
 def _bind(params: ModelParams):
-    """Validate ``params`` once and bind them into the vector-field and
-    Jacobian closures ``(f, jac)`` of :func:`make_rhs` and
-    :func:`make_jacobian`."""
-    _require_valid(params)
-    return _closures(params)
-
-
-def _closures(params: ModelParams):
-    """The closures ``(f, jac)`` of already validated ``params``.  The
+    """Bind ``params`` into the vector-field and Jacobian closures
+    ``(f, jac)`` of :func:`make_rhs` and :func:`make_jacobian`.  The
     denominator guards stay inline in both closures: they run on every
     evaluation, where a helper call would cost about half again as much
     per call."""
@@ -383,17 +392,10 @@ def coefficients(state: SystemState, params: ModelParams, tag: str) -> Coefficie
     The formulas are kept exactly as defined for the respective equilibrium
     family analyses (including the non-squared g+E denominator of A8 and the
     missing (1-k) factor in C0); cross-checks against the derived Jacobian
-    live in the stability layer.
+    live in the stability layer.  A term that overflows raises DomainError.
     """
     if not state.is_finite():
         raise DomainError(f"non-finite state {state}")
-    _require_valid(params)
-    return _coefficients(state, params, tag)
-
-
-def _coefficients(state: SystemState, params: ModelParams, tag: str) -> CoefficientSet:
-    """:func:`coefficients` at a finite ``state`` for ``params`` that are
-    already validated.  A term that overflows raises DomainError."""
     if tag not in _COEFF_LENGTHS:
         raise DomainError(f"unknown coefficient tag {tag!r}")
     N, T, I, E, M = state.as_tuple()
@@ -490,7 +492,7 @@ def _safe_ratio(num: float, den: float) -> tuple[float, bool]:
 def reproduction_numbers(eq_point: SystemState, params: ModelParams) -> ReproductionNumbers:
     """Evaluate R0, R1 (and R_IM at dead type-1 states) at an equilibrium."""
     A = coefficients(eq_point, params, "A")
-    B = _coefficients(eq_point, params, "B") if _at_dead1_state(eq_point) else None
+    B = coefficients(eq_point, params, "B") if _at_dead1_state(eq_point) else None
     return _reproduction(A, B)
 
 

@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .integrator import IntegrationConfig
-from .model import PARAM_NAMES, STATE_NAMES, DomainError, ModelParams, SystemState, validate_params
+from .model import STATE_NAMES, DomainError, ModelParams, SystemState, _is_real
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "default_scenario"]
 
@@ -48,25 +48,18 @@ def parse_scenario(doc: dict) -> Scenario:
     p = doc["params"]
     if not isinstance(p, dict):
         raise ScenarioError("params must be an object")
-    p_unknown = sorted(set(p) - set(PARAM_NAMES))
-    p_missing = sorted(set(PARAM_NAMES) - set(p))
-    if p_unknown or p_missing:
-        raise ScenarioError(f"params keys: missing={p_missing} unknown={p_unknown}")
     try:
         params = ModelParams.from_dict(p)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad params: {exc}") from exc
-    violations = validate_params(params)
-    if violations:
-        raise ScenarioError("invalid params: " + "; ".join(violations))
+    except DomainError as exc:
+        raise ScenarioError(f"params: {exc}") from exc
 
     st = doc["initial_state"]
     if not isinstance(st, dict) or sorted(st) != sorted(STATE_NAMES):
         raise ScenarioError(f"initial_state must name exactly {STATE_NAMES}")
-    try:
-        state = SystemState(**{k: float(st[k]) for k in STATE_NAMES})
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad initial_state: {exc}") from exc
+    for name in STATE_NAMES:
+        if not _is_real(st[name]):
+            raise ScenarioError(f"initial_state {name} must be a real number, got {st[name]!r}")
+    state = SystemState(**{name: float(st[name]) for name in STATE_NAMES})
     if any(v < 0 for v in state.as_tuple()):
         raise ScenarioError("initial_state components must be nonnegative")
 
@@ -79,15 +72,15 @@ def parse_scenario(doc: dict) -> Scenario:
     if "t0" not in integ or "t_end" not in integ:
         raise ScenarioError("integration requires t0 and t_end")
     try:
-        cfg = IntegrationConfig(**{k: v for k, v in integ.items()})
-    except (TypeError, DomainError) as exc:
+        cfg = IntegrationConfig(**integ)
+    except DomainError as exc:
         raise ScenarioError(f"bad integration config: {exc}") from exc
 
     sample_count = doc["sample_count"]
-    if not isinstance(sample_count, int) or sample_count < 2:
+    if type(sample_count) is not int or sample_count < 2:
         raise ScenarioError("sample_count must be an integer >= 2")
     seed = doc["seed"]
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ScenarioError("seed must be a nonnegative integer")
     label = doc["label"]
     if not isinstance(label, str) or not label:

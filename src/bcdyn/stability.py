@@ -40,8 +40,8 @@ from .model import (
     ModelParams,
     ReproductionNumbers,
     _at_dead1_state,
-    _coefficients,
     _reproduction,
+    coefficients,
     jacobian,
 )
 from .numerics import (
@@ -103,15 +103,14 @@ def _repro(eq: Equilibrium, params: ModelParams, B=None) -> ReproductionNumbers 
     """R0 and R1 from the A family, and R_IM from the B family where the
     point has N = T = 0: the reproduction numbers of the tumor-free and
     dead1 rules.  None for the other families.  ``B`` is the B family at
-    the point when the caller has it already.  ``params`` must already be
-    validated."""
+    the point when the caller has it already."""
     if eq.family not in ("tumor_free", "dead1"):
         return None
     point = eq.point
-    A = _coefficients(point, params, "A")
+    A = coefficients(point, params, "A")
     if not _at_dead1_state(point):
         return _reproduction(A, None)
-    return _reproduction(A, B if B is not None else _coefficients(point, params, "B"))
+    return _reproduction(A, B if B is not None else coefficients(point, params, "B"))
 
 
 #: Fancy indices that take the (N, T) and (I, M) 2x2 blocks of a Jacobian
@@ -176,7 +175,7 @@ def _tumor_free_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: H
 def _dead1_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
     """R_IM < 1 and negative B0, B2, B4, B8, plus the derived block
     conditions."""
-    B = _coefficients(eq.point, params, "B")
+    B = coefficients(eq.point, params, "B")
     rn = _repro(eq, params, B)
     checks = {
         "R_IM_lt_1": ConditionCheck("R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0)
@@ -192,7 +191,7 @@ def _dead2_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: Hurwit
     """Invasion blocked and the two C-cubic coefficient signs.  These are
     only necessary conditions, so the family makes no claim."""
     point = eq.point
-    C = _coefficients(point, params, "C")
+    C = coefficients(point, params, "C")
     rhs_i = params.d1 * point.T / (1.0 + params.epsilon * point.T) - params.l1 * point.E
     lin = C[6] * C[8] - C[5] * C[9] - C[3] * C[4] - C[2] * C[9] - C[2] * C[5]
     const = C[2] * C[5] * C[9] - C[2] * C[6] * C[8] + C[3] * C[4] * C[9]
@@ -212,8 +211,7 @@ def _coexisting_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: H
 
 #: Per family, ``rules(eq, params, J, hv) -> (repro, checks, claim)`` with
 #: ``J`` the Jacobian at ``eq`` and ``hv`` its Hurwitz verdict; ``claim`` is
-#: None when the family has no closed claim.  ``params`` must already be
-#: validated (:func:`jacobian` does it).
+#: None when the family has no closed claim.
 _RULES = {
     "tumor_free": _tumor_free_rules,
     "dead1": _dead1_rules,

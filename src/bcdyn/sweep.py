@@ -1,13 +1,13 @@
 """Treatment-parameter sweeps and bifurcation localization.
 
 A sweep solves its whole grid (1-D or 2-D) in one batched call of the
-equilibrium pipeline: every grid point is validated once and the
-eliminated polynomials of all points are rooted together.  Each row then
-takes its verdict, max Re(lambda), R0 and R1 from one stacked spectrum of
-the Jacobians at all confirmed points, with the same bits as
-:func:`classify` gives them (no branch continuation).  Of each spectrum
-only the leading eigenvalue is kept, the one :func:`classify`'s sorted
-spectrum leads with; no spectrum is sorted.
+equilibrium pipeline: every grid point's parameter set is validated once,
+when it is built, and the eliminated polynomials of all points are rooted
+together.  Each row then takes its verdict, max Re(lambda), R0 and R1
+from one stacked spectrum of the Jacobians at all confirmed points, with
+the same bits as :func:`classify` gives them (no branch continuation).
+Of each spectrum only the leading eigenvalue is kept, the one
+:func:`classify`'s sorted spectrum leads with; no spectrum is sorted.
 
 The bifurcation scanner brackets sign changes of the leading eigenvalue
 real part per family and bisects each bracket.  It solves its scan grid
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import FAMILIES, _catalog, _find_batch
-from .model import PARAM_NAMES, DomainError, _bind
-from .scenario import Scenario, ScenarioError
+from .model import PARAM_NAMES, DomainError, _bind, _violation
+from .scenario import Scenario
 from .stability import _eig_verdict, _repro
 
 # perfbench/tracer.py wraps these names on this module, so they stay
@@ -50,9 +50,6 @@ __all__ = [
     "run_bifurcate",
 ]
 
-_VALID_RANGES = {"k": (0.0, 1.0)}  # everything else: positive reals
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     parameter_name: str
@@ -67,14 +64,16 @@ class SweepSpec:
 
 
 def _check_grid(name: str, grid: tuple[float, ...]) -> None:
+    """Each grid value passes the model's validity rule for ``name``, so
+    every parameter set of a sweep over a valid scenario is valid."""
     if name not in PARAM_NAMES:
         raise DomainError(f"unknown parameter {name!r}")
     if not grid:
         raise DomainError(f"empty grid for {name}")
-    lo, hi = _VALID_RANGES.get(name, (0.0, math.inf))
     for v in grid:
-        if not (lo <= v <= hi) or not math.isfinite(v):
-            raise DomainError(f"grid value {v} outside the validity range of {name}")
+        violation = _violation(name, v)
+        if violation is not None:
+            raise DomainError(f"grid value {v} invalid: {violation}")
 
 
 def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
@@ -131,11 +130,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
             overrides = {spec.parameter_name: float(v1)}
             if spec.second_parameter is not None:
                 overrides[spec.second_parameter] = float(v2)
-            try:
-                params = scenario.params.replace(**overrides)
-                bound_sets.append((params, _bind(params)))
-            except DomainError as exc:
-                raise ScenarioError(f"sweep point {overrides} invalid: {exc}") from exc
+            params = scenario.params.replace(**overrides)
+            bound_sets.append((params, _bind(params)))
             points.append((v1, v2))
     rows: list[dict] = []
     for (v1, v2), (params, _), catalog in zip(points, bound_sets, _solve(bound_sets)):

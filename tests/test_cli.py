@@ -9,6 +9,8 @@ from bcdyn import default_scenario, integrate
 from bcdyn.cli import main
 from bcdyn.formats import trajectory_to_csv
 
+from conftest import bounded
+
 
 def run(args):
     return main(list(args))
@@ -64,6 +66,19 @@ class TestSimulate:
         svg = (tmp_path / "default_trajectory.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 5
+
+    # A NaN tolerance used to make simulate run until killed.
+    def test_non_finite_tolerance_exit_2(
+        self, tmp_path, capsys, base_scenario_doc, write_scenario
+    ):
+        base_scenario_doc["integration"]["rel_tol"] = float("nan")
+        path = write_scenario(base_scenario_doc)  # json.dumps writes the NaN token
+        out = tmp_path / "out"
+        assert bounded(lambda: run(["simulate", "--scenario", path, "--out", str(out)])) == 2
+        assert capsys.readouterr().err == (
+            "error: bad integration config: rel_tol must be a finite real number, got nan\n"
+        )
+        assert not out.exists()
 
 
 class TestEquilibria:
@@ -201,6 +216,15 @@ class TestSweepCommand:
             "sweep", "--out", str(out), "--parameter", "k",
             "--min", "0", "--max", "2", "--count", "3",
         ]) == 2
+        assert not out.exists()
+
+    # A zero d used to pass the grid check and fail inside the sweep.
+    def test_zero_positive_rate_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([
+            "sweep", "--out", str(out), "--parameter", "d", "--min", "0", "--max", "1",
+        ]) == 2
+        assert capsys.readouterr().err == "error: grid value 0.0 invalid: d must be positive\n"
         assert not out.exists()
 
 

@@ -403,8 +403,31 @@ class TestExtremeValues:
         sc = default_scenario()
         cfg = IntegrationConfig(t0=0.0, t_end=1.0)
         for value in (1e-300, 1e-30, 1e30, 1e300):
-            params = sc.params.replace(**{name: value})
-            bounded(lambda: integrate(sc.initial_state, params, cfg, 11))
+            # Built inside the bound: k outside [0, 1] fails on construction.
+            bounded(lambda: integrate(
+                sc.initial_state, sc.params.replace(**{name: value}), cfg, 11
+            ))
+
+    # A NaN rel_tol, max_step or initial_step used to run forever; abs_tol =
+    # inf and a NaN negativity floor were accepted silently.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rel_tol", math.nan), ("max_step", math.nan), ("initial_step", math.nan),
+            ("abs_tol", math.inf), ("negativity_floor", math.nan), ("t_end", math.inf),
+            ("t0", -math.inf), ("rel_tol", "1e-6"), ("t_end", True),
+        ],
+    )
+    def test_config_takes_finite_numbers_only(self, field, value):
+        sc = default_scenario()
+
+        def run():
+            cfg = IntegrationConfig(**{"t0": 0.0, "t_end": 1.0, field: value})
+            return integrate(sc.initial_state, sc.params, cfg, 11)
+
+        outcome = bounded(run)
+        assert isinstance(outcome, DomainError)
+        assert str(outcome) == f"{field} must be a finite real number, got {value!r}"
 
     # At 1e-160 every attempt soon sits at the minimum step and is rejected
     # for error; the run used to retry that same step forever.

@@ -1,4 +1,5 @@
 """Vector field, Jacobian, coefficient families and parameter validation."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import bcdyn.stability
 
 from bcdyn import (
     DomainError,
+    ModelParams,
     SystemState,
     coefficients,
     classify,
@@ -237,24 +239,55 @@ class TestReproductionNumbers:
 
 
 class TestValidateParams:
+    """The validity rule runs on construction: an invalid set cannot be
+    built."""
+
     def test_valid_empty_report(self, base_params):
         assert validate_params(base_params.replace(k=0.3)) == []
 
     def test_k_out_of_range(self, base_params):
-        assert "k outside [0,1]" in validate_params(base_params.replace(k=1.5))
+        with pytest.raises(DomainError, match=r"^invalid parameters: k outside \[0,1\]$"):
+            base_params.replace(k=1.5)
 
     def test_theta_zero(self, base_params):
-        assert any(
-            "theta must be positive" in v
-            for v in validate_params(base_params.replace(theta=0.0))
-        )
+        with pytest.raises(DomainError, match="^invalid parameters: theta must be positive$"):
+            base_params.replace(theta=0.0)
 
     def test_zeroable_rates_allowed(self, base_params):
         pm = base_params.replace(s=0.0, p=0.0, v_M=0.0, chi=0.0, l1=0.0)
         assert validate_params(pm) == []
 
     def test_negative_rate_rejected(self, base_params):
-        assert validate_params(base_params.replace(s=-0.1))
+        with pytest.raises(DomainError, match="^invalid parameters: s must be nonnegative$"):
+            base_params.replace(s=-0.1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda pm: pm.replace(k=1.5),
+            lambda pm: dataclasses.replace(pm, k=1.5),
+            lambda pm: ModelParams.from_dict({**pm.as_dict(), "k": 1.5}),
+            lambda pm: ModelParams(**{**pm.as_dict(), "k": 1.5}),
+        ],
+        ids=["replace", "dataclasses.replace", "from_dict", "constructor"],
+    )
+    def test_every_way_of_building_validates(self, build, base_params):
+        with pytest.raises(DomainError, match=r"^invalid parameters: k outside \[0,1\]$"):
+            build(base_params)
+
+    def test_all_violations_are_named(self, base_params):
+        with pytest.raises(DomainError) as exc:
+            base_params.replace(theta=0.0, k=-1.0, s=math.nan)
+        assert str(exc.value) == (
+            "invalid parameters: k outside [0,1]; s must be finite, got nan; "
+            "theta must be positive"
+        )
+
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_from_dict_takes_numbers_only(self, value, base_params):
+        message = f"invalid parameters: a1 must be a real number, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ModelParams.from_dict({**base_params.as_dict(), "a1": value})
 
 
 _STATE = SystemState(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -288,6 +321,7 @@ SINGULAR = {
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_point_rejects_invalid_params(name, base_params):
+    """The invalid set fails on construction, before any entry point runs."""
     with pytest.raises(DomainError, match="theta must be positive"):
         ENTRY_POINTS[name](base_params.replace(theta=-1.0))
 
@@ -321,30 +355,33 @@ def count_calls(monkeypatch, name: str) -> list:
 
 
 class TestBindOnce:
-    """Each call validates its parameter set once and reuses what it
-    computed, instead of repeating the work on every evaluation."""
+    """A parameter set is validated once, when it is built; the calls that
+    take it validate nothing and reuse what they computed, instead of
+    repeating the work on every evaluation."""
 
-    def test_find_all_validates_once_per_finder(self, base_params, monkeypatch):
+    def test_find_all_validates_nothing(self, base_params, monkeypatch):
         calls = count_calls(monkeypatch, "validate_params")
         find_all(base_params)
-        assert len(calls) == 4
+        assert calls == []
 
     def test_integrate_validates_once(self, monkeypatch):
-        """Also when the run switches to RODAS and binds the Jacobian
-        (n_M and v_M scaled by 1e3 switch at t = 0.22)."""
+        """Once, on building the parameters: integrate adds nothing, also
+        when the run switches to RODAS and binds the Jacobian (n_M and v_M
+        scaled by 1e3 switch at t = 0.22)."""
         sc = default_scenario()
         calls = count_calls(monkeypatch, "validate_params")
         for scale in (1.0, 1e3):
-            params = sc.params.replace(n_M=sc.params.n_M * scale, v_M=sc.params.v_M * scale)
             calls.clear()
+            params = sc.params.replace(n_M=sc.params.n_M * scale, v_M=sc.params.v_M * scale)
+            assert len(calls) == 1
             traj = integrate(sc.initial_state, params, sc.integration, sc.sample_count)
             assert (traj.stiff_switch_time is not None) == (scale > 1.0)
             assert len(calls) == 1
 
     @pytest.mark.parametrize("family", ["tumor_free", "dead1", "dead2", "coexisting"])
     def test_classify_validates_once_per_family(self, family, monkeypatch):
-        """classify validates through its one Jacobian and builds each
-        coefficient family it reads once."""
+        """Once, on building the parameters: classify adds nothing, and it
+        builds each coefficient family it reads once."""
         # Confirmed tumor-free points need no transformation feed (k = 1).
         k = 1.0 if family == "tumor_free" else None
         eq, pm = next(
@@ -355,13 +392,15 @@ class TestBindOnce:
         )
         calls = count_calls(monkeypatch, "validate_params")
         built = []
-        original = bcdyn.model._coefficients
+        original = bcdyn.model.coefficients
 
         def counted(state, params, tag):
             built.append(tag)
             return original(state, params, tag)
 
-        monkeypatch.setattr(bcdyn.stability, "_coefficients", counted)
+        monkeypatch.setattr(bcdyn.stability, "coefficients", counted)
+        pm = dataclasses.replace(pm)
+        assert len(calls) == 1
         classify(eq, pm)
         assert len(calls) == 1
         assert len(built) == len(set(built))

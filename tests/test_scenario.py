@@ -50,6 +50,30 @@ class TestParse:
         with pytest.raises(ScenarioError, match="seed"):
             parse_scenario(base_scenario_doc)
 
+    # Each of these used to be read as a number: "0.5" as 0.5, true as 1.
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("params", "a1"), "0.5"),
+            (("params", "a1"), True),
+            (("initial_state", "N"), "0.3"),
+            (("initial_state", "N"), True),
+            (("integration", "t_end"), True),
+            (("integration", "rel_tol"), "1e-6"),
+            (("seed",), True),
+            (("sample_count",), True),
+        ],
+        ids=lambda v: repr(v),
+    )
+    def test_strings_and_booleans_are_not_numbers(self, base_scenario_doc, path, value):
+        *parents, name = path
+        section = base_scenario_doc
+        for key in parents:
+            section = section[key]
+        section[name] = value
+        with pytest.raises(ScenarioError, match=name):
+            parse_scenario(base_scenario_doc)
+
     def test_unknown_integration_key(self, base_scenario_doc):
         base_scenario_doc["integration"]["solver"] = "foo"
         with pytest.raises(ScenarioError, match="integration"):

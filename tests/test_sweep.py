@@ -17,9 +17,9 @@ from bcdyn import (
 )
 from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, estrogen_level, tumor_free
 from bcdyn.formats import bifurcation_to_json, sweep_to_csv
-from bcdyn.model import _bind
+from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES, _bind
 from bcdyn.numerics import NumericsError, _root_set
-from bcdyn.scenario import Scenario, ScenarioError
+from bcdyn.scenario import Scenario
 from bcdyn.sweep import _lead
 from bcdyn.validation import draw_params
 
@@ -182,9 +182,10 @@ class TestBatchedSweep:
             calls.append(params)
             return validate(params)
 
+        scenario = default_scenario()
         monkeypatch.setattr(bcdyn.model, "validate_params", counted)
         spec = SweepSpec("k", build_grid(0.0, 1.0, 4), "d", build_grid(0.5, 1.5, 3))
-        run_sweep(default_scenario(), spec)
+        run_sweep(scenario, spec)
         assert len(calls) == 12
 
     def test_stacked_eigenvalue_calls_do_not_grow_with_the_grid(self, monkeypatch):
@@ -207,12 +208,24 @@ class TestBatchedSweep:
             run_sweep(default_scenario(), spec)
 
     def test_invalid_grid_point_names_the_point(self):
-        spec = SweepSpec("d", (0.5, 0.0, 1.0))
-        with pytest.raises(ScenarioError) as exc:
-            run_sweep(default_scenario(), spec)
-        assert str(exc.value) == (
-            "sweep point {'d': 0.0} invalid: invalid parameters: d must be positive"
-        )
+        with pytest.raises(DomainError) as exc:
+            SweepSpec("d", (0.5, 0.0, 1.0))
+        assert str(exc.value) == "grid value 0.0 invalid: d must be positive"
+
+    # The grid used to accept 0 for every field but k; such a spec failed
+    # only inside run_sweep.
+    @pytest.mark.parametrize(
+        "name", sorted(set(PARAM_NAMES) - _NONNEGATIVE_OK - {"k"})
+    )
+    def test_zero_grid_value_of_a_positive_rate_is_rejected(self, name):
+        message = f"grid value 0.0 invalid: {name} must be positive"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            SweepSpec(name, (0.0,))
+
+    @pytest.mark.parametrize("value", [1.5, math.nan, "0.5", True])
+    def test_second_grid_takes_the_same_rule(self, value):
+        with pytest.raises(DomainError, match="^grid value .* invalid: k "):
+            SweepSpec("d", (1.0,), "k", (0.5, value))
 
 
 class TestBifurcate:
