@@ -64,6 +64,7 @@ from .model import (
     SystemState,
     STATE_NAMES,
     DomainError,
+    _FLOAT_MAX,
     _is_real,
     make_jacobian,
     make_rhs,
@@ -112,7 +113,7 @@ class IntegrationConfig:
         for name, value in vars(self).items():
             if value is None and name in ("max_step", "initial_step"):
                 continue
-            if not (_is_real(value) and math.isfinite(value)):
+            if not (_is_real(value) and abs(value) <= _FLOAT_MAX):
                 raise DomainError(f"{name} must be a finite real number, got {value!r}")
         if not self.t_end > self.t0:
             raise DomainError(f"t_end must exceed t0, got [{self.t0}, {self.t_end}]")

@@ -17,6 +17,7 @@ therapy efficacy, scales every (1-k) term) and v_M (immunotherapy infusion).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ PARAM_NAMES = (
 )
 
 STATE_NAMES = ("N", "T", "I", "E", "M")
+
+_FLOAT_MAX = sys.float_info.max
 
 # Rates that may legitimately vanish (switching off a coupling or a source
 # is a meaningful scenario: no diet interaction, no endocrine feed, no
@@ -124,12 +127,10 @@ class ModelParams:
         missing = [name for name in PARAM_NAMES if name not in values]
         unknown = [name for name in values if name not in PARAM_NAMES]
         if missing or unknown:
-            raise DomainError(
-                f"bad parameter set: missing={missing} unknown={unknown}"
-            )
-        # Only numbers become floats: a string reaches the rule, which rejects it.
+            raise DomainError(f"bad parameter set: missing={missing} unknown={unknown}")
+        # A violating value (a string, an int beyond the float range) reaches the rule as is.
         return cls(**{
-            name: float(values[name]) if _is_real(values[name]) else values[name]
+            name: values[name] if _violation(name, values[name]) else float(values[name])
             for name in PARAM_NAMES
         })
 
@@ -169,8 +170,11 @@ def _is_real(value) -> bool:
 def _violation(name: str, value) -> str | None:
     """The constraint that ``value`` violates as parameter ``name``, or None."""
     # A float needs no isinstance checks; this runs 26 times per set built.
-    if type(value) is not float and not _is_real(value):
-        return f"{name} must be a real number, got {value!r}"
+    if type(value) is not float:
+        if not _is_real(value):
+            return f"{name} must be a real number, got {value!r}"
+        if abs(value) > _FLOAT_MAX:
+            return f"{name} must be finite, got an integer beyond the float range"
     if not math.isfinite(value):
         return f"{name} must be finite, got {value!r}"
     if name == "k":

@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 from .integrator import IntegrationConfig
-from .model import STATE_NAMES, DomainError, ModelParams, SystemState, _is_real
+from .model import STATE_NAMES, DomainError, ModelParams, SystemState, _FLOAT_MAX, _is_real
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "default_scenario"]
 
@@ -57,11 +57,10 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(st, dict) or sorted(st) != sorted(STATE_NAMES):
         raise ScenarioError(f"initial_state must name exactly {STATE_NAMES}")
     for name in STATE_NAMES:
-        if not _is_real(st[name]):
-            raise ScenarioError(f"initial_state {name} must be a real number, got {st[name]!r}")
+        v = st[name]
+        if not (_is_real(v) and 0 <= v <= _FLOAT_MAX):
+            raise ScenarioError(f"initial_state {name} must be finite and nonnegative, got {v!r}")
     state = SystemState(**{name: float(st[name]) for name in STATE_NAMES})
-    if any(v < 0 for v in state.as_tuple()):
-        raise ScenarioError("initial_state components must be nonnegative")
 
     integ = doc["integration"]
     if not isinstance(integ, dict):
@@ -102,7 +101,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
     return parse_scenario(doc)
 

@@ -41,8 +41,23 @@ class SuiteResult:
     detail: str
 
 
-def _lograte(rng: np.random.Generator, lo: float = 0.05, hi: float = 2.0) -> float:
-    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+# (name, low, high) in the order draw_params draws them.
+_DRAWS = (
+    ("m", 0.1, 1.0), ("p_M", 0.05, 0.7), ("r", 0.05, 0.9), ("n_M", 0.2, 2.0), ("chi", 0.05, 0.9),
+    ("a1", 0.2, 2.0), ("b1", 0.2, 2.0), ("d1", 0.05, 2.0), ("epsilon", 0.0, 1.0), ("l1", 0.05, 2.0),
+    ("k", 0.0, 0.95), ("a2", 0.2, 2.0), ("d", 0.3, 1.5), ("b2", 0.2, 2.0), ("g1", 0.05, 2.0),
+    ("m_d", 0.05, 1.0), ("s", 0.05, 1.0), ("o", 0.1, 2.0), ("g2", 0.05, 2.0), ("l3", 0.05, 2.0),
+    ("g", 0.1, 2.0), ("j_M", 0.1, 2.0), ("p", 0.05, 1.0), ("theta", 0.1, 2.0), ("v_M", 0.05, 1.0),
+    ("xi", 0.1, 2.0),
+)
+_NAMES = [name for name, _, _ in _DRAWS]
+_LOG = [name not in ("p_M", "r", "chi", "epsilon", "k") for name in _NAMES]
+_K = _NAMES.index("k")
+# The lows, then the highs; a log-uniform entry draws the log of its value.
+_BOUNDS = np.array([
+    [math.log(b) if log else b for b in bounds] for (_, *bounds), log in zip(_DRAWS, _LOG)
+]).T.copy()
+_BOUNDS_FIXED_K = np.delete(_BOUNDS, _K, axis=1)
 
 
 def draw_params(rng: np.random.Generator, k: float | None = None) -> ModelParams:
@@ -52,40 +67,21 @@ def draw_params(rng: np.random.Generator, k: float | None = None) -> ModelParams
     recruitment r below the immune decay m; recycling chi below the
     clearance n_M) so trajectories remain bounded and non-stiff, which
     keeps adaptive explicit stepping cheap over the standard horizons.
+
+    One ``rng.uniform`` call draws the set in this order: m, the ratios
+    p_M/m and r/(m - p_M), n_M, the ratio chi/n_M, then a1, b1, d1, epsilon,
+    l1, k (skipped when given), a2, d, b2, g1, m_d, s, o, g2, l3, g, j_M, p,
+    theta, v_M, xi.  The ratios, epsilon and k are uniform; the rest are
+    log-uniform, exponentiated by ``math.exp`` (``np.exp`` can differ).
     """
-    m = _lograte(rng, 0.1, 1.0)
-    p_M = m * float(rng.uniform(0.05, 0.7))
-    r = (m - p_M) * float(rng.uniform(0.05, 0.9))
-    n_M = _lograte(rng, 0.2, 2.0)
-    chi = n_M * float(rng.uniform(0.05, 0.9))
-    return ModelParams(
-        a1=_lograte(rng, 0.2, 2.0),
-        b1=_lograte(rng, 0.2, 2.0),
-        d1=_lograte(rng),
-        epsilon=float(rng.uniform(0.0, 1.0)),
-        l1=_lograte(rng),
-        k=float(rng.uniform(0.0, 0.95)) if k is None else k,
-        a2=_lograte(rng, 0.2, 2.0),
-        d=_lograte(rng, 0.3, 1.5),
-        b2=_lograte(rng, 0.2, 2.0),
-        g1=_lograte(rng),
-        m_d=_lograte(rng, 0.05, 1.0),
-        s=_lograte(rng, 0.05, 1.0),
-        r=r,
-        o=_lograte(rng, 0.1, 2.0),
-        g2=_lograte(rng),
-        m=m,
-        l3=_lograte(rng),
-        g=_lograte(rng, 0.1, 2.0),
-        p_M=p_M,
-        j_M=_lograte(rng, 0.1, 2.0),
-        p=_lograte(rng, 0.05, 1.0),
-        theta=_lograte(rng, 0.1, 2.0),
-        v_M=_lograte(rng, 0.05, 1.0),
-        n_M=n_M,
-        chi=chi,
-        xi=_lograte(rng, 0.1, 2.0),
-    )
+    values = rng.uniform(*(_BOUNDS if k is None else _BOUNDS_FIXED_K)).tolist()
+    if k is not None:
+        values.insert(_K, k)
+    v = dict(zip(_NAMES, [math.exp(x) if log else x for x, log in zip(values, _LOG)]))
+    v["p_M"] *= v["m"]
+    v["r"] *= v["m"] - v["p_M"]
+    v["chi"] *= v["n_M"]
+    return ModelParams(**v)
 
 
 def draw_state(rng: np.random.Generator, scale: float = 2.0) -> SystemState:

@@ -112,6 +112,21 @@ class TestEquilibria:
         assert run(["equilibria", "--scenario", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
+    # The JSON integer 1 followed by 400 zeros made the CLI print a traceback
+    # and exit 1.
+    def test_integer_beyond_the_float_range_exit_2(
+        self, tmp_path, capsys, base_scenario_doc, write_scenario
+    ):
+        base_scenario_doc["params"]["a1"] = 10**400
+        path = write_scenario(base_scenario_doc)
+        out = tmp_path / "out"
+        assert run(["equilibria", "--scenario", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: params: invalid parameters: "
+            "a1 must be finite, got an integer beyond the float range\n"
+        )
+        assert not out.exists()
+
     def test_invalid_params_exit_2(self, tmp_path, base_scenario_doc, write_scenario):
         base_scenario_doc["params"]["theta"] = 0.0
         path = write_scenario(base_scenario_doc)

@@ -429,6 +429,16 @@ class TestExtremeValues:
         assert isinstance(outcome, DomainError)
         assert str(outcome) == f"{field} must be a finite real number, got {value!r}"
 
+    # math.isfinite raised a bare OverflowError on an int beyond the float range.
+    @pytest.mark.parametrize(
+        "field", ["t0", "t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "negativity_floor"]
+    )
+    def test_config_rejects_integers_beyond_the_float_range(self, field):
+        value = -(10**400) if field == "t0" else 10**400
+        with pytest.raises(DomainError) as exc:
+            IntegrationConfig(**{"t0": 0.0, "t_end": 1.0, field: value})
+        assert str(exc.value) == f"{field} must be a finite real number, got {value!r}"
+
     # At 1e-160 every attempt soon sits at the minimum step and is rejected
     # for error; the run used to retry that same step forever.
     @pytest.mark.parametrize("tol", [1e-160, 1e-200, 1e-300])

@@ -36,6 +36,7 @@ from bcdyn.equilibria import (
     find_all,
     tumor_free,
 )
+from bcdyn.model import PARAM_NAMES
 from bcdyn.validation import draw_params, draw_state
 
 from conftest import random_params
@@ -282,6 +283,27 @@ class TestValidateParams:
             "invalid parameters: k outside [0,1]; s must be finite, got nan; "
             "theta must be positive"
         )
+
+    # float() and math.isfinite raised a bare OverflowError on such an int.
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_integer_beyond_the_float_range_is_rejected(self, name, value):
+        values = {**random_params(17).as_dict(), name: value}
+        message = (
+            f"invalid parameters: {name} must be finite, got an integer beyond the float range"
+        )
+        for build in (
+            lambda: ModelParams(**values),
+            lambda: ModelParams.from_dict(values),
+            lambda: random_params(17).replace(**{name: value}),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_from_dict_turns_integers_in_range_into_floats(self, base_params):
+        pm = ModelParams.from_dict({**base_params.as_dict(), "a1": 10**300, "k": 1})
+        assert (pm.a1, pm.k) == (1e300, 1.0)
+        assert type(pm.a1) is float and type(pm.k) is float
 
     @pytest.mark.parametrize("value", ["0.5", True, None])
     def test_from_dict_takes_numbers_only(self, value, base_params):

@@ -1,4 +1,6 @@
 """Scenario document parsing: strict keys, typed fields, clear errors."""
+import json
+
 import pytest
 
 from bcdyn import ScenarioError, default_scenario, load_scenario, parse_scenario
@@ -38,6 +40,27 @@ class TestParse:
     def test_negative_initial_state(self, base_scenario_doc):
         base_scenario_doc["initial_state"]["N"] = -1.0
         with pytest.raises(ScenarioError, match="nonnegative"):
+            parse_scenario(base_scenario_doc)
+
+    # float() and math.isfinite raised a bare OverflowError on such an int;
+    # a NaN or infinite component was accepted.
+    @pytest.mark.parametrize(
+        "value", [10**400, float("nan"), float("inf")], ids=["1e400", "nan", "inf"]
+    )
+    def test_initial_state_must_be_finite(self, base_scenario_doc, value):
+        base_scenario_doc["initial_state"]["T"] = value
+        message = f"initial_state T must be finite and nonnegative, got {value!r}"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(base_scenario_doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "path", [("params", "a1"), ("params", "k"), ("integration", "t_end")]
+    )
+    def test_integer_beyond_the_float_range(self, base_scenario_doc, path):
+        section, name = path
+        base_scenario_doc[section][name] = 10**400
+        with pytest.raises(ScenarioError, match=f"{name} must be .*finite"):
             parse_scenario(base_scenario_doc)
 
     def test_bad_sample_count(self, base_scenario_doc):
@@ -89,6 +112,15 @@ class TestLoad:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioError, match="malformed"):
+            load_scenario(path)
+
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer beyond Python's digit limit for int-string conversion.
+    def test_integer_too_long_to_read(self, tmp_path, base_scenario_doc):
+        text = json.dumps(base_scenario_doc).replace('"seed": 0', '"seed": 1' + "0" * 5000)
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioError, match="^malformed scenario JSON: Exceeds the limit"):
             load_scenario(path)
 
     def test_bundled_default(self):

@@ -222,6 +222,16 @@ class TestBatchedSweep:
         with pytest.raises(DomainError, match=f"^{message}$"):
             SweepSpec(name, (0.0,))
 
+    # The rule raised a bare OverflowError on an int beyond the float range.
+    def test_integer_beyond_the_float_range_is_rejected(self):
+        big = 10**400
+        rule = "d must be finite, got an integer beyond the float range"
+        with pytest.raises(DomainError) as exc:
+            SweepSpec("d", (1.0, big))
+        assert str(exc.value) == f"grid value {big} invalid: {rule}"
+        with pytest.raises(DomainError, match="^grid value .* invalid: k must be finite, got an"):
+            SweepSpec("d", (1.0,), "k", (0.5, big))
+
     @pytest.mark.parametrize("value", [1.5, math.nan, "0.5", True])
     def test_second_grid_takes_the_same_rule(self, value):
         with pytest.raises(DomainError, match="^grid value .* invalid: k "):
