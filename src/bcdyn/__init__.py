@@ -28,7 +28,6 @@ from .model import (
     ModelParams,
     ReproductionNumbers,
     SystemState,
-    coefficients,
     jacobian,
     make_jacobian,
     make_rhs,
@@ -67,7 +66,6 @@ __all__ = [
     "rhs",
     "residual_norm",
     "jacobian",
-    "coefficients",
     "reproduction_numbers",
     "Polynomial",
     "RootSet",

@@ -65,6 +65,7 @@ from .model import (
     STATE_NAMES,
     DomainError,
     _FLOAT_MAX,
+    _beyond_float,
     _is_real,
     make_jacobian,
     make_rhs,
@@ -114,7 +115,8 @@ class IntegrationConfig:
             if value is None and name in ("max_step", "initial_step"):
                 continue
             if not (_is_real(value) and abs(value) <= _FLOAT_MAX):
-                raise DomainError(f"{name} must be a finite real number, got {value!r}")
+                got = "an integer beyond the float range" if _beyond_float(value) else repr(value)
+                raise DomainError(f"{name} must be a finite real number, got {got}")
         if not self.t_end > self.t0:
             raise DomainError(f"t_end must exceed t0, got [{self.t0}, {self.t_end}]")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -603,8 +605,8 @@ def integrate(
     identical inputs give bit-identical output, and the steps do not
     depend on ``sample_count``.
     """
-    if sample_count < 2:
-        raise DomainError("sample_count must be at least 2")
+    if not 2 <= sample_count <= _FLOAT_MAX:
+        raise DomainError("sample_count must be at least 2 and within the float range")
     f = make_rhs(params)
     if isinstance(x0, SystemState):
         y = x0.as_tuple()

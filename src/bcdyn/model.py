@@ -1,5 +1,5 @@
 """Core model: parameters, state, vector field, analytic Jacobian and the
-named coefficient families used by the stability analysis.
+reproduction numbers read off it.
 
 The model couples five compartments: normal cells N, tumor cells T, immune
 cells I, estrogen E and an immunotherapy drug M.
@@ -29,14 +29,12 @@ __all__ = [
     "DENOM_GUARD",
     "ModelParams",
     "SystemState",
-    "CoefficientSet",
     "ReproductionNumbers",
     "validate_params",
     "make_rhs",
     "make_jacobian",
     "rhs",
     "jacobian",
-    "coefficients",
     "reproduction_numbers",
 ]
 
@@ -167,13 +165,20 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _beyond_float(value) -> bool:
+    """An int too large for a float.  Messages name such a value instead of
+    printing it: its repr runs to hundreds of digits, and past 4,300 digits
+    raises ValueError."""
+    return isinstance(value, int) and abs(value) > _FLOAT_MAX
+
+
 def _violation(name: str, value) -> str | None:
     """The constraint that ``value`` violates as parameter ``name``, or None."""
     # A float needs no isinstance checks; this runs 26 times per set built.
     if type(value) is not float:
         if not _is_real(value):
             return f"{name} must be a real number, got {value!r}"
-        if abs(value) > _FLOAT_MAX:
+        if _beyond_float(value):
             return f"{name} must be finite, got an integer beyond the float range"
     if not math.isfinite(value):
         return f"{name} must be finite, got {value!r}"
@@ -197,7 +202,7 @@ def validate_params(params: ModelParams) -> list[str]:
 
 
 # The five Michaelis-Menten denominators, in the order the closures of
-# _bind and coefficients() compute them.
+# _bind compute them.
 _DENOMINATORS = ("1 + epsilon*T", "o + T", "g + E", "j_M + M", "xi + I")
 
 
@@ -362,118 +367,15 @@ def jacobian(state: SystemState, params: ModelParams) -> np.ndarray:
     return np.array(make_jacobian(params)(*state.as_tuple()))
 
 
-_COEFF_LENGTHS = {"A": 11, "B": 9, "C": 10}
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """One of the named coefficient families (A0..A10, B0..B8 or C0..C9)
-    evaluated at a state.
-
-    The A family is meant for tumor-free states (T = 0), B for states with
-    N = T = 0 and C for states with N = 0; evaluating elsewhere is allowed.
-    """
-
-    tag: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.tag not in _COEFF_LENGTHS:
-            raise DomainError(f"unknown coefficient tag {self.tag!r}")
-        if len(self.values) != _COEFF_LENGTHS[self.tag]:
-            raise DomainError(
-                f"tag {self.tag} needs {_COEFF_LENGTHS[self.tag]} values, "
-                f"got {len(self.values)}"
-            )
-
-    def __getitem__(self, index: int) -> float:
-        return self.values[index]
-
-
-def coefficients(state: SystemState, params: ModelParams, tag: str) -> CoefficientSet:
-    """Evaluate the A, B or C coefficient family at ``state``.
-
-    The formulas are kept exactly as defined for the respective equilibrium
-    family analyses (including the non-squared g+E denominator of A8 and the
-    missing (1-k) factor in C0); cross-checks against the derived Jacobian
-    live in the stability layer.  A term that overflows raises DomainError.
-    """
-    if not state.is_finite():
-        raise DomainError(f"non-finite state {state}")
-    if tag not in _COEFF_LENGTHS:
-        raise DomainError(f"unknown coefficient tag {tag!r}")
-    N, T, I, E, M = state.as_tuple()
-    pm = params
-    dens = (1.0 + pm.epsilon * T, pm.o + T, pm.g + E, pm.j_M + M, pm.xi + I)
-    error = _singular(dens)
-    if error is not None:
-        raise error
-    den_sat, den_o, den_g, den_j, den_xi = dens
-    if abs(pm.o) < DENOM_GUARD:
-        raise DomainError("singular denominator o in A4/B3")
-    omk = 1.0 - pm.k
-
-    try:
-        # Shared building blocks between the three families.
-        estro_suppression = pm.l3 * E * omk / den_g
-        drug_activation = pm.p_M * M / den_j
-        drug_feedback = pm.chi * M * pm.xi / den_xi**2
-        immuno_gain = pm.p_M * I * pm.j_M / den_j**2
-        drug_decay = -pm.n_M + pm.chi * I / den_xi
-
-        if tag == "A":
-            values = (
-                pm.a1 - 2.0 * pm.b1 * N - pm.l1 * E * omk,         # A0
-                pm.l1 * E * omk,                                    # A1
-                pm.d1 * N,                                          # A2
-                pm.a2 * pm.d - pm.g1 * I - pm.m_d,                  # A3
-                pm.r * I / pm.o - pm.g2 * I,                        # A4
-                -pm.m - estro_suppression + drug_activation,        # A5
-                drug_feedback,                                      # A6
-                pm.l1 * N * omk,                                    # A7
-                pm.l3 * I * pm.g * omk / den_g,                     # A8
-                immuno_gain,                                        # A9
-                drug_decay,                                         # A10
-            )
-        elif tag == "B":
-            values = (
-                pm.a1 - pm.l1 * E * omk,                            # B0
-                pm.l1 * E * omk,                                    # B1
-                pm.a2 * pm.d - pm.g1 * I - pm.m_d,                  # B2
-                pm.r * I / pm.o - pm.g2 * I,                        # B3
-                -pm.m - estro_suppression + drug_activation,        # B4
-                drug_feedback,                                      # B5
-                -pm.l3 * I * pm.g * omk / den_g**2,                 # B6
-                immuno_gain,                                        # B7
-                drug_decay,                                         # B8
-            )
-        else:
-            values = (
-                pm.a1 - pm.d1 * T / den_sat - pm.l1 * E,            # C0
-                pm.l1 * E * omk,                                    # C1
-                pm.a2 * pm.d - 2.0 * pm.b2 * T - pm.g1 * I - pm.m_d,  # C2
-                pm.r * I * pm.o / den_o**2 - pm.g2 * I,             # C3
-                pm.g1 * T,                                          # C4
-                pm.r * T / den_o - pm.g2 * T - pm.m
-                - estro_suppression + drug_activation,              # C5
-                drug_feedback,                                      # C6
-                -pm.l3 * I * pm.g * omk / den_g**2,                 # C7
-                immuno_gain,                                        # C8
-                drug_decay,                                         # C9
-            )
-    except OverflowError as exc:
-        raise DomainError(
-            f"{tag} coefficients overflow at state {state.as_tuple()}"
-        ) from exc
-    return CoefficientSet(tag=tag, values=values)
-
-
 @dataclass(frozen=True)
 class ReproductionNumbers:
-    """Treatment reproduction numbers.
+    """Treatment reproduction numbers, read off the analytic Jacobian J at
+    the point.
 
-    ``r0 = A6*A9 / (A10*A5)`` and ``r1 = A1*A2 / (A0*A3)`` evaluated from the
-    A family; ``r_im = B5*B7 / (B4*B8)`` from the B family, defined only at
+    At T = 0 the entries are the printed A and B coefficients:
+    ``r0 = J42*J24 / (J44*J22)`` is A6*A9 / (A10*A5) and
+    ``r1 = J10*(-J01) / (J00*J11)`` is A1*A2 / (A0*A3);
+    ``r_im = J42*J24 / (J22*J44)`` is B5*B7 / (B4*B8), defined only at
     states with N = T = 0.  A number whose denominator magnitude falls below
     1e-12 is flagged undefined (value NaN); no exact division by zero is
     ever performed.
@@ -495,24 +397,22 @@ def _safe_ratio(num: float, den: float) -> tuple[float, bool]:
 
 def reproduction_numbers(eq_point: SystemState, params: ModelParams) -> ReproductionNumbers:
     """Evaluate R0, R1 (and R_IM at dead type-1 states) at an equilibrium."""
-    A = coefficients(eq_point, params, "A")
-    B = coefficients(eq_point, params, "B") if _at_dead1_state(eq_point) else None
-    return _reproduction(A, B)
+    return _reproduction(jacobian(eq_point, params).tolist(), _at_dead1_state(eq_point))
 
 
 def _at_dead1_state(state: SystemState) -> bool:
-    """N = T = 0 to within 1e-9, where the B family and R_IM apply."""
+    """N = T = 0 to within 1e-9, where R_IM applies."""
     return abs(state.N) < 1e-9 and abs(state.T) < 1e-9
 
 
-def _reproduction(A: CoefficientSet, B: CoefficientSet | None) -> ReproductionNumbers:
-    """R0 and R1 from the A family; R_IM from the B family, undefined
-    when ``B`` is None."""
-    r0, r0_ok = _safe_ratio(A[6] * A[9], A[10] * A[5])
-    r1, r1_ok = _safe_ratio(A[1] * A[2], A[0] * A[3])
+def _reproduction(J, with_r_im: bool) -> ReproductionNumbers:
+    """R0 and R1 from the Jacobian rows ``J`` (Python floats); R_IM too
+    when ``with_r_im``, else undefined."""
+    r0, r0_ok = _safe_ratio(J[4][2] * J[2][4], J[4][4] * J[2][2])
+    r1, r1_ok = _safe_ratio(J[1][0] * -J[0][1], J[0][0] * J[1][1])
     r_im, r_im_ok = math.nan, False
-    if B is not None:
-        r_im, r_im_ok = _safe_ratio(B[5] * B[7], B[4] * B[8])
+    if with_r_im:
+        r_im, r_im_ok = _safe_ratio(J[4][2] * J[2][4], J[2][2] * J[4][4])
     return ReproductionNumbers(
         r0=r0, r1=r1, r_im=r_im,
         r0_defined=r0_ok, r1_defined=r1_ok, r_im_defined=r_im_ok,

@@ -12,7 +12,9 @@ from importlib import resources
 from pathlib import Path
 
 from .integrator import IntegrationConfig
-from .model import STATE_NAMES, DomainError, ModelParams, SystemState, _FLOAT_MAX, _is_real
+from .model import (
+    STATE_NAMES, DomainError, ModelParams, SystemState, _FLOAT_MAX, _beyond_float, _is_real,
+)
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "default_scenario"]
 
@@ -59,7 +61,8 @@ def parse_scenario(doc: dict) -> Scenario:
     for name in STATE_NAMES:
         v = st[name]
         if not (_is_real(v) and 0 <= v <= _FLOAT_MAX):
-            raise ScenarioError(f"initial_state {name} must be finite and nonnegative, got {v!r}")
+            got = "an integer beyond the float range" if _beyond_float(v) else repr(v)
+            raise ScenarioError(f"initial_state {name} must be finite and nonnegative, got {got}")
     state = SystemState(**{name: float(st[name]) for name in STATE_NAMES})
 
     integ = doc["integration"]
@@ -76,8 +79,8 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(f"bad integration config: {exc}") from exc
 
     sample_count = doc["sample_count"]
-    if type(sample_count) is not int or sample_count < 2:
-        raise ScenarioError("sample_count must be an integer >= 2")
+    if type(sample_count) is not int or not 2 <= sample_count <= _FLOAT_MAX:
+        raise ScenarioError("sample_count must be an integer >= 2 within the float range")
     seed = doc["seed"]
     if type(seed) is not int or seed < 0:
         raise ScenarioError("seed must be a nonnegative integer")

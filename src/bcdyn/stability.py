@@ -20,7 +20,10 @@ name and the paper's sufficient-condition claim: R0 and R1 for tumor-free,
 R_IM and the B-signs for dead1, the C-cubic for dead2 (necessary only, so
 no claim) and the Hurwitz minors for coexisting.  :func:`classify` reads
 the table; its ``theorem_checks`` are the only place the conditions are
-evaluated.
+evaluated.  Every printed A, B or C coefficient these conditions read is
+an entry of the analytic Jacobian at the family's point, so the rules
+read them off the one Jacobian :func:`classify` evaluates, as Python
+floats; there is no second transcription of the coefficient families.
 
 The printed tumor-free conditions carry known sign slips relative to the
 derived Jacobian blocks, so in addition to the verbatim R0/R1 predicates
@@ -41,7 +44,6 @@ from .model import (
     ReproductionNumbers,
     _at_dead1_state,
     _reproduction,
-    coefficients,
     jacobian,
 )
 from .numerics import (
@@ -99,18 +101,13 @@ def _eig_verdict(max_re: float) -> str:
     return "inconclusive"
 
 
-def _repro(eq: Equilibrium, params: ModelParams, B=None) -> ReproductionNumbers | None:
-    """R0 and R1 from the A family, and R_IM from the B family where the
-    point has N = T = 0: the reproduction numbers of the tumor-free and
-    dead1 rules.  None for the other families.  ``B`` is the B family at
-    the point when the caller has it already."""
+def _repro(eq: Equilibrium, J) -> ReproductionNumbers | None:
+    """R0 and R1, and R_IM where the point has N = T = 0, from the
+    Jacobian rows ``J`` at the point: the reproduction numbers of the
+    tumor-free and dead1 rules.  None for the other families."""
     if eq.family not in ("tumor_free", "dead1"):
         return None
-    point = eq.point
-    A = coefficients(point, params, "A")
-    if not _at_dead1_state(point):
-        return _reproduction(A, None)
-    return _reproduction(A, B if B is not None else coefficients(point, params, "B"))
+    return _reproduction(J, _at_dead1_state(eq.point))
 
 
 #: Fancy indices that take the (N, T) and (I, M) 2x2 blocks of a Jacobian
@@ -151,7 +148,7 @@ def _tumor_free_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: H
     """R0 < 1 and R1 < 1, the auxiliary bounds on I and the derived block
     conditions.  R_IM is defined only where the point also has N = 0."""
     point = eq.point
-    rn = _repro(eq, params)
+    rn = _repro(eq, J.tolist())
     checks = {
         "R0_lt_1": ConditionCheck("R0_lt_1", rn.r0_defined and rn.r0 < 1.0, rn.r0, 1.0),
         "R1_lt_1": ConditionCheck("R1_lt_1", rn.r1_defined and rn.r1 < 1.0, rn.r1, 1.0),
@@ -173,15 +170,16 @@ def _tumor_free_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: H
 
 
 def _dead1_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
-    """R_IM < 1 and negative B0, B2, B4, B8, plus the derived block
-    conditions."""
-    B = coefficients(eq.point, params, "B")
-    rn = _repro(eq, params, B)
+    """R_IM < 1 and negative B0, B2, B4, B8 (at N = T = 0 these are J00,
+    J11, J22, J44), plus the derived block conditions."""
+    rows = J.tolist()
+    rn = _repro(eq, rows)
     checks = {
         "R_IM_lt_1": ConditionCheck("R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0)
     }
-    for idx in (0, 2, 4, 8):
-        checks[f"B{idx}_neg"] = ConditionCheck(f"B{idx}_neg", B[idx] < 0.0, B[idx], 0.0)
+    for idx, diag in ((0, 0), (2, 1), (4, 2), (8, 4)):
+        b = rows[diag][diag]
+        checks[f"B{idx}_neg"] = ConditionCheck(f"B{idx}_neg", b < 0.0, b, 0.0)
     claim = all(check.holds for check in checks.values())
     checks.update(_block_conditions(J))
     return rn, checks, claim
@@ -189,12 +187,16 @@ def _dead1_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: Hurwit
 
 def _dead2_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
     """Invasion blocked and the two C-cubic coefficient signs.  These are
-    only necessary conditions, so the family makes no claim."""
+    only necessary conditions, so the family makes no claim.  At N = 0 the
+    printed C2, C3, C4, C5, C6, C8, C9 are J11, J21, -J12, J22, J42, J24,
+    J44."""
     point = eq.point
-    C = coefficients(point, params, "C")
+    rows = J.tolist()
+    c2, c3, c4, c5 = rows[1][1], rows[2][1], -rows[1][2], rows[2][2]
+    c6, c8, c9 = rows[4][2], rows[2][4], rows[4][4]
     rhs_i = params.d1 * point.T / (1.0 + params.epsilon * point.T) - params.l1 * point.E
-    lin = C[6] * C[8] - C[5] * C[9] - C[3] * C[4] - C[2] * C[9] - C[2] * C[5]
-    const = C[2] * C[5] * C[9] - C[2] * C[6] * C[8] + C[3] * C[4] * C[9]
+    lin = c6 * c8 - c5 * c9 - c3 * c4 - c2 * c9 - c2 * c5
+    const = c2 * c5 * c9 - c2 * c6 * c8 + c3 * c4 * c9
     checks = (
         ConditionCheck("invasion_blocked", params.a1 < rhs_i, params.a1, rhs_i),
         ConditionCheck("reduced_cubic_mid_pos", lin > 0.0, lin, 0.0),

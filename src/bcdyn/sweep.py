@@ -3,9 +3,10 @@
 A sweep solves its whole grid (1-D or 2-D) in one batched call of the
 equilibrium pipeline: every grid point's parameter set is validated once,
 when it is built, and the eliminated polynomials of all points are rooted
-together.  Each row then takes its verdict, max Re(lambda), R0 and R1
-from one stacked spectrum of the Jacobians at all confirmed points, with
-the same bits as :func:`classify` gives them (no branch continuation).
+together.  Each row then takes its verdict and max Re(lambda) from one
+stacked spectrum of the Jacobians at all confirmed points, and R0 and R1
+from the entries of the same Jacobians, with the same bits as
+:func:`classify` gives them (no branch continuation).
 Of each spectrum only the leading eigenvalue is kept, the one
 :func:`classify`'s sorted spectrum leads with; no spectrum is sorted.
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import FAMILIES, _catalog, _find_batch
-from .model import PARAM_NAMES, DomainError, _bind, _violation
+from .model import PARAM_NAMES, DomainError, _beyond_float, _bind, _violation
 from .scenario import Scenario
 from .stability import _eig_verdict, _repro
 
@@ -73,7 +74,9 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
     for v in grid:
         violation = _violation(name, v)
         if violation is not None:
-            raise DomainError(f"grid value {v} invalid: {violation}")
+            # The rule names an int beyond the float range without its digits.
+            shown = "" if _beyond_float(v) else f" {v}"
+            raise DomainError(f"grid value{shown} invalid: {violation}")
 
 
 def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
@@ -106,10 +109,10 @@ def _lead(eigenvalues) -> complex:
 def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
     """Per ``(params, model._bind(params))`` of ``bound_sets``, its catalog
     restricted to the rows ``families`` (a prefix of FAMILIES keeps the
-    full catalog's points of those families) as (equilibrium, leading
-    eigenvalue) pairs, the eigenvalue None for unconfirmed points.  All sets
-    go through one batched solve, and the Jacobians at all confirmed points
-    through one stacked eigenvalue call."""
+    full catalog's points of those families) as (equilibrium, Jacobian
+    rows, leading eigenvalue) triples, the last two None for unconfirmed
+    points.  All sets go through one batched solve, and the Jacobians at all
+    confirmed points through one stacked eigenvalue call."""
     solved = [_catalog(eqs) for eqs in _find_batch(bound_sets, families)]
     Js = [
         jac(*eq.point.as_tuple())
@@ -117,8 +120,12 @@ def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
         for eq in catalog
         if eq.confirmed
     ]
-    leads = iter(map(_lead, np.linalg.eigvals(np.array(Js)).tolist()) if Js else ())
-    return [[(eq, next(leads) if eq.confirmed else None) for eq in catalog] for catalog in solved]
+    leads = map(_lead, np.linalg.eigvals(np.array(Js)).tolist()) if Js else ()
+    found = zip(Js, leads)
+    return [
+        [(eq, *next(found)) if eq.confirmed else (eq, None, None) for eq in catalog]
+        for catalog in solved
+    ]
 
 
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
@@ -134,8 +141,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
             bound_sets.append((params, _bind(params)))
             points.append((v1, v2))
     rows: list[dict] = []
-    for (v1, v2), (params, _), catalog in zip(points, bound_sets, _solve(bound_sets)):
-        for eq, lead in catalog:
+    for (v1, v2), catalog in zip(points, _solve(bound_sets)):
+        for eq, J, lead in catalog:
             row = {
                 "parameter": spec.parameter_name,
                 "value": float(v1),
@@ -150,7 +157,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
             if lead is not None:
                 row["verdict"] = _eig_verdict(lead.real)
                 row["maxReLambda"] = lead.real
-                repro = _repro(eq, params)
+                repro = _repro(eq, J)
                 if repro is not None:
                     row["R0"] = repro.r0
                     row["R1"] = repro.r1
@@ -213,7 +220,7 @@ def run_bifurcate(
         catalogs = _solve([(params, _bind(params)) for params in params_list], families)
         for v, catalog in zip(values, catalogs):
             solved[v] = {fam: [] for fam in families}
-            for eq, lead in catalog:
+            for eq, _, lead in catalog:
                 if lead is not None:
                     solved[v][eq.family].append((eq.point.as_tuple(), lead))
 

@@ -80,6 +80,20 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    # Accepted, then integrate raised a bare OverflowError: a traceback and
+    # exit 1.
+    def test_sample_count_beyond_the_float_range_exit_2(
+        self, tmp_path, capsys, base_scenario_doc, write_scenario
+    ):
+        base_scenario_doc["sample_count"] = 10**400
+        path = write_scenario(base_scenario_doc)
+        out = tmp_path / "out"
+        assert bounded(lambda: run(["simulate", "--scenario", path, "--out", str(out)])) == 2
+        assert capsys.readouterr().err == (
+            "error: sample_count must be an integer >= 2 within the float range\n"
+        )
+        assert not out.exists()
+
 
 class TestEquilibria:
     def test_blockade_scenario_estrogen_zero(

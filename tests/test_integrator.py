@@ -429,15 +429,27 @@ class TestExtremeValues:
         assert isinstance(outcome, DomainError)
         assert str(outcome) == f"{field} must be a finite real number, got {value!r}"
 
-    # math.isfinite raised a bare OverflowError on an int beyond the float range.
+    # math.isfinite raised a bare OverflowError on an int beyond the float
+    # range; then the message printed all its digits, and past 4,300 digits
+    # repr raised ValueError.
     @pytest.mark.parametrize(
         "field", ["t0", "t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "negativity_floor"]
     )
     def test_config_rejects_integers_beyond_the_float_range(self, field):
-        value = -(10**400) if field == "t0" else 10**400
+        for digits in (400, 5000):
+            value = -(10**digits) if field == "t0" else 10**digits
+            with pytest.raises(DomainError) as exc:
+                IntegrationConfig(**{"t0": 0.0, "t_end": 1.0, field: value})
+            assert str(exc.value) == (
+                f"{field} must be a finite real number, got an integer beyond the float range"
+            )
+
+    # span / (sample_count - 1) raised a bare OverflowError.
+    def test_sample_count_beyond_the_float_range(self):
+        sc = default_scenario()
         with pytest.raises(DomainError) as exc:
-            IntegrationConfig(**{"t0": 0.0, "t_end": 1.0, field: value})
-        assert str(exc.value) == f"{field} must be a finite real number, got {value!r}"
+            integrate(sc.initial_state, sc.params, sc.integration, sample_count=10**400)
+        assert str(exc.value) == "sample_count must be at least 2 and within the float range"
 
     # At 1e-160 every attempt soon sits at the minimum step and is rejected
     # for error; the run used to retry that same step forever.

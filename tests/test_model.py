@@ -1,4 +1,4 @@
-"""Vector field, Jacobian, coefficient families and parameter validation."""
+"""Vector field, Jacobian, reproduction numbers and parameter validation."""
 import dataclasses
 import math
 
@@ -8,14 +8,10 @@ import pytest
 import re
 import sys
 
-import bcdyn.model
-import bcdyn.stability
-
 from bcdyn import (
     DomainError,
     ModelParams,
     SystemState,
-    coefficients,
     classify,
     default_scenario,
     integrate,
@@ -28,6 +24,7 @@ from bcdyn import (
     validate_params,
 )
 from bcdyn.equilibria import (
+    FAMILIES,
     Equilibrium,
     coexisting,
     dead_type1,
@@ -147,48 +144,23 @@ class TestJacobian:
 
 
 class TestCoefficients:
-    def test_chi_zero_kills_drug_feedback(self, base_params):
-        pm = base_params.replace(chi=0.0)
-        st = SystemState(1.0, 0.0, 0.7, 0.3, 0.4)
-        A = coefficients(st, pm, "A")
-        assert A[6] == 0.0
+    """The printed A, B and C coefficient families are entries of the
+    analytic Jacobian at the tumor-free, dead1 and dead2 points; the rules
+    of those families read them off it."""
 
-    def test_l1_zero_kills_transformation(self, base_params):
-        pm = base_params.replace(l1=0.0)
-        st = SystemState(1.0, 0.0, 0.7, 0.3, 0.4)
-        A = coefficients(st, pm, "A")
-        assert A[1] == 0.0
-        rn = reproduction_numbers(st, pm)
-        assert rn.r1 == 0.0
-
-    def test_a_set_matches_jacobian_blocks(self, rng):
-        for _ in range(20):
-            pm = draw_params(rng)
-            st = draw_state(rng)
-            st = SystemState(st.N, 0.0, st.I, st.E, st.M)
-            A = coefficients(st, pm, "A")
-            J = jacobian(st, pm)
-            assert A[0] == pytest.approx(J[0, 0], rel=1e-12, abs=1e-15)
-            assert A[1] == pytest.approx(J[1, 0], rel=1e-12, abs=1e-15)
-            assert A[2] == pytest.approx(-J[0, 1], rel=1e-12, abs=1e-15)
-            assert A[3] == pytest.approx(J[1, 1], rel=1e-12, abs=1e-15)
-            assert A[5] == pytest.approx(J[2, 2], rel=1e-12, abs=1e-15)
-            assert A[9] == pytest.approx(J[2, 4], rel=1e-12, abs=1e-15)
-            assert A[6] == pytest.approx(J[4, 2], rel=1e-12, abs=1e-15)
-            assert A[10] == pytest.approx(J[4, 4], rel=1e-12, abs=1e-15)
-
-    def test_unknown_tag(self, base_params):
-        with pytest.raises(DomainError):
-            coefficients(SystemState(1, 0, 1, 1, 1), base_params, "D")
-
-    @pytest.mark.parametrize("tag", ["A", "B", "C"])
-    def test_overflow_is_a_domain_error(self, tag):
-        """(xi + I)**2 overflows at a huge immune level; coefficients and
-        reproduction numbers raise DomainError there, as jacobian does."""
+    @pytest.mark.parametrize(
+        "tag,family",
+        [("A", "tumor_free"), ("B", "dead1"), ("C", "dead2")],
+        ids=["A", "B", "C"],
+    )
+    def test_overflow_is_a_domain_error(self, tag, family):
+        """(xi + I)**2 overflows at a huge immune level; the family that
+        reads coefficient set ``tag``, and the reproduction numbers, raise
+        DomainError there, as jacobian does."""
         pm = draw_params(np.random.default_rng(5)).replace(g1=1e-170)
         st = SystemState(0.0, 0.1, 1e170, estrogen_level(pm), 1.0)
         with pytest.raises(DomainError):
-            coefficients(st, pm, tag)
+            classify(Equilibrium(point=st, family=family, residual=0.0), pm)
         with pytest.raises(DomainError):
             reproduction_numbers(st, pm)
 
@@ -200,9 +172,17 @@ class TestReproductionNumbers:
         rn = reproduction_numbers(st, pm)
         assert rn.r0 == 0.0
 
+    def test_l1_zero_r1(self, base_params):
+        pm = base_params.replace(l1=0.0)
+        st = SystemState(1.0, 0.0, 0.7, 0.3, 0.4)
+        assert jacobian(st, pm)[1, 0] == 0.0
+        assert reproduction_numbers(st, pm).r1 == 0.0
+
     def test_ratio_identities_and_signs(self):
-        """(1 - R0)*A10*A5 equals the (I,M) block determinant, and at a
-        confirmed tumor-free point A10*A5 > 0 so the signs agree."""
+        """(1 - R0)*J44*J22 equals the (I,M) block determinant, and at a
+        confirmed tumor-free point J44*J22 > 0 so the signs agree.  R1 reads
+        the printed A2 = -J01, so (1 - R1)*J00*J11 is J00*J11 + J10*J01,
+        the printed convention, not the (N,T) block determinant."""
         found = 0
         for seed in range(200):
             pm = random_params(seed, k=1.0)
@@ -210,19 +190,19 @@ class TestReproductionNumbers:
                 if eq.family != "tumor_free" or not eq.confirmed:
                     continue
                 found += 1
-                A = coefficients(eq.point, pm, "A")
+                J = jacobian(eq.point, pm)
                 rn = reproduction_numbers(eq.point, pm)
-                det_im = A[10] * A[5] - A[6] * A[9]
-                det_nt_convention = A[0] * A[3] - A[1] * A[2]
+                det_im = J[4, 4] * J[2, 2] - J[4, 2] * J[2, 4]
+                det_nt_convention = J[0, 0] * J[1, 1] + J[1, 0] * J[0, 1]
                 if rn.r0_defined:
-                    assert (1.0 - rn.r0) * (A[10] * A[5]) == pytest.approx(
+                    assert (1.0 - rn.r0) * (J[4, 4] * J[2, 2]) == pytest.approx(
                         det_im, rel=1e-10, abs=1e-13
                     )
-                    assert A[10] * A[5] > 0.0
+                    assert J[4, 4] * J[2, 2] > 0.0
                     if abs(det_im) > 1e-10:
                         assert (rn.r0 < 1.0) == (det_im > 0.0)
                 if rn.r1_defined:
-                    assert (1.0 - rn.r1) * (A[0] * A[3]) == pytest.approx(
+                    assert (1.0 - rn.r1) * (J[0, 0] * J[1, 1]) == pytest.approx(
                         det_nt_convention, rel=1e-10, abs=1e-13
                     )
             if found >= 20:
@@ -230,10 +210,10 @@ class TestReproductionNumbers:
         assert found >= 20
 
     def test_undefined_flagged_not_raised(self, base_params):
-        # A3 = a2*d - g1*I - m_d = 0 makes the R1 denominator vanish.
+        # J11 = a2*d - g1*I - m_d = 0 at T = 0 makes the R1 denominator vanish.
         pm = base_params.replace(g1=0.0, m_d=base_params.a2 * base_params.d)
         st = SystemState(1.0, 0.0, 0.7, 0.3, 0.4)
-        pm2 = pm.replace(l1=0.0)  # A0 = a1 - 2 b1 N, keep it nonzero
+        pm2 = pm.replace(l1=0.0)  # J00 = a1 - 2 b1 N, keep it nonzero
         rn = reproduction_numbers(st, pm2)
         assert not rn.r1_defined
         assert math.isnan(rn.r1)
@@ -320,7 +300,6 @@ ENTRY_POINTS = {
     "rhs": lambda pm: rhs(_STATE, pm),
     "jacobian": lambda pm: jacobian(_STATE, pm),
     "residual_norm": lambda pm: residual_norm(_STATE, pm),
-    "coefficients": lambda pm: coefficients(_STATE, pm, "A"),
     "reproduction_numbers": lambda pm: reproduction_numbers(_STATE, pm),
     "tumor_free": tumor_free,
     "dead_type1": dead_type1,
@@ -353,7 +332,7 @@ def test_singular_denominator_is_named(denominator, base_params):
     values = {"N": 1.0, "T": 1.0, "I": 1.0, "E": 1.0, "M": 1.0, **SINGULAR[denominator]}
     state = SystemState(**values)
     message = re.escape(f"singular denominator {denominator}")
-    for evaluate in (rhs, jacobian, lambda st, pm: coefficients(st, pm, "A")):
+    for evaluate in (rhs, jacobian, reproduction_numbers):
         with pytest.raises(DomainError, match=message):
             evaluate(state, base_params)
 
@@ -374,6 +353,19 @@ def count_calls(monkeypatch, name: str) -> list:
         if module_name.partition(".")[0] == "bcdyn" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def confirmed_point(family: str):
+    """The first confirmed ``family`` point over seeded draws, with its
+    parameters."""
+    # Confirmed tumor-free points need no transformation feed (k = 1).
+    k = 1.0 if family == "tumor_free" else None
+    return next(
+        (eq, pm)
+        for pm in (random_params(seed, k=k) for seed in range(100))
+        for eq in find_all(pm)
+        if eq.family == family and eq.confirmed
+    )
 
 
 class TestBindOnce:
@@ -400,35 +392,22 @@ class TestBindOnce:
             assert (traj.stiff_switch_time is not None) == (scale > 1.0)
             assert len(calls) == 1
 
-    @pytest.mark.parametrize("family", ["tumor_free", "dead1", "dead2", "coexisting"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_classify_validates_once_per_family(self, family, monkeypatch):
-        """Once, on building the parameters: classify adds nothing, and it
-        builds each coefficient family it reads once."""
-        # Confirmed tumor-free points need no transformation feed (k = 1).
-        k = 1.0 if family == "tumor_free" else None
-        eq, pm = next(
-            (eq, pm)
-            for pm in (random_params(seed, k=k) for seed in range(100))
-            for eq in find_all(pm)
-            if eq.family == family and eq.confirmed
-        )
+        """Once, on building the parameters: classify adds nothing."""
+        eq, pm = confirmed_point(family)
         calls = count_calls(monkeypatch, "validate_params")
-        built = []
-        original = bcdyn.model.coefficients
-
-        def counted(state, params, tag):
-            built.append(tag)
-            return original(state, params, tag)
-
-        monkeypatch.setattr(bcdyn.stability, "coefficients", counted)
         pm = dataclasses.replace(pm)
         assert len(calls) == 1
         classify(eq, pm)
         assert len(calls) == 1
-        assert len(built) == len(set(built))
 
-    def test_classify_evaluates_the_jacobian_once(self, base_params, monkeypatch):
-        (eq,) = [eq for eq in find_all(base_params) if eq.family == "coexisting"]
+    def test_classify_evaluates_the_jacobian_once(self, monkeypatch):
+        """Every family's printed conditions read the Jacobian that the
+        eigenvalues use; nothing evaluates a second one."""
         calls = count_calls(monkeypatch, "jacobian")
-        classify(eq, base_params)
-        assert len(calls) == 1
+        for family in FAMILIES:
+            eq, pm = confirmed_point(family)
+            calls.clear()
+            classify(eq, pm)
+            assert len(calls) == 1, family

@@ -43,13 +43,22 @@ class TestParse:
             parse_scenario(base_scenario_doc)
 
     # float() and math.isfinite raised a bare OverflowError on such an int;
-    # a NaN or infinite component was accepted.
+    # a NaN or infinite component was accepted.  The message names an int
+    # beyond the float range without its digits: repr printed all 401 of
+    # 10**400 and raised ValueError past 4,300.
     @pytest.mark.parametrize(
-        "value", [10**400, float("nan"), float("inf")], ids=["1e400", "nan", "inf"]
+        "value, got",
+        [
+            (10**400, "an integer beyond the float range"),
+            (10**5000, "an integer beyond the float range"),
+            (float("nan"), "nan"),
+            (float("inf"), "inf"),
+        ],
+        ids=["1e400", "1e5000", "nan", "inf"],
     )
-    def test_initial_state_must_be_finite(self, base_scenario_doc, value):
+    def test_initial_state_must_be_finite(self, base_scenario_doc, value, got):
         base_scenario_doc["initial_state"]["T"] = value
-        message = f"initial_state T must be finite and nonnegative, got {value!r}"
+        message = f"initial_state T must be finite and nonnegative, got {got}"
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(base_scenario_doc)
         assert str(exc.value) == message
@@ -67,6 +76,13 @@ class TestParse:
         base_scenario_doc["sample_count"] = 1
         with pytest.raises(ScenarioError, match="sample_count"):
             parse_scenario(base_scenario_doc)
+
+    # Accepted, then integrate raised a bare OverflowError at span / (n - 1).
+    def test_sample_count_beyond_the_float_range(self, base_scenario_doc):
+        base_scenario_doc["sample_count"] = 10**400
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(base_scenario_doc)
+        assert str(exc.value) == "sample_count must be an integer >= 2 within the float range"
 
     def test_bad_seed(self, base_scenario_doc):
         base_scenario_doc["seed"] = -3

@@ -1,7 +1,9 @@
 """Stability classification: spectra, verdict concordance and reports."""
+import hashlib
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import bcdyn.stability
 from bcdyn import DomainError, SystemState, classify, default_scenario
 from bcdyn.equilibria import dead_type1, find_all, tumor_free
-from bcdyn.formats import report_to_json, stability_to_csv
+from bcdyn.formats import catalog_to_json, report_to_json, stability_to_csv
 from bcdyn.integrator import IntegrationConfig, integrate
 from bcdyn.model import PARAM_NAMES
 from bcdyn.numerics import char_poly
@@ -143,6 +145,19 @@ class TestVerdicts:
                     families.add(eq.family)
         assert families == {"tumor_free", "dead1", "dead2", "coexisting"}
 
+    def test_immune_threshold_below_the_guard_classifies(self):
+        """With o = 1e-13, below the denominator guard, every confirmed point
+        classifies: o + T is safe at T > 0, so the Jacobian is finite.  A
+        guard on o alone used to refuse all 131 dead2 points."""
+        rng = np.random.default_rng(0)
+        families = Counter()
+        for _ in range(300):
+            pm = draw_params(rng).replace(o=1e-13)
+            for eq in find_all(pm):
+                if eq.confirmed:
+                    families[classify(eq, pm).equilibrium.family] += 1
+        assert families == {"dead2": 131, "coexisting": 263}
+
     def test_refuses_unconfirmed_point(self, base_params):
         cands = tumor_free(base_params)
         bad = [eq for eq in cands if not eq.confirmed]
@@ -226,6 +241,30 @@ class TestReports:
             assert len(doc["eigenvalues"]) == 5
             assert doc["agreement"]["theta_in_spectrum"] is True
             break
+
+    def test_corpus_bytes_are_pinned(self):
+        """The catalog and stability-report JSON of 200 seeded draws, the
+        first 100 of default_rng(0) and then 25 each with k = 1,
+        epsilon = 0, s = 0 and v_M = 0 from the same stream, are pinned by
+        sha256: a change that moves any bit of a point, a spectrum, a
+        reproduction number or a printed condition shows here."""
+        rng = np.random.default_rng(0)
+        sets = [draw_params(rng) for _ in range(100)]
+        for pin in ({"k": 1.0}, {"epsilon": 0.0}, {"s": 0.0}, {"v_M": 0.0}):
+            sets += [draw_params(rng).replace(**pin) for _ in range(25)]
+        digest = hashlib.sha256()
+        families = Counter()
+        for pm in sets:
+            catalog = find_all(pm)
+            digest.update(catalog_to_json(catalog).encode())
+            for eq in catalog:
+                if eq.confirmed:
+                    families[eq.family] += 1
+                    digest.update(report_to_json(classify(eq, pm)).encode())
+        assert families == {"tumor_free": 25, "dead1": 200, "dead2": 97, "coexisting": 148}
+        assert digest.hexdigest() == (
+            "826b083664c2f3ac6263659e502ec9f24b383303075f025c1903245857d29bcf"
+        )
 
     def test_summary_csv_shape(self):
         for pm, eq, rep in classified(range(6)):

@@ -223,14 +223,17 @@ class TestBatchedSweep:
             SweepSpec(name, (0.0,))
 
     # The rule raised a bare OverflowError on an int beyond the float range.
+    # Then the message printed all its digits, and past 4,300 digits str
+    # raised ValueError; the rule names the value instead.
     def test_integer_beyond_the_float_range_is_rejected(self):
-        big = 10**400
-        rule = "d must be finite, got an integer beyond the float range"
-        with pytest.raises(DomainError) as exc:
-            SweepSpec("d", (1.0, big))
-        assert str(exc.value) == f"grid value {big} invalid: {rule}"
-        with pytest.raises(DomainError, match="^grid value .* invalid: k must be finite, got an"):
-            SweepSpec("d", (1.0,), "k", (0.5, big))
+        rule = "must be finite, got an integer beyond the float range"
+        for big in (10**400, 10**5000):
+            with pytest.raises(DomainError) as exc:
+                SweepSpec("d", (1.0, big))
+            assert str(exc.value) == f"grid value invalid: d {rule}"
+            with pytest.raises(DomainError) as exc:
+                SweepSpec("d", (1.0,), "k", (0.5, big))
+            assert str(exc.value) == f"grid value invalid: k {rule}"
 
     @pytest.mark.parametrize("value", [1.5, math.nan, "0.5", True])
     def test_second_grid_takes_the_same_rule(self, value):
