@@ -155,19 +155,28 @@ def _tumor_ratio(params: ModelParams, E: float, n_free: bool):
     """(P, Q), descending in T, with I = P(T)/Q(T) from the steady tumor
     equation.  At N = 0, I = (a2*d - m_d - b2*T)/g1.  With the closed-form
     N(T) both are multiplied by b1*(1 + epsilon*T): P is a cubic and
-    Q = g1*b1*T*(1 + epsilon*T).  Q vanishes when g1 = 0."""
-    net_growth = np.array([-params.b2, params.a2 * params.d - params.m_d])
+    Q = g1*b1*T*(1 + epsilon*T).  Q vanishes when g1 = 0.
+
+    Plain floats with the bits of ``b1 * np.convolve([eps, 1, 0], net)``
+    plus the feed: each convolution coefficient is one product, or a sum of
+    two of which one is exact (a factor 1 or 0), and ``0.0 +`` gives the
+    sum the +0.0 that np.convolve's dot product starts from.  An overflow
+    is inf or nan, not a numpy warning, and the eliminated polynomial's
+    finiteness check names it."""
+    n1, n0 = -params.b2, params.a2 * params.d - params.m_d
     if not n_free:
-        return net_growth, np.array([params.g1])
+        return [n1, n0], [params.g1]
     c = params.l1 * E * (1.0 - params.k)
-    eps = params.epsilon
-    growth = params.b1 * np.convolve([eps, 1.0, 0.0], net_growth)
-    # Plain-float products with the array product's values (c * 0.0 is NaN
-    # for an infinite c): a feed that overflows is inf, not a numpy warning,
-    # and the eliminated polynomial's finiteness check names it.
+    eps, b1 = params.epsilon, params.b1
     a1c = params.a1 - c
-    feed = [c * 0.0, c * 0.0, c * (a1c * eps - params.d1), c * a1c]
-    return growth + feed, params.g1 * params.b1 * np.array([eps, 1.0, 0.0])
+    gq = params.g1 * b1
+    P = [
+        b1 * (0.0 + eps * n1) + c * 0.0,
+        b1 * (0.0 + eps * n0 + n1) + c * 0.0,
+        b1 * (0.0 + n0 + 0.0 * n1) + c * (a1c * eps - params.d1),
+        b1 * (0.0 + 0.0 * n0) + c * a1c,
+    ]
+    return P, [gq * eps, gq * 1.0, gq * 0.0]
 
 
 def _eliminate(R, S, U, P, Q) -> list[float]:
@@ -175,6 +184,7 @@ def _eliminate(R, S, U, P, Q) -> list[float]:
     and Q^2 cleared.  A quartic in T at N = 0, an octic with N(T).  The
     terms are summed as np.polyadd sums them, on plain floats, so overflowed
     terms give inf or nan, not a numpy warning."""
+    R, S, U, P, Q = map(np.array, (R, S, U, P, Q))
     terms = [
         np.convolve(R, np.convolve(P, P)).tolist(),
         np.convolve(S, np.convolve(P, Q)).tolist(),
@@ -216,6 +226,8 @@ def _dedup(items: list, key) -> list:
     """Keep each item whose ``key`` vector is farther than DEDUP_TOL, in the
     infinity norm relative to 1 + its own largest magnitude, from every
     item kept before it."""
+    if len(items) < 2:
+        return list(items)
     kept, kept_keys = [], []
     for item in items:
         a = key(item)
@@ -243,6 +255,8 @@ def _positive_roots_each(polys) -> list[list[float]]:
     part is below NEAR_REAL_TOL of its modulus is the rounded image of a
     (near-)double real root and is taken as real; the polish decides
     whether it is an equilibrium."""
+    if not polys:
+        return []
     found: list[list[float]] = [[] for _ in polys]
     by_size: dict[int, list[tuple[int, bool, list[float]]]] = {}
     for i, coeffs in enumerate(polys):
@@ -477,12 +491,12 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
                 continue
             seeds[i].append([])
             P, Q = _tumor_ratio(params, E, row.n_free)
-            if not (P > 0).any():
+            if not any(c > 0 for c in P):
                 continue  # P < 0 for every T > 0: no seed has I = P/Q >= 0
-            poly = P.tolist() if params.g1 == 0 else _eliminate(R, S, U, P, Q)
+            poly = P if params.g1 == 0 else _eliminate(R, S, U, P, Q)
             if not all(map(math.isfinite, poly)):
                 raise NumericsError(f"{family} polynomial in T overflows")
-            rooted.append((i, j, P.tolist(), Q.tolist()))
+            rooted.append((i, j, P, Q))
             polys.append(poly)
     for (i, j, P, Q), roots in zip(rooted, _positive_roots_each(polys)):
         params, _, _, R, S, U = sets[i]

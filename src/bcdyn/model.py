@@ -58,6 +58,8 @@ PARAM_NAMES = (
 
 STATE_NAMES = ("N", "T", "I", "E", "M")
 
+_FIELD_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
+
 _FLOAT_MAX = sys.float_info.max
 
 # Rates that may legitimately vanish (switching off a coupling or a source
@@ -75,9 +77,10 @@ class ModelParams:
     Units are abstract: "cells", "concentration" and "per day"; no unit
     conversion is performed anywhere.
 
-    Valid by construction: the constructor, :meth:`replace`,
-    :meth:`from_dict` and ``dataclasses.replace`` all run
-    :func:`validate_params` and raise DomainError on a violation.
+    Valid by construction: the constructor, :meth:`from_dict` and
+    ``dataclasses.replace`` run :func:`validate_params`, and
+    :meth:`replace` checks the fields it changes; each raises DomainError
+    on a violation.
     """
 
     a1: float      # normal-cell logistic growth, per day
@@ -116,9 +119,24 @@ class ModelParams:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
     def replace(self, **changes: float) -> "ModelParams":
-        values = self.as_dict()
-        values.update(changes)
-        return ModelParams(**values)
+        """A copy with ``changes`` applied.  ``self`` is valid, so only the
+        changed fields are checked, with the constructor's errors; the copy
+        is built without running ``__init__``."""
+        for name in changes:
+            if name not in _FIELD_INDEX:
+                raise TypeError(
+                    f"{type(self).__name__}.__init__() got an unexpected keyword argument {name!r}"
+                )
+        violations = [
+            violation
+            for name in sorted(changes, key=_FIELD_INDEX.__getitem__)
+            if (violation := _violation(name, changes[name])) is not None
+        ]
+        if violations:
+            raise DomainError("invalid parameters: " + "; ".join(violations))
+        new = object.__new__(type(self))
+        vars(new).update(vars(self), **changes)
+        return new
 
     @classmethod
     def from_dict(cls, values: dict[str, float]) -> "ModelParams":

@@ -1,9 +1,9 @@
 """Treatment-parameter sweeps and bifurcation localization.
 
 A sweep solves its whole grid (1-D or 2-D) in one batched call of the
-equilibrium pipeline: every grid point's parameter set is validated once,
-when it is built, and the eliminated polynomials of all points are rooted
-together.  Each row then takes its verdict and max Re(lambda) from one
+equilibrium pipeline: a grid point's parameter set is the scenario's with
+the swept fields replaced, which checks those fields only, and the
+eliminated polynomials of all points are rooted together.  Each row then takes its verdict and max Re(lambda) from one
 stacked spectrum of the Jacobians at all confirmed points, and R0 and R1
 from the entries of the same Jacobians, with the same bits as
 :func:`classify` gives them (no branch continuation).
@@ -80,6 +80,8 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
 
 
 def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
+    if spacing not in ("linear", "log"):
+        raise DomainError(f"unknown grid spacing {spacing!r}; expected 'linear' or 'log'")
     if count < 1 or hi < lo:
         raise DomainError(f"bad grid request [{lo}, {hi}] x {count}")
     if count == 1:

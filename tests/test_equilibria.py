@@ -1,4 +1,5 @@
 """Equilibrium finders: closed forms, polynomials, residuals and flags."""
+import itertools
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from bcdyn.equilibria import (
     CONFIRM_TOL,
     _admit,
     _polish,
+    _tumor_ratio,
     coexisting,
     dead_type1,
     dead_type2,
@@ -222,6 +224,53 @@ class TestEliminationRegressions:
         split, none = _positive_roots_each([double + [0.0, 0.0, 1e-16], double + [0.0, 0.0, 1e-4]])
         assert split == [pytest.approx(2.0, rel=1e-7)]
         assert none == []
+
+
+def array_tumor_ratio(pm, E, n_free):
+    """(P, Q) of _tumor_ratio in the array form it replaced: np.convolve
+    for the growth, the feed added elementwise."""
+    net_growth = np.array([-pm.b2, pm.a2 * pm.d - pm.m_d])
+    if not n_free:
+        return net_growth, np.array([pm.g1])
+    c = pm.l1 * E * (1.0 - pm.k)
+    a1c = pm.a1 - c
+    growth = pm.b1 * np.convolve([pm.epsilon, 1.0, 0.0], net_growth)
+    feed = [c * 0.0, c * 0.0, c * (a1c * pm.epsilon - pm.d1), c * a1c]
+    return growth + feed, pm.g1 * pm.b1 * np.array([pm.epsilon, 1.0, 0.0])
+
+
+class TestTumorRatioBits:
+    """The plain-float (P, Q) carry the bits of the array form, signed
+    zeros included, so every eliminated polynomial is unchanged."""
+
+    @staticmethod
+    def assert_same_bits(pm):
+        E = estrogen_level(pm)
+        for n_free in (False, True):
+            got = _tumor_ratio(pm, E, n_free)
+            want = array_tumor_ratio(pm, E, n_free)
+            for g, w in zip(got, want):
+                assert np.array(g).tobytes() == w.tobytes(), (pm, n_free)
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            self.assert_same_bits(draw_params(rng))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_zero_feed_zero_epsilon_and_signed_zeros(self, seed):
+        """epsilon = 0, zero feed (k = 1, l1 = 0 or p = 0), a2*d - m_d
+        negative or zero, and -0.0 for every field that may vanish."""
+        pm = random_params(seed)
+        net_zero = pm.m_d / pm.a2
+        for epsilon, l1, p, d1, g1, k, d in itertools.product(
+            (0.0, -0.0, pm.epsilon), (0.0, -0.0, pm.l1), (0.0, -0.0, pm.p),
+            (0.0, -0.0, pm.d1), (0.0, -0.0, pm.g1), (pm.k, 1.0),
+            (pm.d, net_zero, 0.5 * net_zero),
+        ):
+            self.assert_same_bits(
+                pm.replace(epsilon=epsilon, l1=l1, p=p, d1=d1, g1=g1, k=k, d=d)
+            )
 
 
 class TestFindAll:

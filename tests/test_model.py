@@ -1,6 +1,7 @@
 """Vector field, Jacobian, reproduction numbers and parameter validation."""
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from bcdyn.equilibria import (
     find_all,
     tumor_free,
 )
-from bcdyn.model import PARAM_NAMES
+from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES
 from bcdyn.validation import draw_params, draw_state
 
 from conftest import random_params
@@ -292,6 +293,83 @@ class TestValidateParams:
             ModelParams.from_dict({**base_params.as_dict(), "a1": value})
 
 
+def constructed(pm, changes):
+    return ModelParams(**{**pm.as_dict(), **changes})
+
+
+def raised(build) -> tuple[type, str]:
+    with pytest.raises((DomainError, TypeError)) as exc:
+        build()
+    return type(exc.value), str(exc.value)
+
+
+#: An invalid value per field: k leaves [0, 1], a zeroable rate goes
+#: negative, any other field goes to 0.
+INVALID = {
+    name: 1.5 if name == "k" else -1.0 if name in _NONNEGATIVE_OK else 0.0
+    for name in PARAM_NAMES
+}
+
+
+class TestReplace:
+    """replace checks only the changed fields and builds the copy without
+    the constructor, yet gives what the constructor gives."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_constructed_set_for_every_field(self, seed):
+        pm, other = random_params(seed), random_params(seed + 100)
+        for changes in [{name: getattr(other, name)} for name in PARAM_NAMES] + [
+            other.as_dict(), {"k": 1, "d": 2}
+        ]:
+            got, want = pm.replace(**changes), constructed(pm, changes)
+            assert type(got) is ModelParams
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            assert pickle.dumps(got) == pickle.dumps(want)
+            assert pickle.loads(pickle.dumps(got)) == want
+        assert pm.replace(**other.as_dict()) == other
+
+    def test_original_is_unchanged(self, base_params):
+        before = repr(base_params)
+        base_params.replace(d=2.0)
+        assert repr(base_params) == before
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_invalid_field_raises_the_constructor_error(self, name):
+        pm = random_params(7)
+        for value in (INVALID[name], math.nan, math.inf, "0.5", True, 10**400):
+            changes = {name: value}
+            got = raised(lambda: pm.replace(**changes))
+            assert got == raised(lambda: constructed(pm, changes))
+            assert got[0] is DomainError
+
+    def test_several_invalid_fields_in_field_order(self):
+        """The violations are named in PARAM_NAMES order whatever the order
+        of the changes, with valid changes among them."""
+        rng = np.random.default_rng(3)
+        pm = random_params(3)
+        for _ in range(50):
+            names = rng.choice(PARAM_NAMES, size=int(rng.integers(2, 6)), replace=False)
+            changes = {
+                str(name): INVALID[name] if rng.random() < 0.6 else getattr(pm, name)
+                for name in names
+            }
+            changes[str(names[0])] = INVALID[names[0]]
+            got = raised(lambda: pm.replace(**changes))
+            assert got == raised(lambda: constructed(pm, changes))
+
+    @pytest.mark.parametrize("changes", [{"zz": 1.0}, {"k": 0.5, "zz": 1.0}, {"k": 1.5, "zz": 1.0}])
+    def test_unknown_name_raises_type_error(self, changes, base_params):
+        got = raised(lambda: base_params.replace(**changes))
+        assert raised(lambda: constructed(base_params, changes))[0] is TypeError
+        assert got[0] is TypeError and "unexpected keyword argument 'zz'" in got[1]
+
+    def test_no_change_returns_an_equal_set(self, base_params):
+        got = base_params.replace()
+        assert got == base_params and hash(got) == hash(base_params)
+        assert repr(got) == repr(base_params)
+
+
 _STATE = SystemState(1.0, 1.0, 1.0, 1.0, 1.0)
 
 ENTRY_POINTS = {
@@ -378,19 +456,17 @@ class TestBindOnce:
         find_all(base_params)
         assert calls == []
 
-    def test_integrate_validates_once(self, monkeypatch):
-        """Once, on building the parameters: integrate adds nothing, also
-        when the run switches to RODAS and binds the Jacobian (n_M and v_M
-        scaled by 1e3 switch at t = 0.22)."""
+    def test_replace_and_integrate_validate_nothing(self, monkeypatch):
+        """replace checks only the fields it changes, and integrate adds no
+        validation, also when the run switches to RODAS and binds the
+        Jacobian (n_M and v_M scaled by 1e3 switch at t = 0.22)."""
         sc = default_scenario()
         calls = count_calls(monkeypatch, "validate_params")
         for scale in (1.0, 1e3):
-            calls.clear()
             params = sc.params.replace(n_M=sc.params.n_M * scale, v_M=sc.params.v_M * scale)
-            assert len(calls) == 1
             traj = integrate(sc.initial_state, params, sc.integration, sc.sample_count)
             assert (traj.stiff_switch_time is not None) == (scale > 1.0)
-            assert len(calls) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_classify_validates_once_per_family(self, family, monkeypatch):

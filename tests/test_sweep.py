@@ -54,6 +54,11 @@ class TestGrid:
         with pytest.raises(DomainError):
             SweepSpec(parameter_name="k", grid=(0.5, 1.2))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_unknown_spacing_is_rejected(self, count):
+        with pytest.raises(DomainError, match="unknown grid spacing 'lgo'"):
+            build_grid(0.1, 10.0, count, "lgo")
+
     def test_unknown_parameter(self):
         with pytest.raises(DomainError):
             SweepSpec(parameter_name="q", grid=(1.0,))
@@ -172,21 +177,32 @@ class TestBatchedSweep:
         for sc in self.scenarios():
             assert sweep_to_csv(run_sweep(sc, spec), spec) == point_by_point_csv(sc, spec)
 
-    def test_one_validation_per_grid_point(self, monkeypatch):
+    def test_grid_values_are_checked_by_check_grid_only(self, monkeypatch):
+        """Each grid value is checked once, by _check_grid when the spec is
+        built; a grid point's parameter set validates no field again."""
         import bcdyn.model
-
-        calls = []
-        validate = bcdyn.model.validate_params
-
-        def counted(params):
-            calls.append(params)
-            return validate(params)
+        import bcdyn.sweep
 
         scenario = default_scenario()
-        monkeypatch.setattr(bcdyn.model, "validate_params", counted)
-        spec = SweepSpec("k", build_grid(0.0, 1.0, 4), "d", build_grid(0.5, 1.5, 3))
+        checked, validated = [], []
+        check, validate = bcdyn.sweep._check_grid, bcdyn.model.validate_params
+
+        def counted_check(name, grid):
+            checked.append((name, tuple(grid)))
+            return check(name, grid)
+
+        def counted_validate(params):
+            validated.append(params)
+            return validate(params)
+
+        monkeypatch.setattr(bcdyn.sweep, "_check_grid", counted_check)
+        monkeypatch.setattr(bcdyn.model, "validate_params", counted_validate)
+        k_grid, d_grid = build_grid(0.0, 1.0, 4), build_grid(0.5, 1.5, 3)
+        spec = SweepSpec("k", k_grid, "d", d_grid)
+        assert checked == [("k", k_grid), ("d", d_grid)]
         run_sweep(scenario, spec)
-        assert len(calls) == 12
+        run_bifurcate(scenario, "d", 0.05, 5.0, scan_points=8)
+        assert validated == []
 
     def test_stacked_eigenvalue_calls_do_not_grow_with_the_grid(self, monkeypatch):
         counts = []
@@ -503,3 +519,26 @@ class TestBifurcationGolden:
             "84cd291f70c88c26bf0c9f329b0fd6315a520e8178277e2895d88f9c10121886",
             "c2b5d129f7f0d296ba43c510cac7d9d23068032dadc5a10348a0af95158eb2eb",
         ]
+
+
+class TestSweepGolden:
+    """sha256 of sweep_to_csv on the default scenario, pinned before a grid
+    point's parameter set was built by checking only its swept fields."""
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                SweepSpec("d", build_grid(0.05, 5.0, 101)),
+                "a2d9e5753d7d4d08be7b787f833a94f5f4815a6f9313df866aff8317d8a81838",
+            ),
+            (
+                SweepSpec("k", build_grid(0.0, 1.0, 21), "d", build_grid(0.05, 5.0, 21)),
+                "05de4b2f1176cbbf9ad66ce4288a357e4e7d6898bf4fbada23e345f0103d4e28",
+            ),
+        ],
+        ids=["d", "k-d"],
+    )
+    def test_default_scenario(self, spec, digest):
+        csv = sweep_to_csv(run_sweep(default_scenario(), spec), spec)
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest
