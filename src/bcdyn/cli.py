@@ -4,8 +4,8 @@ Every subcommand is a thin shell over library calls: load the scenario,
 compute everything in memory and return the files as (name, text) pairs
 laid out by :mod:`bcdyn.formats`.  :func:`main` writes them only after
 the command succeeds, so a failing run leaves no partial output.  Exit
-codes: 0 success, 2 input or validation error, 3 runtime numeric
-failure, 1 validation-suite failure.
+codes: 0 success, 2 input or validation error or an output that cannot
+be written, 3 runtime numeric failure, 1 validation-suite failure.
 """
 from __future__ import annotations
 
@@ -136,6 +136,8 @@ def _cmd_sweep(args: argparse.Namespace) -> list[tuple[str, str]]:
     second = args.parameter2
     if second is not None and (args.min2 is None or args.max2 is None):
         raise ScenarioError("--parameter2 requires --min2 and --max2")
+    if second is None and (args.min2 is not None or args.max2 is not None):
+        raise ScenarioError("--min2 and --max2 require --parameter2")
     spec = SweepSpec(
         parameter_name=args.parameter,
         grid=build_grid(args.lo, args.hi, args.count, args.spacing),
@@ -184,10 +186,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files:
-        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return _EXIT_INPUT
     return _EXIT_OK
 
 

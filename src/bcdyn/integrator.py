@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isfinite, sqrt
+from typing import ClassVar
 import numpy as np
 
 from .model import (
@@ -106,14 +107,11 @@ class IntegrationConfig:
     t_end: float
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-    max_step: float | None = None
-    initial_step: float | None = None
-    negativity_floor: float = -1e-9
+    # Fixed for every run, not a setting: readable, not an init field.
+    negativity_floor: ClassVar[float] = -1e-9
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if value is None and name in ("max_step", "initial_step"):
-                continue
             if not (_is_real(value) and abs(value) <= _FLOAT_MAX):
                 got = "an integer beyond the float range" if _beyond_float(value) else repr(value)
                 raise DomainError(f"{name} must be a finite real number, got {got}")
@@ -121,12 +119,6 @@ class IntegrationConfig:
             raise DomainError(f"t_end must exceed t0, got [{self.t0}, {self.t_end}]")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
-        if self.negativity_floor > 0:
-            raise DomainError("negativity_floor must be <= 0")
-        if self.max_step is not None and self.max_step <= 0:
-            raise DomainError("max_step must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise DomainError("initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -621,7 +613,6 @@ def integrate(
     span = t_end - t0
     floor = cfg.negativity_floor
     rtol, atol = cfg.rel_tol, cfg.abs_tol
-    max_step = cfg.max_step if cfg.max_step is not None else span
     h_min = 1e-14 * span
 
     sample_dt = span / (sample_count - 1)
@@ -638,12 +629,9 @@ def integrate(
     if not all(math.isfinite(v) for v in k1):
         raise DomainError(f"non-finite derivative at initial state {y}")
 
-    if cfg.initial_step is not None:
-        h = min(cfg.initial_step, max_step)
-    else:
-        fnorm = max(abs(v) for v in k1)
-        ynorm = max(abs(v) for v in y)
-        h = min(max_step, span / 100.0, 0.1 * (1.0 + ynorm) / (1e-10 + fnorm))
+    fnorm = max(abs(v) for v in k1)
+    ynorm = max(abs(v) for v in y)
+    h = min(span / 100.0, 0.1 * (1.0 + ynorm) / (1e-10 + fnorm))
 
     worst = [0.0] * 5
     accepted = rejected = 0
@@ -735,7 +723,7 @@ def integrate(
         else:
             fac = _SAFETY * err ** (-alpha) * err_prev ** beta
             fac = min(_MAX_GROW, max(_MIN_DAMP, fac))
-        h = min(max_step, max(h_eff * fac, h_min))
+        h = min(span, max(h_eff * fac, h_min))
         err_prev = max(err, 1e-4)
         if jac is None and stiffness > _STIFF_RATIO:
             stiff_hits += 1

@@ -425,12 +425,11 @@ def _at_dead1_state(state: SystemState) -> bool:
 
 def _reproduction(J, with_r_im: bool) -> ReproductionNumbers:
     """R0 and R1 from the Jacobian rows ``J`` (Python floats); R_IM too
-    when ``with_r_im``, else undefined."""
+    when ``with_r_im``, else undefined.  R_IM = J42*J24 / (J22*J44) is R0:
+    a float product does not depend on the order of its two factors."""
     r0, r0_ok = _safe_ratio(J[4][2] * J[2][4], J[4][4] * J[2][2])
     r1, r1_ok = _safe_ratio(J[1][0] * -J[0][1], J[0][0] * J[1][1])
-    r_im, r_im_ok = math.nan, False
-    if with_r_im:
-        r_im, r_im_ok = _safe_ratio(J[4][2] * J[2][4], J[2][2] * J[4][4])
+    r_im, r_im_ok = (r0, r0_ok) if with_r_im else (math.nan, False)
     return ReproductionNumbers(
         r0=r0, r1=r1, r_im=r_im,
         r0_defined=r0_ok, r1_defined=r1_ok, r_im_defined=r_im_ok,

@@ -91,11 +91,28 @@ class RootSet:
         return max(z.real for z in self.roots)
 
 
+def _root_key(z: complex) -> tuple[float, float]:
+    """The spectrum order: real part, then imaginary part, each rounded to
+    12 digits."""
+    return round(z.real, 12), round(z.imag, 12)
+
+
 def _root_set(roots) -> RootSet:
-    """``roots`` as complex numbers sorted by rounded real, then imaginary
-    part."""
-    ordered = sorted(map(complex, roots), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    return RootSet(roots=tuple(ordered))
+    """``roots`` as complex numbers sorted by :func:`_root_key`."""
+    return RootSet(roots=tuple(sorted(map(complex, roots), key=_root_key)))
+
+
+def _leading(roots) -> complex:
+    """The root that ``max(_root_set(roots).roots, key=real)`` picks,
+    without sorting: the largest real part, an exact tie broken by
+    :func:`_root_key`, then by the order of ``roots``."""
+    lead = None
+    for z in roots:
+        if lead is None or z.real > lead.real or (
+            z.real == lead.real and _root_key(z) < _root_key(lead)
+        ):
+            lead = z
+    return complex(lead)
 
 
 def poly_roots(p: Polynomial) -> RootSet:

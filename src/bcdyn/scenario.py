@@ -7,7 +7,7 @@ flags only (no environment-variable configuration).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -23,9 +23,6 @@ class ScenarioError(ValueError):
     pass
 
 
-_INTEGRATION_KEYS = {
-    "t0", "t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "negativity_floor",
-}
 _TOP_KEYS = {"params", "initial_state", "integration", "sample_count", "seed", "label"}
 
 
@@ -68,7 +65,7 @@ def parse_scenario(doc: dict) -> Scenario:
     integ = doc["integration"]
     if not isinstance(integ, dict):
         raise ScenarioError("integration must be an object")
-    bad = sorted(set(integ) - _INTEGRATION_KEYS)
+    bad = sorted(set(integ) - {f.name for f in fields(IntegrationConfig)})
     if bad:
         raise ScenarioError(f"unknown integration keys: {bad}")
     if "t0" not in integ or "t_end" not in integ:
@@ -87,6 +84,11 @@ def parse_scenario(doc: dict) -> Scenario:
     label = doc["label"]
     if not isinstance(label, str) or not label:
         raise ScenarioError("label must be a nonempty string")
+    # The label starts every output file name, so it must not leave --out.
+    if label in (".", "..") or any(c in label for c in "/\\\0"):
+        raise ScenarioError(
+            f"label {label!r} must be a file name: no '/', '\\' or NUL, not '.' or '..'"
+        )
     return Scenario(
         params=params,
         initial_state=state,

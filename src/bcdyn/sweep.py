@@ -35,6 +35,7 @@ import numpy as np
 
 from .equilibria import FAMILIES, _catalog, _find_batch
 from .model import PARAM_NAMES, DomainError, _beyond_float, _bind, _violation
+from .numerics import _leading
 from .scenario import Scenario
 from .stability import _eig_verdict, _repro
 
@@ -61,6 +62,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         _check_grid(self.parameter_name, self.grid)
         if self.second_parameter is not None:
+            if self.second_parameter == self.parameter_name:
+                # Its values would overwrite the first grid's at every point.
+                raise DomainError(f"cannot sweep {self.parameter_name} against itself")
             _check_grid(self.second_parameter, self.second_grid)
 
 
@@ -93,21 +97,6 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     return tuple(np.linspace(lo, hi, count))
 
 
-def _lead(eigenvalues) -> complex:
-    """The leading one of ``eigenvalues``, given in LAPACK order: the
-    largest real part, ties broken by the smaller imaginary part rounded to
-    12 digits, then by LAPACK order.  It is the eigenvalue that
-    ``max(roots, key=real)`` picks from the sorted spectrum of
-    :func:`classify`."""
-    lead = None
-    for z in eigenvalues:
-        if lead is None or z.real > lead.real or (
-            z.real == lead.real and round(z.imag, 12) < round(lead.imag, 12)
-        ):
-            lead = z
-    return complex(lead)
-
-
 def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
     """Per ``(params, model._bind(params))`` of ``bound_sets``, its catalog
     restricted to the rows ``families`` (a prefix of FAMILIES keeps the
@@ -122,7 +111,7 @@ def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
         for eq in catalog
         if eq.confirmed
     ]
-    leads = map(_lead, np.linalg.eigvals(np.array(Js)).tolist()) if Js else ()
+    leads = map(_leading, np.linalg.eigvals(np.array(Js)).tolist()) if Js else ()
     found = zip(Js, leads)
     return [
         [(eq, *next(found)) if eq.confirmed else (eq, None, None) for eq in catalog]

@@ -256,6 +256,55 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "error: grid value 0.0 invalid: d must be positive\n"
         assert not out.exists()
 
+    # Both used to exit 0: the second grid overwrote the first, and an
+    # orphan --min2 was dropped for a 1-D sweep.
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--parameter2", "k", "--min2", "0.5", "--max2", "0.5", "--count2", "1"],
+             "cannot sweep k against itself"),
+            (["--min2", "0.5", "--max2", "0.6"], "--min2 and --max2 require --parameter2"),
+            (["--max2", "0.6"], "--min2 and --max2 require --parameter2"),
+        ],
+    )
+    def test_bad_second_parameter_exit_2(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "out"
+        assert run([
+            "sweep", "--out", str(out), "--parameter", "k",
+            "--min", "0.1", "--max", "0.9", "--count", "2", *extra,
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestOutput:
+    # "../escaped" wrote next to --out and exited 0; "sub/dir" raised
+    # FileNotFoundError.
+    @pytest.mark.parametrize("label", ["../escaped", "sub/dir"])
+    def test_label_leaving_out_exit_2(
+        self, tmp_path, capsys, base_scenario_doc, write_scenario, label
+    ):
+        base_scenario_doc["label"] = label
+        path = write_scenario(base_scenario_doc)
+        out = tmp_path / "out" / "inner"
+        assert run(["equilibria", "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: label {label!r} must be a file name")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    # An --out naming a file raised FileExistsError, exit 1, and one under a
+    # file NotADirectoryError.
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_naming_a_file_exit_2(self, tmp_path, capsys, out):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        assert run(["equilibria", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
 
 class TestBifurcateCommand:
     def test_empty_result_json(self, tmp_path):

@@ -2,6 +2,7 @@
 import hashlib
 import math
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -114,8 +115,16 @@ class TestIntegrate:
             IntegrationConfig(t0=1.0, t_end=0.0)
         with pytest.raises(DomainError):
             IntegrationConfig(t0=0.0, t_end=1.0, rel_tol=0.0)
-        with pytest.raises(DomainError):
-            IntegrationConfig(t0=0.0, t_end=1.0, negativity_floor=0.5)
+
+    # Every run used the step cap of the span, the initial-step heuristic and
+    # the floor -1e-9; the three are no longer settings.
+    @pytest.mark.parametrize("name", ["max_step", "initial_step", "negativity_floor"])
+    def test_fixed_settings_are_not_init_fields(self, name):
+        with pytest.raises(TypeError):
+            IntegrationConfig(t0=0.0, t_end=1.0, **{name: 1.0})
+        cfg = IntegrationConfig(t0=0.0, t_end=1.0)
+        assert cfg.negativity_floor == IntegrationConfig.negativity_floor == -1e-9
+        assert [f.name for f in fields(cfg)] == ["t0", "t_end", "rel_tol", "abs_tol"]
 
 
 def pool_draw(seed, index):
@@ -408,13 +417,11 @@ class TestExtremeValues:
                 sc.initial_state, sc.params.replace(**{name: value}), cfg, 11
             ))
 
-    # A NaN rel_tol, max_step or initial_step used to run forever; abs_tol =
-    # inf and a NaN negativity floor were accepted silently.
+    # A NaN rel_tol used to run forever; abs_tol = inf was accepted silently.
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("rel_tol", math.nan), ("max_step", math.nan), ("initial_step", math.nan),
-            ("abs_tol", math.inf), ("negativity_floor", math.nan), ("t_end", math.inf),
+            ("rel_tol", math.nan), ("abs_tol", math.inf), ("t_end", math.inf),
             ("t0", -math.inf), ("rel_tol", "1e-6"), ("t_end", True),
         ],
     )
@@ -432,9 +439,7 @@ class TestExtremeValues:
     # math.isfinite raised a bare OverflowError on an int beyond the float
     # range; then the message printed all its digits, and past 4,300 digits
     # repr raised ValueError.
-    @pytest.mark.parametrize(
-        "field", ["t0", "t_end", "rel_tol", "abs_tol", "max_step", "initial_step", "negativity_floor"]
-    )
+    @pytest.mark.parametrize("field", ["t0", "t_end", "rel_tol", "abs_tol"])
     def test_config_rejects_integers_beyond_the_float_range(self, field):
         for digits in (400, 5000):
             value = -(10**digits) if field == "t0" else 10**digits

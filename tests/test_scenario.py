@@ -118,6 +118,33 @@ class TestParse:
         with pytest.raises(ScenarioError, match="integration"):
             parse_scenario(base_scenario_doc)
 
+    # These were settings until no run set them; the step cap is the span,
+    # the first step comes from the heuristic and the floor is -1e-9.
+    @pytest.mark.parametrize(
+        "key, value", [("max_step", 1.0), ("initial_step", 0.01), ("negativity_floor", -1e-9)]
+    )
+    def test_removed_integration_keys(self, base_scenario_doc, key, value):
+        base_scenario_doc["integration"][key] = value
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(base_scenario_doc)
+        assert str(exc.value) == f"unknown integration keys: [{key!r}]"
+
+    # The label starts each output file name: "../x" wrote outside --out and
+    # "sub/dir" raised FileNotFoundError.
+    @pytest.mark.parametrize("label", ["../escaped", "sub/dir", "a\\b", "nul\0", ".", ".."])
+    def test_label_must_be_a_file_name(self, base_scenario_doc, label):
+        base_scenario_doc["label"] = label
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(base_scenario_doc)
+        assert str(exc.value) == (
+            f"label {label!r} must be a file name: no '/', '\\' or NUL, not '.' or '..'"
+        )
+
+    @pytest.mark.parametrize("label", ["...", ".x", "a.b", "run 1", "ü"])
+    def test_label_may_hold_dots_and_spaces(self, base_scenario_doc, label):
+        base_scenario_doc["label"] = label
+        assert parse_scenario(base_scenario_doc).label == label
+
 
 class TestLoad:
     def test_missing_file(self, tmp_path):

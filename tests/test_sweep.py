@@ -18,9 +18,8 @@ from bcdyn import (
 from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, estrogen_level, tumor_free
 from bcdyn.formats import bifurcation_to_json, sweep_to_csv
 from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES, _bind
-from bcdyn.numerics import NumericsError, _root_set
+from bcdyn.numerics import NumericsError, _leading, _root_set
 from bcdyn.scenario import Scenario
-from bcdyn.sweep import _lead
 from bcdyn.validation import draw_params
 
 from conftest import bounded, random_params
@@ -62,6 +61,12 @@ class TestGrid:
     def test_unknown_parameter(self):
         with pytest.raises(DomainError):
             SweepSpec(parameter_name="q", grid=(1.0,))
+
+    # The second grid's value overwrote the first at every point, so the
+    # rows labelled k = 0.1 carried the results of k = 0.5.
+    def test_second_parameter_must_differ(self):
+        with pytest.raises(DomainError, match="^cannot sweep k against itself$"):
+            SweepSpec("k", (0.1, 0.9), "k", (0.5,))
 
 
 class TestSweep:
@@ -424,12 +429,12 @@ class TestLeadingEigenvalue:
         ],
     )
     def test_planted_spectra(self, w):
-        got = _lead(np.array(w, dtype=complex).tolist())
+        got = _leading(np.array(w, dtype=complex).tolist())
         assert self.bits(got) == self.bits(self.reference(np.array(w, dtype=complex)))
 
     def test_real_spectrum(self):
         w = np.array([-2.0, 3.0, 3.0, -0.5])
-        got = _lead(w.tolist())
+        got = _leading(w.tolist())
         assert isinstance(got, complex)
         assert self.bits(got) == self.bits(self.reference(w))
 
