@@ -40,7 +40,6 @@ from .numerics import (
     HurwitzVerdict,
     NewtonError,
     NumericsError,
-    Polynomial,
     RootSet,
     char_poly,
     newton_solve,
@@ -48,7 +47,7 @@ from .numerics import (
     routh_hurwitz,
 )
 from .scenario import Scenario, ScenarioError, default_scenario, load_scenario, parse_scenario
-from .stability import StabilityReport, block_spectrum, classify
+from .stability import StabilityReport, classify
 from .sweep import BifurcationResult, SweepSpec, build_grid, run_bifurcate, run_sweep
 from .validation import run_validation
 
@@ -67,7 +66,6 @@ __all__ = [
     "residual_norm",
     "jacobian",
     "reproduction_numbers",
-    "Polynomial",
     "RootSet",
     "HurwitzVerdict",
     "NumericsError",
@@ -88,7 +86,6 @@ __all__ = [
     "find_all",
     "StabilityReport",
     "classify",
-    "block_spectrum",
     "Scenario",
     "ScenarioError",
     "load_scenario",

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--parameter2", default=None, help="optional second sweep parameter")
     sp.add_argument("--min2", type=float, default=None)
     sp.add_argument("--max2", type=float, default=None)
-    sp.add_argument("--count2", type=int, default=11)
+    sp.add_argument("--count2", type=int, default=None, help="default 11")
 
     sp = common("bifurcate", "bracket stability flips along one parameter")
     sp.add_argument("--parameter", required=True)
@@ -138,12 +138,16 @@ def _cmd_sweep(args: argparse.Namespace) -> list[tuple[str, str]]:
         raise ScenarioError("--parameter2 requires --min2 and --max2")
     if second is None and (args.min2 is not None or args.max2 is not None):
         raise ScenarioError("--min2 and --max2 require --parameter2")
+    if second is None and args.count2 is not None:
+        raise ScenarioError("--count2 requires --parameter2")
     spec = SweepSpec(
         parameter_name=args.parameter,
         grid=build_grid(args.lo, args.hi, args.count, args.spacing),
         second_parameter=second,
         second_grid=(
-            build_grid(args.min2, args.max2, args.count2, args.spacing)
+            build_grid(
+                args.min2, args.max2, 11 if args.count2 is None else args.count2, args.spacing
+            )
             if second is not None else ()
         ),
     )

@@ -93,7 +93,7 @@ def report_to_json(report: StabilityReport) -> str:
         "residual": eq.residual,
         "verdict": report.verdict,
         "max_real_eigenvalue": report.max_real,
-        "char_coeffs": report.char_coeffs.coeffs,
+        "char_coeffs": report.char_coeffs,
         "eigenvalues": [{"re": z.real, "im": z.imag} for z in report.eigenvalues.roots],
         "hurwitz": {
             "minors": report.hurwitz.minors,

@@ -66,6 +66,7 @@ from .model import (
     STATE_NAMES,
     DomainError,
     _FLOAT_MAX,
+    _MAX_POINTS,
     _beyond_float,
     _is_real,
     make_jacobian,
@@ -597,8 +598,8 @@ def integrate(
     identical inputs give bit-identical output, and the steps do not
     depend on ``sample_count``.
     """
-    if not 2 <= sample_count <= _FLOAT_MAX:
-        raise DomainError("sample_count must be at least 2 and within the float range")
+    if not 2 <= sample_count <= _MAX_POINTS:
+        raise DomainError(f"sample_count must be from 2 to {_MAX_POINTS}")
     f = make_rhs(params)
     if isinstance(x0, SystemState):
         y = x0.as_tuple()

@@ -62,6 +62,10 @@ _FIELD_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
 
 _FLOAT_MAX = sys.float_info.max
 
+# The most sample times, grid values or scan points one request may ask
+# for; each is allocated up front, so a larger count is refused instead.
+_MAX_POINTS = 10**6
+
 # Rates that may legitimately vanish (switching off a coupling or a source
 # is a meaningful scenario: no diet interaction, no endocrine feed, no
 # infusion, ...).  Everything else must be strictly positive.

@@ -1,8 +1,10 @@
 """Self-contained numerics for small dense problems.
 
 Everything here is sized for the 5-compartment model: polynomials of degree
-at most 8, 5x5 matrices, nonlinear systems in at most 5 unknowns.  All
-functions are pure and deterministic.
+at most 8, 5x5 matrices, nonlinear systems in at most 5 unknowns.  A
+polynomial is a plain sequence of real coefficients in descending degree;
+:func:`char_poly` returns one as a float tuple.  All functions are pure and
+deterministic.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import numpy as np
 __all__ = [
     "NumericsError",
     "NewtonError",
-    "Polynomial",
     "RootSet",
     "HurwitzVerdict",
     "poly_roots",
@@ -45,39 +46,6 @@ class NewtonError(NumericsError):
         super().__init__(message)
         self.last_iterate = np.asarray(last_iterate, dtype=float)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real-coefficient polynomial, coefficients in descending degree."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise NumericsError("empty coefficient sequence")
-        if len(self.coeffs) - 1 > MAX_DEGREE:
-            raise NumericsError(f"degree {len(self.coeffs) - 1} exceeds {MAX_DEGREE}")
-        if self.coeffs[0] == 0.0:
-            raise NumericsError("leading coefficient must be nonzero")
-        if not all(map(math.isfinite, self.coeffs)):
-            raise NumericsError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", tuple(map(float, self.coeffs)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def norm(self) -> float:
-        """Max-abs coefficient norm."""
-        return max(abs(c) for c in self.coeffs)
-
-    def __call__(self, z):
-        acc = 0.0 + 0.0j if isinstance(z, complex) else 0.0
-        for c in self.coeffs:
-            acc = acc * z + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -115,13 +83,26 @@ def _leading(roots) -> complex:
     return complex(lead)
 
 
-def poly_roots(p: Polynomial) -> RootSet:
-    """All complex roots of ``p`` as the eigenvalues of its companion
+def _coefficients(coeffs, max_degree: int) -> tuple[float, ...]:
+    """``coeffs`` as a float tuple, after checking that they describe a
+    polynomial of degree 1..``max_degree`` with a nonzero leading
+    coefficient and finite entries."""
+    a = tuple(map(float, coeffs))
+    if not 1 <= len(a) - 1 <= max_degree:
+        raise NumericsError(f"degree {len(a) - 1} is outside 1..{max_degree}")
+    if a[0] == 0.0:
+        raise NumericsError("leading coefficient must be nonzero")
+    if not all(map(math.isfinite, a)):
+        raise NumericsError("non-finite coefficient")
+    return a
+
+
+def poly_roots(coeffs) -> RootSet:
+    """All complex roots of the polynomial with coefficients ``coeffs``
+    (descending degree, 1..MAX_DEGREE) as the eigenvalues of its companion
     matrix (``np.roots``; Edelman & Murakami 1995).  Trailing zero
     coefficients give exact zero roots."""
-    if p.degree < 1:
-        raise NumericsError("degree must be at least 1")
-    return _root_set(np.roots(p.coeffs))
+    return _root_set(np.roots(_coefficients(coeffs, MAX_DEGREE)))
 
 
 def _trace(M: np.ndarray) -> float:
@@ -133,9 +114,10 @@ def _trace(M: np.ndarray) -> float:
     return total
 
 
-def char_poly(matrix: np.ndarray) -> Polynomial:
-    """Characteristic polynomial det(lambda*I - M) by the Faddeev-LeVerrier
-    recurrence; monic, degree equal to the matrix dimension.
+def char_poly(matrix: np.ndarray) -> tuple[float, ...]:
+    """Coefficients, in descending degree, of the characteristic polynomial
+    det(lambda*I - M) by the Faddeev-LeVerrier recurrence; monic, degree
+    equal to the matrix dimension.
 
     Each step adds ``c_k`` in place to the diagonal of ``M_k`` (a copy of
     the matrix at first) instead of adding ``c_k*I``.  The diagonal sums
@@ -159,7 +141,7 @@ def char_poly(matrix: np.ndarray) -> Polynomial:
             coeffs.append(-_trace(Mk) / kk)
     if not all(map(math.isfinite, coeffs)):
         raise NumericsError("characteristic polynomial overflows")
-    return Polynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -195,8 +177,9 @@ def _hurwitz_index(n: int) -> np.ndarray:
 _HURWITZ_INDEX = {n: _hurwitz_index(n) for n in range(1, 6)}
 
 
-def routh_hurwitz(p: Polynomial) -> HurwitzVerdict:
-    """Classify root locations of ``p`` (degree 1..5) via Hurwitz minors.
+def routh_hurwitz(coeffs) -> HurwitzVerdict:
+    """Classify the root locations of the polynomial with coefficients
+    ``coeffs`` (descending degree, 1..5) via Hurwitz minors.
 
     All n leading minors come from one stacked ``np.linalg.det`` over the
     leading k x k blocks padded with the identity to n x n.  Partial
@@ -207,10 +190,8 @@ def routh_hurwitz(p: Polynomial) -> HurwitzVerdict:
     combines.  So each minor has the bits of ``det(H[:k, :k])``.  A minor
     beyond the float range is +-inf with its sign, without a warning.
     Minors within MARGINAL_MINOR of zero give no verdict."""
-    n = p.degree
-    if not 1 <= n <= 5:
-        raise NumericsError(f"routh_hurwitz supports degree 1..5, got {n}")
-    a = list(p.coeffs)
+    a = list(_coefficients(coeffs, 5))
+    n = len(a) - 1
     if a[0] < 0:
         a = [-c for c in a]
     with np.errstate(over="ignore"):

@@ -13,7 +13,8 @@ from pathlib import Path
 
 from .integrator import IntegrationConfig
 from .model import (
-    STATE_NAMES, DomainError, ModelParams, SystemState, _FLOAT_MAX, _beyond_float, _is_real,
+    STATE_NAMES, DomainError, ModelParams, SystemState, _FLOAT_MAX, _MAX_POINTS,
+    _beyond_float, _is_real,
 )
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "parse_scenario", "default_scenario"]
@@ -76,8 +77,8 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(f"bad integration config: {exc}") from exc
 
     sample_count = doc["sample_count"]
-    if type(sample_count) is not int or not 2 <= sample_count <= _FLOAT_MAX:
-        raise ScenarioError("sample_count must be an integer >= 2 within the float range")
+    if type(sample_count) is not int or not 2 <= sample_count <= _MAX_POINTS:
+        raise ScenarioError(f"sample_count must be an integer from 2 to {_MAX_POINTS}")
     seed = doc["seed"]
     if type(seed) is not int or seed < 0:
         raise ScenarioError("seed must be a nonnegative integer")

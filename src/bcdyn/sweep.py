@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import FAMILIES, _catalog, _find_batch
-from .model import PARAM_NAMES, DomainError, _beyond_float, _bind, _violation
+from .model import _MAX_POINTS, PARAM_NAMES, DomainError, _beyond_float, _bind, _violation
 from .numerics import _leading
 from .scenario import Scenario
 from .stability import _eig_verdict, _repro
@@ -60,6 +60,8 @@ class SweepSpec:
     second_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if len(self.grid) * max(1, len(self.second_grid)) > _MAX_POINTS:
+            raise DomainError(f"a sweep takes at most {_MAX_POINTS} grid points")
         _check_grid(self.parameter_name, self.grid)
         if self.second_parameter is not None:
             if self.second_parameter == self.parameter_name:
@@ -86,8 +88,10 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
 def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
     if spacing not in ("linear", "log"):
         raise DomainError(f"unknown grid spacing {spacing!r}; expected 'linear' or 'log'")
-    if count < 1 or hi < lo:
-        raise DomainError(f"bad grid request [{lo}, {hi}] x {count}")
+    if not 1 <= count <= _MAX_POINTS or hi < lo:
+        raise DomainError(
+            f"bad grid request [{lo}, {hi}] x {count}: need hi >= lo and 1 to {_MAX_POINTS} points"
+        )
     if count == 1:
         return (lo,)
     if spacing == "log":
@@ -193,8 +197,8 @@ def run_bifurcate(
     _check_grid(parameter_name, (lo, hi))
     if hi <= lo:
         raise DomainError(f"empty range [{lo}, {hi}]")
-    if scan_points < 2:
-        raise DomainError(f"need at least 2 scan points, got {scan_points}")
+    if not 2 <= scan_points <= _MAX_POINTS:
+        raise DomainError(f"need 2 to {_MAX_POINTS} scan points, got {scan_points}")
     if not (math.isfinite(bracket_rel_width) and bracket_rel_width > 0):
         raise DomainError(
             f"bracket_rel_width must be finite and positive, got {bracket_rel_width}"

@@ -16,6 +16,7 @@ from bcdyn import (
     find_all,
     jacobian,
 )
+from bcdyn.numerics import char_poly, poly_roots
 from bcdyn.validation import draw_params, draw_state
 
 
@@ -75,6 +76,18 @@ def corpus_jacobians(draws: int = 40) -> list[np.ndarray]:
         for p in (pm, pm.replace(v_M=0.0), pm.replace(g1=0.0), pm.replace(s=0.0)):
             out += [jacobian(eq.point, p) for eq in find_all(p) if eq.confirmed]
     return out
+
+
+def block_roots(J: np.ndarray) -> list[complex]:
+    """Eigenvalues of the (N, T) and (I, M) 2x2 blocks of a Jacobian, as
+    the roots of their characteristic polynomials.  At any state with
+    T = 0 the full spectrum is their union plus {-theta}."""
+    return [z for b in ((0, 1), (2, 4)) for z in poly_roots(char_poly(J[np.ix_(b, b)])).roots]
+
+
+def refuse(*args, **kwargs):
+    """Stands in for the step that allocates what a point cap bounds."""
+    raise AssertionError("an over-cap request reached its allocation")
 
 
 class _Timeout(Exception):

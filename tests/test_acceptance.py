@@ -15,7 +15,6 @@ import pytest
 
 from bcdyn import (
     IntegrationConfig,
-    Polynomial,
     SystemState,
     classify,
     default_scenario,
@@ -30,10 +29,10 @@ from bcdyn.integrator import default_horizon, settle
 from bcdyn.model import make_rhs
 from bcdyn.numerics import poly_roots, routh_hurwitz
 from bcdyn.scenario import Scenario
-from bcdyn.stability import block_spectrum
 from bcdyn.sweep import run_bifurcate
 from bcdyn.validation import draw_params, draw_state
 
+from conftest import block_roots
 from test_model import oracle_rhs
 
 
@@ -198,8 +197,7 @@ def test_criterion_7_spectrum_structure(capsys, classified_200):
         )
         if eq.point.T == 0.0:
             t0_count += 1
-            nt, im = block_spectrum(rep.jacobian)
-            expected = list(nt.roots) + list(im.roots) + [complex(-pm.theta)]
+            expected = block_roots(rep.jacobian) + [complex(-pm.theta)]
             for z in rep.eigenvalues.roots:
                 nearest = min(expected, key=lambda w: abs(w - z))
                 worst_union = max(worst_union, abs(nearest - z))
@@ -227,7 +225,7 @@ def test_criterion_8_dual_path_stability(capsys, classified_200):
         coeffs = rng.uniform(-2.0, 2.0, size=degree + 1)
         while abs(coeffs[0]) < 0.1:
             coeffs[0] = rng.uniform(-2.0, 2.0)
-        p = Polynomial(tuple(coeffs))
+        p = tuple(coeffs)
         hv = routh_hurwitz(p)
         max_re = poly_roots(p).max_real
         if hv.verdict == "inconclusive" or abs(max_re) < 1e-9:

@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
+import bcdyn.cli
 from bcdyn import default_scenario, integrate
 from bcdyn.cli import main
+from bcdyn.model import _MAX_POINTS
 from bcdyn.formats import trajectory_to_csv
 
-from conftest import bounded
+from conftest import bounded, refuse
 
 
 def run(args):
@@ -90,7 +92,21 @@ class TestSimulate:
         out = tmp_path / "out"
         assert bounded(lambda: run(["simulate", "--scenario", path, "--out", str(out)])) == 2
         assert capsys.readouterr().err == (
-            "error: sample_count must be an integer >= 2 within the float range\n"
+            f"error: sample_count must be an integer from 2 to {_MAX_POINTS}\n"
+        )
+        assert not out.exists()
+
+    # Accepted, then integrate built that many sample times.
+    def test_sample_count_over_the_cap_exit_2(
+        self, tmp_path, capsys, monkeypatch, base_scenario_doc, write_scenario
+    ):
+        monkeypatch.setattr(bcdyn.cli, "integrate", refuse)
+        base_scenario_doc["sample_count"] = _MAX_POINTS + 1
+        path = write_scenario(base_scenario_doc)
+        out = tmp_path / "out"
+        assert run(["simulate", "--scenario", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sample_count must be an integer from 2 to {_MAX_POINTS}\n"
         )
         assert not out.exists()
 
@@ -276,6 +292,46 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # --count2 defaulted to 11, so an orphan value ran a 1-D sweep.
+    def test_orphan_count2_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([
+            "sweep", "--out", str(out), "--parameter", "k",
+            "--min", "0", "--max", "1", "--count", "2", "--count2", "5",
+        ]) == 2
+        assert capsys.readouterr().err == "error: --count2 requires --parameter2\n"
+        assert not out.exists()
+
+    def test_count2_defaults_to_11(self, tmp_path):
+        assert run([
+            "sweep", "--out", str(tmp_path), "--parameter", "k", "--min", "0", "--max", "0.5",
+            "--count", "2", "--parameter2", "d", "--min2", "0.5", "--max2", "1.5",
+        ]) == 0
+        rows = (tmp_path / "default_sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len({(row.split(",")[1], row.split(",")[3]) for row in rows}) == 2 * 11
+
+    # The grids, or a sweep over their product, were built at any size.
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--count", str(_MAX_POINTS + 1)],
+             f"bad grid request [0.0, 1.0] x {_MAX_POINTS + 1}: "
+             f"need hi >= lo and 1 to {_MAX_POINTS} points"),
+            (["--count", "1000", "--parameter2", "d", "--min2", "0.5", "--max2", "1.5",
+              "--count2", "1001"],
+             f"a sweep takes at most {_MAX_POINTS} grid points"),
+        ],
+        ids=["count", "product"],
+    )
+    def test_grid_over_the_cap_exit_2(self, tmp_path, capsys, monkeypatch, extra, message):
+        monkeypatch.setattr(bcdyn.cli, "run_sweep", refuse)
+        out = tmp_path / "out"
+        assert run([
+            "sweep", "--out", str(out), "--parameter", "k", "--min", "0", "--max", "1", *extra,
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestOutput:
     # "../escaped" wrote next to --out and exited 0; "sub/dir" raised
@@ -327,7 +383,20 @@ class TestBifurcateCommand:
             "--min", "0.5", "--max", "1.5", "--scan-points", points,
         ]) == 2
         assert capsys.readouterr().err == (
-            f"error: need at least 2 scan points, got {points}\n"
+            f"error: need 2 to {_MAX_POINTS} scan points, got {points}\n"
+        )
+        assert not out.exists()
+
+    # The scan grid and a batch of that many parameter sets were built.
+    def test_scan_points_over_the_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "out"
+        assert run([
+            "bifurcate", "--out", str(out), "--parameter", "d",
+            "--min", "0.5", "--max", "1.5", "--scan-points", str(_MAX_POINTS + 1),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: need 2 to {_MAX_POINTS} scan points, got {_MAX_POINTS + 1}\n"
         )
         assert not out.exists()
 

@@ -21,10 +21,10 @@ from bcdyn import (
 from bcdyn.equilibria import estrogen_level, find_all
 from bcdyn.formats import trajectory_to_csv
 from bcdyn.integrator import default_horizon
-from bcdyn.model import PARAM_NAMES, make_jacobian, make_rhs
+from bcdyn.model import _MAX_POINTS, PARAM_NAMES, make_jacobian, make_rhs
 from bcdyn.validation import draw_params, draw_state
 
-from conftest import bounded, random_params
+from conftest import bounded, random_params, refuse
 
 
 def rk4_reference(x0, params, t_end, h):
@@ -454,7 +454,15 @@ class TestExtremeValues:
         sc = default_scenario()
         with pytest.raises(DomainError) as exc:
             integrate(sc.initial_state, sc.params, sc.integration, sample_count=10**400)
-        assert str(exc.value) == "sample_count must be at least 2 and within the float range"
+        assert str(exc.value) == f"sample_count must be from 2 to {_MAX_POINTS}"
+
+    # A count that fit in a float built that many sample times.
+    def test_sample_count_is_capped_before_the_run(self, monkeypatch):
+        monkeypatch.setattr(integrator, "make_rhs", refuse)
+        sc = default_scenario()
+        with pytest.raises(DomainError) as exc:
+            integrate(sc.initial_state, sc.params, sc.integration, sample_count=_MAX_POINTS + 1)
+        assert str(exc.value) == f"sample_count must be from 2 to {_MAX_POINTS}"
 
     # At 1e-160 every attempt soon sits at the minimum step and is rejected
     # for error; the run used to retry that same step forever.

@@ -1,4 +1,6 @@
-"""Polynomial roots, characteristic polynomials, Routh-Hurwitz and Newton."""
+"""Polynomial roots, characteristic polynomials, Routh-Hurwitz and Newton.
+
+A polynomial is a tuple of coefficients in descending degree."""
 import warnings
 
 import numpy as np
@@ -7,7 +9,6 @@ import pytest
 from bcdyn.numerics import (
     NewtonError,
     NumericsError,
-    Polynomial,
     char_poly,
     newton_solve,
     poly_roots,
@@ -63,7 +64,7 @@ def jacobians():
     return corpus_jacobians()
 
 
-def seeded_polynomials(count: int = 400) -> list[Polynomial]:
+def seeded_polynomials(count: int = 400) -> list[tuple[float, ...]]:
     """Degree 1..5, coefficients over 12 decades, some exactly zero."""
     rng = np.random.default_rng(11)
     polys = []
@@ -71,7 +72,7 @@ def seeded_polynomials(count: int = 400) -> list[Polynomial]:
         degree = int(rng.integers(1, 6))
         coeffs = rng.standard_normal(degree + 1) * 10.0 ** rng.uniform(-6, 6, degree + 1)
         coeffs[1:][rng.random(degree) < 0.15] = 0.0
-        polys.append(Polynomial(tuple(coeffs)))
+        polys.append(tuple(coeffs))
     return polys
 
 
@@ -83,7 +84,7 @@ class TestBitIdentity:
     def test_hurwitz_minors_match_per_minor_det(self, jacobians):
         polys = [char_poly(J) for J in jacobians] + seeded_polynomials()
         for p in polys:
-            assert bits(routh_hurwitz(p).minors) == bits(hurwitz_minors_reference(p.coeffs))
+            assert bits(routh_hurwitz(p).minors) == bits(hurwitz_minors_reference(p))
 
     def test_char_poly_matches_recurrence(self, jacobians, rng):
         signed_zeros = np.array(
@@ -92,32 +93,40 @@ class TestBitIdentity:
         matrices = [signed_zeros, np.diag([-0.0] * 4)] + jacobians
         matrices += [rng.uniform(-1.0, 1.0, size=(n, n)) for n in range(1, 6)]
         for A in matrices:
-            assert bits(char_poly(A).coeffs) == bits(char_poly_reference(A))
+            assert bits(char_poly(A)) == bits(char_poly_reference(A))
 
 
-class TestPolynomial:
-    def test_horner_evaluation(self):
-        p = Polynomial((2.0, -1.0, 3.0))
-        assert p(2.0) == 2 * 4 - 2 + 3
+class TestCoefficients:
+    """poly_roots and routh_hurwitz take only coefficient sequences of
+    degree 1 and up with a nonzero leading entry and finite entries."""
 
-    def test_rejects_zero_leading(self):
-        with pytest.raises(NumericsError):
-            Polynomial((0.0, 1.0))
-
-    def test_rejects_excess_degree(self):
-        with pytest.raises(NumericsError):
-            Polynomial(tuple(range(1, 12)))
+    @pytest.mark.parametrize("solve", [poly_roots, routh_hurwitz])
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ((), "degree -1"),
+            ((2.0,), "degree 0"),
+            ((0.0, 1.0), "leading coefficient"),
+            (tuple(range(1, 12)), "degree 10"),
+            ((1.0, float("nan"), 2.0), "non-finite"),
+            ((1.0, 2.0, float("inf")), "non-finite"),
+        ],
+        ids=["empty", "constant", "zero-leading", "excess-degree", "nan", "inf"],
+    )
+    def test_rejects(self, solve, coeffs, message):
+        with pytest.raises(NumericsError, match=message):
+            solve(coeffs)
 
 
 class TestPolyRoots:
     def test_factored_quadratic(self):
-        rs = poly_roots(Polynomial((1.0, -3.0, 2.0)))
+        rs = poly_roots((1.0, -3.0, 2.0))
         got = sorted(z.real for z in rs.roots)
         assert got == pytest.approx([1.0, 2.0], abs=1e-12)
         assert all(abs(z.imag) < 1e-12 for z in rs.roots)
 
     def test_imaginary_pair(self):
-        rs = poly_roots(Polynomial((1.0, 0.0, 1.0)))
+        rs = poly_roots((1.0, 0.0, 1.0))
         got = sorted(rs.roots, key=lambda z: z.imag)
         assert got[0] == pytest.approx(-1j, abs=1e-12)
         assert got[1] == pytest.approx(1j, abs=1e-12)
@@ -127,38 +136,38 @@ class TestPolyRoots:
             # Well-separated roots keep the reconstruction well conditioned.
             sample = sorted(np.arange(-2.0, 3.0) + rng.uniform(-0.3, 0.3, size=5))
             poly = np.poly(sample)  # product of (x - r_i)
-            rs = poly_roots(Polynomial(tuple(poly)))
+            rs = poly_roots(tuple(poly))
             got = sorted(z.real for z in rs.roots)
             assert np.max(np.abs(np.array(got) - np.array(sample))) < 1e-9
 
     def test_deflates_zero_roots(self):
-        rs = poly_roots(Polynomial((1.0, -1.0, 0.0, 0.0)))
+        rs = poly_roots((1.0, -1.0, 0.0, 0.0))
         reals = sorted(z.real for z in rs.roots)
         assert reals == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_deterministic(self):
-        p = Polynomial((1.0, 0.3, -2.0, 0.7, 1.1, -0.4))
+        p = (1.0, 0.3, -2.0, 0.7, 1.1, -0.4)
         assert poly_roots(p).roots == poly_roots(p).roots
 
 
 class TestCharPoly:
     def test_identity(self):
         cp = char_poly(np.eye(5))
-        assert cp.coeffs == pytest.approx((1.0, -5.0, 10.0, -10.0, 5.0, -1.0), abs=1e-12)
+        assert cp == pytest.approx((1.0, -5.0, 10.0, -10.0, 5.0, -1.0), abs=1e-12)
 
     def test_known_diagonal(self):
         cp = char_poly(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
         want = np.poly([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert cp.coeffs == pytest.approx(tuple(want), rel=1e-12)
-        assert cp.coeffs[-1] == pytest.approx(-120.0, rel=1e-12)
+        assert cp == pytest.approx(tuple(want), rel=1e-12)
+        assert cp[-1] == pytest.approx(-120.0, rel=1e-12)
 
     def test_trace_and_det_coefficients(self, rng):
         for _ in range(20):
             A = rng.uniform(-1.0, 1.0, size=(5, 5))
             cp = char_poly(A)
-            assert cp.coeffs[1] == pytest.approx(-np.trace(A), rel=1e-10, abs=1e-12)
+            assert cp[1] == pytest.approx(-np.trace(A), rel=1e-10, abs=1e-12)
             det = cofactor_det(A)
-            assert cp.coeffs[-1] == pytest.approx((-1.0) ** 5 * det, rel=1e-9, abs=1e-11)
+            assert cp[-1] == pytest.approx((-1.0) ** 5 * det, rel=1e-9, abs=1e-11)
 
     def test_rejects_non_square(self):
         with pytest.raises(NumericsError):
@@ -173,17 +182,17 @@ class TestCharPoly:
 
 class TestRouthHurwitz:
     def test_stable_quadratic(self):
-        assert routh_hurwitz(Polynomial((1.0, 3.0, 2.0))).verdict == "stable"
+        assert routh_hurwitz((1.0, 3.0, 2.0)).verdict == "stable"
 
     def test_unstable_quadratic(self):
-        assert routh_hurwitz(Polynomial((1.0, -1.0, 2.0))).verdict == "unstable"
+        assert routh_hurwitz((1.0, -1.0, 2.0)).verdict == "unstable"
 
     def test_negative_leading_normalized(self):
-        assert routh_hurwitz(Polynomial((-1.0, -3.0, -2.0))).verdict == "stable"
+        assert routh_hurwitz((-1.0, -3.0, -2.0)).verdict == "stable"
 
     def test_marginal_inconclusive(self):
         # lambda^2 + 1: pure imaginary pair, first minor exactly 0.
-        assert routh_hurwitz(Polynomial((1.0, 0.0, 1.0))).verdict == "inconclusive"
+        assert routh_hurwitz((1.0, 0.0, 1.0)).verdict == "inconclusive"
 
     def test_agrees_with_root_signs(self, rng):
         checked = 0
@@ -192,7 +201,7 @@ class TestRouthHurwitz:
             coeffs = rng.uniform(-2.0, 2.0, size=degree + 1)
             if abs(coeffs[0]) < 0.1:
                 continue
-            p = Polynomial(tuple(coeffs))
+            p = tuple(coeffs)
             hv = routh_hurwitz(p)
             max_re = poly_roots(p).max_real
             if hv.verdict == "inconclusive" or abs(max_re) < 1e-9:
@@ -203,7 +212,7 @@ class TestRouthHurwitz:
 
     def test_rejects_degree_over_5(self):
         with pytest.raises(NumericsError):
-            routh_hurwitz(Polynomial((1.0,) * 7))
+            routh_hurwitz((1.0,) * 7)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_one_det_call(self, monkeypatch, degree):
@@ -215,7 +224,7 @@ class TestRouthHurwitz:
             return det(a)
 
         monkeypatch.setattr(np.linalg, "det", counted)
-        routh_hurwitz(Polynomial(tuple(range(1, degree + 2))))
+        routh_hurwitz(tuple(range(1, degree + 2)))
         assert calls == [(degree, degree, degree)]
 
 

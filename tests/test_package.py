@@ -15,10 +15,10 @@ def test_version_matches_pyproject():
 PUBLIC = [
     "BifurcationResult", "DomainError", "Equilibrium", "HurwitzVerdict",
     "IntegrationConfig", "ModelParams", "NewtonError", "NumericsError",
-    "Polynomial", "PositivityError", "ReproductionNumbers", "RootSet",
+    "PositivityError", "ReproductionNumbers", "RootSet",
     "Scenario", "ScenarioError", "StabilityReport", "StepUnderflowError",
     "SweepSpec", "SystemState", "Trajectory", "__version__",
-    "block_spectrum", "build_grid", "char_poly", "classify", "default_scenario",
+    "build_grid", "char_poly", "classify", "default_scenario",
     "estrogen_level", "find_all", "integrate", "jacobian", "load_scenario",
     "make_jacobian", "make_rhs", "newton_solve",
     "parse_scenario", "poly_roots", "reproduction_numbers", "residual_norm",
@@ -36,9 +36,9 @@ DELETED = {
     "model": ["coefficients", "CoefficientSet"],
     "stability": [
         "empirical_check", "theorem_conditions",
-        "report_to_json", "summary_csv_header", "summary_csv_row",
+        "report_to_json", "summary_csv_header", "summary_csv_row", "block_spectrum",
     ],
-    "numerics": ["eigenvalues"],
+    "numerics": ["eigenvalues", "Polynomial"],
     "sweep": ["sweep_to_csv", "bifurcation_to_json"],
     "integrator": ["trajectory_to_csv"],
 }

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from bcdyn import ScenarioError, default_scenario, load_scenario, parse_scenario
+from bcdyn.model import _MAX_POINTS
 
 
 class TestParse:
@@ -82,7 +83,18 @@ class TestParse:
         base_scenario_doc["sample_count"] = 10**400
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(base_scenario_doc)
-        assert str(exc.value) == "sample_count must be an integer >= 2 within the float range"
+        assert str(exc.value) == f"sample_count must be an integer from 2 to {_MAX_POINTS}"
+
+    # Accepted, so integrate built that many sample times.
+    def test_sample_count_is_capped(self, base_scenario_doc):
+        base_scenario_doc["sample_count"] = _MAX_POINTS + 1
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(base_scenario_doc)
+        assert str(exc.value) == f"sample_count must be an integer from 2 to {_MAX_POINTS}"
+
+    def test_sample_count_at_the_cap_is_accepted(self, base_scenario_doc):
+        base_scenario_doc["sample_count"] = _MAX_POINTS
+        assert parse_scenario(base_scenario_doc).sample_count == _MAX_POINTS
 
     def test_bad_seed(self, base_scenario_doc):
         base_scenario_doc["seed"] = -3

@@ -17,12 +17,12 @@ from bcdyn import (
 )
 from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, estrogen_level, tumor_free
 from bcdyn.formats import bifurcation_to_json, sweep_to_csv
-from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES, _bind
+from bcdyn.model import _MAX_POINTS, _NONNEGATIVE_OK, PARAM_NAMES, _bind
 from bcdyn.numerics import NumericsError, _leading, _root_set
 from bcdyn.scenario import Scenario
 from bcdyn.validation import draw_params
 
-from conftest import bounded, random_params
+from conftest import bounded, random_params, refuse
 
 
 def scenario_with(params):
@@ -67,6 +67,24 @@ class TestGrid:
     def test_second_parameter_must_differ(self):
         with pytest.raises(DomainError, match="^cannot sweep k against itself$"):
             SweepSpec("k", (0.1, 0.9), "k", (0.5,))
+
+    # A count that fit in memory only as a float was passed on to linspace.
+    def test_count_is_capped_before_linspace(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(DomainError, match=f"1 to {_MAX_POINTS} points"):
+            build_grid(0.0, 1.0, _MAX_POINTS + 1)
+
+    @pytest.mark.parametrize(
+        "grid, second_grid",
+        [((0.5,) * (_MAX_POINTS + 1), ()), ((0.5,) * 1001, (0.5,) * 1000)],
+        ids=["one-grid", "product"],
+    )
+    def test_grid_points_are_capped(self, grid, second_grid):
+        with pytest.raises(DomainError, match=f"^a sweep takes at most {_MAX_POINTS} grid points$"):
+            SweepSpec("k", grid, "d" if second_grid else None, second_grid)
+
+    def test_grid_at_the_cap_is_accepted(self):
+        assert len(SweepSpec("k", (0.5,) * 1000, "d", (0.5,) * 1000).grid) == 1000
 
 
 class TestSweep:
@@ -379,6 +397,13 @@ class TestBifurcate:
     def test_needs_two_scan_points(self, scan_points):
         with pytest.raises(DomainError, match="scan points"):
             run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=scan_points)
+
+    # The scan grid and a batch of that many parameter sets were built.
+    def test_scan_points_are_capped_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(DomainError) as exc:
+            run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=_MAX_POINTS + 1)
+        assert str(exc.value) == f"need 2 to {_MAX_POINTS} scan points, got {_MAX_POINTS + 1}"
 
     def test_bisection_stops_at_adjacent_floats(self):
         """A width below the float spacing bisects each bracket down to

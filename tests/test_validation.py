@@ -55,6 +55,11 @@ class TestSuites:
         assert passed
         assert report.count("PASS") == 8
         assert "FAIL" not in report
+        # The report's bits rest on the same LAPACK bits as the stability
+        # corpus pin.
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "0e08d57c8c070ac6b848d7290d263ddde7fc270ac69efa3baa5fd267d628a7a2"
+        )
 
     def test_deterministic_report(self):
         a, _ = run_validation(3)
