@@ -68,6 +68,7 @@ from .model import (
     _FLOAT_MAX,
     _MAX_POINTS,
     _beyond_float,
+    _check_count,
     _is_real,
     make_jacobian,
     make_rhs,
@@ -598,6 +599,7 @@ def integrate(
     identical inputs give bit-identical output, and the steps do not
     depend on ``sample_count``.
     """
+    _check_count("sample_count", sample_count)
     if not 2 <= sample_count <= _MAX_POINTS:
         raise DomainError(f"sample_count must be from 2 to {_MAX_POINTS}")
     f = make_rhs(params)

@@ -17,6 +17,7 @@ therapy efficacy, scales every (1-k) term) and v_M (immunotherapy infusion).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -65,6 +66,14 @@ _FLOAT_MAX = sys.float_info.max
 # The most sample times, grid values or scan points one request may ask
 # for; each is allocated up front, so a larger count is refused instead.
 _MAX_POINTS = 10**6
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a count ``value`` for the argument ``name`` that is not an
+    integer; a bool is refused too.  Callers check its range."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
 
 # Rates that may legitimately vanish (switching off a coupling or a source
 # is a meaningful scenario: no diet interaction, no endocrine feed, no

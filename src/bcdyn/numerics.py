@@ -3,8 +3,11 @@
 Everything here is sized for the 5-compartment model: polynomials of degree
 at most 8, 5x5 matrices, nonlinear systems in at most 5 unknowns.  A
 polynomial is a plain sequence of real coefficients in descending degree;
-:func:`char_poly` returns one as a float tuple.  All functions are pure and
-deterministic.
+:func:`char_poly` returns one as a float tuple.  It is the generic
+Faddeev-LeVerrier recurrence for any square matrix, used on small blocks;
+``stability`` builds the model Jacobian's polynomial from its band
+structure instead, which holds when the spectrum spans many orders of
+magnitude.  All functions are pure and deterministic.
 """
 from __future__ import annotations
 

@@ -4,15 +4,18 @@ Three verdicts are computed and compared:
 
 * eigenvalues of the analytic Jacobian (authoritative), straight from
   LAPACK (``np.linalg.eigvals``),
-* Routh-Hurwitz minors of its Faddeev-LeVerrier characteristic polynomial,
-  kept in the report as a tuple of coefficients in descending degree
-  (``char_coeffs``),
+* Routh-Hurwitz minors of its characteristic polynomial, kept in the
+  report as a tuple of coefficients in descending degree
+  (``char_coeffs``).  The polynomial comes from the Jacobian's structure
+  (:func:`_band_char_poly`): the decoupled E row deflates as the factor
+  (lambda + theta), and what remains over (N, T, I, M) is tridiagonal,
+  so a continuant recurrence of a few dozen float operations gives the rest,
 * the family-specific printed conditions (reproduction numbers and
   coefficient-sign tests), reported but never used to override.
 
-The first two share only the Jacobian: an error in char_poly moves the
-Hurwitz verdict alone and shows as an eigen/Hurwitz disagreement, while
-an error in the Jacobian reaches both.
+The first two share only the Jacobian: an error in the polynomial moves
+the Hurwitz verdict alone and shows as an eigen/Hurwitz disagreement,
+while an error in the Jacobian reaches both.
 
 The printed conditions live in one table, ``_RULES``, with one rules
 function per equilibrium family, as ``equilibria._TABLE`` holds one finder
@@ -34,6 +37,7 @@ are evaluated; those are exact for the block-reducible T = 0 families.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -51,16 +55,17 @@ from .model import (
 from .numerics import (
     MARGINAL_RE,
     HurwitzVerdict,
+    NumericsError,
     RootSet,
     _root_set,
     _trace,
-    char_poly,
     routh_hurwitz,
 )
 
-# perfbench/tracer.py counts calls by wrapping this name on this module, so
-# it stays importable here; classify itself roots no polynomial.
-from .numerics import poly_roots  # noqa: F401
+# perfbench/tracer.py counts calls by wrapping these names on this module,
+# so they stay importable here; classify itself roots no polynomial and
+# builds its characteristic polynomial with _band_char_poly.
+from .numerics import char_poly, poly_roots  # noqa: F401
 
 __all__ = [
     "ConditionCheck",
@@ -94,6 +99,39 @@ class StabilityReport:
     @property
     def max_real(self) -> float:
         return self.eigenvalues.max_real
+
+
+def _band_char_poly(J: np.ndarray) -> tuple[float, ...]:
+    """Coefficients, in descending degree, of det(lambda*I - J) for a
+    Jacobian ``J`` of the model, from its band structure.
+
+    The E row is (0, 0, 0, -theta, 0), so expanding along it gives
+    (lambda - J33) * det(lambda*I - J'), with J' the Jacobian over
+    (N, T, I, M).  J' is tridiagonal: its only couplings are N-T (J01,
+    J10), T-I (J12, J21) and I-M (J24, J42); every other entry is a
+    literal 0.0 in ``model._bind``'s ``jac``.  Its polynomial is the
+    continuant p_k = (lambda - a_k) p_{k-1} - b_k c_k p_{k-2}, with a_k
+    the diagonal and b_k c_k the k-th coupling product: La Budde's
+    recurrence for a Hessenberg matrix, which is all a tridiagonal one
+    needs (Wilkinson, *The Algebraic Eigenvalue Problem*, ch. 6).  No
+    matrix power is formed, so the coefficients hold when the spectrum
+    spans many orders of magnitude.  Raises :class:`NumericsError` on a
+    non-finite entry or coefficient."""
+    rows = J.tolist()
+    if not all(map(math.isfinite, itertools.chain(*rows))):
+        raise NumericsError("non-finite matrix entry")
+    (a0, b1, _, _, _), (c1, a1, b2, _, _), (_, c2, a2, _, b3), e_row, m_row = rows
+    e, c3, a3 = e_row[3], m_row[2], m_row[4]
+    q1, q2, q3 = b1 * c1, b2 * c2, b3 * c3
+    # p1 = (1, -a0); p2 = (1, u1, u2); p3 = (1, v1, v2, v3);
+    # p4 = (1, w1, w2, w3, w4).
+    u1, u2 = -a0 - a1, a0 * a1 - q1
+    v1, v2, v3 = u1 - a2, u2 - a2 * u1 - q2, q2 * a0 - a2 * u2
+    w1, w2, w3, w4 = v1 - a3, v2 - a3 * v1 - q3, v3 - a3 * v2 - q3 * u1, -a3 * v3 - q3 * u2
+    coeffs = (1.0, w1 - e, w2 - e * w1, w3 - e * w2, w4 - e * w3, -e * w4)
+    if not all(map(math.isfinite, coeffs)):
+        raise NumericsError("characteristic polynomial overflows")
+    return coeffs
 
 
 def _eig_verdict(max_re: float) -> str:
@@ -223,8 +261,8 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
             f"refusing to classify a point with residual {eq.residual:.3e} >= 1e-8"
         )
     J = jacobian(eq.point, params)
-    cp = char_poly(J)
-    eig = _root_set(np.linalg.eigvals(J))
+    cp = _band_char_poly(J)
+    eig = _root_set(np.linalg.eigvals(J).tolist())
     hv = routh_hurwitz(cp)
     verdict = _eig_verdict(eig.max_real)
 

@@ -34,7 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import FAMILIES, _catalog, _find_batch
-from .model import _MAX_POINTS, PARAM_NAMES, DomainError, _beyond_float, _bind, _violation
+from .model import (
+    _MAX_POINTS,
+    PARAM_NAMES,
+    DomainError,
+    _beyond_float,
+    _bind,
+    _check_count,
+    _violation,
+)
 from .numerics import _leading
 from .scenario import Scenario
 from .stability import _eig_verdict, _repro
@@ -60,6 +68,8 @@ class SweepSpec:
     second_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.second_parameter is None and self.second_grid:
+            raise DomainError("a second grid needs a second parameter")
         if len(self.grid) * max(1, len(self.second_grid)) > _MAX_POINTS:
             raise DomainError(f"a sweep takes at most {_MAX_POINTS} grid points")
         _check_grid(self.parameter_name, self.grid)
@@ -88,6 +98,7 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
 def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tuple[float, ...]:
     if spacing not in ("linear", "log"):
         raise DomainError(f"unknown grid spacing {spacing!r}; expected 'linear' or 'log'")
+    _check_count("count", count)
     if not 1 <= count <= _MAX_POINTS or hi < lo:
         raise DomainError(
             f"bad grid request [{lo}, {hi}] x {count}: need hi >= lo and 1 to {_MAX_POINTS} points"
@@ -125,7 +136,7 @@ def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
 
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
     """One row per grid point per equilibrium, grid-major then family."""
-    second = spec.second_grid if spec.second_parameter else (None,)
+    second = spec.second_grid or (None,)
     points, bound_sets = [], []
     for v1 in spec.grid:
         for v2 in second:
@@ -197,6 +208,7 @@ def run_bifurcate(
     _check_grid(parameter_name, (lo, hi))
     if hi <= lo:
         raise DomainError(f"empty range [{lo}, {hi}]")
+    _check_count("scan_points", scan_points)
     if not 2 <= scan_points <= _MAX_POINTS:
         raise DomainError(f"need 2 to {_MAX_POINTS} scan points, got {scan_points}")
     if not (math.isfinite(bracket_rel_width) and bracket_rel_width > 0):

@@ -208,11 +208,11 @@ class TestStability:
                 assert float(cells[5]) == 0.0
 
     def test_overflowing_minor_is_strict_json(self, tmp_path, base_scenario_doc, write_scenario):
-        """At a1 = 1e30 the fifth Hurwitz minor of the dead1 point is -inf;
+        """At a1 = 1e80 the fifth Hurwitz minor of the dead1 point is -inf;
         it is written as the string "-inf", not as the -Infinity token that
         RFC 8259 JSON forbids."""
         doc = base_scenario_doc
-        doc["params"]["a1"] = 1e30
+        doc["params"]["a1"] = 1e80
         doc["label"] = "huge"
         path = write_scenario(doc)
         assert run(["stability", "--scenario", path, "--out", str(tmp_path)]) == 0

@@ -415,10 +415,22 @@ class TestExtremeValues:
     #: names them by.
     OVERFLOWING = {
         ("b1", 1e300): (NumericsError, "coexisting polynomial in T overflows"),
-        ("l1", 1e300): (NumericsError, "characteristic polynomial overflows"),
         ("p", 1e300): (DomainError, "Jacobian overflows at state"),
         ("theta", 1e-300): (DomainError, "Jacobian overflows at state"),
     }
+
+    def test_huge_transformation_rate_classifies(self, base_params):
+        """At l1 = 1e300 the Jacobian spans hundreds of orders of magnitude.
+        Its band polynomial stays finite, so every confirmed point
+        classifies, and the Hurwitz verdict agrees with the eigenvalues."""
+        pm = base_params.replace(l1=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [classify(eq, pm) for eq in find_all(pm) if eq.confirmed]
+        assert reports
+        for rep in reports:
+            assert rep.hurwitz.verdict == rep.verdict
+            assert rep.agreement["eigen_hurwitz"] is True
 
     @pytest.mark.parametrize("value", [1e-300, 1e300])
     @pytest.mark.parametrize("name", [name for name in PARAM_NAMES if name != "k"])

@@ -464,6 +464,14 @@ class TestExtremeValues:
             integrate(sc.initial_state, sc.params, sc.integration, sample_count=_MAX_POINTS + 1)
         assert str(exc.value) == f"sample_count must be from 2 to {_MAX_POINTS}"
 
+    # A fractional count reached range(), which raised a bare TypeError.
+    @pytest.mark.parametrize("sample_count", [2.5, True])
+    def test_sample_count_must_be_an_integer(self, sample_count):
+        sc = default_scenario()
+        with pytest.raises(DomainError) as exc:
+            integrate(sc.initial_state, sc.params, sc.integration, sample_count=sample_count)
+        assert str(exc.value) == f"sample_count must be an integer, got {sample_count!r}"
+
     # At 1e-160 every attempt soon sits at the minimum step and is rejected
     # for error; the run used to retry that same step forever.
     @pytest.mark.parametrize("tol", [1e-160, 1e-200, 1e-300])

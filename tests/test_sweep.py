@@ -83,6 +83,20 @@ class TestGrid:
         with pytest.raises(DomainError, match=f"^a sweep takes at most {_MAX_POINTS} grid points$"):
             SweepSpec("k", grid, "d" if second_grid else None, second_grid)
 
+    # The orphan grid was ignored and the sweep ran over the first alone.
+    @pytest.mark.parametrize(
+        "grid, second_grid", [((0.1, 0.2), (0.5, 0.6, 0.7)), ((0.5,) * 1001, (0.5,) * 1000)]
+    )
+    def test_second_grid_needs_a_second_parameter(self, grid, second_grid):
+        with pytest.raises(DomainError, match="^a second grid needs a second parameter$"):
+            SweepSpec("k", grid, None, second_grid)
+
+    # A fractional count reached linspace, which raised a bare TypeError.
+    @pytest.mark.parametrize("count", [2.5, True, "3"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(DomainError, match="^count must be an integer, got "):
+            build_grid(0.0, 1.0, count)
+
     def test_grid_at_the_cap_is_accepted(self):
         assert len(SweepSpec("k", (0.5,) * 1000, "d", (0.5,) * 1000).grid) == 1000
 
@@ -397,6 +411,13 @@ class TestBifurcate:
     def test_needs_two_scan_points(self, scan_points):
         with pytest.raises(DomainError, match="scan points"):
             run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=scan_points)
+
+    # A fractional count reached linspace, which raised a bare TypeError.
+    @pytest.mark.parametrize("scan_points", [2.5, True])
+    def test_scan_points_must_be_an_integer(self, scan_points):
+        with pytest.raises(DomainError) as exc:
+            run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=scan_points)
+        assert str(exc.value) == f"scan_points must be an integer, got {scan_points!r}"
 
     # The scan grid and a batch of that many parameter sets were built.
     def test_scan_points_are_capped_before_the_scan(self, monkeypatch):
