@@ -10,11 +10,11 @@ and the run finishes with the linearly implicit Rosenbrock method RODAS
 (order 4(3), 6 stages, L-stable, stiffly accurate, gamma = 1/4; the
 coefficients of Hairer's rodas.f, Solving ODEs II, IV.7).  It uses the
 analytic Jacobian of :func:`bcdyn.model.make_jacobian`, one Jacobian and
-one 5x5 LU per step; a rejected step reuses the Jacobian.  The switch is
-one-way and automatic, and the time it happened is reported in
-``Trajectory.stiff_switch_time``.  Both methods share the error norm, the
-tolerances, the step controller bounds and the positivity policy; a run
-that never switches is exactly the Dormand-Prince run.
+one factorization of the step matrix per step; a rejected step reuses the
+Jacobian.  The switch is one-way and automatic, and the time it happened
+is reported in ``Trajectory.stiff_switch_time``.  Both methods share the
+error norm, the tolerances, the step controller bounds and the positivity
+policy; a run that never switches is exactly the Dormand-Prince run.
 
 Steps are taken at the controller's size; only the last one is shortened,
 to land on t_end.  The samples come from each accepted step's continuous
@@ -31,15 +31,29 @@ size, 1e-14 of the span, raises ``StepUnderflowError``: its retry would
 be the same computation.  So does a step whose scaled error is too large
 to square, once the rejections have shrunk it to that size.
 
+The field is autonomous, so a run steps in the elapsed time tau = t - t0
+and reports the times t0 + tau, the last one exactly t_end: its states do
+not depend on t0.  A span that overflows or whose minimum step underflows
+is refused by ``IntegrationConfig``, and sample times that are not
+distinct floats by :func:`integrate`, both with ``DomainError``.
+
 Per-step cost: the step kernels, their dense outputs and the error norm
 are straight-line code over the five components, on plain floats; a
 ``zip`` or generator over a 5-tuple costs more than the arithmetic it
 carries.  A Dormand-Prince step is then six field evaluations plus about
-as much time again in arithmetic, and a RODAS step adds one Jacobian, one
-5x5 LU and six triangular solves.  Each stage sum adds its terms left to
-right in the order of the tableau's row, and the trajectories are pinned
-bit for bit: ``tests/test_integrator.py`` holds the sha256 of 17 of them,
-so a change that reorders any sum shows there.
+as much time again in arithmetic.  A RODAS step adds one Jacobian and six
+solves with the step matrix I/(h*gamma) - J, factored once on the
+Jacobian's band structure (:func:`_band_factor`): the decoupled E row
+deflates, and the (N, T, I, M) block is tridiagonal, so the factorization
+is LAPACK's dgttrf unrolled for n = 4 and each solve is a few dozen float
+operations.  Over the calls that 200 inputs of the benchmark's stiff
+workload make, a Dormand-Prince step takes about 11 us and a RODAS step
+15 us, plus 2 us for its Jacobian (Python 3.11, 2-vCPU x86-64).
+
+Each stage sum adds its terms left to right in the order of the tableau's
+row, and the trajectories are pinned bit for bit:
+``tests/test_integrator.py`` holds the sha256 of 17 of them, so a change
+that reorders any sum shows there.
 
 Positivity follows Shampine, Thompson, Kierzenka & Byrne (2005): a step
 whose continuous extension dips below the negativity floor anywhere in
@@ -119,6 +133,14 @@ class IntegrationConfig:
                 raise DomainError(f"{name} must be a finite real number, got {got}")
         if not self.t_end > self.t0:
             raise DomainError(f"t_end must exceed t0, got [{self.t0}, {self.t_end}]")
+        span = float(self.t_end) - float(self.t0)
+        if not isfinite(span):
+            raise DomainError(f"t_end - t0 overflows, got [{self.t0}, {self.t_end}]")
+        if 1e-14 * span == 0.0:
+            # The minimum step would be 0, and a run could stand still.
+            raise DomainError(
+                f"t_end - t0 is too short: 1e-14 of it underflows, got [{self.t0}, {self.t_end}]"
+            )
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
 
@@ -421,49 +443,83 @@ def _interpolate(coeffs, theta):
     )
 
 
-def _lu_factor(a: list[list[float]]) -> list[int] | None:
-    """LU factorisation with partial pivoting of a 5x5 matrix, in place:
-    ``a`` ends up holding U and the unit-lower multipliers of L.  Returns
-    the row order of the factored matrix, or None if singular."""
-    n = 5
-    order = list(range(n))
-    for k in range(n):
-        p, big = k, abs(a[k][k])
-        for i in range(k + 1, n):
-            if abs(a[i][k]) > big:
-                p, big = i, abs(a[i][k])
-        if big == 0.0:
-            return None
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            order[k], order[p] = order[p], order[k]
-        rk = a[k]
-        pivot = rk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            if ri[k] != 0.0:
-                m = ri[k] / pivot
-                ri[k] = m
-                for j in range(k + 1, n):
-                    ri[j] -= m * rk[j]
-    return order
+def _band_factor(J, diag):
+    """Factor the step matrix W = diag*I - J for the Jacobian rows ``J``
+    of the model, on its band structure; None if W is singular.
+
+    The E row of J is (0, 0, 0, -theta, 0), so u_E = b_E / (diag + theta)
+    comes first and the E column's couplings J03, J13, J23 move to the
+    right-hand side.  What remains over (N, T, I, M) is tridiagonal (see
+    ``stability._band_char_poly``) and is factored as LAPACK's dgttrf
+    does: partial pivoting between neighbouring rows, with one diagonal of
+    fill-in above the band when two rows swap, unrolled for n = 4.  The
+    result is a tuple for :func:`_band_solve`: the E pivot and couplings,
+    then per elimination step whether the rows swapped and the
+    multiplier, then U's diagonal, first superdiagonal and fill-in."""
+    (j00, j01, _, j03, _), (j10, j11, j12, j13, _), (_, j21, j22, j23, j24), E, M = J
+    j42, j44 = M[2], M[4]
+    # Row k of the reduced block is (l, d, u) around the diagonal; each
+    # step eliminates l below the pivot of the row above it.
+    d0, u0 = diag - j00, -j01
+    l0, d1, u1 = -j10, diag - j11, -j12
+    l1, d2, u2 = -j21, diag - j22, -j24
+    l2, d3 = -j42, diag - j44
+    if abs(d0) < abs(l0):
+        s0, m0, f0 = True, d0 / l0, u1
+        d0, u0, d1, u1 = l0, d1, u0 - m0 * d1, -m0 * u1
+    elif d0 == 0.0:
+        return None
+    else:
+        s0, m0, f0 = False, l0 / d0, 0.0
+        d1 -= m0 * u0
+    if abs(d1) < abs(l1):
+        s1, m1, f1 = True, d1 / l1, u2
+        d1, u1, d2, u2 = l1, d2, u1 - m1 * d2, -m1 * u2
+    elif d1 == 0.0:
+        return None
+    else:
+        s1, m1, f1 = False, l1 / d1, 0.0
+        d2 -= m1 * u1
+    if abs(d2) < abs(l2):
+        s2, m2 = True, d2 / l2
+        d2, u2, d3 = l2, d3, u2 - m2 * d3
+    elif d2 == 0.0:
+        return None
+    else:
+        s2, m2 = False, l2 / d2
+        d3 -= m2 * u2
+    if d3 == 0.0:
+        return None
+    return (diag - E[3], j03, j13, j23, s0, m0, s1, m1, s2, m2,
+            d0, d1, d2, d3, u0, u1, u2, f0, f1)
 
 
-def _lu_solve(a: list[list[float]], order: list[int], b) -> tuple[float, ...]:
-    """Solve the 5x5 system factored by :func:`_lu_factor`; unrolled, as
-    it runs six times per Rosenbrock step."""
-    x0, x1, x2, x3, x4 = [b[i] for i in order]
-    r0, r1, r2, r3, r4 = a
-    x1 -= r1[0] * x0
-    x2 -= r2[0] * x0 + r2[1] * x1
-    x3 -= r3[0] * x0 + r3[1] * x1 + r3[2] * x2
-    x4 -= r4[0] * x0 + r4[1] * x1 + r4[2] * x2 + r4[3] * x3
-    x4 /= r4[4]
-    x3 = (x3 - r3[4] * x4) / r3[3]
-    x2 = (x2 - r2[3] * x3 - r2[4] * x4) / r2[2]
-    x1 = (x1 - r1[2] * x2 - r1[3] * x3 - r1[4] * x4) / r1[1]
-    x0 = (x0 - r0[1] * x1 - r0[2] * x2 - r0[3] * x3 - r0[4] * x4) / r0[0]
-    return x0, x1, x2, x3, x4
+def _band_solve(fac, b):
+    """Solve W x = ``b`` with W factored by :func:`_band_factor`, as
+    LAPACK's dgtts2 does; unrolled, as it runs six times per RODAS step."""
+    e, j03, j13, j23, s0, m0, s1, m1, s2, m2, d0, d1, d2, d3, u0, u1, u2, f0, f1 = fac
+    b0, b1, b2, bE, b3 = b
+    xE = bE / e
+    b0 += j03 * xE
+    b1 += j13 * xE
+    b2 += j23 * xE
+    if s0:
+        b0, b1 = b1, b0 - m0 * b1
+    else:
+        b1 -= m0 * b0
+    if s1:
+        b1, b2 = b2, b1 - m1 * b2
+    else:
+        b2 -= m1 * b1
+    if s2:
+        b2, b3 = b3, b2 - m2 * b3
+    else:
+        b3 -= m2 * b2
+    x3 = b3 / d3
+    x2 = (b2 - u2 * x3) / d2
+    x1 = (b1 - u1 * x2 - f1 * x3) / d1
+    x0 = (b0 - u0 * x1 - f0 * x2) / d0
+    return x0, x1, x2, xE, x3
 
 
 def _rodas_step(f, y, k1, J, h):
@@ -474,22 +530,8 @@ def _rodas_step(f, y, k1, J, h):
     or None when the step matrix is singular or ``y_new`` or ``f(y_new)``
     is not finite.
     """
-    diag = 1.0 / (h * _GAMMA)
-    J1, J2, J3, J4, J5 = J
-    j11, j12, j13, j14, j15 = J1
-    j21, j22, j23, j24, j25 = J2
-    j31, j32, j33, j34, j35 = J3
-    j41, j42, j43, j44, j45 = J4
-    j51, j52, j53, j54, j55 = J5
-    w = [
-        [diag - j11, -j12, -j13, -j14, -j15],
-        [-j21, diag - j22, -j23, -j24, -j25],
-        [-j31, -j32, diag - j33, -j34, -j35],
-        [-j41, -j42, -j43, diag - j44, -j45],
-        [-j51, -j52, -j53, -j54, diag - j55],
-    ]
-    order = _lu_factor(w)
-    if order is None:
+    fac = _band_factor(J, 1.0 / (h * _GAMMA))
+    if fac is None:
         return None
     c21, c31, c32 = _RC21 / h, _RC31 / h, _RC32 / h
     c41, c42, c43 = _RC41 / h, _RC42 / h, _RC43 / h
@@ -497,12 +539,12 @@ def _rodas_step(f, y, k1, J, h):
     c61, c62, c63, c64, c65 = _RC61 / h, _RC62 / h, _RC63 / h, _RC64 / h, _RC65 / h
     y1, y2, y3, y4, y5 = y
 
-    u1 = u11, u12, u13, u14, u15 = _lu_solve(w, order, k1)
+    u1 = u11, u12, u13, u14, u15 = _band_solve(fac, k1)
     g1, g2, g3, g4, g5 = f(
         y1 + _RA21 * u11, y2 + _RA21 * u12, y3 + _RA21 * u13,
         y4 + _RA21 * u14, y5 + _RA21 * u15,
     )
-    u2 = u21, u22, u23, u24, u25 = _lu_solve(w, order, (
+    u2 = u21, u22, u23, u24, u25 = _band_solve(fac, (
         g1 + c21 * u11, g2 + c21 * u12, g3 + c21 * u13, g4 + c21 * u14, g5 + c21 * u15,
     ))
     g1, g2, g3, g4, g5 = f(
@@ -512,7 +554,7 @@ def _rodas_step(f, y, k1, J, h):
         y4 + _RA31 * u14 + _RA32 * u24,
         y5 + _RA31 * u15 + _RA32 * u25,
     )
-    u3 = u31, u32, u33, u34, u35 = _lu_solve(w, order, (
+    u3 = u31, u32, u33, u34, u35 = _band_solve(fac, (
         g1 + c31 * u11 + c32 * u21,
         g2 + c31 * u12 + c32 * u22,
         g3 + c31 * u13 + c32 * u23,
@@ -526,7 +568,7 @@ def _rodas_step(f, y, k1, J, h):
         y4 + _RA41 * u14 + _RA42 * u24 + _RA43 * u34,
         y5 + _RA41 * u15 + _RA42 * u25 + _RA43 * u35,
     )
-    u4 = u41, u42, u43, u44, u45 = _lu_solve(w, order, (
+    u4 = u41, u42, u43, u44, u45 = _band_solve(fac, (
         g1 + c41 * u11 + c42 * u21 + c43 * u31,
         g2 + c41 * u12 + c42 * u22 + c43 * u32,
         g3 + c41 * u13 + c42 * u23 + c43 * u33,
@@ -539,7 +581,7 @@ def _rodas_step(f, y, k1, J, h):
     s54 = y4 + _RA51 * u14 + _RA52 * u24 + _RA53 * u34 + _RA54 * u44
     s55 = y5 + _RA51 * u15 + _RA52 * u25 + _RA53 * u35 + _RA54 * u45
     g1, g2, g3, g4, g5 = f(s51, s52, s53, s54, s55)
-    u5 = u51, u52, u53, u54, u55 = _lu_solve(w, order, (
+    u5 = u51, u52, u53, u54, u55 = _band_solve(fac, (
         g1 + c51 * u11 + c52 * u21 + c53 * u31 + c54 * u41,
         g2 + c51 * u12 + c52 * u22 + c53 * u32 + c54 * u42,
         g3 + c51 * u13 + c52 * u23 + c53 * u33 + c54 * u43,
@@ -548,7 +590,7 @@ def _rodas_step(f, y, k1, J, h):
     ))
     s61, s62, s63, s64, s65 = s51 + u51, s52 + u52, s53 + u53, s54 + u54, s55 + u55
     g1, g2, g3, g4, g5 = f(s61, s62, s63, s64, s65)
-    u6 = u61, u62, u63, u64, u65 = _lu_solve(w, order, (
+    u6 = u61, u62, u63, u64, u65 = _band_solve(fac, (
         g1 + c61 * u11 + c62 * u21 + c63 * u31 + c64 * u41 + c65 * u51,
         g2 + c61 * u12 + c62 * u22 + c63 * u32 + c64 * u42 + c65 * u52,
         g3 + c61 * u13 + c62 * u23 + c63 * u33 + c64 * u43 + c65 * u53,
@@ -593,7 +635,8 @@ def integrate(
     """Integrate the model over [t0, t_end] with adaptive step control.
 
     Returns equidistant samples at ``sample_count`` times (endpoints
-    included), taken from the steps' continuous extensions.  The run
+    included), taken from the steps' continuous extensions; sample times
+    that are not distinct floats raise ``DomainError``.  The run
     starts with Dormand-Prince and switches to RODAS for good once the
     stiffness test fires (see the module docstring).  Deterministic:
     identical inputs give bit-identical output, and the steps do not
@@ -612,14 +655,20 @@ def integrate(
     if any(v < 0.0 for v in y):
         raise DomainError(f"initial state must be componentwise nonnegative, got {y}")
 
-    t0, t_end = cfg.t0, cfg.t_end
+    # Steps run in the elapsed time tau = t - t0 (see the module docstring).
+    t0, t_end = float(cfg.t0), float(cfg.t_end)
     span = t_end - t0
     floor = cfg.negativity_floor
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     h_min = 1e-14 * span
 
     sample_dt = span / (sample_count - 1)
-    sample_times = [t0 + i * sample_dt for i in range(sample_count - 1)] + [t_end]
+    sample_taus = [i * sample_dt for i in range(sample_count - 1)] + [span]
+    times = [t0 + tau for tau in sample_taus[:-1]] + [t_end]
+    if not all(a < b for a, b in zip(times, times[1:])):
+        raise DomainError(
+            f"{sample_count} sample times over [{t0}, {t_end}] are not distinct floats"
+        )
 
     def clamp(vals):
         return tuple(0.0 if floor <= v < 0.0 else v for v in vals)
@@ -627,7 +676,7 @@ def integrate(
     out = [clamp(y)]
     next_sample = 1
 
-    t = t0
+    tau = 0.0
     k1 = f(*y)
     if not all(math.isfinite(v) for v in k1):
         raise DomainError(f"non-finite derivative at initial state {y}")
@@ -654,11 +703,11 @@ def integrate(
     h_tried = None
 
     while True:
-        last = t + h >= t_end - 1e-14 * span
-        h_eff = t_end - t if last else h
+        last = tau + h >= span - 1e-14 * span
+        h_eff = span - tau if last else h
         if h_eff < h_min or h_eff == h_tried:
             raise StepUnderflowError(
-                f"step {h_eff:.3e} underflowed at t = {t:.6g}"
+                f"step {h_eff:.3e} underflowed at t = {t0 + tau:.6g}"
             )
         h_tried = h_eff
 
@@ -684,27 +733,27 @@ def integrate(
         # extension; the last sample, t_end, is the endpoint itself.  The
         # step is rejected when the extension dips below the floor anywhere
         # in it, so that the step sequence does not depend on the samples.
-        t_new = t_end if last else t + h_eff
+        tau_new = span if last else tau + h_eff
         coeffs, lows = dense(y, y_new, k7, stages, h_eff)
         dip = _dense_minimum(coeffs, lows, y_new, floor) if min(lows) < floor else None
         if dip is not None:
             rejected += 1
             if 0.5 * h_eff < h_min:
                 v, i, theta = dip
-                raise PositivityError(STATE_NAMES[i], t + theta * h_eff, v)
+                raise PositivityError(STATE_NAMES[i], t0 + (tau + theta * h_eff), v)
             h = 0.5 * h_eff
             continue
 
         accepted += 1
         h_tried = None
-        while sample_times[next_sample] < t_new:
-            row = _interpolate(coeffs, (sample_times[next_sample] - t) / h_eff)
+        while sample_taus[next_sample] < tau_new:
+            row = _interpolate(coeffs, (sample_taus[next_sample] - tau) / h_eff)
             if min(row) < 0.0:
                 worst = [min(w, v) for w, v in zip(worst, row)]
                 row = clamp(row)
             out.append(row)
             next_sample += 1
-        t, y, k1, J = t_new, y_new, k7, None
+        tau, y, k1, J = tau_new, y_new, k7, None
         if min(y) < 0.0:
             # The nonnegative orthant is forward invariant for the model, so
             # values in [floor, 0) are pure local error; projecting them
@@ -716,7 +765,7 @@ def integrate(
             k1 = f(*y)
             for i, (v, dv) in enumerate(zip(y_new, k1)):
                 if v < 0.0 and dv < 0.0:
-                    raise PositivityError(STATE_NAMES[i], t, v)
+                    raise PositivityError(STATE_NAMES[i], t0 + tau, v)
         if last:
             out.append(y)
             break
@@ -733,14 +782,12 @@ def integrate(
             if stiff_hits == _STIFF_STEPS:
                 jac = make_jacobian(params)
                 dense = _rodas_dense
-                switch_time = t
+                switch_time = t0 + tau
                 alpha, beta, shrink = _ROS_ALPHA, _ROS_BETA, _ROS_SHRINK
 
-    times = np.array(sample_times)
-    states = np.array(out)
     return Trajectory(
-        times=times,
-        states=states,
+        times=np.array(times),
+        states=np.array(out),
         accepted_steps=accepted,
         rejected_steps=rejected,
         positivity_violations=tuple(worst),

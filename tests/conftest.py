@@ -65,6 +65,15 @@ def random_state(seed: int):
     return draw_state(np.random.default_rng(seed))
 
 
+#: The Jacobian entries that model._bind's jac writes as a literal 0.0: the
+#: E row off its diagonal, the six entries off the tridiagonal band of the
+#: (N, T, I, M) block, and J43.  stability._band_char_poly and the
+#: integrator's band factorization of its RODAS step matrix skip them.
+JACOBIAN_ZEROS = (
+    (0, 2), (0, 4), (1, 4), (2, 0), (3, 0), (3, 1), (3, 2), (3, 4), (4, 0), (4, 1), (4, 3),
+)
+
+
 def corpus_jacobians(draws: int = 40) -> list[np.ndarray]:
     """The Jacobians classify works on: one at every confirmed point of
     seeded draws and of their v_M = 0, g1 = 0 and s = 0 slices, whose

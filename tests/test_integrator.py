@@ -1,5 +1,6 @@
 """Adaptive integration: accuracy, dense output, positivity and settling."""
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import fields
@@ -127,6 +128,32 @@ class TestIntegrate:
         assert [f.name for f in fields(cfg)] == ["t0", "t_end", "rel_tol", "abs_tol"]
 
 
+class TestShiftedStart:
+    """The field is autonomous, so a run over [t0, t0 + span] gives the
+    states of the run over [0, span] bit for bit.  Stepping in absolute time
+    lost the low bits of t + h: on the default scenario the largest scaled
+    state difference was 1.4e-8 at t0 = 1e9 and 2.9e-3 at t0 = 1e14."""
+
+    @pytest.mark.parametrize("t0", [1e3, 1e6, 1e9, 1e12, 1e14])
+    def test_default_scenario(self, t0):
+        sc = default_scenario()
+        base = integrate(sc.initial_state, sc.params, IntegrationConfig(0.0, 100.0), 201)
+        traj = integrate(sc.initial_state, sc.params, IntegrationConfig(t0, t0 + 100.0), 201)
+        assert np.array_equal(traj.states, base.states)
+        assert (traj.accepted_steps, traj.rejected_steps) == (base.accepted_steps,
+                                                              base.rejected_steps)
+        assert np.array_equal(traj.times, t0 + base.times)
+        assert traj.times[-1] == t0 + 100.0
+
+    def test_stiff_run_reports_the_shifted_switch(self):
+        x0, params, cfg, count = stiff_inputs(1, 1)[0]
+        base = integrate(x0, params, cfg, count)
+        t0 = 1e9
+        traj = integrate(x0, params, IntegrationConfig(t0, t0 + cfg.t_end), count)
+        assert np.array_equal(traj.states, base.states)
+        assert traj.stiff_switch_time == t0 + base.stiff_switch_time
+
+
 def pool_draw(seed, index):
     """Input ``index`` of a pool of draw_params/draw_state pairs drawn in
     turn from ``default_rng(seed)``."""
@@ -189,6 +216,84 @@ class TestDenseOutput:
                 errors.append(np.max(np.abs(got - ref)))
             ratio = errors[-2] / errors[-1]
             assert 0.85 * 2 ** (order + 1) < ratio < 1.15 * 2 ** (order + 1)
+
+
+def backward_error(W, x, b):
+    """||W x - b|| / (eps (||W|| ||x|| + ||b||)), in the infinity norm."""
+    x, b = np.asarray(x), np.asarray(b)
+    scale = np.abs(W).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    return np.abs(W @ x - b).max() / (np.finfo(float).eps * scale)
+
+
+def band_jacobian(sub):
+    """Jacobian rows with the model's zero pattern, diagonal -1 (E: -0.7),
+    fixed couplings elsewhere and the subdiagonal entries J10, J21, J42 of
+    the (N, T, I, M) block set to ``sub``."""
+    j10, j21, j42 = sub
+    return (
+        (-1.0, 0.5, 0.0, 0.3, 0.0),
+        (j10, -1.0, 0.5, 0.2, 0.0),
+        (0.0, j21, -1.0, 0.1, 0.5),
+        (0.0, 0.0, 0.0, -0.7, 0.0),
+        (0.0, 0.0, j42, 0.0, -1.0),
+    )
+
+
+class TestBandSolve:
+    """The RODAS step matrix W = I/(h gamma) - J is factored on the
+    Jacobian's band structure; its solves must be as backward stable as a
+    dense LU with partial pivoting."""
+
+    def test_against_dense_solve_at_drawn_states(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            params, x0 = draw_params(rng), draw_state(rng)
+            factor = float(10.0 ** rng.uniform(0.0, 3.0))
+            params = params.replace(n_M=params.n_M * factor, v_M=params.v_M * factor)
+            J = make_jacobian(params)(*x0.as_tuple())
+            for h in np.logspace(-8.0, 3.0, 12).tolist():
+                diag = 1.0 / (h * integrator._GAMMA)
+                W = diag * np.eye(5) - np.array(J)
+                b = (rng.standard_normal(5) * 10.0 ** rng.uniform(-3.0, 3.0, size=5)).tolist()
+                x = integrator._band_solve(integrator._band_factor(J, diag), b)
+                assert backward_error(W, x, b) <= 4.0
+                assert backward_error(W, np.linalg.solve(W, b), b) <= 4.0
+
+    # Over the benchmark's stiff inputs of seeds 1 and 7919 only 3 of 99,183
+    # factorizations swap rows, so each pivot choice is forced here: a
+    # subdiagonal entry of 1e3 against a diagonal of about 2 swaps, one of
+    # 1e-6 does not.
+    @pytest.mark.parametrize("swaps", list(itertools.product((False, True), repeat=3)))
+    def test_every_pivot_choice(self, swaps):
+        J = band_jacobian([1e3 if s else 1e-6 for s in swaps])
+        fac = integrator._band_factor(J, 1.0)
+        assert fac[4:9:2] == swaps  # the swap flags of the three steps
+        W = np.eye(5) - np.array(J)
+        b = (1.0, -2.0, 3.0, -4.0, 5.0)
+        x = integrator._band_solve(fac, b)
+        assert backward_error(W, x, b) <= 4.0
+        assert np.allclose(x, np.linalg.solve(W, b), rtol=1e-12, atol=0.0)
+
+    # At h = 1 the diagonal 1/(h gamma) is 4: J_kk = 4 with no coupling to
+    # the next row makes the k-th pivot exactly zero; the N-T block
+    # [[1, 1], [1, 1]] makes the second one zero by elimination.
+    @pytest.mark.parametrize(
+        "entries",
+        [{(0, 0): 4.0}, {(1, 1): 4.0}, {(2, 2): 4.0}, {(4, 4): 4.0},
+         {(0, 0): 3.0, (0, 1): -1.0, (1, 0): -1.0, (1, 1): 3.0}],
+    )
+    def test_singular_block_rejects_the_step(self, entries, base_params):
+        rows = [[0.0] * 5 for _ in range(5)]
+        for k in range(5):
+            rows[k][k] = -1.0
+        rows[3][3] = -base_params.theta
+        for (i, j), v in entries.items():
+            rows[i][j] = v
+        J = tuple(map(tuple, rows))
+        f = make_rhs(base_params)
+        y = default_scenario().initial_state.as_tuple()
+        assert integrator._band_factor(J, 4.0) is None
+        assert integrator._rodas_step(f, y, f(*y), J, 1.0) is None
 
 
 class TestPositivity:
@@ -356,14 +461,14 @@ GOLDEN_INPUTS = {
 # (sha256 of trajectory_to_csv, accepted steps, rejected steps, switch time)
 GOLDEN = {
     "stiff": [
-        ("fb1a1deea15cbd35d2d78187a0cf2bb5428a4bf5ba431b56372a8ee9577d1639", 170, 1, 1.3986205199653914),
-        ("aebf48f5437eefb4011bcbb65b60ed8042ad2a1a9549618e272463d65ab7f404", 102, 0, 0.0994252936361564),
-        ("34d9c98bfb37c8ae232afba42c65ab7d62281d3656959486d1261309adda65ca", 282, 1, 3.2217704902594266),
-        ("be5d8238cfdf3767be17db51a72fb8845a7c3d61ee09b06288fbf73dbe96ed06", 139, 2, 1.576646066075375),
-        ("4dc90262d148fd3d28823abea10df73a31e08562b17168a3832c840950081469", 94, 1, 0.18069248146457498),
-        ("f5ef04e499ca3c88fdff6678fd5496da40cd8529dae05286add2408a7077942a", 288, 0, 1.4920123540635513),
-        ("414ccc2d8ef02fceb44a49a61a2424ad1461fa23e6705fabb8f7f1087dd81960", 188, 1, 2.231431762578598),
-        ("46c986d9da1d1ffc63e763a72fdc15f9b36dbb57536a61c6b4b48e6371b62b9f", 93, 0, 1.79940635821433),
+        ("eb9f88c472e675047b4e29f36d22105e295a893a5d5126c7fcb220d1f1890a11", 170, 1, 1.3986205199653914),
+        ("6ab1f5d7ddcf8cf909e1dce26887bdbefd295acfd80660d5c9a1a7f780afbc20", 102, 0, 0.0994252936361564),
+        ("3809c7f06af2b8cbeea35d010691d2dc5f15ab6cde1dfd9c417e2db9cf23ac7e", 282, 1, 3.2217704902594266),
+        ("27cb1b396dc13788ff82adb7ebba7977478e0fc59575339db80ccfae8e81735b", 139, 2, 1.576646066075375),
+        ("ef8b4c2b1c1ae274986b00d2af02259731e073a693f3010b5b4d7e1759203a9f", 94, 1, 0.18069248146457498),
+        ("0268c1355f483c021b077695601daebdfe2a028f0dcba0c6565071880b3248f5", 288, 0, 1.4920123540635513),
+        ("1285b4324b3f95458dca6204adda4211ded7f9c445cc13e90eb5f3a99d394867", 188, 1, 2.231431762578598),
+        ("b54b82f345bf812f46e94221a10c988cdd1cf3d574e3db70dd6d12d18ac297b8", 93, 0, 1.79940635821433),
     ],
     "default": [
         ("7aa8faf615b35c178ebebc4f6311d7f20e31339a0caa15348c5ce4dc2e08b74c", 244, 1, None),
@@ -448,6 +553,36 @@ class TestExtremeValues:
             assert str(exc.value) == (
                 f"{field} must be a finite real number, got an integer beyond the float range"
             )
+
+    # The span overflowed to inf, and the first step raised
+    # StepUnderflowError("step inf underflowed").
+    def test_overflowing_span_is_refused(self):
+        with pytest.raises(DomainError) as exc:
+            IntegrationConfig(t0=-1e308, t_end=1e308)
+        assert str(exc.value) == "t_end - t0 overflows, got [-1e+308, 1e+308]"
+
+    # Over [0, 5e-324] the first step, span / 100, was 0.0, and the run
+    # accepted steps of size 0 forever.
+    def test_span_below_the_minimum_step_is_refused(self):
+        sc = default_scenario()
+        outcome = bounded(lambda: integrate(
+            sc.initial_state, sc.params, IntegrationConfig(t0=0.0, t_end=5e-324), 2
+        ))
+        assert isinstance(outcome, DomainError)
+        assert str(outcome) == (
+            "t_end - t0 is too short: 1e-14 of it underflows, got [0.0, 5e-324]"
+        )
+
+    # At t0 = 1e16 neighbouring floats are 2 apart, and the run returned
+    # sample times with spacings 0, 0, 2, ...
+    def test_colliding_sample_times_are_refused(self):
+        sc = default_scenario()
+        cfg = IntegrationConfig(t0=1e16, t_end=1e16 + 4.0)
+        with pytest.raises(DomainError) as exc:
+            integrate(sc.initial_state, sc.params, cfg, 11)
+        assert str(exc.value) == (
+            "11 sample times over [1e+16, 1.0000000000000004e+16] are not distinct floats"
+        )
 
     # span / (sample_count - 1) raised a bare OverflowError.
     def test_sample_count_beyond_the_float_range(self):

@@ -37,7 +37,7 @@ from bcdyn.equilibria import (
 from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES
 from bcdyn.validation import draw_params, draw_state
 
-from conftest import random_params
+from conftest import JACOBIAN_ZEROS, random_params
 
 
 def oracle_rhs(state, pm):
@@ -131,6 +131,27 @@ class TestJacobian:
                 xm[j] -= h
                 fd = (np.array(f(*xp)) - np.array(f(*xm))) / (2.0 * h)
                 assert np.max(np.abs(fd - J[:, j]) / np.maximum(1.0, np.abs(J[:, j]))) < 1e-6
+
+    def test_zero_pattern_off_equilibrium(self):
+        """The entries the band structure skips are exactly 0.0 at drawn
+        states, at states with zero components and at states dipping into
+        [floor, 0): the integrator factors the RODAS step matrix on that
+        structure at every state it steps from."""
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            jac = make_jacobian(draw_params(rng))
+            drawn = draw_state(rng).as_tuple()
+            picked = rng.random(5) < 0.5
+            dips = rng.uniform(-1e-9, 0.0, size=5).tolist()
+            for state in (
+                drawn,
+                (0.0,) * 5,
+                tuple(0.0 if p else v for p, v in zip(picked, drawn)),
+                tuple(dips),
+                tuple(d if p else v for p, d, v in zip(picked, dips, drawn)),
+            ):
+                J = jac(*state)
+                assert all(J[i][j] == 0.0 for i, j in JACOBIAN_ZEROS), state
 
 
     def test_overflow_is_a_domain_error(self):

@@ -18,7 +18,7 @@ from bcdyn.numerics import NumericsError, char_poly
 from bcdyn.stability import _band_char_poly, _block_conditions
 from bcdyn.validation import draw_params
 
-from conftest import block_roots, corpus_jacobians, random_params
+from conftest import JACOBIAN_ZEROS, block_roots, corpus_jacobians, random_params
 
 
 def classified(seed_range):
@@ -274,17 +274,12 @@ class TestReports:
 
 
 class TestBandCharPoly:
-    #: The entries that model._bind's jac writes as a literal 0.0: the E
-    #: row off its diagonal, the six entries off the tridiagonal band of
-    #: the (N, T, I, M) block, and J43.
-    ZEROS = ((0, 2), (0, 4), (1, 4), (2, 0), (3, 0), (3, 1), (3, 2), (3, 4), (4, 0), (4, 1), (4, 3))
-
     def test_structure_and_coefficients_at_corpus_states(self):
         """At every corpus state the entries the band polynomial skips are
         exactly 0.0, and it matches the Faddeev-LeVerrier char_poly: a model
         change that adds a coupling fails here."""
         for J in corpus_jacobians():
-            assert all(J[i, j] == 0.0 for i, j in self.ZEROS)
+            assert all(J[i, j] == 0.0 for i, j in JACOBIAN_ZEROS)
             band, dense = _band_char_poly(J), char_poly(J)
             assert len(band) == len(dense) == 6
             for b, d in zip(band, dense):
