@@ -41,7 +41,6 @@ from .numerics import (
     NewtonError,
     NumericsError,
     RootSet,
-    char_poly,
     newton_solve,
     poly_roots,
     routh_hurwitz,
@@ -71,7 +70,6 @@ __all__ = [
     "NumericsError",
     "NewtonError",
     "poly_roots",
-    "char_poly",
     "routh_hurwitz",
     "newton_solve",
     "IntegrationConfig",

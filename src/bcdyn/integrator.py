@@ -450,7 +450,7 @@ def _band_factor(J, diag):
     The E row of J is (0, 0, 0, -theta, 0), so u_E = b_E / (diag + theta)
     comes first and the E column's couplings J03, J13, J23 move to the
     right-hand side.  What remains over (N, T, I, M) is tridiagonal (see
-    ``stability._band_char_poly``) and is factored as LAPACK's dgttrf
+    ``stability.char_poly``) and is factored as LAPACK's dgttrf
     does: partial pivoting between neighbouring rows, with one diagonal of
     fill-in above the band when two rows swap, unrolled for n = 4.  The
     result is a tuple for :func:`_band_solve`: the E pivot and couplings,

@@ -2,12 +2,8 @@
 
 Everything here is sized for the 5-compartment model: polynomials of degree
 at most 8, 5x5 matrices, nonlinear systems in at most 5 unknowns.  A
-polynomial is a plain sequence of real coefficients in descending degree;
-:func:`char_poly` returns one as a float tuple.  It is the generic
-Faddeev-LeVerrier recurrence for any square matrix, used on small blocks;
-``stability`` builds the model Jacobian's polynomial from its band
-structure instead, which holds when the spectrum spans many orders of
-magnitude.  All functions are pure and deterministic.
+polynomial is a plain sequence of real coefficients in descending degree.
+All functions are pure and deterministic.
 """
 from __future__ import annotations
 
@@ -23,7 +19,6 @@ __all__ = [
     "RootSet",
     "HurwitzVerdict",
     "poly_roots",
-    "char_poly",
     "routh_hurwitz",
     "newton_solve",
     "MARGINAL_RE",
@@ -106,45 +101,6 @@ def poly_roots(coeffs) -> RootSet:
     matrix (``np.roots``; Edelman & Murakami 1995).  Trailing zero
     coefficients give exact zero roots."""
     return _root_set(np.roots(_coefficients(coeffs, MAX_DEGREE)))
-
-
-def _trace(M: np.ndarray) -> float:
-    """``np.trace(M)`` as plain float adds: its reduction adds the diagonal
-    left to right onto +0.0."""
-    total = 0.0
-    for x in M.diagonal().tolist():
-        total += x
-    return total
-
-
-def char_poly(matrix: np.ndarray) -> tuple[float, ...]:
-    """Coefficients, in descending degree, of the characteristic polynomial
-    det(lambda*I - M) by the Faddeev-LeVerrier recurrence; monic, degree
-    equal to the matrix dimension.
-
-    Each step adds ``c_k`` in place to the diagonal of ``M_k`` (a copy of
-    the matrix at first) instead of adding ``c_k*I``.  The diagonal sums
-    are the same, and an off-diagonal entry can differ only in the sign of
-    a zero, which reaches no coefficient: a signed zero changes no nonzero
-    product or sum, and the trace adds onto +0.0.  Raises
-    :class:`NumericsError` when the powers of a finite matrix overflow."""
-    A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NumericsError(f"need a square matrix, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise NumericsError("non-finite matrix entry")
-    n = A.shape[0]
-    coeffs = [1.0]
-    Mk = A.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for kk in range(1, n + 1):
-            if kk > 1:
-                Mk.flat[:: n + 1] += coeffs[-1]
-                Mk = A @ Mk
-            coeffs.append(-_trace(Mk) / kk)
-    if not all(map(math.isfinite, coeffs)):
-        raise NumericsError("characteristic polynomial overflows")
-    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 __all__ = ["svg_line_chart"]
 
@@ -28,7 +29,8 @@ def svg_line_chart(
     x_label: str = "t",
     y_label: str = "",
 ) -> str:
-    """Render labelled (x, y) series as a static SVG string."""
+    """Render labelled (x, y) series as a static SVG string.  The title and
+    labels are escaped as XML text."""
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy]
     if not xs:
@@ -52,7 +54,7 @@ def svg_line_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
     ]
     axis = (
         f'M {_MARGIN} {_MARGIN} L {_MARGIN} {_HEIGHT - _MARGIN} '
@@ -71,13 +73,13 @@ def svg_line_chart(
         )
     parts.append(
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
     )
     if y_label:
         parts.append(
             f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{y_label}</text>'
+            f'transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{escape(y_label)}</text>'
         )
     for idx, (label, sx, sy) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -90,7 +92,7 @@ def svg_line_chart(
         )
         parts.append(
             f'<text x="{_WIDTH - _MARGIN - 44}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,7 +7,7 @@ Three verdicts are computed and compared:
 * Routh-Hurwitz minors of its characteristic polynomial, kept in the
   report as a tuple of coefficients in descending degree
   (``char_coeffs``).  The polynomial comes from the Jacobian's structure
-  (:func:`_band_char_poly`): the decoupled E row deflates as the factor
+  (:func:`char_poly`): the decoupled E row deflates as the factor
   (lambda + theta), and what remains over (N, T, I, M) is tridiagonal,
   so a continuant recurrence of a few dozen float operations gives the rest,
 * the family-specific printed conditions (reproduction numbers and
@@ -58,14 +58,12 @@ from .numerics import (
     NumericsError,
     RootSet,
     _root_set,
-    _trace,
     routh_hurwitz,
 )
 
-# perfbench/tracer.py counts calls by wrapping these names on this module,
-# so they stay importable here; classify itself roots no polynomial and
-# builds its characteristic polynomial with _band_char_poly.
-from .numerics import char_poly, poly_roots  # noqa: F401
+# perfbench/tracer.py counts calls by wrapping poly_roots on this module, so
+# it stays importable here; classify itself roots no polynomial.
+from .numerics import poly_roots  # noqa: F401
 
 __all__ = [
     "ConditionCheck",
@@ -101,7 +99,7 @@ class StabilityReport:
         return self.eigenvalues.max_real
 
 
-def _band_char_poly(J: np.ndarray) -> tuple[float, ...]:
+def char_poly(J: np.ndarray) -> tuple[float, ...]:
     """Coefficients, in descending degree, of det(lambda*I - J) for a
     Jacobian ``J`` of the model, from its band structure.
 
@@ -161,11 +159,14 @@ def _block_conditions(J: np.ndarray) -> dict[str, ConditionCheck]:
     """Derived stability conditions of the two 2x2 blocks: negative trace
     and positive determinant of each.  Exact at T = 0.
 
-    Both determinants come from one stacked ``np.linalg.det``."""
+    Both determinants come from one stacked ``np.linalg.det``; each trace
+    adds the diagonal onto +0.0 as Python floats, the bits of ``np.trace``
+    with a plain ``bool`` verdict."""
     blocks = J[_BLOCK_ROWS, _BLOCK_COLS]
     checks = {}
     for name, block, det in zip(("nt", "im"), blocks, np.linalg.det(blocks).tolist()):
-        tr = _trace(block)
+        a, b = block.diagonal().tolist()
+        tr = 0.0 + a + b
         checks[f"derived_{name}_trace_neg"] = ConditionCheck(
             f"derived_{name}_trace_neg", tr < 0.0, tr, 0.0
         )
@@ -261,7 +262,7 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
             f"refusing to classify a point with residual {eq.residual:.3e} >= 1e-8"
         )
     J = jacobian(eq.point, params)
-    cp = _band_char_poly(J)
+    cp = char_poly(J)
     eig = _root_set(np.linalg.eigvals(J).tolist())
     hv = routh_hurwitz(cp)
     verdict = _eig_verdict(eig.max_real)

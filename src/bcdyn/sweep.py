@@ -103,6 +103,8 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
         raise DomainError(
             f"bad grid request [{lo}, {hi}] x {count}: need hi >= lo and 1 to {_MAX_POINTS} points"
         )
+    if not math.isfinite(float(hi) - float(lo)):
+        raise DomainError(f"grid bounds [{lo}, {hi}] must be finite with a finite span hi - lo")
     if count == 1:
         return (lo,)
     if spacing == "log":

@@ -16,7 +16,6 @@ from bcdyn import (
     find_all,
     jacobian,
 )
-from bcdyn.numerics import char_poly, poly_roots
 from bcdyn.validation import draw_params, draw_state
 
 
@@ -67,7 +66,7 @@ def random_state(seed: int):
 
 #: The Jacobian entries that model._bind's jac writes as a literal 0.0: the
 #: E row off its diagonal, the six entries off the tridiagonal band of the
-#: (N, T, I, M) block, and J43.  stability._band_char_poly and the
+#: (N, T, I, M) block, and J43.  stability.char_poly and the
 #: integrator's band factorization of its RODAS step matrix skip them.
 JACOBIAN_ZEROS = (
     (0, 2), (0, 4), (1, 4), (2, 0), (3, 0), (3, 1), (3, 2), (3, 4), (4, 0), (4, 1), (4, 3),
@@ -88,10 +87,9 @@ def corpus_jacobians(draws: int = 40) -> list[np.ndarray]:
 
 
 def block_roots(J: np.ndarray) -> list[complex]:
-    """Eigenvalues of the (N, T) and (I, M) 2x2 blocks of a Jacobian, as
-    the roots of their characteristic polynomials.  At any state with
-    T = 0 the full spectrum is their union plus {-theta}."""
-    return [z for b in ((0, 1), (2, 4)) for z in poly_roots(char_poly(J[np.ix_(b, b)])).roots]
+    """Eigenvalues of the (N, T) and (I, M) 2x2 blocks of a Jacobian.  At
+    any state with T = 0 the full spectrum is their union plus {-theta}."""
+    return [complex(z) for b in ((0, 1), (2, 4)) for z in np.linalg.eigvals(J[np.ix_(b, b)])]
 
 
 def refuse(*args, **kwargs):

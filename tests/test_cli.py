@@ -1,6 +1,7 @@
 """CLI behavior: file outputs, exit codes, determinism, schemas."""
 import json
 import os
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -68,6 +69,24 @@ class TestSimulate:
         svg = (tmp_path / "default_trajectory.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 5
+
+    # The label reached <text> unescaped, so "T<1&2" gave an SVG that no XML
+    # parser reads.
+    @pytest.mark.parametrize(
+        "args",
+        [["simulate"], ["sweep", "--parameter", "k", "--min", "0", "--max", "1", "--count", "3"]],
+        ids=["simulate", "sweep"],
+    )
+    def test_svg_escapes_the_label(self, tmp_path, base_scenario_doc, write_scenario, args):
+        doc = base_scenario_doc
+        doc["label"] = "T<1&2"
+        path = write_scenario(doc)
+        assert run([*args, "--scenario", path, "--out", str(tmp_path), "--svg"]) == 0
+        charts = sorted(tmp_path.glob("*.svg"))
+        assert charts
+        for chart in charts:
+            title = ElementTree.parse(chart).getroot().find("{http://www.w3.org/2000/svg}text")
+            assert title.text.startswith("T<1&2: ")
 
     # A NaN tolerance used to make simulate run until killed.
     def test_non_finite_tolerance_exit_2(
@@ -270,6 +289,22 @@ class TestSweepCommand:
             "sweep", "--out", str(out), "--parameter", "d", "--min", "0", "--max", "1",
         ]) == 2
         assert capsys.readouterr().err == "error: grid value 0.0 invalid: d must be positive\n"
+        assert not out.exists()
+
+    # Under -W error the overflowing span ended in a traceback; without it,
+    # --max inf swept a NaN grid value.
+    @pytest.mark.parametrize(
+        "bounds, shown",
+        [(["--min=-1e308", "--max", "1e308"], "[-1e+308, 1e+308]"),
+         (["--min", "0", "--max", "inf"], "[0.0, inf]")],
+        ids=["overflow", "inf"],
+    )
+    def test_grid_span_beyond_the_float_range_exit_2(self, tmp_path, capsys, bounds, shown):
+        out = tmp_path / "out"
+        assert run(["sweep", "--out", str(out), "--parameter", "d", *bounds]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid bounds {shown} must be finite with a finite span hi - lo\n"
+        )
         assert not out.exists()
 
     # Both used to exit 0: the second grid overwrote the first, and an

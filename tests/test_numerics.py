@@ -1,51 +1,24 @@
-"""Polynomial roots, characteristic polynomials, Routh-Hurwitz and Newton.
+"""Polynomial roots, Routh-Hurwitz and Newton.
 
 A polynomial is a tuple of coefficients in descending degree."""
-import warnings
-
 import numpy as np
 import pytest
 
 from bcdyn.numerics import (
     NewtonError,
     NumericsError,
-    char_poly,
     newton_solve,
     poly_roots,
     routh_hurwitz,
 )
+from bcdyn.stability import char_poly
 
 from conftest import corpus_jacobians
-
-
-def cofactor_det(A: np.ndarray) -> float:
-    """Independent determinant by cofactor expansion along the first row."""
-    n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0])
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(A, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * float(A[0, j]) * cofactor_det(minor)
-    return total
 
 
 def bits(values) -> list[str]:
     """Exact float images, -0.0 told apart from 0.0."""
     return [float(v).hex() for v in values]
-
-
-def char_poly_reference(A: np.ndarray) -> list[float]:
-    """The Faddeev-LeVerrier recurrence with an explicit identity:
-    M_k = A (M_{k-1} + c_{k-1} I), c_k = -trace(M_k)/k."""
-    n = A.shape[0]
-    coeffs = [1.0]
-    Mk = np.zeros_like(A)
-    identity = np.eye(n)
-    for kk in range(1, n + 1):
-        Mk = A @ (Mk + coeffs[-1] * identity) if kk > 1 else A.copy()
-        coeffs.append(float(-np.trace(Mk) / kk))
-    return coeffs
 
 
 def hurwitz_minors_reference(coeffs) -> list[float]:
@@ -77,23 +50,13 @@ def seeded_polynomials(count: int = 400) -> list[tuple[float, ...]]:
 
 
 class TestBitIdentity:
-    """routh_hurwitz and char_poly give the bits of the per-minor det calls
-    and the explicit-identity recurrence they replace, on the matrices
-    classify sees and on seeded polynomials."""
+    """routh_hurwitz gives the bits of the per-minor det calls it replaces,
+    on the polynomials classify sees and on seeded polynomials."""
 
     def test_hurwitz_minors_match_per_minor_det(self, jacobians):
         polys = [char_poly(J) for J in jacobians] + seeded_polynomials()
         for p in polys:
             assert bits(routh_hurwitz(p).minors) == bits(hurwitz_minors_reference(p))
-
-    def test_char_poly_matches_recurrence(self, jacobians, rng):
-        signed_zeros = np.array(
-            [[-0.0, 1.0, -0.0], [2.0, -0.0, 0.0], [-0.0, -3.0, -0.0]]
-        )
-        matrices = [signed_zeros, np.diag([-0.0] * 4)] + jacobians
-        matrices += [rng.uniform(-1.0, 1.0, size=(n, n)) for n in range(1, 6)]
-        for A in matrices:
-            assert bits(char_poly(A)) == bits(char_poly_reference(A))
 
 
 class TestCoefficients:
@@ -148,36 +111,6 @@ class TestPolyRoots:
     def test_deterministic(self):
         p = (1.0, 0.3, -2.0, 0.7, 1.1, -0.4)
         assert poly_roots(p).roots == poly_roots(p).roots
-
-
-class TestCharPoly:
-    def test_identity(self):
-        cp = char_poly(np.eye(5))
-        assert cp == pytest.approx((1.0, -5.0, 10.0, -10.0, 5.0, -1.0), abs=1e-12)
-
-    def test_known_diagonal(self):
-        cp = char_poly(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
-        want = np.poly([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert cp == pytest.approx(tuple(want), rel=1e-12)
-        assert cp[-1] == pytest.approx(-120.0, rel=1e-12)
-
-    def test_trace_and_det_coefficients(self, rng):
-        for _ in range(20):
-            A = rng.uniform(-1.0, 1.0, size=(5, 5))
-            cp = char_poly(A)
-            assert cp[1] == pytest.approx(-np.trace(A), rel=1e-10, abs=1e-12)
-            det = cofactor_det(A)
-            assert cp[-1] == pytest.approx((-1.0) ** 5 * det, rel=1e-9, abs=1e-11)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NumericsError):
-            char_poly(np.zeros((2, 3)))
-
-    def test_overflow_raises_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericsError, match="^characteristic polynomial overflows$"):
-                char_poly(np.diag([1.0, 1.0, 1.0, -1e200, 1.0]))
 
 
 class TestRouthHurwitz:

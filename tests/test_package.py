@@ -18,7 +18,7 @@ PUBLIC = [
     "PositivityError", "ReproductionNumbers", "RootSet",
     "Scenario", "ScenarioError", "StabilityReport", "StepUnderflowError",
     "SweepSpec", "SystemState", "Trajectory", "__version__",
-    "build_grid", "char_poly", "classify", "default_scenario",
+    "build_grid", "classify", "default_scenario",
     "estrogen_level", "find_all", "integrate", "jacobian", "load_scenario",
     "make_jacobian", "make_rhs", "newton_solve",
     "parse_scenario", "poly_roots", "reproduction_numbers", "residual_norm",
@@ -37,8 +37,9 @@ DELETED = {
     "stability": [
         "empirical_check", "theorem_conditions",
         "report_to_json", "summary_csv_header", "summary_csv_row", "block_spectrum",
+        "_band_char_poly", "_trace",
     ],
-    "numerics": ["eigenvalues", "Polynomial"],
+    "numerics": ["eigenvalues", "Polynomial", "char_poly", "_trace"],
     "sweep": ["sweep_to_csv", "bifurcation_to_json"],
     "integrator": ["trajectory_to_csv"],
 }

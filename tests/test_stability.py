@@ -14,8 +14,8 @@ from bcdyn.equilibria import dead_type1, find_all, tumor_free
 from bcdyn.formats import catalog_to_json, report_to_json, stability_to_csv
 from bcdyn.integrator import IntegrationConfig, integrate
 from bcdyn.model import PARAM_NAMES
-from bcdyn.numerics import NumericsError, char_poly
-from bcdyn.stability import _band_char_poly, _block_conditions
+from bcdyn.numerics import NumericsError
+from bcdyn.stability import _block_conditions, char_poly
 from bcdyn.validation import draw_params
 
 from conftest import JACOBIAN_ZEROS, block_roots, corpus_jacobians, random_params
@@ -116,7 +116,7 @@ class TestVerdicts:
         pm, eq, rep = next(
             (pm, eq, rep) for pm, eq, rep in classified(range(80)) if rep.verdict == "stable"
         )
-        monkeypatch.setattr(bcdyn.stability, "_band_char_poly", lambda J: _band_char_poly(-J))
+        monkeypatch.setattr(bcdyn.stability, "char_poly", lambda J: char_poly(-J))
         wrong = classify(eq, pm)
         assert wrong.eigenvalues.roots == rep.eigenvalues.roots
         assert wrong.verdict == "stable"
@@ -210,6 +210,7 @@ class TestTheoremChecks:
                 tr = checks[f"derived_{name}_trace_neg"].lhs
                 assert det.hex() == float(np.linalg.det(block)).hex()
                 assert tr.hex() == float(np.trace(block)).hex()
+                assert type(checks[f"derived_{name}_trace_neg"].holds) is bool
 
 
 class TestEmpirical:
@@ -276,11 +277,12 @@ class TestReports:
 class TestBandCharPoly:
     def test_structure_and_coefficients_at_corpus_states(self):
         """At every corpus state the entries the band polynomial skips are
-        exactly 0.0, and it matches the Faddeev-LeVerrier char_poly: a model
-        change that adds a coupling fails here."""
+        exactly 0.0, and it matches np.poly's product of (lambda - z) over
+        the LAPACK eigenvalues: a model change that adds a coupling fails
+        here."""
         for J in corpus_jacobians():
             assert all(J[i, j] == 0.0 for i, j in JACOBIAN_ZEROS)
-            band, dense = _band_char_poly(J), char_poly(J)
+            band, dense = char_poly(J), np.poly(J).tolist()
             assert len(band) == len(dense) == 6
             for b, d in zip(band, dense):
                 assert abs(b - d) <= 1e-9 * abs(d)
@@ -289,7 +291,13 @@ class TestBandCharPoly:
         J = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0])
         J[2, 3] = math.inf
         with pytest.raises(NumericsError, match="^non-finite matrix entry$"):
-            _band_char_poly(J)
+            char_poly(J)
+
+    def test_overflow_is_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="^characteristic polynomial overflows$"):
+                char_poly(np.diag([-1e100] * 5))
 
     @pytest.mark.parametrize(
         "name, value, family",

@@ -1,6 +1,8 @@
 """Parameter sweeps and bifurcation bracketing."""
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +101,18 @@ class TestGrid:
 
     def test_grid_at_the_cap_is_accepted(self):
         assert len(SweepSpec("k", (0.5,) * 1000, "d", (0.5,) * 1000).grid) == 1000
+
+    # numpy's linspace warned on these spans and returned NaN grid values.
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, math.inf), (-1e308, 1e308), (-math.inf, 0.0), (math.nan, 1.0)]
+    )
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_bounds_need_a_finite_span(self, lo, hi, spacing):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"grid bounds [{lo}, {hi}] must be finite with a finite span hi - lo"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                build_grid(lo, hi, 3, spacing)
 
 
 class TestSweep:
