@@ -1,20 +1,25 @@
 """Adaptive integration of the model with positivity by step rejection and
 settle detection.
 
-A run starts with the explicit Dormand-Prince 5(4) pair.  Every accepted
-step also evaluates Hairer's DOPRI5 stiffness estimate
-h*|k7 - k6| / |y_new - s6| (Hairer & Wanner, Solving ODEs II, IV.2), which
-needs no extra derivative evaluation.  Once it has exceeded 3.25 on 15
-accepted steps, the step is limited by stability rather than accuracy,
-and the run finishes with the linearly implicit Rosenbrock method RODAS
-(order 4(3), 6 stages, L-stable, stiffly accurate, gamma = 1/4; the
-coefficients of Hairer's rodas.f, Solving ODEs II, IV.7).  It uses the
-analytic Jacobian of :func:`bcdyn.model.make_jacobian`, one Jacobian and
-one factorization of the step matrix per step; a rejected step reuses the
-Jacobian.  The switch is one-way and automatic, and the time it happened
-is reported in ``Trajectory.stiff_switch_time``.  Both methods share the
-error norm, the tolerances, the step controller bounds and the positivity
-policy; a run that never switches is exactly the Dormand-Prince run.
+A run starts with the explicit Dormand-Prince 5(4) pair.  After every
+accepted step the analytic Jacobian of :func:`bcdyn.model.make_jacobian`
+is evaluated at the new state and its spectral radius bounded by
+Gershgorin's theorem, as LSODA bounds the Jacobian's norm (Petzold 1983;
+Hairer & Wanner, Solving ODEs II, IV.2): the E row deflates with
+eigenvalue -theta, and the eigenvalues of the tridiagonal (N, T, I, M)
+block lie within its largest absolute row sum.  On the first step whose
+size times this bound exceeds 3.25, about where the negative real axis
+leaves the stability region of Dormand-Prince, the step is limited by
+stability rather than accuracy, and the run finishes with the linearly
+implicit Rosenbrock method RODAS (order 4(3), 6 stages, L-stable, stiffly
+accurate, gamma = 1/4; the coefficients of Hairer's rodas.f, Solving ODEs
+II, IV.7).  Its first step uses the Jacobian rows of that test; after
+that it takes one Jacobian and one factorization of the step matrix per
+step, and a rejected step reuses the Jacobian.  The switch is one-way and
+automatic, and the time it happened is reported in
+``Trajectory.stiff_switch_time``.  Both methods share the error norm, the
+tolerances, the step controller bounds and the positivity policy; a run
+that never switches is exactly the Dormand-Prince run.
 
 Steps are taken at the controller's size; only the last one is shortened,
 to land on t_end.  The samples come from each accepted step's continuous
@@ -37,18 +42,19 @@ not depend on t0.  A span that overflows or whose minimum step underflows
 is refused by ``IntegrationConfig``, and sample times that are not
 distinct floats by :func:`integrate`, both with ``DomainError``.
 
-Per-step cost: the step kernels, their dense outputs and the error norm
-are straight-line code over the five components, on plain floats; a
+Per-step cost: the step kernels, with their dense outputs, and the error
+norm are straight-line code over the five components, on plain floats; a
 ``zip`` or generator over a 5-tuple costs more than the arithmetic it
 carries.  A Dormand-Prince step is then six field evaluations plus about
-as much time again in arithmetic.  A RODAS step adds one Jacobian and six
-solves with the step matrix I/(h*gamma) - J, factored once on the
-Jacobian's band structure (:func:`_band_factor`): the decoupled E row
-deflates, and the (N, T, I, M) block is tridiagonal, so the factorization
-is LAPACK's dgttrf unrolled for n = 4 and each solve is a few dozen float
-operations.  Over the calls that 200 inputs of the benchmark's stiff
-workload make, a Dormand-Prince step takes about 11 us and a RODAS step
-15 us, plus 2 us for its Jacobian (Python 3.11, 2-vCPU x86-64).
+as much time again in arithmetic, and its stiffness test one Jacobian.  A
+RODAS step takes one Jacobian and six solves with the step matrix
+I/(h*gamma) - J, factored once on the Jacobian's band structure
+(:func:`_band_factor`): the decoupled E row deflates, and the (N, T, I, M)
+block is tridiagonal, so the factorization is LAPACK's dgttrf unrolled for
+n = 4 and each solve is a few dozen float operations.  At states of 50
+inputs of the benchmark's stiff workload, the Dormand-Prince kernel takes
+about 19 us per call, the RODAS kernel 25 us, a Jacobian 2.5 us and the
+Gershgorin bound 1 us (Python 3.11, 2-vCPU x86-64, shared host).
 
 Each stage sum adds its terms left to right in the order of the tableau's
 row, and the trajectories are pinned bit for bit:
@@ -229,27 +235,30 @@ _SAFETY = 0.9
 # elementary controller for its order-4 estimate (beta = 0): on a stiff
 # run its errors are far below tolerance, and the PI term damps the
 # growth that the step needs there.  Over 200 inputs of the benchmark's
-# stiff workload (seed 1) it takes 147 accepted steps per run, and a PI
-# controller with weights 0.7/4 and 0.4/4 takes 167.
+# stiff workload (seed 1) it takes 98 accepted steps per run, and a PI
+# controller with weights 0.7/4 and 0.4/4 takes 124.
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _SHRINK = 1.0 / 5.0
 _ROS_ALPHA = 1.0 / 4.0
 _ROS_BETA = 0.0
 _ROS_SHRINK = 1.0 / 4.0
-# Stiffness test: the run switches to RODAS once the estimate has exceeded
-# _STIFF_RATIO on _STIFF_STEPS accepted steps.
+# Stiffness test: the run switches to RODAS after the first accepted step
+# whose size times the bound of :func:`_spectral_bound` at its end exceeds
+# _STIFF_RATIO, about where the real axis leaves the stability region of
+# Dormand-Prince (-3.3).
 _STIFF_RATIO = 3.25
-_STIFF_STEPS = 15
 
 
 def _dopri_step(f, y, k1, h):
     """One Dormand-Prince step of size ``h`` from ``y`` with ``k1 = f(y)``.
 
-    Returns ``(y_new, f(y_new), error estimate, stiffness estimate,
-    stages)`` with ``stages = (k1, k3, k4, k5, k6)`` for
-    :func:`_dopri_dense`, or None when ``y_new`` or ``f(y_new)`` is not
-    finite.
+    Returns ``(y_new, f(y_new), error estimate, coeffs, lows)``, or None
+    when ``y_new`` or ``f(y_new)`` is not finite.  ``coeffs`` holds the
+    coefficients of the step's order-4 continuous extension, one 5-tuple
+    ``(y0, diff, c, d, e)`` per component for :func:`_interpolate`;
+    ``lows`` holds for each component the lower bound min(y0, y1) - |c|/4
+    - 4|d|/27 - |e|/16 of its extension over the step.
     """
     y1, y2, y3, y4, y5 = y
     k11, k12, k13, k14, k15 = k1
@@ -257,21 +266,21 @@ def _dopri_step(f, y, k1, h):
         y1 + h * _A21 * k11, y2 + h * _A21 * k12, y3 + h * _A21 * k13,
         y4 + h * _A21 * k14, y5 + h * _A21 * k15,
     )
-    k3 = k31, k32, k33, k34, k35 = f(
+    k31, k32, k33, k34, k35 = f(
         y1 + h * (_A31 * k11 + _A32 * k21),
         y2 + h * (_A31 * k12 + _A32 * k22),
         y3 + h * (_A31 * k13 + _A32 * k23),
         y4 + h * (_A31 * k14 + _A32 * k24),
         y5 + h * (_A31 * k15 + _A32 * k25),
     )
-    k4 = k41, k42, k43, k44, k45 = f(
+    k41, k42, k43, k44, k45 = f(
         y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
         y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
         y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33),
         y4 + h * (_A41 * k14 + _A42 * k24 + _A43 * k34),
         y5 + h * (_A41 * k15 + _A42 * k25 + _A43 * k35),
     )
-    k5 = k51, k52, k53, k54, k55 = f(
+    k51, k52, k53, k54, k55 = f(
         y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
         y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
         y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43),
@@ -283,7 +292,7 @@ def _dopri_step(f, y, k1, h):
     s63 = y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53)
     s64 = y4 + h * (_A61 * k14 + _A62 * k24 + _A63 * k34 + _A64 * k44 + _A65 * k54)
     s65 = y5 + h * (_A61 * k15 + _A62 * k25 + _A63 * k35 + _A64 * k45 + _A65 * k55)
-    k6 = k61, k62, k63, k64, k65 = f(s61, s62, s63, s64, s65)
+    k61, k62, k63, k64, k65 = f(s61, s62, s63, s64, s65)
     n1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
     n2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
     n3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
@@ -302,39 +311,11 @@ def _dopri_step(f, y, k1, h):
         h * (_E1 * k14 + _E3 * k34 + _E4 * k44 + _E5 * k54 + _E6 * k64 + _E7 * k74),
         h * (_E1 * k15 + _E3 * k35 + _E4 * k45 + _E5 * k55 + _E6 * k65 + _E7 * k75),
     )
-    try:
-        num = ((k71 - k61) ** 2 + (k72 - k62) ** 2 + (k73 - k63) ** 2
-               + (k74 - k64) ** 2 + (k75 - k65) ** 2)
-        den = ((n1 - s61) ** 2 + (n2 - s62) ** 2 + (n3 - s63) ** 2
-               + (n4 - s64) ** 2 + (n5 - s65) ** 2)
-        stiffness = h * sqrt(num / den) if den > 0.0 else 0.0
-    except OverflowError:
-        # A difference beyond 1e154: the same ratio without the squares.
-        den = math.hypot(n1 - s61, n2 - s62, n3 - s63, n4 - s64, n5 - s65)
-        num = math.hypot(k71 - k61, k72 - k62, k73 - k63, k74 - k64, k75 - k65)
-        stiffness = h * (num / den) if den > 0.0 else 0.0
-    return (n1, n2, n3, n4, n5), k7, est, stiffness, (k1, k3, k4, k5, k6)
-
-
-def _dopri_dense(y, y_new, k7, stages, h):
-    """Coefficients of the step's order-4 continuous extension, one
-    5-tuple ``(y0, diff, c, d, e)`` per component for :func:`_interpolate`,
-    and for each component the lower bound min(y0, y1) - |c|/4 - 4|d|/27
-    - |e|/16 of its extension over the step."""
-    y01, y02, y03, y04, y05 = y
-    y11, y12, y13, y14, y15 = y_new
-    k1, k3, k4, k5, k6 = stages
-    k11, k12, k13, k14, k15 = k1
-    k31, k32, k33, k34, k35 = k3
-    k41, k42, k43, k44, k45 = k4
-    k51, k52, k53, k54, k55 = k5
-    k61, k62, k63, k64, k65 = k6
-    k71, k72, k73, k74, k75 = k7
-    diff1 = y11 - y01
-    diff2 = y12 - y02
-    diff3 = y13 - y03
-    diff4 = y14 - y04
-    diff5 = y15 - y05
+    diff1 = n1 - y1
+    diff2 = n2 - y2
+    diff3 = n3 - y3
+    diff4 = n4 - y4
+    diff5 = n5 - y5
     c1 = h * k11 - diff1
     c2 = h * k12 - diff2
     c3 = h * k13 - diff3
@@ -351,53 +332,17 @@ def _dopri_dense(y, y_new, k7, stages, h):
     e4 = h * (_D1 * k14 + _D3 * k34 + _D4 * k44 + _D5 * k54 + _D6 * k64 + _D7 * k74)
     e5 = h * (_D1 * k15 + _D3 * k35 + _D4 * k45 + _D5 * k55 + _D6 * k65 + _D7 * k75)
     coeffs = (
-        (y01, diff1, c1, d1, e1), (y02, diff2, c2, d2, e2), (y03, diff3, c3, d3, e3),
-        (y04, diff4, c4, d4, e4), (y05, diff5, c5, d5, e5),
+        (y1, diff1, c1, d1, e1), (y2, diff2, c2, d2, e2), (y3, diff3, c3, d3, e3),
+        (y4, diff4, c4, d4, e4), (y5, diff5, c5, d5, e5),
     )
     lows = (
-        min(y01, y11) - 0.25 * abs(c1) - 4.0 / 27.0 * abs(d1) - 0.0625 * abs(e1),
-        min(y02, y12) - 0.25 * abs(c2) - 4.0 / 27.0 * abs(d2) - 0.0625 * abs(e2),
-        min(y03, y13) - 0.25 * abs(c3) - 4.0 / 27.0 * abs(d3) - 0.0625 * abs(e3),
-        min(y04, y14) - 0.25 * abs(c4) - 4.0 / 27.0 * abs(d4) - 0.0625 * abs(e4),
-        min(y05, y15) - 0.25 * abs(c5) - 4.0 / 27.0 * abs(d5) - 0.0625 * abs(e5),
+        min(y1, n1) - 0.25 * abs(c1) - 4.0 / 27.0 * abs(d1) - 0.0625 * abs(e1),
+        min(y2, n2) - 0.25 * abs(c2) - 4.0 / 27.0 * abs(d2) - 0.0625 * abs(e2),
+        min(y3, n3) - 0.25 * abs(c3) - 4.0 / 27.0 * abs(d3) - 0.0625 * abs(e3),
+        min(y4, n4) - 0.25 * abs(c4) - 4.0 / 27.0 * abs(d4) - 0.0625 * abs(e4),
+        min(y5, n5) - 0.25 * abs(c5) - 4.0 / 27.0 * abs(d5) - 0.0625 * abs(e5),
     )
-    return coeffs, lows
-
-
-def _rodas_dense(y, y_new, k7, stages, h):
-    """Coefficients of the step's order-3 continuous extension from the
-    stages ``(u1, ..., u5)``, and lower bounds, as :func:`_dopri_dense`."""
-    y01, y02, y03, y04, y05 = y
-    y11, y12, y13, y14, y15 = y_new
-    u1, u2, u3, u4, u5 = stages
-    u11, u12, u13, u14, u15 = u1
-    u21, u22, u23, u24, u25 = u2
-    u31, u32, u33, u34, u35 = u3
-    u41, u42, u43, u44, u45 = u4
-    u51, u52, u53, u54, u55 = u5
-    c1 = _RD21 * u11 + _RD22 * u21 + _RD23 * u31 + _RD24 * u41 + _RD25 * u51
-    c2 = _RD21 * u12 + _RD22 * u22 + _RD23 * u32 + _RD24 * u42 + _RD25 * u52
-    c3 = _RD21 * u13 + _RD22 * u23 + _RD23 * u33 + _RD24 * u43 + _RD25 * u53
-    c4 = _RD21 * u14 + _RD22 * u24 + _RD23 * u34 + _RD24 * u44 + _RD25 * u54
-    c5 = _RD21 * u15 + _RD22 * u25 + _RD23 * u35 + _RD24 * u45 + _RD25 * u55
-    d1 = _RD31 * u11 + _RD32 * u21 + _RD33 * u31 + _RD34 * u41 + _RD35 * u51
-    d2 = _RD31 * u12 + _RD32 * u22 + _RD33 * u32 + _RD34 * u42 + _RD35 * u52
-    d3 = _RD31 * u13 + _RD32 * u23 + _RD33 * u33 + _RD34 * u43 + _RD35 * u53
-    d4 = _RD31 * u14 + _RD32 * u24 + _RD33 * u34 + _RD34 * u44 + _RD35 * u54
-    d5 = _RD31 * u15 + _RD32 * u25 + _RD33 * u35 + _RD34 * u45 + _RD35 * u55
-    coeffs = (
-        (y01, y11 - y01, c1, d1, 0.0), (y02, y12 - y02, c2, d2, 0.0),
-        (y03, y13 - y03, c3, d3, 0.0), (y04, y14 - y04, c4, d4, 0.0),
-        (y05, y15 - y05, c5, d5, 0.0),
-    )
-    lows = (
-        min(y01, y11) - 0.25 * abs(c1) - 4.0 / 27.0 * abs(d1),
-        min(y02, y12) - 0.25 * abs(c2) - 4.0 / 27.0 * abs(d2),
-        min(y03, y13) - 0.25 * abs(c3) - 4.0 / 27.0 * abs(d3),
-        min(y04, y14) - 0.25 * abs(c4) - 4.0 / 27.0 * abs(d4),
-        min(y05, y15) - 0.25 * abs(c5) - 4.0 / 27.0 * abs(d5),
-    )
-    return coeffs, lows
+    return (n1, n2, n3, n4, n5), k7, est, coeffs, lows
 
 
 def _dense_minimum(coeffs, lows, y_new, floor):
@@ -522,13 +467,30 @@ def _band_solve(fac, b):
     return x0, x1, x2, xE, x3
 
 
+def _spectral_bound(J):
+    """Gershgorin bound on the spectral radius of the Jacobian rows ``J``.
+
+    The E row deflates as in :func:`_band_factor`, with eigenvalue -theta;
+    the eigenvalues of the tridiagonal (N, T, I, M) block lie within its
+    largest absolute row sum.  An entry beyond the float range gives inf."""
+    (j00, j01, _, _, _), (j10, j11, j12, _, _), (_, j21, j22, _, j24), E, M = J
+    return max(
+        -E[3],
+        abs(j00) + abs(j01),
+        abs(j10) + abs(j11) + abs(j12),
+        abs(j21) + abs(j22) + abs(j24),
+        abs(M[2]) + abs(M[4]),
+    )
+
+
 def _rodas_step(f, y, k1, J, h):
     """One RODAS step of size ``h`` from ``y`` with ``k1 = f(y)`` and the
     Jacobian rows ``J`` at ``y``.
 
-    Returns ``(y_new, f(y_new), error estimate, None, (u1, ..., u5))``,
-    or None when the step matrix is singular or ``y_new`` or ``f(y_new)``
-    is not finite.
+    Returns ``(y_new, f(y_new), error estimate, coeffs, lows)`` as
+    :func:`_dopri_step` does, with the order-3 continuous extension (its
+    e coefficients are 0), or None when the step matrix is singular or
+    ``y_new`` or ``f(y_new)`` is not finite.
     """
     fac = _band_factor(J, 1.0 / (h * _GAMMA))
     if fac is None:
@@ -539,12 +501,12 @@ def _rodas_step(f, y, k1, J, h):
     c61, c62, c63, c64, c65 = _RC61 / h, _RC62 / h, _RC63 / h, _RC64 / h, _RC65 / h
     y1, y2, y3, y4, y5 = y
 
-    u1 = u11, u12, u13, u14, u15 = _band_solve(fac, k1)
+    u11, u12, u13, u14, u15 = _band_solve(fac, k1)
     g1, g2, g3, g4, g5 = f(
         y1 + _RA21 * u11, y2 + _RA21 * u12, y3 + _RA21 * u13,
         y4 + _RA21 * u14, y5 + _RA21 * u15,
     )
-    u2 = u21, u22, u23, u24, u25 = _band_solve(fac, (
+    u21, u22, u23, u24, u25 = _band_solve(fac, (
         g1 + c21 * u11, g2 + c21 * u12, g3 + c21 * u13, g4 + c21 * u14, g5 + c21 * u15,
     ))
     g1, g2, g3, g4, g5 = f(
@@ -554,7 +516,7 @@ def _rodas_step(f, y, k1, J, h):
         y4 + _RA31 * u14 + _RA32 * u24,
         y5 + _RA31 * u15 + _RA32 * u25,
     )
-    u3 = u31, u32, u33, u34, u35 = _band_solve(fac, (
+    u31, u32, u33, u34, u35 = _band_solve(fac, (
         g1 + c31 * u11 + c32 * u21,
         g2 + c31 * u12 + c32 * u22,
         g3 + c31 * u13 + c32 * u23,
@@ -568,7 +530,7 @@ def _rodas_step(f, y, k1, J, h):
         y4 + _RA41 * u14 + _RA42 * u24 + _RA43 * u34,
         y5 + _RA41 * u15 + _RA42 * u25 + _RA43 * u35,
     )
-    u4 = u41, u42, u43, u44, u45 = _band_solve(fac, (
+    u41, u42, u43, u44, u45 = _band_solve(fac, (
         g1 + c41 * u11 + c42 * u21 + c43 * u31,
         g2 + c41 * u12 + c42 * u22 + c43 * u32,
         g3 + c41 * u13 + c42 * u23 + c43 * u33,
@@ -581,7 +543,7 @@ def _rodas_step(f, y, k1, J, h):
     s54 = y4 + _RA51 * u14 + _RA52 * u24 + _RA53 * u34 + _RA54 * u44
     s55 = y5 + _RA51 * u15 + _RA52 * u25 + _RA53 * u35 + _RA54 * u45
     g1, g2, g3, g4, g5 = f(s51, s52, s53, s54, s55)
-    u5 = u51, u52, u53, u54, u55 = _band_solve(fac, (
+    u51, u52, u53, u54, u55 = _band_solve(fac, (
         g1 + c51 * u11 + c52 * u21 + c53 * u31 + c54 * u41,
         g2 + c51 * u12 + c52 * u22 + c53 * u32 + c54 * u42,
         g3 + c51 * u13 + c52 * u23 + c53 * u33 + c54 * u43,
@@ -604,7 +566,29 @@ def _rodas_step(f, y, k1, J, h):
     if not (isfinite(k71) and isfinite(k72) and isfinite(k73) and isfinite(k74)
             and isfinite(k75)):
         return None
-    return (n1, n2, n3, n4, n5), k7, u6, None, (u1, u2, u3, u4, u5)
+    c1 = _RD21 * u11 + _RD22 * u21 + _RD23 * u31 + _RD24 * u41 + _RD25 * u51
+    c2 = _RD21 * u12 + _RD22 * u22 + _RD23 * u32 + _RD24 * u42 + _RD25 * u52
+    c3 = _RD21 * u13 + _RD22 * u23 + _RD23 * u33 + _RD24 * u43 + _RD25 * u53
+    c4 = _RD21 * u14 + _RD22 * u24 + _RD23 * u34 + _RD24 * u44 + _RD25 * u54
+    c5 = _RD21 * u15 + _RD22 * u25 + _RD23 * u35 + _RD24 * u45 + _RD25 * u55
+    d1 = _RD31 * u11 + _RD32 * u21 + _RD33 * u31 + _RD34 * u41 + _RD35 * u51
+    d2 = _RD31 * u12 + _RD32 * u22 + _RD33 * u32 + _RD34 * u42 + _RD35 * u52
+    d3 = _RD31 * u13 + _RD32 * u23 + _RD33 * u33 + _RD34 * u43 + _RD35 * u53
+    d4 = _RD31 * u14 + _RD32 * u24 + _RD33 * u34 + _RD34 * u44 + _RD35 * u54
+    d5 = _RD31 * u15 + _RD32 * u25 + _RD33 * u35 + _RD34 * u45 + _RD35 * u55
+    coeffs = (
+        (y1, n1 - y1, c1, d1, 0.0), (y2, n2 - y2, c2, d2, 0.0),
+        (y3, n3 - y3, c3, d3, 0.0), (y4, n4 - y4, c4, d4, 0.0),
+        (y5, n5 - y5, c5, d5, 0.0),
+    )
+    lows = (
+        min(y1, n1) - 0.25 * abs(c1) - 4.0 / 27.0 * abs(d1),
+        min(y2, n2) - 0.25 * abs(c2) - 4.0 / 27.0 * abs(d2),
+        min(y3, n3) - 0.25 * abs(c3) - 4.0 / 27.0 * abs(d3),
+        min(y4, n4) - 0.25 * abs(c4) - 4.0 / 27.0 * abs(d4),
+        min(y5, n5) - 0.25 * abs(c5) - 4.0 / 27.0 * abs(d5),
+    )
+    return (n1, n2, n3, n4, n5), k7, u6, coeffs, lows
 
 
 def _error_norm(est, y, y_new, rtol: float, atol: float) -> float:
@@ -637,8 +621,9 @@ def integrate(
     Returns equidistant samples at ``sample_count`` times (endpoints
     included), taken from the steps' continuous extensions; sample times
     that are not distinct floats raise ``DomainError``.  The run
-    starts with Dormand-Prince and switches to RODAS for good once the
-    stiffness test fires (see the module docstring).  Deterministic:
+    starts with Dormand-Prince and switches to RODAS for good after the
+    first accepted step that the stiffness test finds stability-limited
+    (see the module docstring).  Deterministic:
     identical inputs give bit-identical output, and the steps do not
     depend on ``sample_count``.
     """
@@ -646,6 +631,7 @@ def integrate(
     if not 2 <= sample_count <= _MAX_POINTS:
         raise DomainError(f"sample_count must be from 2 to {_MAX_POINTS}")
     f = make_rhs(params)
+    jac = make_jacobian(params)
     if isinstance(x0, SystemState):
         y = x0.as_tuple()
     else:
@@ -689,11 +675,8 @@ def integrate(
     accepted = rejected = 0
     err_prev = 1.0
     alpha, beta, shrink = _PI_ALPHA, _PI_BETA, _SHRINK
-    stiff_hits = 0
-    jac = None  # bound when the run switches to RODAS
-    J = None    # Jacobian rows at y, shared by the attempts from y
-    switch_time = None
-    dense = _dopri_dense
+    J = None            # Jacobian rows at y, shared by the attempts from y
+    switch_time = None  # None while the run steps with Dormand-Prince
 
     # The size of the last attempt from t, reset when a step is accepted,
     # so at the top of the loop it is the size just rejected.  A retry of
@@ -711,7 +694,7 @@ def integrate(
             )
         h_tried = h_eff
 
-        if jac is None:
+        if switch_time is None:
             step = _dopri_step(f, y, k1, h_eff)
         else:
             if J is None:
@@ -721,7 +704,7 @@ def integrate(
             rejected += 1
             h = max(h_eff * _MIN_DAMP, h_min)
             continue
-        y_new, k7, est, stiffness, stages = step
+        y_new, k7, est, coeffs, lows = step
         err = _error_norm(est, y, y_new, rtol, atol)
         if err > 1.0:
             rejected += 1
@@ -734,7 +717,6 @@ def integrate(
         # step is rejected when the extension dips below the floor anywhere
         # in it, so that the step sequence does not depend on the samples.
         tau_new = span if last else tau + h_eff
-        coeffs, lows = dense(y, y_new, k7, stages, h_eff)
         dip = _dense_minimum(coeffs, lows, y_new, floor) if min(lows) < floor else None
         if dip is not None:
             rejected += 1
@@ -777,11 +759,15 @@ def integrate(
             fac = min(_MAX_GROW, max(_MIN_DAMP, fac))
         h = min(span, max(h_eff * fac, h_min))
         err_prev = max(err, 1e-4)
-        if jac is None and stiffness > _STIFF_RATIO:
-            stiff_hits += 1
-            if stiff_hits == _STIFF_STEPS:
-                jac = make_jacobian(params)
-                dense = _rodas_dense
+        if switch_time is None:
+            # The rows also serve as the first RODAS step's Jacobian.  Rows
+            # that overflow leave RODAS nothing to step with, so the run
+            # stays explicit.
+            try:
+                J = jac(*y)
+            except DomainError:
+                continue
+            if h_eff * _spectral_bound(J) > _STIFF_RATIO:
                 switch_time = t0 + tau
                 alpha, beta, shrink = _ROS_ALPHA, _ROS_BETA, _ROS_SHRINK
 

@@ -7,6 +7,7 @@ flags only (no environment-variable configuration).
 from __future__ import annotations
 
 import json
+import unicodedata
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -90,6 +91,10 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(
             f"label {label!r} must be a file name: no '/', '\\' or NUL, not '.' or '..'"
         )
+    # XML refuses C0 controls even escaped, so an SVG titled with one
+    # would not parse; no control character has a place in a file name.
+    if any(unicodedata.category(c) == "Cc" for c in label):
+        raise ScenarioError(f"label {label!r} must not contain control characters")
     return Scenario(
         params=params,
         initial_state=state,

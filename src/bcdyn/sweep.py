@@ -110,7 +110,11 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     if spacing == "log":
         if lo <= 0:
             raise DomainError("log spacing requires a positive lower bound")
-        return tuple(np.exp(np.linspace(math.log(lo), math.log(hi), count)))
+        # exp(log(x)) is off x by rounding; the bounds themselves stand at
+        # the ends, and no interior point may step past them.
+        grid = np.clip(np.exp(np.linspace(math.log(lo), math.log(hi), count)), lo, hi)
+        grid[0], grid[-1] = lo, hi
+        return tuple(grid)
     return tuple(np.linspace(lo, hi, count))
 
 

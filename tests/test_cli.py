@@ -384,6 +384,18 @@ class TestOutput:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    # "T\x01" wrote an SVG that xml.etree refused, and exited 0.
+    def test_label_with_a_control_character_exit_2(
+        self, tmp_path, capsys, base_scenario_doc, write_scenario
+    ):
+        base_scenario_doc["label"] = "T\x01"
+        path = write_scenario(base_scenario_doc)
+        out = tmp_path / "out"
+        assert run(["simulate", "--scenario", path, "--out", str(out), "--svg"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: label 'T\\x01' must not contain control characters\n"
+        assert not out.exists()
+
     # An --out naming a file raised FileExistsError, exit 1, and one under a
     # file NotADirectoryError.
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])

@@ -152,7 +152,17 @@ class TestParse:
             f"label {label!r} must be a file name: no '/', '\\' or NUL, not '.' or '..'"
         )
 
-    @pytest.mark.parametrize("label", ["...", ".x", "a.b", "run 1", "ü"])
+    # A C0 control character gave an SVG that XML parsers refuse, and a
+    # control character of any kind landed in every output file name.
+    @pytest.mark.parametrize("label", ["T\x01", "tab\there", "line\n", "\x1b[1m", "del\x7f",
+                                       "c1\x85", "c1\x9f"])
+    def test_label_without_control_characters(self, base_scenario_doc, label):
+        base_scenario_doc["label"] = label
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(base_scenario_doc)
+        assert str(exc.value) == f"label {label!r} must not contain control characters"
+
+    @pytest.mark.parametrize("label", ["...", ".x", "a.b", "run 1", "ü", "no\xa0break"])
     def test_label_may_hold_dots_and_spaces(self, base_scenario_doc, label):
         base_scenario_doc["label"] = label
         assert parse_scenario(base_scenario_doc).label == label

@@ -47,6 +47,18 @@ class TestGrid:
         grid = build_grid(0.1, 10.0, 3, "log")
         assert grid[1] == pytest.approx(1.0, rel=1e-12)
 
+    # exp(log(10.0)) is 10.000000000000002, so the last point lay above the
+    # bound given, and the CSV reported values beyond --max.
+    @pytest.mark.parametrize(
+        "lo, hi, count",
+        [(0.1, 10.0, 3), (0.3, 7.0, 11), (1e-300, 1e300, 50), (2.5, 2.5, 4), (1, 1000, 4),
+         (1.0, math.nextafter(1.0, 2.0), 5)],
+    )
+    def test_log_endpoints_are_the_bounds(self, lo, hi, count):
+        grid = build_grid(lo, hi, count, "log")
+        assert (grid[0], grid[-1]) == (lo, hi)
+        assert all(a <= b for a, b in zip(grid, grid[1:]))
+
     def test_log_requires_positive(self):
         with pytest.raises(DomainError):
             build_grid(0.0, 1.0, 3, "log")
