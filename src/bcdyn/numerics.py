@@ -64,8 +64,22 @@ def _root_key(z: complex) -> tuple[float, float]:
 
 
 def _root_set(roots) -> RootSet:
-    """``roots`` as complex numbers sorted by :func:`_root_key`."""
-    return RootSet(roots=tuple(sorted(map(complex, roots), key=_root_key)))
+    """``roots`` as complex numbers sorted by :func:`_root_key`.
+
+    ``round`` is monotone, so where every two neighbours in plain (real,
+    imaginary) order have real parts at least 2e-12 apart, or equal real
+    parts and imaginary parts at least 2e-12 apart, their rounded keys
+    differ the same way and the plain order is the key order.  Only
+    closer neighbours, whose rounded keys may tie, take the ``round`` sort
+    of ``roots`` as given, so ties keep their input order."""
+    zs = list(map(complex, roots))
+    ordered = sorted(zs, key=lambda z: (z.real, z.imag))
+    for z, w in zip(ordered, ordered[1:]):
+        gap = w.real - z.real
+        if gap < 2e-12 and (gap != 0.0 or w.imag - z.imag < 2e-12):
+            ordered = sorted(zs, key=_root_key)
+            break
+    return RootSet(roots=tuple(ordered))
 
 
 def _leading(roots) -> complex:
@@ -117,44 +131,50 @@ class HurwitzVerdict:
     verdict: str
 
 
-def _hurwitz_index(n: int) -> np.ndarray:
-    """(n, n, n) indices into ``a + [0.0, 1.0]`` (``a`` the n + 1
-    coefficients) that lay out, in slice k - 1, the k x k leading block of
-    the Hurwitz matrix H[i, j] = a[2i - j + 1] padded with the identity."""
-    zero, one = n + 1, n + 2
-
-    def entry(k: int, i: int, j: int) -> int:
-        if i < k and j < k:
-            return 2 * i - j + 1 if 0 <= 2 * i - j + 1 <= n else zero
-        return one if i == j else zero
-
-    return np.array(
-        [[[entry(k, i, j) for j in range(n)] for i in range(n)] for k in range(1, n + 1)]
-    )
+def _scaled(values) -> tuple[list[float], int]:
+    """``values`` times 2**-e, with e the exponent that puts the largest
+    magnitude in [0.5, 1) (0 when all are zero), and e.  A power of two
+    scales exactly unless a value falls into the subnormal range."""
+    e = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -e) for v in values], e
 
 
-_HURWITZ_INDEX = {n: _hurwitz_index(n) for n in range(1, 6)}
+def _unscaled(x: float, e: int) -> float:
+    """``x * 2**e``, or +-inf with the sign of ``x`` past the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def routh_hurwitz(coeffs) -> HurwitzVerdict:
     """Classify the root locations of the polynomial with coefficients
     ``coeffs`` (descending degree, 1..5) via Hurwitz minors.
 
-    All n leading minors come from one stacked ``np.linalg.det`` over the
-    leading k x k blocks padded with the identity to n x n.  Partial
-    pivoting never picks a padding row, which is zero in the block's
-    columns (on a tie at zero the first candidate, a block row, wins); the
-    elimination subtracts only zero products from the padding; and its
-    unit pivots add nothing to the sign or log-magnitude that ``det``
-    combines.  So each minor has the bits of ``det(H[:k, :k])``.  A minor
-    beyond the float range is +-inf with its sign, without a warning.
-    Minors within MARGINAL_MINOR of zero give no verdict."""
-    a = list(_coefficients(coeffs, 5))
+    The n leading minors of the Hurwitz matrix H[i, j] = a[2i - j + 1]
+    are its closed-form determinants, with a_k = 0 past the degree:
+    D1 = a1, D2 = a1 a2 - a0 a3, D3 = a3 D2 - a1 (a1 a4 - a0 a5),
+    D4 = a4 D3 - a5 (a1 a2^2 - a0 a1 a4 - a0 a2 a3 + a0^2 a5) and
+    D5 = a5 D4.  They are evaluated in plain floats on the coefficients
+    scaled by an exact power of two 2**-e that puts the largest in
+    [0.5, 1), so no intermediate product overflows, and Dk is then scaled
+    back by 2**(k e); a minor beyond the float range is +-inf with its
+    sign, and none is NaN.  Against exact rational elimination, each
+    minor keeps its sign class and lies within 1e-9 relative of the exact
+    one on the polynomials ``classify`` sees.  Minors within
+    MARGINAL_MINOR of zero give no verdict."""
+    a = _coefficients(coeffs, 5)
     n = len(a) - 1
     if a[0] < 0:
-        a = [-c for c in a]
-    with np.errstate(over="ignore"):
-        minors = tuple(np.linalg.det(np.array(a + [0.0, 1.0])[_HURWITZ_INDEX[n]]).tolist())
+        a = tuple(-c for c in a)
+    scaled, e = _scaled(a)
+    a0, a1, a2, a3, a4, a5 = scaled + [0.0] * (5 - n)
+    d2 = a1 * a2 - a0 * a3
+    d3 = a3 * d2 - a1 * (a1 * a4 - a0 * a5)
+    d4 = a4 * d3 - a5 * (a1 * a2 * a2 - a0 * a1 * a4 - a0 * a2 * a3 + a0 * a0 * a5)
+    minors = tuple(
+        _unscaled(d, k * e) for k, d in enumerate((a1, d2, d3, d4, a5 * d4)[:n], 1)
+    )
     all_positive = all(mi > 0.0 for mi in minors)
     if any(abs(mi) < MARGINAL_MINOR for mi in minors):
         verdict = "inconclusive"

@@ -10,20 +10,28 @@ Three verdicts are computed and compared:
   (:func:`char_poly`): the decoupled E row deflates as the factor
   (lambda + theta), and what remains over (N, T, I, M) is tridiagonal,
   so a continuant recurrence of a few dozen float operations gives the rest,
+  and the minors are closed forms in plain floats
+  (:func:`~bcdyn.numerics.routh_hurwitz`),
 * the family-specific printed conditions (reproduction numbers and
   coefficient-sign tests), reported but never used to override.
 
 The first two share only the Jacobian: an error in the polynomial moves
 the Hurwitz verdict alone and shows as an eigen/Hurwitz disagreement,
-while an error in the Jacobian reaches both.
+while an error in the Jacobian reaches both.  ``eigvals`` is the one
+LAPACK call of :func:`classify`.  The minors and the 2x2 block
+determinants are plain-float closed forms on entries scaled by a power
+of two.  Against exact rational elimination each minor keeps its sign
+class and lies within 1e-9 relative of the exact one, and each block
+determinant within 4 eps (|ad| + |bc|) of a d - b c
+(``tests/test_numerics.py``, ``tests/test_stability.py``).
 
 The printed conditions live in one table, ``_RULES``, with one rules
 function per equilibrium family, as ``equilibria._TABLE`` holds one finder
 row per family.  Given the point, its Jacobian and Hurwitz verdict, each
 returns the reproduction numbers its conditions read, the conditions by
 name and the paper's sufficient-condition claim: R0 and R1 for tumor-free,
-R_IM and the B-signs for dead1, the C-cubic for dead2 (necessary only, so
-no claim) and the Hurwitz minors for coexisting.  :func:`classify` reads
+R_IM and the B-signs for dead1, invasion and the C-cubic for dead2
+(necessary only, so no claim) and the Hurwitz minors for coexisting.  :func:`classify` reads
 the table; its ``theorem_checks`` are the only place the conditions are
 evaluated.  Every printed A, B or C coefficient these conditions read is
 an entry of the analytic Jacobian at the family's point, so the rules
@@ -58,6 +66,8 @@ from .numerics import (
     NumericsError,
     RootSet,
     _root_set,
+    _scaled,
+    _unscaled,
     routh_hurwitz,
 )
 
@@ -149,24 +159,20 @@ def _repro(eq: Equilibrium, J) -> ReproductionNumbers | None:
     return _reproduction(J, _at_dead1_state(eq.point))
 
 
-#: Fancy indices that take the (N, T) and (I, M) 2x2 blocks of a Jacobian
-#: as one (2, 2, 2) stack.
-_BLOCK_ROWS = np.array([[[0], [1]], [[2], [4]]])
-_BLOCK_COLS = np.array([[[0, 1]], [[2, 4]]])
-
-
 def _block_conditions(J: np.ndarray) -> dict[str, ConditionCheck]:
-    """Derived stability conditions of the two 2x2 blocks: negative trace
-    and positive determinant of each.  Exact at T = 0.
+    """Derived stability conditions of the (N, T) and (I, M) 2x2 blocks:
+    negative trace and positive determinant of each.  Exact at T = 0.
 
-    Both determinants come from one stacked ``np.linalg.det``; each trace
-    adds the diagonal onto +0.0 as Python floats, the bits of ``np.trace``
-    with a plain ``bool`` verdict."""
-    blocks = J[_BLOCK_ROWS, _BLOCK_COLS]
+    Each trace adds the diagonal onto +0.0 as Python floats, the bits of
+    ``np.trace`` with a plain ``bool`` verdict.  Each determinant is
+    a d - b c on the entries scaled as the Hurwitz minors are, so no
+    product overflows, and scaled back (+-inf past the float range)."""
+    rows = J.tolist()
     checks = {}
-    for name, block, det in zip(("nt", "im"), blocks, np.linalg.det(blocks).tolist()):
-        a, b = block.diagonal().tolist()
-        tr = 0.0 + a + b
+    for name, (i, j) in (("nt", (0, 1)), ("im", (2, 4))):
+        (a, b, c, d), e = _scaled((rows[i][i], rows[i][j], rows[j][i], rows[j][j]))
+        tr = 0.0 + rows[i][i] + rows[j][j]
+        det = _unscaled(a * d - b * c, 2 * e)
         checks[f"derived_{name}_trace_neg"] = ConditionCheck(
             f"derived_{name}_trace_neg", tr < 0.0, tr, 0.0
         )
@@ -221,7 +227,14 @@ def _dead2_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: Hurwit
     """Invasion blocked and the two C-cubic coefficient signs.  These are
     only necessary conditions, so the family makes no claim.  At N = 0 the
     printed C2, C3, C4, C5, C6, C8, C9 are J11, J21, -J12, J22, J42, J24,
-    J44."""
+    J44.
+
+    At N = 0 the N row of the Jacobian is (J00, 0, 0, 0, 0), so J00 is an
+    exact eigenvalue, and the derived invasion condition is J00 < 0, that
+    is a1 < d1 T/(1 + eps T) + l1 E (1 - k).  The printed
+    ``invasion_blocked`` has its l1 E term with the other sign and no
+    factor 1 - k, so it can disagree with the sign of J00; both are
+    reported, as the tumor-free rules add the derived block conditions."""
     point = eq.point
     rows = J.tolist()
     c2, c3, c4, c5 = rows[1][1], rows[2][1], -rows[1][2], rows[2][2]
@@ -231,6 +244,7 @@ def _dead2_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: Hurwit
     const = c2 * c5 * c9 - c2 * c6 * c8 + c3 * c4 * c9
     checks = (
         ConditionCheck("invasion_blocked", params.a1 < rhs_i, params.a1, rhs_i),
+        ConditionCheck("derived_invasion_J00_neg", rows[0][0] < 0.0, rows[0][0], 0.0),
         ConditionCheck("reduced_cubic_mid_pos", lin > 0.0, lin, 0.0),
         ConditionCheck("reduced_cubic_const_pos", const > 0.0, const, 0.0),
     )

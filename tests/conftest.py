@@ -3,6 +3,7 @@ import json
 import signal
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,26 @@ def block_roots(J: np.ndarray) -> list[complex]:
     """Eigenvalues of the (N, T) and (I, M) 2x2 blocks of a Jacobian.  At
     any state with T = 0 the full spectrum is their union plus {-theta}."""
     return [complex(z) for b in ((0, 1), (2, 4)) for z in np.linalg.eigvals(J[np.ix_(b, b)])]
+
+
+def exact_det(rows) -> Fraction:
+    """The determinant of a square matrix of floats by Gaussian elimination
+    in exact rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            for k in range(c, len(m)):
+                m[r][k] -= f * m[c][k]
+    return det
 
 
 def refuse(*args, **kwargs):

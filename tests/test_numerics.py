@@ -1,35 +1,41 @@
 """Polynomial roots, Routh-Hurwitz and Newton.
 
 A polynomial is a tuple of coefficients in descending degree."""
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from bcdyn.numerics import (
+    MARGINAL_MINOR,
     NewtonError,
     NumericsError,
+    _root_key,
+    _root_set,
     newton_solve,
     poly_roots,
     routh_hurwitz,
 )
 from bcdyn.stability import char_poly
 
-from conftest import corpus_jacobians
+from conftest import corpus_jacobians, exact_det
 
 
-def bits(values) -> list[str]:
-    """Exact float images, -0.0 told apart from 0.0."""
-    return [float(v).hex() for v in values]
-
-
-def hurwitz_minors_reference(coeffs) -> list[float]:
-    """Each leading minor of the Hurwitz matrix from its own det call."""
+def hurwitz_minors_exact(coeffs) -> list[Fraction]:
+    """Each leading minor of the Hurwitz matrix H[i, j] = a[2i - j + 1],
+    the leading coefficient made positive, in exact rationals."""
     a = [-c for c in coeffs] if coeffs[0] < 0 else list(coeffs)
     n = len(a) - 1
-    H = np.array(
-        [[a[2 * i - j + 1] if 0 <= 2 * i - j + 1 <= n else 0.0 for j in range(n)]
+    H = [[a[2 * i - j + 1] if 0 <= 2 * i - j + 1 <= n else 0.0 for j in range(n)]
          for i in range(n)]
-    )
-    return [float(np.linalg.det(H[:k, :k])) for k in range(1, n + 1)]
+    return [exact_det([row[:k] for row in H[:k]]) for k in range(1, n + 1)]
+
+
+def sign_class(value) -> int:
+    """0 within MARGINAL_MINOR of zero, else the sign."""
+    return 0 if abs(value) < MARGINAL_MINOR else (1 if value > 0 else -1)
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +55,55 @@ def seeded_polynomials(count: int = 400) -> list[tuple[float, ...]]:
     return polys
 
 
-class TestBitIdentity:
-    """routh_hurwitz gives the bits of the per-minor det calls it replaces,
-    on the polynomials classify sees and on seeded polynomials."""
+class TestExactReference:
+    """routh_hurwitz's minors against exact rational elimination, on the
+    polynomials classify sees and on seeded polynomials."""
 
-    def test_hurwitz_minors_match_per_minor_det(self, jacobians):
+    def test_hurwitz_minors_match_exact_minors(self, jacobians):
         polys = [char_poly(J) for J in jacobians] + seeded_polynomials()
         for p in polys:
-            assert bits(routh_hurwitz(p).minors) == bits(hurwitz_minors_reference(p))
+            minors = routh_hurwitz(p).minors
+            exact = hurwitz_minors_exact(p)
+            assert len(minors) == len(exact) == len(p) - 1
+            for mi, ex in zip(minors, exact):
+                assert sign_class(mi) == sign_class(ex)
+                assert abs(Fraction(mi) - ex) <= 1e-9 * abs(ex)
+
+
+def adversarial_spectra(count: int = 4000) -> list[list[complex]]:
+    """Five-root spectra, in shuffled order, whose neighbours the 12-digit
+    rounding can tie: real parts a whole number of steps apart, a step
+    being 1e-13 or, above 1e4 where rounding to 12 digits leaves a float
+    as it is, one unit in the last place; exact repeats; and conjugate
+    pairs, some with |im| < 1e-12, next to real roots of either zero."""
+    rng = np.random.default_rng(5)
+    spectra = []
+    for _ in range(count):
+        base = float(rng.choice([0.0, 5e-13, rng.uniform(-10.0, 10.0), rng.uniform(1e4, 1e6)]))
+        step = max(1e-13, math.ulp(base))
+        roots = []
+        while len(roots) < 5:
+            re = base + step * int(rng.integers(-20, 21))
+            im = float(rng.choice([0.0, -0.0, 1e-13 * int(rng.integers(1, 10)), rng.uniform(0, 3)]))
+            roots += [complex(re, im), complex(re, -im)] if im else [complex(re, im)]
+        rng.shuffle(roots)
+        spectra.append(roots[:5])
+    return spectra
+
+
+class TestSpectrumOrder:
+    """_root_set sorts by plain (real, imaginary) parts and falls back to
+    the rounded _root_key only for close neighbours; the order is that of
+    the _root_key sort, bit for bit, ties in input order."""
+
+    def test_matches_rounded_key_order(self, jacobians):
+        spectra = [np.linalg.eigvals(J).tolist() for J in jacobians] + adversarial_spectra()
+        for roots in spectra:
+            expected = sorted(map(complex, roots), key=_root_key)
+            got = _root_set(roots).roots
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                (z.real.hex(), z.imag.hex()) for z in expected
+            ]
 
 
 class TestCoefficients:
@@ -148,17 +195,31 @@ class TestRouthHurwitz:
             routh_hurwitz((1.0,) * 7)
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
-    def test_one_det_call(self, monkeypatch, degree):
-        calls = []
-        det = np.linalg.det
+    def test_no_det_call(self, monkeypatch, degree):
+        def det(a):
+            raise AssertionError("routh_hurwitz called np.linalg.det")
 
-        def counted(a):
-            calls.append(np.shape(a))
-            return det(a)
+        monkeypatch.setattr(np.linalg, "det", det)
+        minors = routh_hurwitz(tuple(range(1, degree + 2))).minors
+        assert len(minors) == degree
 
-        monkeypatch.setattr(np.linalg, "det", counted)
-        routh_hurwitz(tuple(range(1, degree + 2)))
-        assert calls == [(degree, degree, degree)]
+    @pytest.mark.parametrize(
+        "coeffs, minors",
+        [
+            ((1e200, 2e200, 1e200, 1e200), (2e200, math.inf, math.inf)),
+            ((1e200, 1e200, 2e200, 3e200), (1e200, -math.inf, -math.inf)),
+            ((1e200, 1e200, 1e200, 1e200), (1e200, 0.0, 0.0)),
+        ],
+        ids=["positive", "negative", "cancelling"],
+    )
+    def test_overflow_keeps_the_sign(self, coeffs, minors):
+        """Each product a_i a_j here exceeds the float range, so unscaled
+        closed forms would give inf - inf = nan for D2.  The exact D2 is
+        1e400, -1e400 and 0, and D3 = a3 D2."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = routh_hurwitz(coeffs).minors
+        assert got == minors
 
 
 class TestNewton:
