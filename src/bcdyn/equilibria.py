@@ -557,11 +557,8 @@ def _find(params: ModelParams, family: str) -> list[Equilibrium]:
 
 
 def _catalog(equilibria: list[Equilibrium]) -> list[Equilibrium]:
-    """Deduplicate across families and sort by family order, then tumor
-    load."""
-    kept = _dedup(equilibria, key=lambda eq: eq.point.as_tuple())
-    kept.sort(key=lambda eq: (FAMILIES.index(eq.family), eq.point.T))
-    return kept
+    """Sort by family order, then tumor load."""
+    return sorted(equilibria, key=lambda eq: (FAMILIES.index(eq.family), eq.point.T))
 
 
 def tumor_free(params: ModelParams) -> list[Equilibrium]:
@@ -586,8 +583,8 @@ def coexisting(params: ModelParams) -> list[Equilibrium]:
 
 
 def find_all(params: ModelParams) -> list[Equilibrium]:
-    """Union of the four family finders, deduplicated across families and
-    sorted by family order then tumor load."""
+    """Union of the four family finders, sorted by family order then tumor
+    load.  No point is in two families, whose zeros of N and T differ."""
     catalog: list[Equilibrium] = []
     for finder in (tumor_free, dead_type1, dead_type2, coexisting):
         catalog.extend(finder(params))

@@ -131,12 +131,23 @@ class HurwitzVerdict:
     verdict: str
 
 
-def _scaled(values) -> tuple[list[float], int]:
-    """``values`` times 2**-e, with e the exponent that puts the largest
-    magnitude in [0.5, 1) (0 when all are zero), and e.  A power of two
-    scales exactly unless a value falls into the subnormal range."""
+def _homogeneous(form, values, degrees) -> list[float]:
+    """``form(*values)`` in plain floats: forms homogeneous of ``degrees``
+    in ``values``.  A form that is not finite, because a product overflowed,
+    is evaluated again on the values scaled by an exact power of two 2**-e
+    that puts the largest magnitude in [0.5, 1), and scaled back by
+    2**(degree e): +-inf with its sign past the float range, never NaN.
+    Only those forms are scaled, since scaling pushes a value far below the
+    largest into the subnormal range, where it loses its bits."""
+    forms = form(*values)
+    if all(map(math.isfinite, forms)):
+        return list(forms)
     e = math.frexp(max(map(abs, values)))[1]
-    return [math.ldexp(v, -e) for v in values], e
+    scaled = form(*(math.ldexp(v, -e) for v in values))
+    return [
+        f if math.isfinite(f) else _unscaled(g, k * e)
+        for f, g, k in zip(forms, scaled, degrees)
+    ]
 
 
 def _unscaled(x: float, e: int) -> float:
@@ -147,6 +158,14 @@ def _unscaled(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def _hurwitz_minors(a0, a1, a2, a3, a4, a5) -> tuple[float, ...]:
+    """The five leading Hurwitz minors of a0 s^5 + ... + a5 in closed form."""
+    d2 = a1 * a2 - a0 * a3
+    d3 = a3 * d2 - a1 * (a1 * a4 - a0 * a5)
+    d4 = a4 * d3 - a5 * (a1 * a2 * a2 - a0 * a1 * a4 - a0 * a2 * a3 + a0 * a0 * a5)
+    return a1, d2, d3, d4, a5 * d4
+
+
 def routh_hurwitz(coeffs) -> HurwitzVerdict:
     """Classify the root locations of the polynomial with coefficients
     ``coeffs`` (descending degree, 1..5) via Hurwitz minors.
@@ -155,11 +174,10 @@ def routh_hurwitz(coeffs) -> HurwitzVerdict:
     are its closed-form determinants, with a_k = 0 past the degree:
     D1 = a1, D2 = a1 a2 - a0 a3, D3 = a3 D2 - a1 (a1 a4 - a0 a5),
     D4 = a4 D3 - a5 (a1 a2^2 - a0 a1 a4 - a0 a2 a3 + a0^2 a5) and
-    D5 = a5 D4.  They are evaluated in plain floats on the coefficients
-    scaled by an exact power of two 2**-e that puts the largest in
-    [0.5, 1), so no intermediate product overflows, and Dk is then scaled
-    back by 2**(k e); a minor beyond the float range is +-inf with its
-    sign, and none is NaN.  Against exact rational elimination, each
+    D5 = a5 D4.  Dk is homogeneous of degree k in the coefficients and is
+    evaluated in plain floats, scaled only where it overflows (see
+    :func:`_homogeneous`): a minor beyond the float range is +-inf with
+    its sign, and none is NaN.  Against exact rational elimination, each
     minor keeps its sign class and lies within 1e-9 relative of the exact
     one on the polynomials ``classify`` sees.  Minors within
     MARGINAL_MINOR of zero give no verdict."""
@@ -167,14 +185,7 @@ def routh_hurwitz(coeffs) -> HurwitzVerdict:
     n = len(a) - 1
     if a[0] < 0:
         a = tuple(-c for c in a)
-    scaled, e = _scaled(a)
-    a0, a1, a2, a3, a4, a5 = scaled + [0.0] * (5 - n)
-    d2 = a1 * a2 - a0 * a3
-    d3 = a3 * d2 - a1 * (a1 * a4 - a0 * a5)
-    d4 = a4 * d3 - a5 * (a1 * a2 * a2 - a0 * a1 * a4 - a0 * a2 * a3 + a0 * a0 * a5)
-    minors = tuple(
-        _unscaled(d, k * e) for k, d in enumerate((a1, d2, d3, d4, a5 * d4)[:n], 1)
-    )
+    minors = tuple(_homogeneous(_hurwitz_minors, a + (0.0,) * (5 - n), range(1, 6))[:n])
     all_positive = all(mi > 0.0 for mi in minors)
     if any(abs(mi) < MARGINAL_MINOR for mi in minors):
         verdict = "inconclusive"

@@ -65,9 +65,8 @@ from .numerics import (
     HurwitzVerdict,
     NumericsError,
     RootSet,
+    _homogeneous,
     _root_set,
-    _scaled,
-    _unscaled,
     routh_hurwitz,
 )
 
@@ -165,14 +164,14 @@ def _block_conditions(J: np.ndarray) -> dict[str, ConditionCheck]:
 
     Each trace adds the diagonal onto +0.0 as Python floats, the bits of
     ``np.trace`` with a plain ``bool`` verdict.  Each determinant is
-    a d - b c on the entries scaled as the Hurwitz minors are, so no
-    product overflows, and scaled back (+-inf past the float range)."""
+    a d - b c in plain floats, scaled as the Hurwitz minors are where a
+    product overflows (+-inf past the float range)."""
     rows = J.tolist()
     checks = {}
     for name, (i, j) in (("nt", (0, 1)), ("im", (2, 4))):
-        (a, b, c, d), e = _scaled((rows[i][i], rows[i][j], rows[j][i], rows[j][j]))
+        block = (rows[i][i], rows[i][j], rows[j][i], rows[j][j])
         tr = 0.0 + rows[i][i] + rows[j][j]
-        det = _unscaled(a * d - b * c, 2 * e)
+        [det] = _homogeneous(lambda a, b, c, d: (a * d - b * c,), block, (2,))
         checks[f"derived_{name}_trace_neg"] = ConditionCheck(
             f"derived_{name}_trace_neg", tr < 0.0, tr, 0.0
         )
@@ -271,9 +270,9 @@ _RULES = {
 def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     """Classify local stability of ``eq`` by eigenvalues, Routh-Hurwitz and
     the family-specific printed conditions."""
-    if eq.residual >= 1e-8:
+    if not eq.residual < 1e-8:
         raise DomainError(
-            f"refusing to classify a point with residual {eq.residual:.3e} >= 1e-8"
+            f"refusing to classify a point with residual {eq.residual:.3e}, not below 1e-8"
         )
     J = jacobian(eq.point, params)
     cp = char_poly(J)

@@ -14,17 +14,10 @@ The bifurcation scanner brackets sign changes of the leading eigenvalue
 real part per family and bisects each bracket.  It solves its scan grid
 for all families in one batch, and reads only eigenvalues: no
 characteristic polynomial, Hurwitz minors or theorem rules.  A bisection
-midpoint is a batch of one solved only for the family prefix up to the
-last family bracketed in its scan interval: the cross-family dedup keeps
-a family's points by the families before it and never by those after it,
-so a prefix gives its families the points and eigenvalues of the full
-catalog, bit for bit.  A memo local to each :func:`run_bifurcate` call
-keeps, per parameter value, the confirmed points of each solved family
-with their leading eigenvalues, so a value is solved at most once.
-Brackets of different families or branches in one scan interval share
-their midpoints, and the bisection carries the entries at both bracket
-ends, so the reported eigenvalues need no further solve.  A bracket is
-halved down to its target width or until its ends are adjacent floats.
+midpoint is a batch of one solved for the bracketed family only, and the
+bisection carries the entries at both bracket ends, so the reported
+eigenvalues need no further solve.  A bracket is halved down to its
+target width or until its ends are adjacent floats.
 """
 from __future__ import annotations
 
@@ -120,10 +113,9 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
 
 def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
     """Per ``(params, model._bind(params))`` of ``bound_sets``, its catalog
-    restricted to the rows ``families`` (a prefix of FAMILIES keeps the
-    full catalog's points of those families) as (equilibrium, Jacobian
-    rows, leading eigenvalue) triples, the last two None for unconfirmed
-    points.  All sets go through one batched solve, and the Jacobians at all
+    restricted to the rows ``families`` as (equilibrium, Jacobian rows,
+    leading eigenvalue) triples, the last two None for unconfirmed points.
+    All sets go through one batched solve, and the Jacobians at all
     confirmed points through one stacked eigenvalue call."""
     solved = [_catalog(eqs) for eqs in _find_batch(bound_sets, families)]
     Js = [
@@ -223,21 +215,21 @@ def run_bifurcate(
         )
     grid = [float(v) for v in np.linspace(lo, hi, scan_points)]
     width_target = bracket_rel_width * (hi - lo)
-    solved: dict[float, dict[str, list]] = {}
 
-    def solve(values: list[float], families=FAMILIES) -> None:
-        """Solve parameter values for the family prefix ``families`` in one
-        batch and keep, per value and solved family, each confirmed point
-        with its leading eigenvalue."""
+    def solve(values: list[float], families=FAMILIES) -> list[dict[str, list]]:
+        """Per parameter value, each confirmed point of each of ``families``
+        with its leading eigenvalue, from one batched solve."""
         params_list = [scenario.params.replace(**{parameter_name: v}) for v in values]
+        found = [{fam: [] for fam in families} for _ in values]
         catalogs = _solve([(params, _bind(params)) for params in params_list], families)
-        for v, catalog in zip(values, catalogs):
-            solved[v] = {fam: [] for fam in families}
+        for by_family, catalog in zip(found, catalogs):
             for eq, _, lead in catalog:
                 if lead is not None:
-                    solved[v][eq.family].append((eq.point.as_tuple(), lead))
+                    by_family[eq.family].append((eq.point.as_tuple(), lead))
+        return found
 
-    solve(list(dict.fromkeys(grid)))
+    values = list(dict.fromkeys(grid))
+    solved = dict(zip(values, solve(values)))
 
     brackets = []
     for family in FAMILIES:
@@ -250,21 +242,14 @@ def run_bifurcate(
                 if fa == 0.0 or fb == 0.0 or fa * fb > 0:
                     continue
                 brackets.append((family, a0, b0, start, upper))
-    # The brackets of one scan interval share their midpoints, so these are
-    # solved for the families up to the last one bracketed there (brackets
-    # come in family order); a midpoint is then solved once.
-    prefix = {a0: FAMILIES[:FAMILIES.index(family) + 1] for family, a0, *_ in brackets}
 
     results: list[BifurcationResult] = []
     for family, a, b, lower, upper in brackets:
-        families = prefix[a]
         while b - a > width_target:
             mid = 0.5 * (a + b)
             if mid == a or mid == b:
                 break  # the ends are adjacent floats
-            if mid not in solved:
-                solve([mid], families)
-            entry = _nearest(solved[mid][family], lower[0])
+            entry = _nearest(solve([mid], (family,))[0][family], lower[0])
             if entry is None:
                 break
             if lower[1].real * entry[1].real <= 0:

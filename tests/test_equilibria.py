@@ -290,14 +290,18 @@ class TestFindAll:
             for eq in find_all(pm):
                 assert eq.point.E == e_star
 
-    def test_cross_family_dedup(self, base_params):
-        """A tumor-free point with N below the dedup tolerance collapses
-        onto the dead type-1 point and is reported once."""
+    def test_no_cross_family_dedup(self, base_params):
+        """A tumor-free point with N = 1e-9 lies within the dedup tolerance
+        of the dead type-1 point, but N = 0 sets the families apart, so
+        both are reported."""
         pm = base_params.replace(k=1.0, p_M=0.05)
         pm = pm.replace(a1=pm.b1 * 1e-9)
         catalog = find_all(pm)
-        boundary = [eq for eq in catalog if abs(eq.point.N) < 1e-6 and eq.point.T == 0.0]
-        assert len(boundary) == 1
+        assert [(eq.family, eq.point.N, eq.point.T) for eq in catalog] == [
+            ("tumor_free", 1e-9, 0.0),
+            ("dead1", 0.0, 0.0),
+        ]
+        assert all(eq.confirmed for eq in catalog)
 
     def test_sorted_by_family_then_tumor(self):
         from bcdyn.equilibria import FAMILIES
@@ -326,6 +330,59 @@ class TestFindAll:
         for pm in cases:
             with pytest.raises(NumericsError, match="^dead2 polynomial in T overflows$"):
                 find_all(pm)
+
+
+def zero_pattern(point: SystemState) -> str:
+    """The family that the zeros of N and T name."""
+    if point.T == 0.0:
+        return "dead1" if point.N == 0.0 else "tumor_free"
+    return "dead2" if point.N == 0.0 else "coexisting"
+
+
+class TestFamiliesAreDisjoint:
+    """A family is set by which of N and T vanish, so no point is in two
+    families and find_all reports every family's points."""
+
+    @pytest.mark.parametrize(
+        "count, k, change",
+        [(1500, None, {}), (500, 1.0, {}), (500, None, {"epsilon": 0.0}), (500, None, {"g1": 0.0})],
+        ids=["draws", "k=1", "epsilon=0", "g1=0"],
+    )
+    def test_zeros_name_the_family(self, count, k, change):
+        rng = np.random.default_rng(0)
+        for _ in range(count):
+            for eq in find_all(draw_params(rng, k=k).replace(**change)):
+                assert eq.point.N >= 0.0 and eq.point.T >= 0.0
+                assert zero_pattern(eq.point) == eq.family
+
+    def test_huge_tumor_competition_keeps_the_stable_coexisting_point(self, base_params):
+        """At b2 = 1e30 an unconfirmed tumor-free candidate lies within the
+        dedup tolerance of a confirmed coexisting point with T ~ 8e-17,
+        which is the stable point of the catalog."""
+        pm = base_params.replace(b2=1e30)
+        catalog = find_all(pm)
+        assert [(eq.family, eq.confirmed) for eq in catalog] == [
+            ("tumor_free", False), ("dead1", True), ("coexisting", True),
+        ]
+        coexisting = catalog[-1]
+        assert 0.0 < coexisting.point.T < 1e-15
+        assert classify(coexisting, pm).verdict == "stable"
+
+    def test_huge_normal_competition_keeps_dead1(self, base_params):
+        """At b1 = 1e30 the tumor-free point has N ~ 7e-31, next to dead1."""
+        pm = base_params.replace(b1=1e30)
+        assert [(eq.family, eq.confirmed) for eq in find_all(pm)] == [
+            ("tumor_free", True), ("dead1", True),
+        ]
+
+    def test_feed_balanced_growth_keeps_every_family(self, base_params):
+        """With a1 just above the tumor-free feed, the tumor-free and
+        coexisting points have N ~ 8e-12, next to dead1."""
+        pm = base_params
+        pm = pm.replace(a1=pm.l1 * estrogen_level(pm) * (1.0 - pm.k) * (1.0 + 1e-9))
+        catalog = find_all(pm)
+        assert [eq.family for eq in catalog] == ["tumor_free", "dead1", "coexisting"]
+        assert all(eq.confirmed for eq in catalog)
 
 
 class TestPolishFastPath:

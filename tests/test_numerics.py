@@ -170,6 +170,22 @@ class TestRouthHurwitz:
     def test_negative_leading_normalized(self):
         assert routh_hurwitz((-1.0, -3.0, -2.0)).verdict == "stable"
 
+    def test_small_coefficient_beside_a_huge_one(self):
+        """a1 ~ 10^u and a2 ~ 10^-u with u in [200, 300], the rest of order
+        1: D2 = a1 a2 - a0 a3 and D3 = a3 D2 are of order 1.  Scaling every
+        coefficient by the largest pushes a2 below the float range, where it
+        is lost; the minors must still match the exact ones."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            u = rng.uniform(200.0, 300.0)
+            c = rng.uniform(0.5, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
+            p = (c[0], c[1] * 10.0**u, c[2] * 10.0**-u, c[3])[: int(rng.integers(3, 5))]
+            minors = routh_hurwitz(p).minors
+            for mi, ex in zip(minors, hurwitz_minors_exact(p), strict=True):
+                assert sign_class(mi) == sign_class(ex)
+                assert abs(Fraction(mi) - ex) <= 1e-9 * abs(ex)
+        assert routh_hurwitz((1.0, 1e300, 1e-300)).verdict == "stable"
+
     def test_marginal_inconclusive(self):
         # lambda^2 + 1: pure imaginary pair, first minor exactly 0.
         assert routh_hurwitz((1.0, 0.0, 1.0)).verdict == "inconclusive"

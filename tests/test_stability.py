@@ -1,4 +1,5 @@
 """Stability classification: spectra, verdict concordance and reports."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -159,6 +160,12 @@ class TestVerdicts:
                     families[classify(eq, pm).equilibrium.family] += 1
         assert families == {"dead2": 131, "coexisting": 263}
 
+    def test_refuses_nan_residual(self, base_params):
+        """A NaN residual is not below the bound, so no verdict is given."""
+        eq = next(eq for eq in find_all(base_params) if eq.confirmed)
+        with pytest.raises(DomainError, match="residual nan, not below 1e-8"):
+            classify(dataclasses.replace(eq, residual=math.nan), base_params)
+
     def test_refuses_unconfirmed_point(self, base_params):
         cands = tumor_free(base_params)
         bad = [eq for eq in cands if not eq.confirmed]
@@ -217,6 +224,19 @@ class TestTheoremChecks:
                 )
                 assert tr.hex() == float(np.trace(block)).hex()
                 assert type(checks[f"derived_{name}_trace_neg"].holds) is bool
+
+    def test_block_determinant_beside_a_huge_entry(self):
+        """A block (2, 1e300; 1e-300, 1) has determinant 2 - 1e300 * 1e-300,
+        about 1.  Scaled by its largest entry, the 1e-300 was lost below
+        the float range."""
+        J = np.eye(5)
+        J[np.ix_((0, 1), (0, 1))] = [[2.0, 1e300], [1e-300, 1.0]]
+        J[np.ix_((2, 4), (2, 4))] = [[1.0, 1e-300], [1e300, 3.0]]
+        checks = _block_conditions(J)
+        for name in ("nt", "im"):
+            det = checks[f"derived_{name}_det_pos"]
+            assert det.lhs == pytest.approx(2.0 if name == "im" else 1.0, rel=1e-15)
+            assert det.holds
 
     def test_dead2_derived_invasion_reads_the_j00_eigenvalue(self):
         """At a dead2 point N = 0, so the N row of the Jacobian is

@@ -394,17 +394,28 @@ class TestBifurcate:
         return results, requests, grid
 
     def test_one_solve_per_parameter_value(self, monkeypatch):
-        """Each value is solved once: the grid for all families, a midpoint
-        for the prefix up to the last family bracketed in its scan interval.
-        The default scenario over [0.05, 5] brackets dead2 and coexisting in
-        one interval, whose shared midpoints are solved for all four."""
+        """Each grid value is solved once for all families, and a midpoint
+        once per bracket that reaches it, for that bracket's family only.
+        The default scenario over [0.05, 5] brackets dead2 and coexisting
+        in one interval around their shared crossing, so every midpoint is
+        solved for dead2, then for coexisting."""
         results, requests, grid = self.record_solves(
             monkeypatch, default_scenario(), 0.05, 5.0, 64
         )
         assert {res.equilibrium_family for res in results} == {"dead2", "coexisting"}
-        assert set(grid) <= set(requests)
-        assert len(requests) > len(grid)
-        assert all(asked == [FAMILIES] for asked in requests.values())
+        assert all(requests[v] == [FAMILIES] for v in grid)
+        midpoints = [asked for v, asked in requests.items() if v not in grid]
+        assert midpoints
+        assert all(asked == [("dead2",), ("coexisting",)] for asked in midpoints)
+
+    def test_coexisting_crossing_is_the_dead2_transcritical(self):
+        """The coexisting branch leaves through N = 0 onto dead2 and the two
+        exchange stability there: their brackets coincide."""
+        results = run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=64)
+        assert [res.equilibrium_family for res in results] == ["coexisting", "dead2"]
+        coexisting, dead2 = results
+        assert coexisting.bracketing_interval == dead2.bracketing_interval
+        assert coexisting.critical_value == dead2.critical_value == 1.805299813406808
 
     def test_planted_midpoints_solve_tumor_free_only(self, monkeypatch):
         pm, d_star, lo, hi = self.planted_instance()
@@ -511,34 +522,32 @@ class TestLeadingEigenvalue:
         assert self.bits(got) == self.bits(self.reference(w))
 
 
-class TestFamilyPrefix:
-    """A bisection midpoint is solved for a prefix of FAMILIES only.  The
-    cross-family dedup keeps a family's points by the families before it,
-    so a prefix gives each of its families the full catalog's points."""
+class TestSingleRow:
+    """A bisection midpoint is solved for its bracket's family only.  Each
+    row admits only its family's zeros of N and T, so one row gives that
+    family's points of the full catalog, bit for bit."""
 
-    def assert_prefix_exact(self, params):
+    def assert_row_exact(self, params):
         full = find_all(params)
-        for i in range(len(FAMILIES)):
-            prefix = _catalog(_find_batch([(params, _bind(params))], FAMILIES[:i + 1])[0])
-            want = [eq for eq in full if FAMILIES.index(eq.family) <= i]
-            assert [repr((eq.family, eq.point, eq.residual)) for eq in prefix] == [
+        for family in FAMILIES:
+            row = _catalog(_find_batch([(params, _bind(params))], (family,))[0])
+            want = [eq for eq in full if eq.family == family]
+            assert [repr((eq.family, eq.point, eq.residual)) for eq in row] == [
                 repr((eq.family, eq.point, eq.residual)) for eq in want
             ]
 
-    def test_prefix_catalog_is_the_catalog_slice(self):
+    def test_row_is_the_catalog_slice(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            self.assert_prefix_exact(draw_params(rng))
+            self.assert_row_exact(draw_params(rng))
 
-    def test_shadowed_point_needs_the_families_before_it(self, base_params):
-        """With a1 just above the tumor-free feed, a tumor-free point with
-        N ~ 8e-12 shadows the dead1 point: the catalog drops dead1, a prefix
-        drops it too, and a dead1-only solve keeps it."""
+    def test_feed_balanced_growth(self, base_params):
+        """With a1 just above the tumor-free feed, the tumor-free and
+        coexisting points have N ~ 8e-12, next to dead1; each row keeps its
+        point."""
         pm = base_params
         pm = pm.replace(a1=pm.l1 * estrogen_level(pm) * (1.0 - pm.k) * (1.0 + 1e-9))
-        self.assert_prefix_exact(pm)
-        assert [eq.family for eq in find_all(pm)] == ["tumor_free"]
-        assert [eq.family for eq in _find_batch([(pm, _bind(pm))], ("dead1",))[0]] == ["dead1"]
+        self.assert_row_exact(pm)
 
 
 def scan_instances(seed, count):
@@ -569,13 +578,16 @@ def bifurcation_sha256(results):
 
 
 class TestBifurcationGolden:
-    """sha256 of bifurcation_to_json, pinned before midpoints were solved
-    for a family prefix instead of the full catalog."""
+    """sha256 of bifurcation_to_json.  The planted and scan pins predate
+    solving a midpoint for fewer than all families.  The default scenario's
+    pin moved when the catalog stopped deduplicating across families: its
+    coexisting crossing is now the dead2 one (see
+    TestBifurcate.test_coexisting_crossing_is_the_dead2_transcritical)."""
 
     def test_default_scenario_dead2_and_coexisting(self):
         results = run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=64)
         assert bifurcation_sha256(results) == (
-            "bca28c8aeeacdc873da7e75fc630ceb1dca425d292081b899498542e8f8dcbb1"
+            "d98186d97ddfc0dc4829200233ca4c94b623a88918a73f5c7eb42a832d9ff643"
         )
 
     def test_planted_instance(self):
