@@ -53,7 +53,7 @@ from .model import (
     SystemState,
     _bind,
 )
-from .numerics import MAX_DEGREE, NewtonError, NumericsError
+from .numerics import MAX_DEGREE, NewtonError, NumericsError, _eigvals
 
 # perfbench/tracer.py counts calls by wrapping these names on this module,
 # so they stay importable here; the finders evaluate the closures of
@@ -247,19 +247,22 @@ def _snap(vals) -> SystemState:
 _COMPANIONS = {size: np.diag(np.ones(size - 2), -1) for size in range(2, MAX_DEGREE + 2)}
 
 
-def _positive_roots_each(polys) -> list[list[float]]:
+def _positive_roots_each(polys, names) -> list[list[float]]:
     """Positive roots of each real polynomial of ``polys`` (sequences of
     finite floats, degree at most MAX_DEGREE) from its companion-matrix
     eigenvalues, laid out as ``np.roots`` lays them out.  The companions of
-    one size go through one stacked LAPACK call.  A root whose imaginary
-    part is below NEAR_REAL_TOL of its modulus is the rounded image of a
+    one size go through one stacked LAPACK ``dgeev`` call
+    (:func:`~bcdyn.numerics._eigvals`).  A root whose imaginary part is
+    below NEAR_REAL_TOL of its modulus is the rounded image of a
     (near-)double real root and is taken as real; the polish decides
-    whether it is an equilibrium."""
+    whether it is an equilibrium.  A finite polynomial whose companion row
+    overflows when divided by its leading coefficient raises
+    :class:`NumericsError` naming its entry of ``names``."""
     if not polys:
         return []
     found: list[list[float]] = [[] for _ in polys]
     by_size: dict[int, list[tuple[int, bool, list[float]]]] = {}
-    for i, coeffs in enumerate(polys):
+    for i, (name, coeffs) in enumerate(zip(names, polys)):
         # Trailing zeros are roots at T = 0, never positive.
         nonzero = [k for k, c in enumerate(coeffs) if c != 0.0]
         if len(nonzero) < 2:
@@ -272,18 +275,22 @@ def _positive_roots_each(polys) -> list[list[float]]:
         if flip:
             coeffs.reverse()
         top = [-c / coeffs[0] for c in coeffs[1:]]
+        if not all(map(math.isfinite, top)):
+            raise NumericsError(f"{name} polynomial in T overflows its companion matrix")
         by_size.setdefault(len(coeffs), []).append((i, flip, top))
     for size, group in by_size.items():
         stack = np.array([_COMPANIONS[size]] * len(group))
         stack[:, 0, :] = [top for _, _, top in group]
-        for (i, flip, _), roots in zip(group, np.linalg.eigvals(stack)):
+        for (i, flip, _), roots in zip(group, _eigvals(stack)):
             if flip:
+                # numpy's division gives a zero root an infinite inverse,
+                # where a Python complex division would raise.
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    roots = 1.0 / roots
+                    roots = (1.0 / np.array(roots)).tolist()
             found[i] = sorted(
                 {
                     z.real
-                    for z in roots.tolist()
+                    for z in roots
                     if 0 < z.real < math.inf and abs(z.imag) <= NEAR_REAL_TOL * abs(z)
                 }
             )
@@ -498,7 +505,8 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
                 raise NumericsError(f"{family} polynomial in T overflows")
             rooted.append((i, j, P, Q))
             polys.append(poly)
-    for (i, j, P, Q), roots in zip(rooted, _positive_roots_each(polys)):
+    names = [rows[j][0] for _, j, _, _ in rooted]
+    for (i, j, P, Q), roots in zip(rooted, _positive_roots_each(polys, names)):
         params, _, _, R, S, U = sets[i]
         if params.g1 == 0:
             seeds[i][j] = [(T, I) for T in roots for I in _immune_roots(params, R, S, U, T)]

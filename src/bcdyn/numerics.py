@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "NumericsError",
@@ -93,6 +94,28 @@ def _leading(roots) -> complex:
         ):
             lead = z
     return complex(lead)
+
+
+def _nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigvals(a) -> list:
+    """Eigenvalues of the real square matrix ``a``, or of each matrix of a
+    stack, as (nested) lists of complex numbers: the bits of
+    ``np.linalg.eigvals(a).astype(complex).tolist()``.
+
+    The LAPACK ``dgeev`` gufunc that ``np.linalg.eigvals`` calls is called
+    directly, without that wrapper's per-call type dispatch, cast to real
+    and finiteness scan, which cost more than ``dgeev`` itself on a 5x5
+    matrix.  Non-convergence still raises ``LinAlgError``, under the
+    wrapper's error state.  Each caller checks that ``a`` is finite, on
+    the Python floats it builds ``a`` from: given an inf or NaN entry,
+    ``dgeev`` returns NaNs, or values that ignore the entry, and no error."""
+    with np.errstate(
+        call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return _umath_linalg.eigvals(a, signature="d->D").tolist()
 
 
 def _coefficients(coeffs, max_degree: int) -> tuple[float, ...]:

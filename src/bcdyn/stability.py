@@ -3,7 +3,8 @@
 Three verdicts are computed and compared:
 
 * eigenvalues of the analytic Jacobian (authoritative), straight from
-  LAPACK (``np.linalg.eigvals``),
+  LAPACK's ``dgeev`` (:func:`~bcdyn.numerics._eigvals`, the kernel of
+  ``np.linalg.eigvals`` without its per-call wrapper),
 * Routh-Hurwitz minors of its characteristic polynomial, kept in the
   report as a tuple of coefficients in descending degree
   (``char_coeffs``).  The polynomial comes from the Jacobian's structure
@@ -17,8 +18,9 @@ Three verdicts are computed and compared:
 
 The first two share only the Jacobian: an error in the polynomial moves
 the Hurwitz verdict alone and shows as an eigen/Hurwitz disagreement,
-while an error in the Jacobian reaches both.  ``eigvals`` is the one
-LAPACK call of :func:`classify`.  The minors and the 2x2 block
+while an error in the Jacobian reaches both.  ``dgeev`` is the one
+LAPACK call of :func:`classify`; :func:`char_poly` refuses a non-finite
+Jacobian before it.  The minors and the 2x2 block
 determinants are plain-float closed forms on entries scaled by a power
 of two.  Against exact rational elimination each minor keeps its sign
 class and lies within 1e-9 relative of the exact one, and each block
@@ -65,6 +67,7 @@ from .numerics import (
     HurwitzVerdict,
     NumericsError,
     RootSet,
+    _eigvals,
     _homogeneous,
     _root_set,
     routh_hurwitz,
@@ -276,7 +279,7 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
         )
     J = jacobian(eq.point, params)
     cp = char_poly(J)
-    eig = _root_set(np.linalg.eigvals(J).tolist())
+    eig = _root_set(_eigvals(J))
     hv = routh_hurwitz(cp)
     verdict = _eig_verdict(eig.max_real)
 

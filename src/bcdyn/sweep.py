@@ -9,6 +9,9 @@ from the entries of the same Jacobians, with the same bits as
 :func:`classify` gives them (no branch continuation).
 Of each spectrum only the leading eigenvalue is kept, the one
 :func:`classify`'s sorted spectrum leads with; no spectrum is sorted.
+The stacked spectrum is one call of LAPACK's ``dgeev``
+(:func:`~bcdyn.numerics._eigvals`), so the Jacobian entries are checked
+finite before it, where ``np.linalg.eigvals`` would have checked them.
 
 The bifurcation scanner brackets sign changes of the leading eigenvalue
 real part per family and bisects each bracket.  It solves its scan grid
@@ -21,6 +24,7 @@ target width or until its ends are adjacent floats.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +40,7 @@ from .model import (
     _check_count,
     _violation,
 )
-from .numerics import _leading
+from .numerics import NumericsError, _eigvals, _leading
 from .scenario import Scenario
 from .stability import _eig_verdict, _repro
 
@@ -116,7 +120,8 @@ def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
     restricted to the rows ``families`` as (equilibrium, Jacobian rows,
     leading eigenvalue) triples, the last two None for unconfirmed points.
     All sets go through one batched solve, and the Jacobians at all
-    confirmed points through one stacked eigenvalue call."""
+    confirmed points through one stacked eigenvalue call, which refuses a
+    non-finite entry with a :class:`NumericsError`."""
     solved = [_catalog(eqs) for eqs in _find_batch(bound_sets, families)]
     Js = [
         jac(*eq.point.as_tuple())
@@ -124,7 +129,10 @@ def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
         for eq in catalog
         if eq.confirmed
     ]
-    leads = map(_leading, np.linalg.eigvals(np.array(Js)).tolist()) if Js else ()
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(Js))
+    if not all(map(math.isfinite, entries)):
+        raise NumericsError("non-finite Jacobian entry")
+    leads = map(_leading, _eigvals(np.array(Js))) if Js else ()
     found = zip(Js, leads)
     return [
         [(eq, *next(found)) if eq.confirmed else (eq, None, None) for eq in catalog]

@@ -197,6 +197,21 @@ class TestEquilibria:
         err = capsys.readouterr().err
         assert err == "numeric failure: dead2 polynomial in T overflows\n"
 
+    # numpy's LinAlgError escaped as a traceback with exit code 1.
+    @pytest.mark.parametrize("command", ["equilibria", "stability", "sweep"])
+    def test_overflowing_companion_exit_3(
+        self, tmp_path, capsys, base_scenario_doc, write_scenario, command
+    ):
+        base_scenario_doc["params"]["d"] = 1e154
+        path = write_scenario(base_scenario_doc)
+        out = tmp_path / "out"
+        extra = ["--parameter", "k", "--min", "0.1", "--max", "0.9"] if command == "sweep" else []
+        assert run([command, "--scenario", str(path), "--out", str(out), *extra]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numeric failure: coexisting polynomial in T overflows its companion matrix\n"
+        )
+
 
 class TestStability:
     def test_summary_rows(self, tmp_path):

@@ -213,7 +213,7 @@ class TestEliminationRegressions:
         polys = [np.poly(roots).real.tolist() for roots in (small, large, cubic)]
         assert abs(polys[0][0]) >= abs(polys[0][-1])
         assert abs(polys[1][0]) < abs(polys[1][-1])
-        got = _positive_roots_each(polys)
+        got = _positive_roots_each(polys, ["small", "large", "cubic"])
         for found, want in zip(got, ([0.25, 0.5], [3.0, 7.0], [0.5, 1.5])):
             assert found == pytest.approx(want, rel=1e-10)
 
@@ -221,7 +221,9 @@ class TestEliminationRegressions:
         from bcdyn.equilibria import _positive_roots_each
 
         double = np.convolve([1.0, -2.0], [1.0, -2.0])
-        split, none = _positive_roots_each([double + [0.0, 0.0, 1e-16], double + [0.0, 0.0, 1e-4]])
+        split, none = _positive_roots_each(
+            [double + [0.0, 0.0, 1e-16], double + [0.0, 0.0, 1e-4]], ["split", "none"]
+        )
         assert split == [pytest.approx(2.0, rel=1e-7)]
         assert none == []
 
@@ -330,6 +332,16 @@ class TestFindAll:
         for pm in cases:
             with pytest.raises(NumericsError, match="^dead2 polynomial in T overflows$"):
                 find_all(pm)
+
+    @pytest.mark.parametrize("name", ["a2", "d", "g1", "m_d"])
+    def test_overflowing_companion_raises_numerics_error(self, base_params, name):
+        """At 1e154 the coexisting octic is finite, but dividing it by its
+        leading coefficient overflows the companion row; numpy's LinAlgError
+        used to escape from the eigenvalue call."""
+        pm = base_params.replace(**{name: 1e154})
+        message = "^coexisting polynomial in T overflows its companion matrix$"
+        with pytest.raises(NumericsError, match=message):
+            find_all(pm)
 
 
 def zero_pattern(point: SystemState) -> str:

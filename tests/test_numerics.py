@@ -8,10 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bcdyn.equilibria
+from bcdyn import find_all, jacobian
 from bcdyn.numerics import (
     MARGINAL_MINOR,
     NewtonError,
     NumericsError,
+    _eigvals,
     _root_key,
     _root_set,
     newton_solve,
@@ -19,6 +22,7 @@ from bcdyn.numerics import (
     routh_hurwitz,
 )
 from bcdyn.stability import char_poly
+from bcdyn.validation import draw_params
 
 from conftest import corpus_jacobians, exact_det
 
@@ -126,6 +130,70 @@ class TestCoefficients:
     def test_rejects(self, solve, coeffs, message):
         with pytest.raises(NumericsError, match=message):
             solve(coeffs)
+
+
+def bits(values) -> list[tuple[str, str]]:
+    """Each complex value as the hex of its parts, which tells -0.0 from 0.0."""
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+@pytest.fixture(scope="module")
+def eigen_inputs():
+    """The matrices the library hands _eigvals on 1,500 draws of seed 0:
+    the Jacobians at every confirmed point, and each companion stack
+    equilibria._positive_roots_each builds."""
+    stacks, jacs = [], []
+    real = bcdyn.equilibria._eigvals
+
+    def recorded(a):
+        stacks.append(np.array(a))
+        return real(a)
+
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bcdyn.equilibria, "_eigvals", recorded)
+        for _ in range(1500):
+            pm = draw_params(rng)
+            jacs += [jacobian(eq.point, pm) for eq in find_all(pm) if eq.confirmed]
+    return jacs, stacks
+
+
+class TestEigvals:
+    """_eigvals calls LAPACK's dgeev as np.linalg.eigvals does and gives its
+    bits, cast to complex, sign of zero included."""
+
+    @staticmethod
+    def assert_identical(a):
+        want = np.linalg.eigvals(a).astype(complex).ravel().tolist()
+        got = _eigvals(a)
+        if np.ndim(a) == 3:
+            got = [z for spectrum in got for z in spectrum]
+        assert bits(got) == bits(want)
+
+    def test_jacobians(self, eigen_inputs):
+        jacs, _ = eigen_inputs
+        assert len(jacs) > 3000
+        for J in jacs:
+            self.assert_identical(J)
+        # As sweep._solve stacks them.
+        self.assert_identical(np.array(jacs))
+
+    def test_companion_stacks(self, eigen_inputs):
+        _, stacks = eigen_inputs
+        # The dead2 quartics and the coexisting octics.
+        assert len(stacks) > 2000
+        assert {a.shape[1] for a in stacks} == {4, 8}
+        for stack in stacks:
+            self.assert_identical(stack)
+
+    def test_real_spectrum_has_positive_zero_imaginary_parts(self):
+        """np.linalg.eigvals returns a real array here, so its complex cast
+        has +0.0 imaginary parts; dgeev's own imaginary parts match them."""
+        a = np.array([[2.0, 1.0, 0.5], [1.0, -3.0, 0.25], [0.5, 0.25, 1.0]])
+        assert np.linalg.eigvals(a).dtype == np.float64
+        got = _eigvals(a)
+        assert all(z.imag == 0.0 and math.copysign(1.0, z.imag) == 1.0 for z in got)
+        self.assert_identical(a)
 
 
 class TestPolyRoots:

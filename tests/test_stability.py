@@ -126,16 +126,19 @@ class TestVerdicts:
         assert wrong.agreement["eigen_hurwitz"] is False
 
     def test_one_eigvals_and_at_most_two_det_calls(self, monkeypatch):
-        """classify makes one LAPACK call, eigvals, and no det call."""
+        """classify makes one LAPACK call, the eigenvalue kernel behind
+        numerics._eigvals, and no det call."""
         counts = {"eigvals": 0, "det": 0}
-        for name in counts:
-            original = getattr(np.linalg, name)
+        for name, module, attr in (
+            ("eigvals", bcdyn.stability, "_eigvals"), ("det", np.linalg, "det")
+        ):
+            original = getattr(module, attr)
 
             def counted(a, name=name, original=original):
                 counts[name] += 1
                 return original(a)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, attr, counted)
         families = set()
         for seed in range(16):
             pm = random_params(seed, k=1.0 if seed % 4 == 3 else None)

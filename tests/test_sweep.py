@@ -268,14 +268,21 @@ class TestBatchedSweep:
         assert validated == []
 
     def test_stacked_eigenvalue_calls_do_not_grow_with_the_grid(self, monkeypatch):
+        """Counted at numerics._eigvals, the one eigenvalue call of the
+        companion stacks and of the stacked Jacobians."""
+        import bcdyn.equilibria
+        import bcdyn.numerics
+        import bcdyn.sweep
+
         counts = []
-        eigvals = np.linalg.eigvals
+        eigvals = bcdyn.numerics._eigvals
 
         def counted(a):
             counts[-1] += 1
             return eigvals(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for module in (bcdyn.equilibria, bcdyn.sweep):
+            monkeypatch.setattr(module, "_eigvals", counted)
         for count in (8, 32):
             counts.append(0)
             run_sweep(default_scenario(), SweepSpec("d", build_grid(0.5, 1.5, count)))
@@ -285,6 +292,32 @@ class TestBatchedSweep:
         spec = SweepSpec("d", (1.0, 1e200))
         with pytest.raises(NumericsError, match="^dead2 polynomial in T overflows$"):
             run_sweep(default_scenario(), spec)
+
+    def test_overflowing_companion_raises_numerics_error(self):
+        """At d = 1e154 the coexisting octic is finite but its monic
+        companion row is not; numpy's LinAlgError used to escape."""
+        spec = SweepSpec("d", (1.0, 1e154))
+        message = "^coexisting polynomial in T overflows its companion matrix$"
+        with pytest.raises(NumericsError, match=message):
+            run_sweep(default_scenario(), spec)
+
+    def test_non_finite_jacobian_raises_numerics_error(self):
+        """An infinite entry is refused before the stacked eigenvalue call,
+        where numpy's wrapper used to raise LinAlgError.  The entry is the
+        E diagonal, which no polish reads, so the points stay confirmed."""
+        import bcdyn.sweep
+
+        params = default_scenario().params
+        f, jac = _bind(params)
+
+        def overflowing(*state):
+            rows = [list(row) for row in jac(*state)]
+            rows[3][3] = -math.inf
+            return rows
+
+        assert any(eq.confirmed for eq in find_all(params))
+        with pytest.raises(NumericsError, match="^non-finite Jacobian entry$"):
+            bcdyn.sweep._solve([(params, (f, overflowing))])
 
     def test_invalid_grid_point_names_the_point(self):
         with pytest.raises(DomainError) as exc:
