@@ -40,7 +40,6 @@ from .numerics import (
     HurwitzVerdict,
     NewtonError,
     NumericsError,
-    RootSet,
     newton_solve,
     poly_roots,
     routh_hurwitz,
@@ -65,7 +64,6 @@ __all__ = [
     "residual_norm",
     "jacobian",
     "reproduction_numbers",
-    "RootSet",
     "HurwitzVerdict",
     "NumericsError",
     "NewtonError",

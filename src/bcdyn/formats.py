@@ -94,7 +94,7 @@ def report_to_json(report: StabilityReport) -> str:
         "verdict": report.verdict,
         "max_real_eigenvalue": report.max_real,
         "char_coeffs": report.char_coeffs,
-        "eigenvalues": [{"re": z.real, "im": z.imag} for z in report.eigenvalues.roots],
+        "eigenvalues": [{"re": z.real, "im": z.imag} for z in report.eigenvalues],
         "hurwitz": {
             "minors": report.hurwitz.minors,
             "all_positive": report.hurwitz.all_positive,

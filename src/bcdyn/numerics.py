@@ -3,7 +3,9 @@
 Everything here is sized for the 5-compartment model: polynomials of degree
 at most 8, 5x5 matrices, nonlinear systems in at most 5 unknowns.  A
 polynomial is a plain sequence of real coefficients in descending degree.
-All functions are pure and deterministic.
+A spectrum (the roots of a polynomial or the eigenvalues of a matrix) is a
+plain tuple of complex numbers sorted by (real, imaginary) part.  All
+functions are pure and deterministic.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 __all__ = [
     "NumericsError",
     "NewtonError",
-    "RootSet",
     "HurwitzVerdict",
     "poly_roots",
     "routh_hurwitz",
@@ -47,50 +48,19 @@ class NewtonError(NumericsError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """All complex roots of a polynomial or eigenvalues of a matrix."""
-
-    roots: tuple[complex, ...]
-
-    @property
-    def max_real(self) -> float:
-        return max(z.real for z in self.roots)
-
-
-def _root_key(z: complex) -> tuple[float, float]:
-    """The spectrum order: real part, then imaginary part, each rounded to
-    12 digits."""
-    return round(z.real, 12), round(z.imag, 12)
-
-
-def _root_set(roots) -> RootSet:
-    """``roots`` as complex numbers sorted by :func:`_root_key`.
-
-    ``round`` is monotone, so where every two neighbours in plain (real,
-    imaginary) order have real parts at least 2e-12 apart, or equal real
-    parts and imaginary parts at least 2e-12 apart, their rounded keys
-    differ the same way and the plain order is the key order.  Only
-    closer neighbours, whose rounded keys may tie, take the ``round`` sort
-    of ``roots`` as given, so ties keep their input order."""
-    zs = list(map(complex, roots))
-    ordered = sorted(zs, key=lambda z: (z.real, z.imag))
-    for z, w in zip(ordered, ordered[1:]):
-        gap = w.real - z.real
-        if gap < 2e-12 and (gap != 0.0 or w.imag - z.imag < 2e-12):
-            ordered = sorted(zs, key=_root_key)
-            break
-    return RootSet(roots=tuple(ordered))
+def _root_set(roots) -> tuple[complex, ...]:
+    """``roots`` as a spectrum: complex numbers in the stable sort by
+    (real, imaginary) part, so exact ties keep their input order."""
+    return tuple(sorted(map(complex, roots), key=lambda z: (z.real, z.imag)))
 
 
 def _leading(roots) -> complex:
-    """The root that ``max(_root_set(roots).roots, key=real)`` picks,
-    without sorting: the largest real part, an exact tie broken by
-    :func:`_root_key`, then by the order of ``roots``."""
+    """The root that ``max(_root_set(roots), key=real)`` picks, without
+    sorting: the first of largest real part in spectrum order."""
     lead = None
     for z in roots:
         if lead is None or z.real > lead.real or (
-            z.real == lead.real and _root_key(z) < _root_key(lead)
+            z.real == lead.real and z.imag < lead.imag
         ):
             lead = z
     return complex(lead)
@@ -132,11 +102,11 @@ def _coefficients(coeffs, max_degree: int) -> tuple[float, ...]:
     return a
 
 
-def poly_roots(coeffs) -> RootSet:
+def poly_roots(coeffs) -> tuple[complex, ...]:
     """All complex roots of the polynomial with coefficients ``coeffs``
     (descending degree, 1..MAX_DEGREE) as the eigenvalues of its companion
-    matrix (``np.roots``; Edelman & Murakami 1995).  Trailing zero
-    coefficients give exact zero roots."""
+    matrix (``np.roots``; Edelman & Murakami 1995), as a spectrum.
+    Trailing zero coefficients give exact zero roots."""
     return _root_set(np.roots(_coefficients(coeffs, MAX_DEGREE)))
 
 

@@ -108,11 +108,11 @@ def parse_scenario(doc: dict) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # also too long an integer or too deep a nesting
         raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
     return parse_scenario(doc)
 

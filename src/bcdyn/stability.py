@@ -66,7 +66,6 @@ from .numerics import (
     MARGINAL_RE,
     HurwitzVerdict,
     NumericsError,
-    RootSet,
     _eigvals,
     _homogeneous,
     _root_set,
@@ -99,7 +98,7 @@ class StabilityReport:
     equilibrium: Equilibrium
     jacobian: np.ndarray
     char_coeffs: tuple[float, ...]
-    eigenvalues: RootSet
+    eigenvalues: tuple[complex, ...]
     hurwitz: HurwitzVerdict
     verdict: str
     repro: ReproductionNumbers | None
@@ -108,7 +107,7 @@ class StabilityReport:
 
     @property
     def max_real(self) -> float:
-        return self.eigenvalues.max_real
+        return max(z.real for z in self.eigenvalues)
 
 
 def char_poly(J: np.ndarray) -> tuple[float, ...]:
@@ -281,9 +280,9 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     cp = char_poly(J)
     eig = _root_set(_eigvals(J))
     hv = routh_hurwitz(cp)
-    verdict = _eig_verdict(eig.max_real)
+    verdict = _eig_verdict(max(z.real for z in eig))
 
-    theta_gap = min(abs(z - (-params.theta)) for z in eig.roots)
+    theta_gap = min(abs(z - (-params.theta)) for z in eig)
     repro, checks, claim = _RULES[eq.family](eq, params, J, hv)
 
     agreement: dict[str, bool | None] = {}

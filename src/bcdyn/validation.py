@@ -14,7 +14,7 @@ import numpy as np
 
 from .equilibria import drug_level, estrogen_level, find_all
 from .integrator import IntegrationConfig, integrate
-from .model import ModelParams, SystemState, jacobian, make_rhs
+from .model import DomainError, ModelParams, SystemState, jacobian, make_rhs
 from .numerics import poly_roots, routh_hurwitz
 from .stability import classify
 
@@ -131,7 +131,7 @@ def suite_vieta(seed: int, draws: int = 300) -> SuiteResult:
     worst = 0.0
     for _ in range(draws):
         p = _seeded_polynomial(rng)
-        roots = poly_roots(p).roots
+        roots = poly_roots(p)
         n = len(p) - 1
         sum_err = abs(sum(roots) - (-p[1] / p[0]))
         prod = 1.0 + 0.0j
@@ -151,7 +151,7 @@ def suite_hurwitz_roots(seed: int, draws: int = 500) -> SuiteResult:
     for _ in range(draws):
         p = _seeded_polynomial(rng)
         verdict = routh_hurwitz(p).verdict
-        max_re = poly_roots(p).max_real
+        max_re = max(z.real for z in poly_roots(p))
         if verdict == "inconclusive" or abs(max_re) < 1e-9:
             continue
         checked += 1
@@ -216,7 +216,7 @@ def suite_block_spectrum(seed: int, draws: int = 50) -> SuiteResult:
                 z for b in ((0, 1), (2, 4)) for z in np.linalg.eigvals(J[np.ix_(b, b)]).tolist()
             ]
             expected.append(complex(-params.theta))
-            gap = _spectrum_distance(list(rep.eigenvalues.roots), expected)
+            gap = _spectrum_distance(rep.eigenvalues, expected)
             worst = max(worst, gap)
             checked += 1
     return SuiteResult(
@@ -225,7 +225,7 @@ def suite_block_spectrum(seed: int, draws: int = 50) -> SuiteResult:
     )
 
 
-def _spectrum_distance(a: list[complex], b: list[complex]) -> float:
+def _spectrum_distance(a: tuple[complex, ...], b: list[complex]) -> float:
     """Greedy matching distance between two eigenvalue multisets."""
     b = list(b)
     worst = 0.0
@@ -339,6 +339,8 @@ _SUITES = (
 
 def run_validation(seed: int = 0) -> tuple[str, bool]:
     """Run every suite; returns (report text, all passed)."""
+    if seed < 0:
+        raise DomainError("seed must be a nonnegative integer")
     lines = [f"validation seed={seed}"]
     all_passed = True
     for suite in _SUITES:

@@ -193,12 +193,12 @@ def test_criterion_7_spectrum_structure(capsys, classified_200):
     t0_count = 0
     for pm, eq, rep in classified_200:
         worst_theta = max(
-            worst_theta, min(abs(z - (-pm.theta)) for z in rep.eigenvalues.roots)
+            worst_theta, min(abs(z - (-pm.theta)) for z in rep.eigenvalues)
         )
         if eq.point.T == 0.0:
             t0_count += 1
             expected = block_roots(rep.jacobian) + [complex(-pm.theta)]
-            for z in rep.eigenvalues.roots:
+            for z in rep.eigenvalues:
                 nearest = min(expected, key=lambda w: abs(w - z))
                 worst_union = max(worst_union, abs(nearest - z))
                 expected.remove(nearest)
@@ -227,7 +227,7 @@ def test_criterion_8_dual_path_stability(capsys, classified_200):
             coeffs[0] = rng.uniform(-2.0, 2.0)
         p = tuple(coeffs)
         hv = routh_hurwitz(p)
-        max_re = poly_roots(p).max_real
+        max_re = max(z.real for z in poly_roots(p))
         if hv.verdict == "inconclusive" or abs(max_re) < 1e-9:
             continue
         poly_checked += 1

@@ -176,6 +176,38 @@ class TestEquilibria:
         )
         assert not out.exists()
 
+    # A file that is not UTF-8 ended in UnicodeDecodeError, and nesting
+    # deeper than the parser's recursion limit in RecursionError, each a
+    # traceback with exit code 1.
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe\x00{\x00}\x00", b"[" * 10_000], ids=["utf16", "nested"]
+    )
+    def test_unreadable_scenario_exit_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        assert run(["equilibria", "--scenario", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    # With k = 1 and v_M = 0.3, I grows without bound: no equilibrium.
+    @pytest.mark.parametrize(
+        "command, header",
+        [
+            ("equilibria", "family,N,T,I,E,M,residual,confirmed,provenance"),
+            ("stability", "family,verdict,maxReLambda,R0,R1,R_IM,"
+             "eigen_hurwitz_agree,theorem_eigen_agree,theta_in_spectrum"),
+        ],
+    )
+    def test_empty_catalog_files(self, tmp_path, base_scenario_doc, write_scenario, command, header):
+        base_scenario_doc["params"].update(k=1.0, v_M=0.3)
+        base_scenario_doc["label"] = "empty"
+        path = write_scenario(base_scenario_doc)
+        assert run([command, "--scenario", path, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"empty_{command}.json").read_text(encoding="utf-8") == "[]\n"
+        assert (tmp_path / f"empty_{command}.csv").read_text(encoding="utf-8") == header + "\n"
+
     def test_invalid_params_exit_2(self, tmp_path, base_scenario_doc, write_scenario):
         base_scenario_doc["params"]["theta"] = 0.0
         path = write_scenario(base_scenario_doc)
@@ -489,6 +521,12 @@ class TestValidateCommand:
         second = capsys.readouterr().out
         assert first == second
         assert "result: all suites passed" in first
+
+    # numpy's "expected non-negative integer" escaped as a traceback with
+    # exit code 1.
+    def test_negative_seed_exit_2(self, capsys):
+        assert run(["validate", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
 
 
 class TestDeterminism:

@@ -15,7 +15,6 @@ from bcdyn.numerics import (
     NewtonError,
     NumericsError,
     _eigvals,
-    _root_key,
     _root_set,
     newton_solve,
     poly_roots,
@@ -75,11 +74,11 @@ class TestExactReference:
 
 
 def adversarial_spectra(count: int = 4000) -> list[list[complex]]:
-    """Five-root spectra, in shuffled order, whose neighbours the 12-digit
-    rounding can tie: real parts a whole number of steps apart, a step
-    being 1e-13 or, above 1e4 where rounding to 12 digits leaves a float
-    as it is, one unit in the last place; exact repeats; and conjugate
-    pairs, some with |im| < 1e-12, next to real roots of either zero."""
+    """Five-root spectra, in shuffled order, with close and tied
+    neighbours: real parts a whole number of steps apart, a step being
+    1e-13 or, above 1e4, one unit in the last place; exact repeats; and
+    conjugate pairs, some with |im| < 1e-12, next to real roots of either
+    zero."""
     rng = np.random.default_rng(5)
     spectra = []
     for _ in range(count):
@@ -96,18 +95,34 @@ def adversarial_spectra(count: int = 4000) -> list[list[complex]]:
 
 
 class TestSpectrumOrder:
-    """_root_set sorts by plain (real, imaginary) parts and falls back to
-    the rounded _root_key only for close neighbours; the order is that of
-    the _root_key sort, bit for bit, ties in input order."""
+    """A spectrum is the stable sort of its roots by plain (real,
+    imaginary) part: exact ties keep their input order."""
 
-    def test_matches_rounded_key_order(self, jacobians):
-        spectra = [np.linalg.eigvals(J).tolist() for J in jacobians] + adversarial_spectra()
+    def test_stable_sort_by_real_then_imaginary(self):
+        for roots in adversarial_spectra():
+            order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag, i))
+            assert bits(_root_set(roots)) == bits(roots[i] for i in order)
+
+    def test_matches_rounded_key_order(self, corpus_spectra, jacobians):
+        """On the spectra classify sees, no two roots are close enough for
+        the former order, by each part rounded to 12 digits, to differ."""
+        spectra = corpus_spectra + [_eigvals(J) for J in jacobians]
+        assert len(corpus_spectra) == 3456
         for roots in spectra:
-            expected = sorted(map(complex, roots), key=_root_key)
-            got = _root_set(roots).roots
-            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
-                (z.real.hex(), z.imag.hex()) for z in expected
-            ]
+            expected = sorted(roots, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+            assert bits(_root_set(roots)) == bits(expected)
+
+    @pytest.mark.parametrize("e", [30, 40])
+    def test_order_does_not_depend_on_scale(self, corpus_spectra, e):
+        """Scaling every root by 2**-e, which is exact here, scales the
+        spectrum and keeps its order."""
+        def scaled(zs):
+            return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in zs]
+
+        for roots in corpus_spectra:
+            assert [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+                    for z in scaled(roots)] == roots
+            assert bits(_root_set(scaled(roots))) == bits(scaled(_root_set(roots)))
 
 
 class TestCoefficients:
@@ -158,6 +173,12 @@ def eigen_inputs():
     return jacs, stacks
 
 
+@pytest.fixture(scope="module")
+def corpus_spectra(eigen_inputs):
+    jacs, _ = eigen_inputs
+    return [_eigvals(J) for J in jacs]
+
+
 class TestEigvals:
     """_eigvals calls LAPACK's dgeev as np.linalg.eigvals does and gives its
     bits, cast to complex, sign of zero included."""
@@ -199,13 +220,13 @@ class TestEigvals:
 class TestPolyRoots:
     def test_factored_quadratic(self):
         rs = poly_roots((1.0, -3.0, 2.0))
-        got = sorted(z.real for z in rs.roots)
+        got = sorted(z.real for z in rs)
         assert got == pytest.approx([1.0, 2.0], abs=1e-12)
-        assert all(abs(z.imag) < 1e-12 for z in rs.roots)
+        assert all(abs(z.imag) < 1e-12 for z in rs)
 
     def test_imaginary_pair(self):
         rs = poly_roots((1.0, 0.0, 1.0))
-        got = sorted(rs.roots, key=lambda z: z.imag)
+        got = sorted(rs, key=lambda z: z.imag)
         assert got[0] == pytest.approx(-1j, abs=1e-12)
         assert got[1] == pytest.approx(1j, abs=1e-12)
 
@@ -215,17 +236,17 @@ class TestPolyRoots:
             sample = sorted(np.arange(-2.0, 3.0) + rng.uniform(-0.3, 0.3, size=5))
             poly = np.poly(sample)  # product of (x - r_i)
             rs = poly_roots(tuple(poly))
-            got = sorted(z.real for z in rs.roots)
+            got = sorted(z.real for z in rs)
             assert np.max(np.abs(np.array(got) - np.array(sample))) < 1e-9
 
     def test_deflates_zero_roots(self):
         rs = poly_roots((1.0, -1.0, 0.0, 0.0))
-        reals = sorted(z.real for z in rs.roots)
+        reals = sorted(z.real for z in rs)
         assert reals == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_deterministic(self):
         p = (1.0, 0.3, -2.0, 0.7, 1.1, -0.4)
-        assert poly_roots(p).roots == poly_roots(p).roots
+        assert poly_roots(p) == poly_roots(p)
 
 
 class TestRouthHurwitz:
@@ -267,7 +288,7 @@ class TestRouthHurwitz:
                 continue
             p = tuple(coeffs)
             hv = routh_hurwitz(p)
-            max_re = poly_roots(p).max_real
+            max_re = max(z.real for z in poly_roots(p))
             if hv.verdict == "inconclusive" or abs(max_re) < 1e-9:
                 continue
             checked += 1

@@ -15,7 +15,7 @@ def test_version_matches_pyproject():
 PUBLIC = [
     "BifurcationResult", "DomainError", "Equilibrium", "HurwitzVerdict",
     "IntegrationConfig", "ModelParams", "NewtonError", "NumericsError",
-    "PositivityError", "ReproductionNumbers", "RootSet",
+    "PositivityError", "ReproductionNumbers",
     "Scenario", "ScenarioError", "StabilityReport", "StepUnderflowError",
     "SweepSpec", "SystemState", "Trajectory", "__version__",
     "build_grid", "classify", "default_scenario",
@@ -39,7 +39,7 @@ DELETED = {
         "report_to_json", "summary_csv_header", "summary_csv_row", "block_spectrum",
         "_band_char_poly", "_trace",
     ],
-    "numerics": ["eigenvalues", "Polynomial", "char_poly", "_trace"],
+    "numerics": ["eigenvalues", "Polynomial", "char_poly", "_trace", "RootSet", "_root_key"],
     "sweep": ["sweep_to_csv", "bifurcation_to_json"],
     "integrator": ["trajectory_to_csv"],
 }

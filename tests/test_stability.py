@@ -36,7 +36,7 @@ class TestSpectrum:
         count = 0
         for pm, eq, rep in classified(range(25)):
             count += 1
-            gap = min(abs(z - (-pm.theta)) for z in rep.eigenvalues.roots)
+            gap = min(abs(z - (-pm.theta)) for z in rep.eigenvalues)
             assert gap < 1e-8
             assert rep.agreement["theta_in_spectrum"]
         assert count > 10
@@ -47,7 +47,7 @@ class TestSpectrum:
             if eq.point.T != 0.0:
                 continue
             expected = block_roots(rep.jacobian) + [complex(-pm.theta)]
-            for z in rep.eigenvalues.roots:
+            for z in rep.eigenvalues:
                 nearest = min(expected, key=lambda w: abs(w - z))
                 assert abs(nearest - z) < 1e-8
                 expected.remove(nearest)
@@ -56,7 +56,7 @@ class TestSpectrum:
 
     def test_char_poly_residual_at_eigenvalues(self):
         for pm, eq, rep in classified(range(15)):
-            for z in rep.eigenvalues.roots:
+            for z in rep.eigenvalues:
                 cp = rep.char_coeffs
                 assert abs(np.polyval(cp, z)) < 1e-9 * max(map(abs, cp)) * max(
                     1.0, abs(z)
@@ -75,7 +75,7 @@ class TestSpectrum:
         rep = classify(eq, pm)
         J = rep.jacobian
         norm = np.linalg.norm(J, 2)
-        for z in rep.eigenvalues.roots:
+        for z in rep.eigenvalues:
             assert np.linalg.svd(J - z * np.eye(5), compute_uv=False)[-1] < 1e-12 * norm
             assert z.imag == 0.0
 
@@ -97,7 +97,7 @@ class TestSpectrum:
             rep = classify(hot[0], pm_hot)
             assert rep.verdict == "unstable"
             planted = pm_hot.a2 * pm_hot.d - pm_hot.g1 * hot[0].point.I - pm_hot.m_d
-            gap = min(abs(z - planted) for z in rep.eigenvalues.roots)
+            gap = min(abs(z - planted) for z in rep.eigenvalues)
             assert gap < 1e-8
             return
         pytest.fail("no confirmed tumor-free instance in the seed range")
@@ -120,7 +120,7 @@ class TestVerdicts:
         )
         monkeypatch.setattr(bcdyn.stability, "char_poly", lambda J: char_poly(-J))
         wrong = classify(eq, pm)
-        assert wrong.eigenvalues.roots == rep.eigenvalues.roots
+        assert wrong.eigenvalues == rep.eigenvalues
         assert wrong.verdict == "stable"
         assert wrong.hurwitz.verdict == "unstable"
         assert wrong.agreement["eigen_hurwitz"] is False
@@ -259,7 +259,7 @@ class TestTheoremChecks:
                 check = rep.theorem_checks["derived_invasion_J00_neg"]
                 assert eq.point.N == 0.0
                 assert (check.holds, check.lhs, check.rhs) == (j00 < 0.0, j00, 0.0)
-                assert min(abs(z - j00) for z in rep.eigenvalues.roots) < 1e-9 * max(
+                assert min(abs(z - j00) for z in rep.eigenvalues) < 1e-9 * max(
                     1.0, abs(j00)
                 )
                 assert rep.agreement["theorem_eigen"] is None

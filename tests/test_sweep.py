@@ -520,7 +520,7 @@ class TestLeadingEigenvalue:
 
     @staticmethod
     def reference(w):
-        return max(_root_set(w).roots, key=lambda z: z.real)
+        return max(_root_set(w), key=lambda z: z.real)
 
     @staticmethod
     def bits(z):
@@ -537,10 +537,10 @@ class TestLeadingEigenvalue:
             [complex(2.0, 0.0), complex(2.0, -0.0), -1.0],
             [complex(-0.0, 0.0), complex(0.0, 0.0), -4.0],
             [complex(0.0, 0.0), complex(-0.0, 0.0), -4.0],
-            # Imaginary parts that tie after round(., 12): LAPACK order.
+            # Tied reals, imaginary parts under 1e-12 apart: the smaller.
             [complex(1.0, 1e-13), complex(1.0, -1e-13), 0.5],
             [complex(1.0, 0.3 + 1e-14), complex(1.0, 0.3), 0.5],
-            # Real parts that tie only after rounding: the larger wins.
+            # Real parts 1e-15 apart: the larger wins.
             [complex(1.0, 5.0), complex(1.0 + 1e-15, 7.0), 0.5],
         ],
     )
