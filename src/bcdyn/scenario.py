@@ -107,7 +107,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:

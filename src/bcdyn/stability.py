@@ -20,11 +20,11 @@ The first two share only the Jacobian: an error in the polynomial moves
 the Hurwitz verdict alone and shows as an eigen/Hurwitz disagreement,
 while an error in the Jacobian reaches both.  ``dgeev`` is the one
 LAPACK call of :func:`classify`; :func:`char_poly` refuses a non-finite
-Jacobian before it.  The minors and the 2x2 block
-determinants are plain-float closed forms on entries scaled by a power
-of two.  Against exact rational elimination each minor keeps its sign
-class and lies within 1e-9 relative of the exact one, and each block
-determinant within 4 eps (|ad| + |bc|) of a d - b c
+Jacobian before it.  The minors and the 2x2 block determinants are closed
+forms in plain floats, rescaled by a power of two only where one overflows.
+Against exact rational elimination each minor keeps its sign class and
+lies within 1e-9 relative of the exact one, and each block determinant
+within 4 eps (|ad| + |bc|) of a d - b c
 (``tests/test_numerics.py``, ``tests/test_stability.py``).
 
 The printed conditions live in one table, ``_RULES``, with one rules

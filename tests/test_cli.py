@@ -1,6 +1,7 @@
 """CLI behavior: file outputs, exit codes, determinism, schemas."""
 import json
 import os
+from importlib import resources
 from xml.etree import ElementTree
 
 import numpy as np
@@ -153,6 +154,17 @@ class TestEquilibria:
         assert run(["equilibria", "--out", str(tmp_path), "--format", "csv"]) == 0
         text = (tmp_path / "default_equilibria.csv").read_text(encoding="utf-8")
         assert text.split("\n", 1)[0] == "family,N,T,I,E,M,residual,confirmed,provenance"
+
+    # A scenario file that starts with a UTF-8 byte-order mark made the
+    # command exit 2 with "Unexpected UTF-8 BOM".
+    def test_scenario_with_byte_order_mark(self, tmp_path):
+        bundled = resources.files("bcdyn.data").joinpath("default.scenario.json").read_bytes()
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + bundled)
+        assert run(["equilibria", "--scenario", str(path), "--out", str(tmp_path / "bom")]) == 0
+        assert run(["equilibria", "--out", str(tmp_path / "plain")]) == 0
+        got = (tmp_path / "bom" / "default_equilibria.json").read_bytes()
+        assert got == (tmp_path / "plain" / "default_equilibria.json").read_bytes()
 
     def test_malformed_scenario_no_files(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,11 +1,17 @@
 """Equilibrium finders: closed forms, polynomials, residuals and flags."""
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcdyn
 from bcdyn import DomainError, residual_norm
 from bcdyn.equilibria import (
     _TABLE,
@@ -21,6 +27,7 @@ from bcdyn.equilibria import (
     immune_clearance_rate,
     tumor_free,
 )
+from bcdyn.formats import catalog_to_json
 from bcdyn.model import PARAM_NAMES, SystemState, _bind
 from bcdyn.numerics import NumericsError
 from bcdyn.stability import classify
@@ -561,6 +568,67 @@ class TestDegenerateSlices:
             assert (point.N, point.T, point.E) == (0.0, 0.0, estrogen_level(pm))
             assert point.M == pytest.approx(pm.v_M / pm.n_M, rel=1e-12)
             assert hits[0].residual < CONFIRM_TOL
+
+    def test_immune_free_branch_without_source(self):
+        """With s = 0 and g1 > 0 the eliminated polynomial is
+        P*(R*P + S*Q), and at a root of P the steady tumor equation holds
+        with I = 0.  Those dead2 and coexisting points carry I = 0 exactly,
+        not the rounding noise of P/Q at the root (3.8e-17 at the first
+        draw's dead2 point when P/Q seeded them), so no flag comparing I
+        with 0 flips on that noise."""
+        rng = np.random.default_rng(0)
+        near_zero = 0
+        for _ in range(60):
+            pm = draw_params(rng).replace(s=0.0)
+            for eq in find_all(pm):
+                if eq.family in ("dead2", "coexisting") and eq.point.I < 1e-9:
+                    assert eq.point.I == 0.0
+                    assert eq.confirmed
+                    assert not eq.existence_flags.get("immune_within_band", False)
+                    near_zero += 1
+        assert near_zero == 97
+
+
+class TestPortability:
+    def test_catalog_bytes_do_not_depend_on_the_blas_kernel(self):
+        """OpenBLAS picks its kernels per CPU at run time, and
+        OPENBLAS_CORETYPE=Haswell forces the AVX2 ones of AMD Zen and
+        AVX2-only Intel hosts.  The catalogs of 300 draws carry the same
+        bytes under them as in this process: the finders' polynomial
+        products are plain floats, not a BLAS dot product."""
+        try:
+            with open("/proc/cpuinfo") as f:
+                flags = set(f.read().split())
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to tell whether the CPU has AVX2 and FMA")
+        if not {"avx2", "fma"} <= flags:
+            pytest.skip("the Haswell kernel needs a CPU with AVX2 and FMA")
+        script = (
+            "import hashlib, numpy as np\n"
+            "from bcdyn import find_all\n"
+            "from bcdyn.formats import catalog_to_json\n"
+            "from bcdyn.validation import draw_params\n"
+            "rng = np.random.default_rng(0)\n"
+            "for _ in range(300):\n"
+            "    text = catalog_to_json(find_all(draw_params(rng)))\n"
+            "    print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        src = str(Path(bcdyn.__file__).parents[1])
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": "Haswell",
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        }
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        rng = np.random.default_rng(0)
+        want = [
+            hashlib.sha256(catalog_to_json(find_all(draw_params(rng))).encode()).hexdigest()
+            for _ in range(300)
+        ]
+        assert run.stdout.split() == want
 
 
 def test_pinned_catalog_counts():

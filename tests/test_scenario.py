@@ -1,5 +1,6 @@
 """Scenario document parsing: strict keys, typed fields, clear errors."""
 import json
+from importlib import resources
 
 import pytest
 
@@ -187,6 +188,14 @@ class TestLoad:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ScenarioError, match="^malformed scenario JSON: Exceeds the limit"):
             load_scenario(path)
+
+    # A valid file saved with a byte-order mark was refused as malformed
+    # ("Unexpected UTF-8 BOM").
+    def test_utf8_byte_order_mark(self, tmp_path):
+        bundled = resources.files("bcdyn.data").joinpath("default.scenario.json").read_bytes()
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + bundled)
+        assert load_scenario(path) == default_scenario()
 
     def test_bundled_default(self):
         sc = default_scenario()

@@ -10,16 +10,18 @@ import pytest
 from bcdyn import (
     DomainError,
     SweepSpec,
+    SystemState,
     build_grid,
     classify,
     default_scenario,
     find_all,
+    jacobian,
     run_bifurcate,
     run_sweep,
 )
 from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, estrogen_level, tumor_free
 from bcdyn.formats import bifurcation_to_json, sweep_to_csv
-from bcdyn.model import _MAX_POINTS, _NONNEGATIVE_OK, PARAM_NAMES, _bind
+from bcdyn.model import _MAX_POINTS, _NONNEGATIVE_OK, PARAM_NAMES, STATE_NAMES, _bind
 from bcdyn.numerics import NumericsError, _leading, _root_set
 from bcdyn.scenario import Scenario
 from bcdyn.validation import draw_params
@@ -615,12 +617,15 @@ class TestBifurcationGolden:
     solving a midpoint for fewer than all families.  The default scenario's
     pin moved when the catalog stopped deduplicating across families: its
     coexisting crossing is now the dead2 one (see
-    TestBifurcate.test_coexisting_crossing_is_the_dead2_transcritical)."""
+    TestBifurcate.test_coexisting_crossing_is_the_dead2_transcritical).  It
+    moved again when the finders' polynomial products became plain floats:
+    the coexisting ``at_upper`` real part, read off a point of the other
+    branch, moved in its last bits."""
 
     def test_default_scenario_dead2_and_coexisting(self):
         results = run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=64)
         assert bifurcation_sha256(results) == (
-            "d98186d97ddfc0dc4829200233ca4c94b623a88918a73f5c7eb42a832d9ff643"
+            "849b18efabb65622727a68119a31378ff5f9e253833b3edd393992750f1c1a4a"
         )
 
     def test_planted_instance(self):
@@ -644,23 +649,38 @@ class TestBifurcationGolden:
 
 
 class TestSweepGolden:
-    """sha256 of sweep_to_csv on the default scenario, pinned before a grid
-    point's parameter set was built by checking only its swept fields."""
+    """sha256 of sweep_to_csv on the default scenario with the maxReLambda
+    column left out: that column is LAPACK's ``dgeev`` bits, which depend on
+    the kernel the host's BLAS picks, so each row's value is checked instead
+    to be the largest real part of ``np.linalg.eigvals`` of the Jacobian at
+    the row's point and parameters.  Every other column, the verdicts
+    included, is pinned."""
 
     @pytest.mark.parametrize(
         "spec, digest",
         [
             (
                 SweepSpec("d", build_grid(0.05, 5.0, 101)),
-                "a2d9e5753d7d4d08be7b787f833a94f5f4815a6f9313df866aff8317d8a81838",
+                "cc5149919d5f458118e566d014aafccf6ff64a91b916c3d5e72b7037c45f2495",
             ),
             (
                 SweepSpec("k", build_grid(0.0, 1.0, 21), "d", build_grid(0.05, 5.0, 21)),
-                "05de4b2f1176cbbf9ad66ce4288a357e4e7d6898bf4fbada23e345f0103d4e28",
+                "7ea469b13d7eb23351efc0d231e0dd4c9370be3adcaef79ba00c16df0fd8ac38",
             ),
         ],
         ids=["d", "k-d"],
     )
     def test_default_scenario(self, spec, digest):
-        csv = sweep_to_csv(run_sweep(default_scenario(), spec), spec)
+        sc = default_scenario()
+        rows = run_sweep(sc, spec)
+        for row in rows:
+            if "maxReLambda" in row:
+                fields = {row["parameter"]: row["value"]}
+                if "parameter2" in row:
+                    fields[row["parameter2"]] = row["value2"]
+                point = SystemState(*(row[name] for name in STATE_NAMES))
+                J = jacobian(point, sc.params.replace(**fields))
+                assert row["maxReLambda"] == max(np.linalg.eigvals(J).real.tolist())
+        blanked = [{k: v for k, v in row.items() if k != "maxReLambda"} for row in rows]
+        csv = sweep_to_csv(blanked, spec)
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
