@@ -30,9 +30,12 @@ takes no step, and the field evaluated there is the point's residual
 unless the snap of tiny negative components moves it.  One test admits a
 point: free N > 0, free T > 0, I > 0 (or I = 0 when s = 0) and M > 0 (or
 M = 0 when v_M = 0).  E is not tested, so k = 1 and p = 0, where E* = 0,
-keep their interior points.  None of the paper's printed polynomials is
-transcribed: the printed dead1 quadratic omits j_M, and the derived one
-(the immune quadratic at T = 0) is the one solved.
+keep their interior points.  With v_M = 0 and chi > n_M, M(I) has no value
+at I >= I* = n_M*xi/(chi - n_M); a seed there takes M = 0, or, on the line
+I = I*, the M that the immune equation sets (:func:`_free_drug`).  None of
+the paper's printed polynomials is transcribed: the printed dead1 quadratic
+omits j_M, and the derived one (the immune quadratic at T = 0) is the one
+solved.
 
 A note on the tumor-free family: with T = 0 the tumor equation still
 carries the transformation feed l1*N*E*(1-k), so the classical tumor-free
@@ -237,8 +240,8 @@ def _dedup(items: list, key) -> list:
     return kept
 
 
-def _snap(vals) -> SystemState:
-    return SystemState(*[0.0 if -SNAP_TOL < v < 0.0 else v for v in vals])
+def _snap(vals) -> list[float]:
+    return [0.0 if -SNAP_TOL < v < 0.0 else v for v in vals]
 
 
 #: The companion matrix of each coefficient count, as ``np.roots`` lays it
@@ -337,8 +340,8 @@ def _polish(bound, active: tuple[int, ...], template: list[float]):
         log.debug("polish failed from %s: %s", template, exc)
         return None
     if all(abs(full[i]) < POLISH_TOL for i in active):
-        point = _snap(template)
-        return point, (max(map(abs, full)) if point.as_tuple() == tuple(template) else None)
+        snapped = _snap(template)
+        return SystemState(*snapped), (max(map(abs, full)) if snapped == template else None)
 
     def assemble(x: np.ndarray) -> list[float]:
         vals = list(template)
@@ -359,7 +362,7 @@ def _polish(bound, active: tuple[int, ...], template: list[float]):
     except (NewtonError, DomainError) as exc:
         log.debug("polish failed from %s: %s", template, exc)
         return None
-    return _snap(assemble(sol)), None
+    return SystemState(*_snap(assemble(sol))), None
 
 
 def _tumor_free_flags(params: ModelParams, point: SystemState):
@@ -534,6 +537,30 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
     ]
 
 
+def _free_drug(params: ModelParams, E: float, T: float, I: float) -> float | None:
+    """The steady drug level at v_M = 0 where :func:`drug_level` has none,
+    that is where chi*I/(xi + I) >= n_M.  The drug equation
+    M*(chi*I/(xi + I) - n_M) = 0 then holds for M = 0 off the line
+    I = I* = n_M*xi/(chi - n_M), and for every M on it, where the immune
+    equation, linear in u = M/(j_M + M), sets
+    u = (A + g2*T - r*T/(o + T) - s/I)/p_M, kept when 0 < u < 1.  A seed
+    is on the line when I is within NEAR_REAL_TOL of I*, relative to I*:
+    its I comes from a root, which is no more exact than that.  None when
+    the line gives no such u.  With chi <= n_M there is no line, and
+    drug_level refuses only a denominator n_M*(xi + I) - chi*I that is
+    positive but below DENOM_GUARD, so M = 0."""
+    if params.chi <= params.n_M:
+        return 0.0
+    I_star = params.n_M * params.xi / (params.chi - params.n_M)
+    if abs(I - I_star) > NEAR_REAL_TOL * I_star:
+        return 0.0
+    if params.p_M == 0:
+        return None
+    A = immune_clearance_rate(params, E)
+    u = (A + params.g2 * T - params.r * T / (params.o + T) - params.s / I) / params.p_M
+    return params.j_M * u / (1.0 - u) if 0.0 < u < 1.0 else None
+
+
 def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seeds):
     """Back-substitute N and M into each (T, I) seed of one family, polish
     the free components, admit, dedup and flag.  A point keeps the residual
@@ -547,6 +574,8 @@ def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seed
         I0 = max(I0, 0.0)
         N0 = _closed_N(params, T0, E) if row.n_free else 0.0
         M0 = drug_level(params, I0)
+        if M0 is None and params.v_M == 0:
+            M0 = _free_drug(params, E, T0, I0)
         if (row.n_free and N0 <= 0) or M0 is None:
             continue
         # E is pinned at its closed form so every family shares the
@@ -562,10 +591,11 @@ def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seed
             and (point.M > 0 or (point.M == 0 and params.v_M == 0))
         ):
             points.append(polished)
+    provenance = row.provenance(params)
     return [
         Equilibrium(
             point, family, _residual(bound[0], point) if residual is None else residual,
-            *row.flags(params, point), provenance=row.provenance(params),
+            *row.flags(params, point), provenance=provenance,
         )
         for point, residual in _dedup(points, key=lambda pair: pair[0].as_tuple())
     ]

@@ -188,7 +188,7 @@ class SystemState:
         return cls(*vals)
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.as_tuple())
+        return all(map(math.isfinite, self.as_tuple()))
 
 
 def _is_real(value) -> bool:

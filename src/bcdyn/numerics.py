@@ -124,7 +124,7 @@ class HurwitzVerdict:
     verdict: str
 
 
-def _homogeneous(form, values, degrees) -> list[float]:
+def _homogeneous(form, values, degrees) -> tuple[float, ...]:
     """``form(*values)`` in plain floats: forms homogeneous of ``degrees``
     in ``values``.  A form that is not finite, because a product overflowed,
     is evaluated again on the values scaled by an exact power of two 2**-e
@@ -134,13 +134,13 @@ def _homogeneous(form, values, degrees) -> list[float]:
     largest into the subnormal range, where it loses its bits."""
     forms = form(*values)
     if all(map(math.isfinite, forms)):
-        return list(forms)
+        return forms
     e = math.frexp(max(map(abs, values)))[1]
     scaled = form(*(math.ldexp(v, -e) for v in values))
-    return [
+    return tuple(
         f if math.isfinite(f) else _unscaled(g, k * e)
         for f, g, k in zip(forms, scaled, degrees)
-    ]
+    )
 
 
 def _unscaled(x: float, e: int) -> float:
@@ -163,6 +163,11 @@ def routh_hurwitz(coeffs) -> HurwitzVerdict:
     """Classify the root locations of the polynomial with coefficients
     ``coeffs`` (descending degree, 1..5) via Hurwitz minors.
 
+    The coefficients are checked (degree, nonzero leading coefficient,
+    finite entries) and handed to :func:`_hurwitz`, the private core that
+    ``stability.classify`` calls on the characteristic polynomial, which
+    ``char_poly`` has already checked.
+
     The n leading minors of the Hurwitz matrix H[i, j] = a[2i - j + 1]
     are its closed-form determinants, with a_k = 0 past the degree:
     D1 = a1, D2 = a1 a2 - a0 a3, D3 = a3 D2 - a1 (a1 a4 - a0 a5),
@@ -174,15 +179,21 @@ def routh_hurwitz(coeffs) -> HurwitzVerdict:
     minor keeps its sign class and lies within 1e-9 relative of the exact
     one on the polynomials ``classify`` sees.  Minors within
     MARGINAL_MINOR of zero give no verdict."""
-    a = _coefficients(coeffs, 5)
+    return _hurwitz(_coefficients(coeffs, 5))
+
+
+def _hurwitz(a: tuple[float, ...]) -> HurwitzVerdict:
+    """:func:`routh_hurwitz` on ``a``, a tuple of finite floats of degree
+    1..5 with a nonzero leading coefficient, unchecked."""
     n = len(a) - 1
     if a[0] < 0:
         a = tuple(-c for c in a)
-    minors = tuple(_homogeneous(_hurwitz_minors, a + (0.0,) * (5 - n), range(1, 6))[:n])
-    all_positive = all(mi > 0.0 for mi in minors)
-    if any(abs(mi) < MARGINAL_MINOR for mi in minors):
+    minors = _homogeneous(_hurwitz_minors, a + (0.0,) * (5 - n), range(1, 6))[:n]
+    # No minor is NaN, so min() reads the signs that all() and any() would.
+    all_positive = min(minors) > 0.0
+    if min(map(abs, minors)) < MARGINAL_MINOR:
         verdict = "inconclusive"
-    elif all_positive and all(c > 0.0 for c in a):
+    elif all_positive and min(a) > 0.0:
         verdict = "stable"
     else:
         verdict = "unstable"

@@ -12,16 +12,21 @@ Three verdicts are computed and compared:
   (lambda + theta), and what remains over (N, T, I, M) is tridiagonal,
   so a continuant recurrence of a few dozen float operations gives the rest,
   and the minors are closed forms in plain floats
-  (:func:`~bcdyn.numerics.routh_hurwitz`),
+  (:func:`~bcdyn.numerics._hurwitz`, the core of
+  :func:`~bcdyn.numerics.routh_hurwitz` without its input checks, which
+  :func:`char_poly` has already made),
 * the family-specific printed conditions (reproduction numbers and
   coefficient-sign tests), reported but never used to override.
 
 The first two share only the Jacobian: an error in the polynomial moves
 the Hurwitz verdict alone and shows as an eigen/Hurwitz disagreement,
-while an error in the Jacobian reaches both.  ``dgeev`` is the one
-LAPACK call of :func:`classify`; :func:`char_poly` refuses a non-finite
-Jacobian before it.  The minors and the 2x2 block determinants are closed
-forms in plain floats, rescaled by a power of two only where one overflows.
+while an error in the Jacobian reaches both.  :func:`classify` is one pass
+over one point: it calls ``jacobian`` once and :func:`char_poly` once, by
+those module names (``perfbench/tracer.py`` counts both), and reads the
+Jacobian's rows into Python floats once, for all the rules.  ``dgeev`` is
+the one LAPACK call; :func:`char_poly` refuses a non-finite Jacobian
+before it.  The minors and the 2x2 block determinants are closed forms in
+plain floats, rescaled by a power of two only where one overflows.
 Against exact rational elimination each minor keeps its sign class and
 lies within 1e-9 relative of the exact one, and each block determinant
 within 4 eps (|ad| + |bc|) of a d - b c
@@ -29,8 +34,8 @@ within 4 eps (|ad| + |bc|) of a d - b c
 
 The printed conditions live in one table, ``_RULES``, with one rules
 function per equilibrium family, as ``equilibria._TABLE`` holds one finder
-row per family.  Given the point, its Jacobian and Hurwitz verdict, each
-returns the reproduction numbers its conditions read, the conditions by
+row per family.  Given the point, its Jacobian rows and Hurwitz verdict,
+each returns the reproduction numbers its conditions read, the conditions by
 name and the paper's sufficient-condition claim: R0 and R1 for tumor-free,
 R_IM and the B-signs for dead1, invasion and the C-cubic for dead2
 (necessary only, so no claim) and the Hurwitz minors for coexisting.  :func:`classify` reads
@@ -68,8 +73,8 @@ from .numerics import (
     NumericsError,
     _eigvals,
     _homogeneous,
+    _hurwitz,
     _root_set,
-    routh_hurwitz,
 )
 
 # perfbench/tracer.py counts calls by wrapping poly_roots on this module, so
@@ -160,34 +165,41 @@ def _repro(eq: Equilibrium, J) -> ReproductionNumbers | None:
     return _reproduction(J, _at_dead1_state(eq.point))
 
 
-def _block_conditions(J: np.ndarray) -> dict[str, ConditionCheck]:
-    """Derived stability conditions of the (N, T) and (I, M) 2x2 blocks:
-    negative trace and positive determinant of each.  Exact at T = 0.
+def _det2(a, b, c, d):
+    return (a * d - b * c,)
+
+
+def _block_conditions(rows) -> dict[str, ConditionCheck]:
+    """Derived stability conditions of the (N, T) and (I, M) 2x2 blocks of
+    the Jacobian rows ``rows``: negative trace and positive determinant of
+    each.  Exact at T = 0.
 
     Each trace adds the diagonal onto +0.0 as Python floats, the bits of
     ``np.trace`` with a plain ``bool`` verdict.  Each determinant is
-    a d - b c in plain floats, scaled as the Hurwitz minors are where a
-    product overflows (+-inf past the float range)."""
-    rows = J.tolist()
-    checks = {}
-    for name, (i, j) in (("nt", (0, 1)), ("im", (2, 4))):
-        block = (rows[i][i], rows[i][j], rows[j][i], rows[j][j])
-        tr = 0.0 + rows[i][i] + rows[j][j]
-        [det] = _homogeneous(lambda a, b, c, d: (a * d - b * c,), block, (2,))
-        checks[f"derived_{name}_trace_neg"] = ConditionCheck(
-            f"derived_{name}_trace_neg", tr < 0.0, tr, 0.0
-        )
-        checks[f"derived_{name}_det_pos"] = ConditionCheck(
-            f"derived_{name}_det_pos", det > 0.0, det, 0.0
-        )
-    return checks
+    a d - b c in plain floats, scaled as the Hurwitz minors are only where
+    a product overflows (+-inf past the float range)."""
+    (j00, j01, _, _, _), (j10, j11, _, _, _), (_, _, j22, _, j24), _, (_, _, j42, _, j44) = rows
+    nt_tr = 0.0 + j00 + j11
+    im_tr = 0.0 + j22 + j44
+    nt_det = j00 * j11 - j01 * j10
+    if not math.isfinite(nt_det):
+        [nt_det] = _homogeneous(_det2, (j00, j01, j10, j11), (2,))
+    im_det = j22 * j44 - j24 * j42
+    if not math.isfinite(im_det):
+        [im_det] = _homogeneous(_det2, (j22, j24, j42, j44), (2,))
+    return {
+        "derived_nt_trace_neg": ConditionCheck("derived_nt_trace_neg", nt_tr < 0.0, nt_tr, 0.0),
+        "derived_nt_det_pos": ConditionCheck("derived_nt_det_pos", nt_det > 0.0, nt_det, 0.0),
+        "derived_im_trace_neg": ConditionCheck("derived_im_trace_neg", im_tr < 0.0, im_tr, 0.0),
+        "derived_im_det_pos": ConditionCheck("derived_im_det_pos", im_det > 0.0, im_det, 0.0),
+    }
 
 
-def _tumor_free_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
+def _tumor_free_rules(eq: Equilibrium, params: ModelParams, rows, hv: HurwitzVerdict):
     """R0 < 1 and R1 < 1, the auxiliary bounds on I and the derived block
     conditions.  R_IM is defined only where the point also has N = 0."""
     point = eq.point
-    rn = _repro(eq, J.tolist())
+    rn = _repro(eq, rows)
     checks = {
         "R0_lt_1": ConditionCheck("R0_lt_1", rn.r0_defined and rn.r0 < 1.0, rn.r0, 1.0),
         "R1_lt_1": ConditionCheck("R1_lt_1", rn.r1_defined and rn.r1 < 1.0, rn.r1, 1.0),
@@ -204,27 +216,28 @@ def _tumor_free_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: H
     upper = upper_num / params.g1 if params.g1 > 0 else math.inf
     checks["aux_I_lower"] = ConditionCheck("aux_I_lower", lower < point.I, lower, point.I)
     checks["aux_I_upper"] = ConditionCheck("aux_I_upper", point.I < upper, point.I, upper)
-    checks.update(_block_conditions(J))
+    checks.update(_block_conditions(rows))
     return rn, checks, checks["R0_lt_1"].holds and checks["R1_lt_1"].holds
 
 
-def _dead1_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
+def _dead1_rules(eq: Equilibrium, params: ModelParams, rows, hv: HurwitzVerdict):
     """R_IM < 1 and negative B0, B2, B4, B8 (at N = T = 0 these are J00,
     J11, J22, J44), plus the derived block conditions."""
-    rows = J.tolist()
     rn = _repro(eq, rows)
+    b0, b2, b4, b8 = rows[0][0], rows[1][1], rows[2][2], rows[4][4]
     checks = {
-        "R_IM_lt_1": ConditionCheck("R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0)
+        "R_IM_lt_1": ConditionCheck("R_IM_lt_1", rn.r_im_defined and rn.r_im < 1.0, rn.r_im, 1.0),
+        "B0_neg": ConditionCheck("B0_neg", b0 < 0.0, b0, 0.0),
+        "B2_neg": ConditionCheck("B2_neg", b2 < 0.0, b2, 0.0),
+        "B4_neg": ConditionCheck("B4_neg", b4 < 0.0, b4, 0.0),
+        "B8_neg": ConditionCheck("B8_neg", b8 < 0.0, b8, 0.0),
     }
-    for idx, diag in ((0, 0), (2, 1), (4, 2), (8, 4)):
-        b = rows[diag][diag]
-        checks[f"B{idx}_neg"] = ConditionCheck(f"B{idx}_neg", b < 0.0, b, 0.0)
     claim = all(check.holds for check in checks.values())
-    checks.update(_block_conditions(J))
+    checks.update(_block_conditions(rows))
     return rn, checks, claim
 
 
-def _dead2_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
+def _dead2_rules(eq: Equilibrium, params: ModelParams, rows, hv: HurwitzVerdict):
     """Invasion blocked and the two C-cubic coefficient signs.  These are
     only necessary conditions, so the family makes no claim.  At N = 0 the
     printed C2, C3, C4, C5, C6, C8, C9 are J11, J21, -J12, J22, J42, J24,
@@ -237,30 +250,35 @@ def _dead2_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: Hurwit
     factor 1 - k, so it can disagree with the sign of J00; both are
     reported, as the tumor-free rules add the derived block conditions."""
     point = eq.point
-    rows = J.tolist()
     c2, c3, c4, c5 = rows[1][1], rows[2][1], -rows[1][2], rows[2][2]
     c6, c8, c9 = rows[4][2], rows[2][4], rows[4][4]
     rhs_i = params.d1 * point.T / (1.0 + params.epsilon * point.T) - params.l1 * point.E
     lin = c6 * c8 - c5 * c9 - c3 * c4 - c2 * c9 - c2 * c5
     const = c2 * c5 * c9 - c2 * c6 * c8 + c3 * c4 * c9
-    checks = (
-        ConditionCheck("invasion_blocked", params.a1 < rhs_i, params.a1, rhs_i),
-        ConditionCheck("derived_invasion_J00_neg", rows[0][0] < 0.0, rows[0][0], 0.0),
-        ConditionCheck("reduced_cubic_mid_pos", lin > 0.0, lin, 0.0),
-        ConditionCheck("reduced_cubic_const_pos", const > 0.0, const, 0.0),
-    )
-    return None, {check.name: check for check in checks}, None
+    j00 = rows[0][0]
+    checks = {
+        "invasion_blocked": ConditionCheck("invasion_blocked", params.a1 < rhs_i, params.a1, rhs_i),
+        "derived_invasion_J00_neg": ConditionCheck(
+            "derived_invasion_J00_neg", j00 < 0.0, j00, 0.0
+        ),
+        "reduced_cubic_mid_pos": ConditionCheck("reduced_cubic_mid_pos", lin > 0.0, lin, 0.0),
+        "reduced_cubic_const_pos": ConditionCheck(
+            "reduced_cubic_const_pos", const > 0.0, const, 0.0
+        ),
+    }
+    return None, checks, None
 
 
-def _coexisting_rules(eq: Equilibrium, params: ModelParams, J: np.ndarray, hv: HurwitzVerdict):
+def _coexisting_rules(eq: Equilibrium, params: ModelParams, rows, hv: HurwitzVerdict):
     """Eigenvalue signs, checked through the Hurwitz minors."""
     check = ConditionCheck("hurwitz_minors_positive", hv.all_positive, min(hv.minors), 0.0)
-    return None, {check.name: check}, check.holds
+    return None, {"hurwitz_minors_positive": check}, check.holds
 
 
-#: Per family, ``rules(eq, params, J, hv) -> (repro, checks, claim)`` with
-#: ``J`` the Jacobian at ``eq`` and ``hv`` its Hurwitz verdict; ``claim`` is
-#: None when the family has no closed claim.
+#: Per family, ``rules(eq, params, rows, hv) -> (repro, checks, claim)``
+#: with ``rows`` the Jacobian at ``eq`` as rows of Python floats and ``hv``
+#: its Hurwitz verdict; ``claim`` is None when the family has no closed
+#: claim.
 _RULES = {
     "tumor_free": _tumor_free_rules,
     "dead1": _dead1_rules,
@@ -277,13 +295,17 @@ def classify(eq: Equilibrium, params: ModelParams) -> StabilityReport:
             f"refusing to classify a point with residual {eq.residual:.3e}, not below 1e-8"
         )
     J = jacobian(eq.point, params)
+    # char_poly refuses a non-finite J, so dgeev and the rules see finite
+    # entries, and its coefficients need none of routh_hurwitz's checks.
     cp = char_poly(J)
+    rows = J.tolist()
     eig = _root_set(_eigvals(J))
-    hv = routh_hurwitz(cp)
-    verdict = _eig_verdict(max(z.real for z in eig))
+    hv = _hurwitz(cp)
+    # The spectrum is sorted by real part, so its last entry leads.
+    verdict = _eig_verdict(eig[-1].real)
 
     theta_gap = min(abs(z - (-params.theta)) for z in eig)
-    repro, checks, claim = _RULES[eq.family](eq, params, J, hv)
+    repro, checks, claim = _RULES[eq.family](eq, params, rows, hv)
 
     agreement: dict[str, bool | None] = {}
     if verdict == "inconclusive" or hv.verdict == "inconclusive":

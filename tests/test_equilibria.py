@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from bcdyn.equilibria import (
     _TABLE,
     CONFIRM_TOL,
     _admit,
+    _free_drug,
     _polish,
     _tumor_ratio,
     coexisting,
@@ -246,6 +248,68 @@ def array_tumor_ratio(pm, E, n_free):
     growth = pm.b1 * np.convolve([pm.epsilon, 1.0, 0.0], net_growth)
     feed = [c * 0.0, c * 0.0, c * (a1c * pm.epsilon - pm.d1), c * a1c]
     return growth + feed, pm.g1 * pm.b1 * np.array([pm.epsilon, 1.0, 0.0])
+
+
+class TestDrugFreeLine:
+    """With v_M = 0 and chi > n_M the drug equation
+    M*(chi*I/(xi + I) - n_M) = 0 holds for M = 0 at any I, and for every M
+    on the line I = I* = n_M*xi/(chi - n_M), where the immune equation sets
+    M.  drug_level has no value at I >= I*, and those seeds were dropped."""
+
+    @staticmethod
+    def line(pm):
+        return pm.n_M * pm.xi / (pm.chi - pm.n_M)
+
+    def test_default_scenario_keeps_dead1_without_drug(self, base_params):
+        """The catalog was empty, although s/A = 1.70 > I* = 0.4."""
+        pm = base_params.replace(v_M=0.0, chi=3.0 * base_params.n_M)
+        A = immune_clearance_rate(pm, estrogen_level(pm))
+        dead1 = [eq for eq in find_all(pm) if eq.family == "dead1" and eq.confirmed]
+        assert [eq.point.M for eq in dead1] == [0.0]
+        assert dead1[0].point.I == pytest.approx(pm.s / A, rel=1e-12)
+        assert dead1[0].point.I > self.line(pm)
+
+    def test_seeded_draws(self):
+        """600 draws of default_rng(0) with v_M = 0 and chi = 3 n_M: 482
+        confirmed points before the line and M = 0 above it were admitted.
+        435 sets gain the dead1 point I = s/A above I*, and 96 points lie
+        on the line."""
+        rng = np.random.default_rng(0)
+        families, on_line = Counter(), Counter()
+        dead1_above = 0
+        for _ in range(600):
+            pm = draw_params(rng)
+            pm = pm.replace(v_M=0.0, chi=3.0 * pm.n_M)
+            I_star = self.line(pm)
+            confirmed = [eq for eq in find_all(pm) if eq.confirmed]
+            for eq in confirmed:
+                families[eq.family] += 1
+                if eq.point.M != 0.0:
+                    assert eq.point.M > 0.0
+                    assert eq.point.I == pytest.approx(I_star, rel=1e-9)
+                    on_line[eq.family] += 1
+            dead1_above += any(
+                eq.family == "dead1" and eq.point.M == 0.0 and eq.point.I > I_star
+                for eq in confirmed
+            )
+        assert families == {"dead1": 646, "dead2": 293, "coexisting": 535}
+        assert on_line == {"dead1": 46, "dead2": 14, "coexisting": 36}
+        assert dead1_above == 435
+
+    def test_line_seed_takes_the_immune_drug_level(self, base_params):
+        """On the line M = j_M u/(1 - u), u from the immune equation; off it
+        M = 0; with no u in (0, 1) the seed has no drug level."""
+        pm = base_params.replace(v_M=0.0, chi=3.0 * base_params.n_M, s=0.05)
+        E = estrogen_level(pm)
+        A = immune_clearance_rate(pm, E)
+        I_star = self.line(pm)
+        u = (A - pm.s / I_star) / pm.p_M
+        assert 0.0 < u < 1.0
+        assert _free_drug(pm, E, 0.0, I_star) == pm.j_M * u / (1.0 - u)
+        assert _free_drug(pm, E, 0.0, I_star * (1.0 + 1e-9)) > 0.0
+        assert _free_drug(pm, E, 0.0, I_star * (1.0 + 1e-4)) == 0.0
+        assert _free_drug(pm.replace(p_M=0.0), E, 0.0, I_star) is None
+        assert _free_drug(pm.replace(s=10.0), E, 0.0, I_star) is None
 
 
 class TestTumorRatioBits:

@@ -12,15 +12,26 @@ import pytest
 
 import bcdyn.stability
 from bcdyn import DomainError, SystemState, classify, default_scenario
-from bcdyn.equilibria import dead_type1, find_all, tumor_free
+from bcdyn.equilibria import Equilibrium, dead_type1, find_all, tumor_free
 from bcdyn.formats import catalog_to_json, report_to_json, stability_to_csv
 from bcdyn.integrator import IntegrationConfig, integrate
 from bcdyn.model import PARAM_NAMES
-from bcdyn.numerics import NumericsError, _root_set
+from bcdyn.numerics import NumericsError, _root_set, routh_hurwitz
 from bcdyn.stability import _block_conditions, char_poly
 from bcdyn.validation import draw_params
 
 from conftest import JACOBIAN_ZEROS, block_roots, corpus_jacobians, exact_det, random_params
+
+
+def pinned_corpus():
+    """The 200 parameter sets of ``test_corpus_bytes_are_pinned``: the first
+    100 draws of default_rng(0), then 25 each with k = 1, epsilon = 0,
+    s = 0 and v_M = 0 from the same stream."""
+    rng = np.random.default_rng(0)
+    sets = [draw_params(rng) for _ in range(100)]
+    for pin in ({"k": 1.0}, {"epsilon": 0.0}, {"s": 0.0}, {"v_M": 0.0}):
+        sets += [draw_params(rng).replace(**pin) for _ in range(25)]
+    return sets
 
 
 def classified(seed_range):
@@ -177,6 +188,66 @@ class TestVerdicts:
             classify(bad[0], base_params)
 
 
+class TestOnePass:
+    """classify evaluates the Jacobian once, by the module names that
+    perfbench/tracer.py wraps, and takes its Hurwitz minors from the core
+    of routh_hurwitz without that function's input checks."""
+
+    def test_one_jacobian_and_char_poly_call_per_point(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(bcdyn.stability, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(bcdyn.stability, name, wrapper)
+
+        counting("jacobian")
+        counting("char_poly")
+        seen = set()
+        # k = 1 removes the transformation feed, so tumor-free points confirm.
+        for pm in [random_params(seed, k=1.0) for seed in range(10)] + pinned_corpus()[:10]:
+            for eq in find_all(pm):
+                if eq.confirmed:
+                    calls.clear()
+                    classify(eq, pm)
+                    assert calls == {"jacobian": 1, "char_poly": 1}
+                    seen.add(eq.family)
+        assert seen == {"tumor_free", "dead1", "dead2", "coexisting"}
+
+    def test_hurwitz_matches_routh_hurwitz_on_the_pinned_corpus(self):
+        checked = 0
+        for pm in pinned_corpus():
+            for eq in find_all(pm):
+                if eq.confirmed:
+                    rep = classify(eq, pm)
+                    assert rep.hurwitz == routh_hurwitz(rep.char_coeffs)
+                    checked += 1
+        assert checked == 470
+
+    def test_hurwitz_matches_routh_hurwitz_past_the_float_range(self):
+        """At a1 = 1e80 the dead1 point has the minor -inf."""
+        pm = default_scenario().params.replace(a1=1e80)
+        reps = [classify(eq, pm) for eq in find_all(pm) if eq.confirmed]
+        assert any(-math.inf in rep.hurwitz.minors for rep in reps)
+        for rep in reps:
+            assert rep.hurwitz == routh_hurwitz(rep.char_coeffs)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_point_is_refused(self, value):
+        pm = default_scenario().params
+        for family, state in (
+            ("dead1", (0.0, 0.0, value, 0.2, 0.1)),
+            ("coexisting", (value, 0.5, 1.0, 0.2, 0.1)),
+        ):
+            eq = Equilibrium(SystemState(*state), family, 0.0)
+            with pytest.raises(DomainError, match="non-finite state"):
+                classify(eq, pm)
+
+
 class TestTheoremChecks:
     def test_chi_zero_immune_drug_ratio(self, base_params):
         pm = base_params.replace(chi=0.0, p_M=0.05)
@@ -216,7 +287,7 @@ class TestTheoremChecks:
         signed_zeros = np.diag([-0.0, -0.0, 0.0, 1.0, -0.0])
         eps = np.finfo(float).eps
         for J in [signed_zeros] + corpus_jacobians():
-            checks = _block_conditions(J)
+            checks = _block_conditions(J.tolist())
             for name, idx in (("nt", (0, 1)), ("im", (2, 4))):
                 block = J[np.ix_(idx, idx)]
                 (a, b), (c, d) = block.tolist()
@@ -235,7 +306,7 @@ class TestTheoremChecks:
         J = np.eye(5)
         J[np.ix_((0, 1), (0, 1))] = [[2.0, 1e300], [1e-300, 1.0]]
         J[np.ix_((2, 4), (2, 4))] = [[1.0, 1e-300], [1e300, 3.0]]
-        checks = _block_conditions(J)
+        checks = _block_conditions(J.tolist())
         for name in ("nt", "im"):
             det = checks[f"derived_{name}_det_pos"]
             assert det.lhs == pytest.approx(2.0 if name == "im" else 1.0, rel=1e-15)
@@ -308,13 +379,9 @@ class TestReports:
         ``dgeev`` bits, which depend on the kernel the host's BLAS picks, so
         they are left out of the digest and checked instead to be the
         spectrum of ``np.linalg.eigvals`` of the report's Jacobian."""
-        rng = np.random.default_rng(0)
-        sets = [draw_params(rng) for _ in range(100)]
-        for pin in ({"k": 1.0}, {"epsilon": 0.0}, {"s": 0.0}, {"v_M": 0.0}):
-            sets += [draw_params(rng).replace(**pin) for _ in range(25)]
         digest = hashlib.sha256()
         families = Counter()
-        for pm in sets:
+        for pm in pinned_corpus():
             catalog = find_all(pm)
             digest.update(catalog_to_json(catalog).encode())
             for eq in catalog:
