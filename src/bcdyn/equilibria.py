@@ -472,32 +472,37 @@ _TABLE = {
 }
 
 
-def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
-    """Run the rows ``families`` of the family table on every
-    ``(params, (f, jac))`` of ``bound_sets``, each parameter set bound by
-    ``model._bind``.  The eliminated polynomials of all sets and rows are
-    rooted together (see :func:`_positive_roots_each`); seeding, polish,
-    admission, dedup and flags stay per set.  Per set: its points, row by
-    row in ``families`` order, each row deduplicated.
+def _prepare(params: ModelParams):
+    """The input :func:`_find_batch` takes for ``params``:
+    ``(params, (f, jac), (E, (R, S, U), at_zero))``, with the closures of
+    ``model._bind``, E = E*, the immune quadratic R, S, U and the (T, I)
+    seeds at T = 0, which the T = 0 rows share."""
+    E = estrogen_level(params)
+    R, S, U = _immune_quadratic(params, E)
+    at_zero = tuple((0.0, I) for I in _immune_roots(params, R, S, U, 0.0))
+    return params, _bind(params), (E, (R, S, U), at_zero)
 
-    T = 0 rows take I from the immune quadratic.  Otherwise T runs over the
+
+def _find_batch(prepared, families) -> list[list[Equilibrium]]:
+    """Run the rows ``families`` of the family table on every parameter set
+    of ``prepared``, each entry the set's :func:`_prepare`.  The eliminated
+    polynomials of all sets and rows are rooted together (see
+    :func:`_positive_roots_each`); seeding, polish, admission, dedup and
+    flags stay per set.  Per set: its points, row by row in ``families``
+    order, each row deduplicated.
+
+    T = 0 rows take their seeds from the setup.  Otherwise T runs over the
     positive roots of R*P^2 + S*P*Q + U*Q^2 and I = P/Q; with g1 = 0 (Q = 0)
     T runs over the roots of P and I comes from the immune quadratic at
     each.  With s = 0 (U = 0) the roots of the factors P and R*P + S*Q are
     found apart, and a root of P seeds I = 0 exactly, not the rounding
     noise of P/Q there."""
     rows = [(family, _TABLE[family]) for family in families]
-    sets, seeds, rooted, polys = [], [], [], []
-    for i, (params, bound) in enumerate(bound_sets):
-        E = estrogen_level(params)
-        R, S, U = _immune_quadratic(params, E)
-        sets.append((params, bound, E, R, S, U))
+    seeds, rooted, polys = [], [], []
+    for i, (params, _, (E, (R, S, U), at_zero)) in enumerate(prepared):
         seeds.append([])
-        at_zero = None  # the (T, I) seeds at T = 0, shared by the T = 0 rows
         for j, (family, row) in enumerate(rows):
             if not row.t_free:
-                if at_zero is None:
-                    at_zero = [(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)]
                 seeds[i].append(at_zero)
                 continue
             seeds[i].append([])
@@ -520,8 +525,8 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
                 polys.append(poly)
     names = [rows[j][0] for _, j, *_ in rooted]
     for (i, j, how, P, Q), roots in zip(rooted, _positive_roots_each(polys, names)):
-        params, _, _, R, S, U = sets[i]
         if how == "immune":
+            params, _, (_, (R, S, U), _) = prepared[i]
             seeds[i][j] += [(T, I) for T in roots for I in _immune_roots(params, R, S, U, T)]
         elif how == "zero":
             seeds[i][j] += [(T, 0.0) for T in roots]
@@ -533,7 +538,7 @@ def _find_batch(bound_sets, families) -> list[list[Equilibrium]]:
             for (family, row), row_seeds in zip(rows, set_seeds)
             for eq in _admit(params, bound, E, family, row, row_seeds)
         ]
-        for (params, bound, E, *_), set_seeds in zip(sets, seeds)
+        for (params, bound, (E, *_)), set_seeds in zip(prepared, seeds)
     ]
 
 
@@ -601,9 +606,29 @@ def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seed
     ]
 
 
+#: The :func:`_prepare` of the parameter set found last.
+_last_prepared: tuple = (None, None, None)
+
+
 def _find(params: ModelParams, family: str) -> list[Equilibrium]:
-    """One row of the family table on one parameter set."""
-    return _find_batch([(params, _bind(params))], (family,))[0]
+    """One row of the family table on one parameter set.
+
+    :func:`find_all` calls the four finders by name, each a batch of one,
+    because ``perfbench/tracer.py`` times them by wrapping those names.  So
+    the setup every row shares is cached here, as ``model._bind`` caches
+    the closures: one entry, the :func:`_prepare` of the set found last,
+    keyed by identity (``params is`` its first item, which keeps the set
+    alive, so its id cannot pass to another set).  A catalog then prepares
+    its set once, not four times.  The entry is read once and replaced by
+    a fresh tuple, so threads need no lock.  The batched sweep prepares
+    its sets itself and leaves the entry alone.  Once find_all runs as one
+    batch (ROADMAP item 4), this cache is dead code: delete it with the
+    tracer shims."""
+    global _last_prepared
+    prepared = _last_prepared
+    if prepared[0] is not params:
+        prepared = _last_prepared = _prepare(params)
+    return _find_batch([prepared], (family,))[0]
 
 
 def _catalog(equilibria: list[Equilibrium]) -> list[Equilibrium]:

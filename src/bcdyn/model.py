@@ -233,7 +233,7 @@ def validate_params(params: ModelParams) -> list[str]:
 
 
 # The five Michaelis-Menten denominators, in the order the closures of
-# _bind compute them.
+# _closures compute them.
 _DENOMINATORS = ("1 + epsilon*T", "o + T", "g + E", "j_M + M", "xi + I")
 
 
@@ -246,12 +246,11 @@ def _singular(dens) -> DomainError | None:
     return None
 
 
-def _bind(params: ModelParams):
-    """Bind ``params`` into the vector-field and Jacobian closures
-    ``(f, jac)`` of :func:`make_rhs` and :func:`make_jacobian`.  The
-    denominator guards stay inline in both closures: they run on every
-    evaluation, where a helper call would cost about half again as much
-    per call."""
+def _closures(params: ModelParams):
+    """Build the vector-field and Jacobian closures ``(f, jac)`` of
+    ``params``.  The denominator guards stay inline in both closures: they
+    run on every evaluation, where a helper call would cost about half
+    again as much per call."""
     a1, b1, d1, epsilon, l1 = params.a1, params.b1, params.d1, params.epsilon, params.l1
     a2, d, b2, g1, m_d = params.a2, params.d, params.b2, params.g1, params.m_d
     s, r, o, g2, m = params.s, params.r, params.o, params.g2, params.m
@@ -350,6 +349,33 @@ def _bind(params: ModelParams):
             ) from exc
 
     return f, jac
+
+
+#: The parameter set bound last and its closures, as (params, (f, jac)).
+_last_bound: tuple = (None, None)
+
+
+def _bind(params: ModelParams):
+    """The closures ``(f, jac)`` of ``params`` that :func:`make_rhs`,
+    :func:`make_jacobian` and :func:`jacobian` hand out: the ones already
+    built when ``params`` is the set bound last, else new ones from
+    :func:`_closures`.
+
+    One catalog (``find_all``, then ``classify`` of each confirmed point)
+    so binds its set once, not once per finder and per ``classify``.  The
+    one entry is keyed by identity, ``params is last``: ModelParams is
+    frozen, so an object keeps its values, and hashing its 26 floats would
+    cost as much as a bind.  The entry holds the set itself, so its id
+    cannot pass to another set while cached.  It is read once into locals
+    and replaced by a fresh tuple, so threads need no lock: two threads
+    that alternate sets bind again, and each gets its own set's closures.
+    """
+    global _last_bound
+    last, bound = _last_bound
+    if params is not last:
+        bound = _closures(params)
+        _last_bound = (params, bound)
+    return bound
 
 
 def make_rhs(params: ModelParams):

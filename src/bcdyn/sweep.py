@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import FAMILIES, _catalog, _find_batch
+from .equilibria import FAMILIES, _catalog, _find_batch, _prepare
 from .model import (
     _MAX_POINTS,
     PARAM_NAMES,
     DomainError,
     _beyond_float,
-    _bind,
     _check_count,
     _violation,
 )
@@ -115,17 +114,18 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     return tuple(np.linspace(lo, hi, count))
 
 
-def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
-    """Per ``(params, model._bind(params))`` of ``bound_sets``, its catalog
-    restricted to the rows ``families`` as (equilibrium, Jacobian rows,
-    leading eigenvalue) triples, the last two None for unconfirmed points.
+def _solve(prepared, families=FAMILIES) -> list[list[tuple]]:
+    """Per set of ``prepared``, each entry its ``equilibria._prepare``,
+    its catalog restricted to the rows ``families`` as (equilibrium,
+    Jacobian rows, leading eigenvalue) triples, the last two None for
+    unconfirmed points.
     All sets go through one batched solve, and the Jacobians at all
     confirmed points through one stacked eigenvalue call, which refuses a
     non-finite entry with a :class:`NumericsError`."""
-    solved = [_catalog(eqs) for eqs in _find_batch(bound_sets, families)]
+    solved = [_catalog(eqs) for eqs in _find_batch(prepared, families)]
     Js = [
         jac(*eq.point.as_tuple())
-        for (_, (_, jac)), catalog in zip(bound_sets, solved)
+        for (_, (_, jac), _), catalog in zip(prepared, solved)
         for eq in catalog
         if eq.confirmed
     ]
@@ -143,17 +143,17 @@ def _solve(bound_sets, families=FAMILIES) -> list[list[tuple]]:
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
     """One row per grid point per equilibrium, grid-major then family."""
     second = spec.second_grid or (None,)
-    points, bound_sets = [], []
+    points, prepared = [], []
     for v1 in spec.grid:
         for v2 in second:
             overrides = {spec.parameter_name: float(v1)}
             if spec.second_parameter is not None:
                 overrides[spec.second_parameter] = float(v2)
             params = scenario.params.replace(**overrides)
-            bound_sets.append((params, _bind(params)))
+            prepared.append(_prepare(params))
             points.append((v1, v2))
     rows: list[dict] = []
-    for (v1, v2), catalog in zip(points, _solve(bound_sets)):
+    for (v1, v2), catalog in zip(points, _solve(prepared)):
         for eq, J, lead in catalog:
             row = {
                 "parameter": spec.parameter_name,
@@ -229,7 +229,7 @@ def run_bifurcate(
         with its leading eigenvalue, from one batched solve."""
         params_list = [scenario.params.replace(**{parameter_name: v}) for v in values]
         found = [{fam: [] for fam in families} for _ in values]
-        catalogs = _solve([(params, _bind(params)) for params in params_list], families)
+        catalogs = _solve([_prepare(params) for params in params_list], families)
         for by_family, catalog in zip(found, catalogs):
             for eq, _, lead in catalog:
                 if lead is not None:

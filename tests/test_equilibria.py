@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -29,7 +30,7 @@ from bcdyn.equilibria import (
     immune_clearance_rate,
     tumor_free,
 )
-from bcdyn.formats import catalog_to_json
+from bcdyn.formats import catalog_to_json, stability_to_json
 from bcdyn.model import PARAM_NAMES, SystemState, _bind
 from bcdyn.numerics import NumericsError
 from bcdyn.stability import classify
@@ -709,3 +710,89 @@ def test_pinned_catalog_counts():
                 verdicts[verdict] = verdicts.get(verdict, 0) + 1
     assert families == {"dead1": 300, "dead2": 134, "coexisting": 261}
     assert verdicts == {"stable": 304, "unstable": 391}
+
+
+def catalog_bytes(pm) -> str:
+    """The catalog and stability-report JSON of one catalog call: find_all,
+    then classify of each confirmed point."""
+    catalog = find_all(pm)
+    reports = [classify(eq, pm) for eq in catalog if eq.confirmed]
+    return catalog_to_json(catalog) + stability_to_json(reports)
+
+
+class TestSetupCache:
+    """A catalog binds its parameter set once and prepares the setup its
+    four finders share once; both caches hold one entry, keyed by the
+    identity of the set."""
+
+    def test_catalog_binds_and_prepares_once(self, monkeypatch):
+        built = Counter()
+        for module, name in ((bcdyn.model, "_closures"), (bcdyn.equilibria, "_prepare")):
+            def counted(params, original=getattr(module, name), name=name):
+                built[name] += 1
+                return original(params)
+
+            monkeypatch.setattr(module, name, counted)
+        # A copy is a new object, so both caches miss on it once.
+        pm = bcdyn.default_scenario().params.replace()
+        catalog = find_all(pm)
+        reports = [classify(eq, pm) for eq in catalog if eq.confirmed]
+        assert len(reports) == 2
+        assert built == {"_closures": 1, "_prepare": 1}
+
+    def test_interleaved_sets_match_cold_copies(self):
+        """Sets A, B, A in turn give the bytes of copies of them, which are
+        new objects and so miss both caches."""
+        rng = np.random.default_rng(3)
+        a, b = draw_params(rng), draw_params(rng)
+        assert catalog_bytes(a) != catalog_bytes(b)
+        cold = {"a": catalog_bytes(a.replace()), "b": catalog_bytes(b.replace())}
+        assert [catalog_bytes(a), catalog_bytes(b), catalog_bytes(a)] == [
+            cold["a"], cold["b"], cold["a"]
+        ]
+
+    def test_sets_built_and_dropped_in_a_loop(self):
+        """200 sets, each dropped after its catalog, give the bytes of the
+        same draws kept alive, though a freed set's memory, and so its id,
+        passes to a later one."""
+        want = [catalog_bytes(pm) for pm in [random_params(seed) for seed in range(200)]]
+        got, ids = [], set()
+        for seed in range(200):
+            pm = random_params(seed)
+            ids.add(id(pm))
+            got.append(catalog_bytes(pm))
+            del pm
+        assert got == want
+        assert len(ids) < 200
+
+    def test_sweep_leaves_the_entry_alone(self, base_params):
+        find_all(base_params)
+        entry = bcdyn.equilibria._last_prepared
+        scenario = bcdyn.default_scenario()
+        bcdyn.run_sweep(scenario, bcdyn.SweepSpec("d", bcdyn.build_grid(0.5, 1.5, 5)))
+        bcdyn.run_bifurcate(scenario, "d", 0.5, 1.5, scan_points=4)
+        assert bcdyn.equilibria._last_prepared is entry
+
+    def test_threads_alternating_two_sets(self):
+        """Two threads each run 200 catalogs of their own set while the
+        interpreter switches threads every microsecond; each gets the
+        serial bytes of its set."""
+        sets = [random_params(0), random_params(1)]
+        want = [catalog_bytes(pm.replace()) for pm in sets]
+        got = [[], []]
+
+        def run(i):
+            for _ in range(200):
+                got[i].append(catalog_bytes(sets[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[want[0]] * 200, [want[1]] * 200]

@@ -34,7 +34,7 @@ from bcdyn.equilibria import (
     find_all,
     tumor_free,
 )
-from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES
+from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES, _bind
 from bcdyn.validation import draw_params, draw_state
 
 from conftest import JACOBIAN_ZEROS, random_params
@@ -508,3 +508,15 @@ class TestBindOnce:
             calls.clear()
             classify(eq, pm)
             assert len(calls) == 1, family
+
+    def test_closures_are_reused_for_the_set_bound_last(self, base_params):
+        """make_rhs, make_jacobian and jacobian hand out the closures built
+        for the same object; an equal copy is another object and gets its
+        own, as does a set that another one displaced."""
+        f, jac = _bind(base_params)
+        assert make_rhs(base_params) is f
+        assert make_jacobian(base_params) is jac
+        copy = base_params.replace()
+        assert make_rhs(copy) is not f
+        assert make_jacobian(copy) is _bind(copy)[1]
+        assert _bind(base_params)[0] is not f

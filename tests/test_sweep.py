@@ -19,7 +19,7 @@ from bcdyn import (
     run_bifurcate,
     run_sweep,
 )
-from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, estrogen_level, tumor_free
+from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, _prepare, estrogen_level, tumor_free
 from bcdyn.formats import bifurcation_to_json, sweep_to_csv
 from bcdyn.model import _MAX_POINTS, _NONNEGATIVE_OK, PARAM_NAMES, STATE_NAMES, _bind
 from bcdyn.numerics import NumericsError, _leading, _root_set
@@ -319,7 +319,7 @@ class TestBatchedSweep:
 
         assert any(eq.confirmed for eq in find_all(params))
         with pytest.raises(NumericsError, match="^non-finite Jacobian entry$"):
-            bcdyn.sweep._solve([(params, (f, overflowing))])
+            bcdyn.sweep._solve([(params, (f, overflowing), _prepare(params)[2])])
 
     def test_invalid_grid_point_names_the_point(self):
         with pytest.raises(DomainError) as exc:
@@ -418,10 +418,10 @@ class TestBifurcate:
         requests: dict[float, list[tuple[str, ...]]] = {}
         solve = bcdyn.sweep._solve
 
-        def counted(bound_sets, families=FAMILIES):
-            for params, _ in bound_sets:
+        def counted(prepared, families=FAMILIES):
+            for params, *_ in prepared:
                 requests.setdefault(params.d, []).append(families)
-            return solve(bound_sets, families)
+            return solve(prepared, families)
 
         monkeypatch.setattr(bcdyn.sweep, "_solve", counted)
         results = run_bifurcate(scenario, "d", lo, hi, scan_points=scan_points)
@@ -565,7 +565,7 @@ class TestSingleRow:
     def assert_row_exact(self, params):
         full = find_all(params)
         for family in FAMILIES:
-            row = _catalog(_find_batch([(params, _bind(params))], (family,))[0])
+            row = _catalog(_find_batch([_prepare(params)], (family,))[0])
             want = [eq for eq in full if eq.family == family]
             assert [repr((eq.family, eq.point, eq.residual)) for eq in row] == [
                 repr((eq.family, eq.point, eq.residual)) for eq in want
