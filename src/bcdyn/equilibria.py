@@ -252,9 +252,10 @@ _COMPANIONS = {size: np.diag(np.ones(size - 2), -1) for size in range(2, MAX_DEG
 def _positive_roots_each(polys, names) -> list[list[float]]:
     """Positive roots of each real polynomial of ``polys`` (sequences of
     finite floats, degree at most MAX_DEGREE) from its companion-matrix
-    eigenvalues, laid out as ``np.roots`` lays them out.  The companions of
-    one size go through one stacked LAPACK ``dgeev`` call
-    (:func:`~bcdyn.numerics._eigvals`).  A root whose imaginary part is
+    eigenvalues, laid out as ``np.roots`` lays them out; a linear one has
+    its root in closed form.  The companions of one size go through one
+    stacked LAPACK ``dgeev`` call (:func:`~bcdyn.numerics._eigvals`).  A
+    root whose imaginary part is
     below NEAR_REAL_TOL of its modulus is the rounded image of a
     (near-)double real root and is taken as real; the polish decides
     whether it is an equilibrium.  A finite polynomial whose companion row
@@ -270,6 +271,12 @@ def _positive_roots_each(polys, names) -> list[list[float]]:
         if len(nonzero) < 2:
             continue
         coeffs = list(coeffs[nonzero[0]:nonzero[-1] + 1])
+        if len(coeffs) == 2:
+            # A linear factor has the one root -c1/c0, rounded once, where
+            # a flipped 1x1 companion rounds twice.
+            root = -coeffs[1] / coeffs[0]
+            found[i] = [root] if 0 < root < math.inf else []
+            continue
         # The companion matrix divides by the leading coefficient; when that
         # is the smaller end (epsilon near 0 makes it subnormal) it can
         # overflow, so root the reversed polynomial in 1/T instead.

@@ -653,6 +653,24 @@ class TestDegenerateSlices:
                     near_zero += 1
         assert near_zero == 97
 
+    @pytest.mark.parametrize("change", [{"s": 0.0}, {"g1": 0.0}])
+    def test_linear_root_is_the_band_upper_end(self, change):
+        """Where the tumor equation's polynomial in T is linear, -b2*T +
+        (a2*d - m_d) at N = 0, dead2 sits at its root T_max =
+        (a2*d - m_d)/b2, the upper end of the printed tumor band, to the
+        bit: with s = 0 at the points with I = 0, with g1 = 0 at all of
+        them.  Rooted through a flipped 1x1 companion, 24 of the 356 on
+        either slice were an ulp off."""
+        rng = np.random.default_rng(0)
+        found = 0
+        for _ in range(500):
+            pm = draw_params(rng).replace(**change)
+            for eq in dead_type2(pm):
+                if eq.point.I == 0.0 or pm.g1 == 0.0:
+                    assert eq.point.T == eq.flag_values["tumor_band_upper"]
+                    found += 1
+        assert found == 356
+
 
 class TestPortability:
     def test_catalog_bytes_do_not_depend_on_the_blas_kernel(self):

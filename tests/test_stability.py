@@ -394,7 +394,7 @@ class TestReports:
                     digest.update(json.dumps(doc).encode())
         assert families == {"tumor_free": 25, "dead1": 200, "dead2": 97, "coexisting": 148}
         assert digest.hexdigest() == (
-            "1a892bf70ecf2c6c595659060e79abcf4629747cdb1b11ad044df8a239dd0800"
+            "849f06dfadb25d846c6c608271da6bdaf6d74f9b2cb590485315d06d905dde85"
         )
 
     def test_summary_csv_shape(self):
