@@ -255,10 +255,9 @@ def _positive_roots_each(polys, names) -> list[list[float]]:
     eigenvalues, laid out as ``np.roots`` lays them out; a linear one has
     its root in closed form.  The companions of one size go through one
     stacked LAPACK ``dgeev`` call (:func:`~bcdyn.numerics._eigvals`).  A
-    root whose imaginary part is
-    below NEAR_REAL_TOL of its modulus is the rounded image of a
-    (near-)double real root and is taken as real; the polish decides
-    whether it is an equilibrium.  A finite polynomial whose companion row
+    root whose imaginary part is below NEAR_REAL_TOL of its modulus is the
+    rounded image of a (near-)double real root and is taken as real; the
+    polish decides whether it is an equilibrium.  A finite polynomial whose companion row
     overflows when divided by its leading coefficient raises
     :class:`NumericsError` naming its entry of ``names``."""
     if not polys:
@@ -479,14 +478,18 @@ _TABLE = {
 }
 
 
-def _prepare(params: ModelParams):
-    """The input :func:`_find_batch` takes for ``params``:
-    ``(params, (f, jac), (E, (R, S, U), at_zero))``, with the closures of
-    ``model._bind``, E = E*, the immune quadratic R, S, U and the (T, I)
-    seeds at T = 0, which the T = 0 rows share."""
+def _prepare(params: ModelParams, families):
+    """The input :func:`_find_batch` takes for ``params`` and the rows
+    ``families``: ``(params, (f, jac), (E, (R, S, U), at_zero))``, with
+    the closures of ``model._bind``, E = E*, the immune quadratic R, S, U
+    and the (T, I) seeds at T = 0 that the T = 0 rows share, None when
+    ``families`` has no such row (a bisection midpoint of dead2 or
+    coexisting needs none)."""
     E = estrogen_level(params)
     R, S, U = _immune_quadratic(params, E)
-    at_zero = tuple((0.0, I) for I in _immune_roots(params, R, S, U, 0.0))
+    at_zero = None
+    if not all(_TABLE[family].t_free for family in families):
+        at_zero = tuple([(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)])
     return params, _bind(params), (E, (R, S, U), at_zero)
 
 
@@ -634,7 +637,7 @@ def _find(params: ModelParams, family: str) -> list[Equilibrium]:
     global _last_prepared
     prepared = _last_prepared
     if prepared[0] is not params:
-        prepared = _last_prepared = _prepare(params)
+        prepared = _last_prepared = _prepare(params, FAMILIES)
     return _find_batch([prepared], (family,))[0]
 
 

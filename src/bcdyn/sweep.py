@@ -118,10 +118,9 @@ def _solve(prepared, families=FAMILIES) -> list[list[tuple]]:
     """Per set of ``prepared``, each entry its ``equilibria._prepare``,
     its catalog restricted to the rows ``families`` as (equilibrium,
     Jacobian rows, leading eigenvalue) triples, the last two None for
-    unconfirmed points.
-    All sets go through one batched solve, and the Jacobians at all
-    confirmed points through one stacked eigenvalue call, which refuses a
-    non-finite entry with a :class:`NumericsError`."""
+    unconfirmed points.  All sets go through one batched solve, and the
+    Jacobians at all confirmed points through one stacked eigenvalue call,
+    which refuses a non-finite entry with a :class:`NumericsError`."""
     solved = [_catalog(eqs) for eqs in _find_batch(prepared, families)]
     Js = [
         jac(*eq.point.as_tuple())
@@ -150,7 +149,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
             if spec.second_parameter is not None:
                 overrides[spec.second_parameter] = float(v2)
             params = scenario.params.replace(**overrides)
-            prepared.append(_prepare(params))
+            prepared.append(_prepare(params, FAMILIES))
             points.append((v1, v2))
     rows: list[dict] = []
     for (v1, v2), catalog in zip(points, _solve(prepared)):
@@ -229,7 +228,7 @@ def run_bifurcate(
         with its leading eigenvalue, from one batched solve."""
         params_list = [scenario.params.replace(**{parameter_name: v}) for v in values]
         found = [{fam: [] for fam in families} for _ in values]
-        catalogs = _solve([_prepare(params) for params in params_list], families)
+        catalogs = _solve([_prepare(params, families) for params in params_list], families)
         for by_family, catalog in zip(found, catalogs):
             for eq, _, lead in catalog:
                 if lead is not None:

@@ -746,9 +746,9 @@ class TestSetupCache:
     def test_catalog_binds_and_prepares_once(self, monkeypatch):
         built = Counter()
         for module, name in ((bcdyn.model, "_closures"), (bcdyn.equilibria, "_prepare")):
-            def counted(params, original=getattr(module, name), name=name):
+            def counted(*args, original=getattr(module, name), name=name):
                 built[name] += 1
-                return original(params)
+                return original(*args)
 
             monkeypatch.setattr(module, name, counted)
         # A copy is a new object, so both caches miss on it once.

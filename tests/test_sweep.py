@@ -319,7 +319,7 @@ class TestBatchedSweep:
 
         assert any(eq.confirmed for eq in find_all(params))
         with pytest.raises(NumericsError, match="^non-finite Jacobian entry$"):
-            bcdyn.sweep._solve([(params, (f, overflowing), _prepare(params)[2])])
+            bcdyn.sweep._solve([(params, (f, overflowing), _prepare(params, FAMILIES)[2])])
 
     def test_invalid_grid_point_names_the_point(self):
         with pytest.raises(DomainError) as exc:
@@ -565,7 +565,7 @@ class TestSingleRow:
     def assert_row_exact(self, params):
         full = find_all(params)
         for family in FAMILIES:
-            row = _catalog(_find_batch([_prepare(params)], (family,))[0])
+            row = _catalog(_find_batch([_prepare(params, (family,))], (family,))[0])
             want = [eq for eq in full if eq.family == family]
             assert [repr((eq.family, eq.point, eq.residual)) for eq in row] == [
                 repr((eq.family, eq.point, eq.residual)) for eq in want
