@@ -478,6 +478,10 @@ _TABLE = {
 }
 
 
+#: The rows of the family table with T = 0.
+_AT_ZERO = frozenset(family for family, row in _TABLE.items() if not row.t_free)
+
+
 def _prepare(params: ModelParams, families):
     """The input :func:`_find_batch` takes for ``params`` and the rows
     ``families``: ``(params, (f, jac), (E, (R, S, U), at_zero))``, with
@@ -488,7 +492,7 @@ def _prepare(params: ModelParams, families):
     E = estrogen_level(params)
     R, S, U = _immune_quadratic(params, E)
     at_zero = None
-    if not all(_TABLE[family].t_free for family in families):
+    if not _AT_ZERO.isdisjoint(families):
         at_zero = tuple([(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)])
     return params, _bind(params), (E, (R, S, U), at_zero)
 
@@ -631,9 +635,9 @@ def _find(params: ModelParams, family: str) -> list[Equilibrium]:
     alive, so its id cannot pass to another set).  A catalog then prepares
     its set once, not four times.  The entry is read once and replaced by
     a fresh tuple, so threads need no lock.  The batched sweep prepares
-    its sets itself and leaves the entry alone.  Once find_all runs as one
-    batch (ROADMAP item 4), this cache is dead code: delete it with the
-    tracer shims."""
+    its sets itself and leaves the entry alone.  Once the tracer no longer
+    needs the named finders and find_all runs as one batch, this cache is
+    dead code: delete it with the tracer shims."""
     global _last_prepared
     prepared = _last_prepared
     if prepared[0] is not params:
