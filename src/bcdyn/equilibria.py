@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -55,6 +57,7 @@ import numpy as np
 
 from .model import (
     DENOM_GUARD,
+    PARAM_NAMES,
     DomainError,
     ModelParams,
     SystemState,
@@ -481,6 +484,44 @@ _TABLE = {
 #: The rows of the family table with T = 0.
 _AT_ZERO = frozenset(family for family, row in _TABLE.items() if not row.t_free)
 
+#: The fields that no T = 0 row reads.  At T = 0 each is absent or
+#: multiplies T = 0.0 in ``f``, in :func:`_closed_N` and in the Jacobian
+#: rows the T = 0 polish reads (N, I and M); the tumor equation's residual
+#: is then the feed l1*N*E*(1-k) exactly; and no T = 0 flag, seed or
+#: provenance reads one.  a2 is read: ``_tumor_free_flags`` reports
+#: ``l1_bound_a2``.
+_TUMOR_ONLY = frozenset({"d", "b2", "g1", "m_d", "d1", "epsilon"})
+
+#: The other 20 fields, read by two getters of ten.  CPython 3.11 puts a
+#: freed 20-tuple on a free list that it never allocates from, so a getter
+#: of all 20 would leave up to 2,000 of them (0.37 MB) behind a sweep.
+_AT_ZERO_FIELDS = [name for name in PARAM_NAMES if name not in _TUMOR_ONLY]
+_AT_ZERO_HALVES = (
+    operator.attrgetter(*_AT_ZERO_FIELDS[:10]),
+    operator.attrgetter(*_AT_ZERO_FIELDS[10:]),
+)
+_HALF_KEY = struct.Struct("10d")
+
+
+def _at_zero_key(params: ModelParams) -> bytes:
+    """The key of the T = 0 rows of ``params`` in a :func:`_find_batch`
+    memo: the fields they read, packed.  The bytes tell -0.0 from 0.0,
+    which a float tuple's equality does not, and a T = 0 flag value can
+    differ only in the sign of its zero (l1 = -0.0 is valid)."""
+    first, second = _AT_ZERO_HALVES
+    return _HALF_KEY.pack(*first(params)) + _HALF_KEY.pack(*second(params))
+
+
+def _shareable(params: ModelParams, eqs: list[Equilibrium]) -> bool:
+    """Whether T = 0.0 wipes the tumor-only fields from the T = 0 points
+    ``eqs`` of ``params``, so that the points may stand for another set
+    that differs only there: the terms T*(a2*d - b2*T) and g1*I*T of the
+    tumor equation are 0.0 while a2*d and g1*I are finite, and nan
+    (inf*0.0) once either overflows."""
+    return math.isfinite(params.a2 * params.d) and all(
+        math.isfinite(params.g1 * eq.point.I) for eq in eqs
+    )
+
 
 def _prepare(params: ModelParams, families):
     """The input :func:`_find_batch` takes for ``params`` and the rows
@@ -497,7 +538,7 @@ def _prepare(params: ModelParams, families):
     return params, _bind(params), (E, (R, S, U), at_zero)
 
 
-def _find_batch(prepared, families) -> list[list[Equilibrium]]:
+def _find_batch(prepared, families, memo: dict | None = None) -> list[list[Equilibrium]]:
     """Run the rows ``families`` of the family table on every parameter set
     of ``prepared``, each entry the set's :func:`_prepare`.  The eliminated
     polynomials of all sets and rows are rooted together (see
@@ -510,7 +551,15 @@ def _find_batch(prepared, families) -> list[list[Equilibrium]]:
     T runs over the roots of P and I comes from the immune quadratic at
     each.  With s = 0 (U = 0) the roots of the factors P and R*P + S*Q are
     found apart, and a root of P seeds I = 0 exactly, not the rounding
-    noise of P/Q there."""
+    noise of P/Q there.
+
+    ``memo``, a dict owned by the caller, shares the T = 0 rows between
+    sets that differ only in ``_TUMOR_ONLY`` fields: a row is admitted once
+    per key and its ``Equilibrium`` list is handed out again, the same
+    objects, which are frozen and whose dicts nothing mutates.  A list is
+    stored and reused only where sharing it is exact to the bit
+    (:func:`_shareable`).  The sweeps give each call a fresh memo, so
+    none outlives it."""
     rows = [(family, _TABLE[family]) for family in families]
     seeds, rooted, polys = [], [], []
     for i, (params, _, (E, (R, S, U), at_zero)) in enumerate(prepared):
@@ -546,14 +595,25 @@ def _find_batch(prepared, families) -> list[list[Equilibrium]]:
             seeds[i][j] += [(T, 0.0) for T in roots]
         else:
             seeds[i][j] += [(T, _horner(P, T) / _horner(Q, T)) for T in roots]
-    return [
-        [
-            eq
-            for (family, row), row_seeds in zip(rows, set_seeds)
-            for eq in _admit(params, bound, E, family, row, row_seeds)
-        ]
-        for (params, bound, (E, *_)), set_seeds in zip(prepared, seeds)
-    ]
+    sharing = memo is not None and not _AT_ZERO.isdisjoint(families)
+    found = []
+    for (params, bound, (E, *_)), set_seeds in zip(prepared, seeds):
+        shared = None
+        if sharing:
+            shared = memo.setdefault(_at_zero_key(params), {})
+        eqs: list[Equilibrium] = []
+        for (family, row), row_seeds in zip(rows, set_seeds):
+            if shared is None or row.t_free:
+                eqs += _admit(params, bound, E, family, row, row_seeds)
+                continue
+            known = shared.get(family)
+            if known is None or not _shareable(params, known):
+                known = _admit(params, bound, E, family, row, row_seeds)
+                if _shareable(params, known):
+                    shared[family] = known
+            eqs += known
+        found.append(eqs)
+    return found
 
 
 def _free_drug(params: ModelParams, E: float, T: float, I: float) -> float | None:

@@ -17,10 +17,15 @@ import bcdyn
 from bcdyn import DomainError, residual_norm
 from bcdyn.equilibria import (
     _TABLE,
+    _TUMOR_ONLY,
     CONFIRM_TOL,
+    FAMILIES,
     _admit,
+    _at_zero_key,
+    _find_batch,
     _free_drug,
     _polish,
+    _prepare,
     _tumor_ratio,
     coexisting,
     dead_type1,
@@ -31,7 +36,7 @@ from bcdyn.equilibria import (
     tumor_free,
 )
 from bcdyn.formats import catalog_to_json, stability_to_json
-from bcdyn.model import PARAM_NAMES, SystemState, _bind
+from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES, SystemState, _bind
 from bcdyn.numerics import NumericsError
 from bcdyn.stability import classify
 from bcdyn.validation import draw_params
@@ -814,3 +819,81 @@ class TestSetupCache:
         finally:
             sys.setswitchinterval(interval)
         assert got == [[want[0]] * 200, [want[1]] * 200]
+
+
+AT_ZERO_ROWS = ("tumor_free", "dead1")
+
+
+def at_zero_rows(params, memo=None):
+    """The tumor_free and dead1 rows of ``params`` from one _find_batch call."""
+    return _find_batch([_prepare(params, AT_ZERO_ROWS)], AT_ZERO_ROWS, memo)[0]
+
+
+class TestTumorOnlyFields:
+    """The T = 0 rows read none of the ``_TUMOR_ONLY`` fields, so a sweep may
+    share them between sets that differ only there."""
+
+    def test_t_zero_rows_do_not_read_them(self):
+        """Each field replaced by 0 (where valid), 1e-300, 1e300 and 3x its
+        value leaves every point, residual, flag, flag value and provenance
+        bit-identical; repr shows every bit of a float, zero signs too."""
+        assert _TUMOR_ONLY == {"d", "b2", "g1", "m_d", "d1", "epsilon"}
+        rng = np.random.default_rng(33)
+        sets, changed = 0, 0
+        for _ in range(200):
+            pm = draw_params(rng)
+            want = repr(at_zero_rows(pm))
+            sets += bool(at_zero_rows(pm))
+            for name in sorted(_TUMOR_ONLY):
+                values = [1e-300, 1e300, 3.0 * getattr(pm, name)]
+                if name in _NONNEGATIVE_OK:
+                    values.append(0.0)
+                for value in values:
+                    changed += 1
+                    assert repr(at_zero_rows(pm.replace(**{name: value}))) == want, (name, value)
+        assert sets == 200 and changed == 200 * 21
+
+    def test_a2_is_read(self, base_params):
+        """tumor_free reports l1_bound_a2 = theta*a2/(p*(1-k)^2), so a2 is no
+        tumor-only field."""
+        bounds = [
+            [
+                eq.flag_values["l1_bound_a2"]
+                for eq in at_zero_rows(base_params.replace(a2=a2))
+                if eq.family == "tumor_free"
+            ]
+            for a2 in (base_params.a2, 3.0 * base_params.a2)
+        ]
+        assert bounds[0] and bounds[0] != bounds[1]
+
+    def test_memo_key_reads_every_other_field(self, base_params):
+        key = _at_zero_key(base_params)
+        moved = {
+            name
+            for name in PARAM_NAMES
+            if _at_zero_key(base_params.replace(**{name: 0.5 * getattr(base_params, name)})) != key
+        }
+        assert moved == set(PARAM_NAMES) - _TUMOR_ONLY
+
+    def test_memo_keeps_the_sign_of_a_zero(self, base_params):
+        """l1 = -0.0 is valid and makes the tumor-free feed -0.0; a memo keyed
+        by a float tuple would hand the l1 = 0.0 set's +0.0 to it."""
+        sets = [base_params.replace(l1=-0.0), base_params.replace(l1=0.0)]
+        feeds = [
+            [eq.flag_values["tumor_feed"] for eq in catalog if eq.family == "tumor_free"]
+            for catalog in _find_batch([_prepare(pm, FAMILIES) for pm in sets], FAMILIES, {})
+        ]
+        assert [[math.copysign(1.0, x) for x in feed] for feed in feeds] == [[-1.0], [1.0]]
+
+    def test_memo_skips_a_set_whose_tumor_terms_overflow(self, base_params):
+        """At g1 = 1.5e308, g1*I overflows and g1*I*T is nan at T = 0, which
+        the residual's max passes over, so the tumor-free row there differs
+        from the row at the scenario's g1.  The memo shares neither way."""
+        sets = [base_params, base_params.replace(g1=1.5e308), base_params]
+        alone = [repr(at_zero_rows(pm)) for pm in sets]
+        assert alone[0] != alone[1]
+        for order in (sets, sets[::-1]):
+            memo: dict = {}
+            shared = _find_batch([_prepare(pm, AT_ZERO_ROWS) for pm in order], AT_ZERO_ROWS, memo)
+            assert [repr(rows) for rows in shared] == [repr(at_zero_rows(pm)) for pm in order]
+            assert len(memo) == 1

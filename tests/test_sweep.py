@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -418,10 +419,10 @@ class TestBifurcate:
         requests: dict[float, list[tuple[str, ...]]] = {}
         solve = bcdyn.sweep._solve
 
-        def counted(prepared, families=FAMILIES):
+        def counted(prepared, families=FAMILIES, *rest):
             for params, *_ in prepared:
                 requests.setdefault(params.d, []).append(families)
-            return solve(prepared, families)
+            return solve(prepared, families, *rest)
 
         monkeypatch.setattr(bcdyn.sweep, "_solve", counted)
         results = run_bifurcate(scenario, "d", lo, hi, scan_points=scan_points)
@@ -514,6 +515,101 @@ class TestBifurcate:
             a, b = res.bracketing_interval
             assert b == np.nextafter(a, math.inf)
             assert ref.bracketing_interval[0] <= a < b <= ref.bracketing_interval[1]
+
+
+class TestSharedAtZeroRows:
+    """One sweep or bifurcation call admits the T = 0 rows once per value of
+    the fields they read and hands them to every other point that shares
+    those values.  Its rows and results equal those of each value solved in
+    its own call."""
+
+    def scenarios(self):
+        rng = np.random.default_rng(33)
+        return [scenario_with(draw_params(rng, k=k)) for k in (1.0, None, 1.0, None)]
+
+    @staticmethod
+    def admitted(monkeypatch):
+        """Every equilibria._admit call, recorded as (d, family)."""
+        import bcdyn.equilibria
+
+        calls = []
+        admit = bcdyn.equilibria._admit
+
+        def counted(params, bound, E, family, row, seeds):
+            calls.append((params.d, family))
+            return admit(params, bound, E, family, row, seeds)
+
+        monkeypatch.setattr(bcdyn.equilibria, "_admit", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["d", "b2", "g1", "m_d", "d1", "epsilon"])
+    def test_sweep_over_a_tumor_only_field(self, name):
+        for sc in self.scenarios():
+            value = getattr(sc.params, name)
+            grid = (0.0,) * (name in _NONNEGATIVE_OK) + (0.5 * value, value, 2.0 * value)
+            alone = [row for v in grid for row in run_sweep(sc, SweepSpec(name, (v,)))]
+            assert repr(run_sweep(sc, SweepSpec(name, grid))) == repr(alone)
+
+    def test_two_parameter_k_d_grid(self):
+        k_grid, d_grid = build_grid(0.0, 1.0, 4), build_grid(0.3, 3.0, 5)
+        for sc in self.scenarios():
+            alone = [
+                row
+                for k in k_grid
+                for d in d_grid
+                for row in run_sweep(sc, SweepSpec("k", (k,), "d", (d,)))
+            ]
+            assert repr(run_sweep(sc, SweepSpec("k", k_grid, "d", d_grid))) == repr(alone)
+
+    def test_bifurcation_over_d_and_g1(self, monkeypatch):
+        """Every _solve request split into one call per parameter set, each
+        with no memo, gives the same crossings."""
+        import bcdyn.sweep
+
+        pm, d_star, lo, hi = TestBifurcate().planted_instance()
+        cases = [(scenario_with(pm), "d", lo, hi)] + [
+            (sc, name, 0.2 * getattr(sc.params, name), 3.0 * getattr(sc.params, name))
+            for sc in self.scenarios()
+            for name in ("d", "g1")
+        ]
+        shared = [run_bifurcate(sc, name, a, b, scan_points=16) for sc, name, a, b in cases]
+        solve = bcdyn.sweep._solve
+
+        def alone(prepared, families=FAMILIES, *rest):
+            return [solve([entry], families)[0] for entry in prepared]
+
+        monkeypatch.setattr(bcdyn.sweep, "_solve", alone)
+        assert repr(shared) == repr(
+            [run_bifurcate(sc, name, a, b, scan_points=16) for sc, name, a, b in cases]
+        )
+        crossed = {
+            (name, res.equilibrium_family)
+            for (_, name, _, _), results in zip(cases, shared)
+            for res in results
+        }
+        assert {("d", "tumor_free"), ("g1", "tumor_free"), ("d", "dead2")} <= crossed
+
+    def test_sweep_admits_each_t_zero_row_once(self, monkeypatch):
+        calls = self.admitted(monkeypatch)
+        run_sweep(default_scenario(), SweepSpec("d", build_grid(0.5, 1.5, 8)))
+        assert Counter(family for _, family in calls) == {
+            "tumor_free": 1, "dead1": 1, "dead2": 8, "coexisting": 8,
+        }
+
+    def test_planted_midpoints_admit_no_row(self, monkeypatch):
+        """Every midpoint of the planted bracket is a tumor-free solve, and
+        the scan grid has admitted that row already."""
+        pm, d_star, lo, hi = TestBifurcate().planted_instance()
+        calls = self.admitted(monkeypatch)
+        results = run_bifurcate(scenario_with(pm), "d", lo, hi, scan_points=32)
+        assert [res.equilibrium_family for res in results] == ["tumor_free"]
+        a, b = results[0].bracketing_interval
+        assert b - a < 1e-6 * (hi - lo)
+        grid = {float(v) for v in np.linspace(lo, hi, 32)}
+        assert [call for call in calls if call[0] not in grid] == []
+        assert Counter(family for _, family in calls) == {
+            "tumor_free": 1, "dead1": 1, "dead2": 32, "coexisting": 32,
+        }
 
 
 class TestLeadingEigenvalue:
