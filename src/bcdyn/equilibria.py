@@ -48,8 +48,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -57,11 +55,11 @@ import numpy as np
 
 from .model import (
     DENOM_GUARD,
-    PARAM_NAMES,
     DomainError,
     ModelParams,
     SystemState,
     _bind,
+    _inf_norm,
 )
 from .numerics import MAX_DEGREE, NewtonError, NumericsError, _eigvals
 
@@ -222,11 +220,6 @@ def _quadratic_positive_roots(coeffs: tuple[float, float, float]) -> list[float]
     return sorted({r for r in roots if r > 0})
 
 
-def _residual(f, point: SystemState) -> float:
-    """||rhs||_inf at ``point`` through the bound vector field ``f``."""
-    return max(map(abs, f(*point.as_tuple())))
-
-
 def _dedup(items: list, key) -> list:
     """Keep each item whose ``key`` vector is farther than DEDUP_TOL, in the
     infinity norm relative to 1 + its own largest magnitude, from every
@@ -350,7 +343,7 @@ def _polish(bound, active: tuple[int, ...], template: list[float]):
         return None
     if all(abs(full[i]) < POLISH_TOL for i in active):
         snapped = _snap(template)
-        return SystemState(*snapped), (max(map(abs, full)) if snapped == template else None)
+        return SystemState(*snapped), (_inf_norm(full) if snapped == template else None)
 
     def assemble(x: np.ndarray) -> list[float]:
         vals = list(template)
@@ -492,32 +485,14 @@ _AT_ZERO = frozenset(family for family, row in _TABLE.items() if not row.t_free)
 #: ``l1_bound_a2``.
 _TUMOR_ONLY = frozenset({"d", "b2", "g1", "m_d", "d1", "epsilon"})
 
-#: The other 20 fields, read by two getters of ten.  CPython 3.11 puts a
-#: freed 20-tuple on a free list that it never allocates from, so a getter
-#: of all 20 would leave up to 2,000 of them (0.37 MB) behind a sweep.
-_AT_ZERO_FIELDS = [name for name in PARAM_NAMES if name not in _TUMOR_ONLY]
-_AT_ZERO_HALVES = (
-    operator.attrgetter(*_AT_ZERO_FIELDS[:10]),
-    operator.attrgetter(*_AT_ZERO_FIELDS[10:]),
-)
-_HALF_KEY = struct.Struct("10d")
-
-
-def _at_zero_key(params: ModelParams) -> bytes:
-    """The key of the T = 0 rows of ``params`` in a :func:`_find_batch`
-    memo: the fields they read, packed.  The bytes tell -0.0 from 0.0,
-    which a float tuple's equality does not, and a T = 0 flag value can
-    differ only in the sign of its zero (l1 = -0.0 is valid)."""
-    first, second = _AT_ZERO_HALVES
-    return _HALF_KEY.pack(*first(params)) + _HALF_KEY.pack(*second(params))
-
 
 def _shareable(params: ModelParams, eqs: list[Equilibrium]) -> bool:
     """Whether T = 0.0 wipes the tumor-only fields from the T = 0 points
     ``eqs`` of ``params``, so that the points may stand for another set
     that differs only there: the terms T*(a2*d - b2*T) and g1*I*T of the
-    tumor equation are 0.0 while a2*d and g1*I are finite, and nan
-    (inf*0.0) once either overflows."""
+    tumor equation are 0.0 while a2*d and g1*I are finite.  Once either
+    overflows they are nan (inf*0.0), so is the set's own residual, and
+    the set is solved alone."""
     return math.isfinite(params.a2 * params.d) and all(
         math.isfinite(params.g1 * eq.point.I) for eq in eqs
     )
@@ -538,7 +513,7 @@ def _prepare(params: ModelParams, families):
     return params, _bind(params), (E, (R, S, U), at_zero)
 
 
-def _find_batch(prepared, families, memo: dict | None = None) -> list[list[Equilibrium]]:
+def _find_batch(prepared, families, shared: list | None = None) -> list[list[Equilibrium]]:
     """Run the rows ``families`` of the family table on every parameter set
     of ``prepared``, each entry the set's :func:`_prepare`.  The eliminated
     polynomials of all sets and rows are rooted together (see
@@ -553,13 +528,14 @@ def _find_batch(prepared, families, memo: dict | None = None) -> list[list[Equil
     found apart, and a root of P seeds I = 0 exactly, not the rounding
     noise of P/Q there.
 
-    ``memo``, a dict owned by the caller, shares the T = 0 rows between
-    sets that differ only in ``_TUMOR_ONLY`` fields: a row is admitted once
-    per key and its ``Equilibrium`` list is handed out again, the same
-    objects, which are frozen and whose dicts nothing mutates.  A list is
-    stored and reused only where sharing it is exact to the bit
-    (:func:`_shareable`).  The sweeps give each call a fresh memo, so
-    none outlives it."""
+    ``shared``, when given, holds per set a dict owned by the caller, or
+    None.  Sets handed the same dict must differ only in ``_TUMOR_ONLY``
+    fields, which the caller knows from how it built them (see
+    ``sweep.run_sweep``).  A T = 0 row is admitted once per dict and its
+    ``Equilibrium`` list handed out again, the same objects, which are
+    frozen and whose dicts nothing mutates.  A list is stored and reused
+    only where sharing it is exact to the bit (:func:`_shareable`).  The
+    sweeps build their dicts in each call, so none outlives it."""
     rows = [(family, _TABLE[family]) for family in families]
     seeds, rooted, polys = [], [], []
     for i, (params, _, (E, (R, S, U), at_zero)) in enumerate(prepared):
@@ -595,22 +571,20 @@ def _find_batch(prepared, families, memo: dict | None = None) -> list[list[Equil
             seeds[i][j] += [(T, 0.0) for T in roots]
         else:
             seeds[i][j] += [(T, _horner(P, T) / _horner(Q, T)) for T in roots]
-    sharing = memo is not None and not _AT_ZERO.isdisjoint(families)
     found = []
-    for (params, bound, (E, *_)), set_seeds in zip(prepared, seeds):
-        shared = None
-        if sharing:
-            shared = memo.setdefault(_at_zero_key(params), {})
+    for (params, bound, (E, *_)), set_seeds, group in zip(
+        prepared, seeds, shared or [None] * len(prepared)
+    ):
         eqs: list[Equilibrium] = []
         for (family, row), row_seeds in zip(rows, set_seeds):
-            if shared is None or row.t_free:
+            if group is None or row.t_free:
                 eqs += _admit(params, bound, E, family, row, row_seeds)
                 continue
-            known = shared.get(family)
+            known = group.get(family)
             if known is None or not _shareable(params, known):
                 known = _admit(params, bound, E, family, row, row_seeds)
                 if _shareable(params, known):
-                    shared[family] = known
+                    group[family] = known
             eqs += known
         found.append(eqs)
     return found
@@ -644,7 +618,7 @@ def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seed
     """Back-substitute N and M into each (T, I) seed of one family, polish
     the free components, admit, dedup and flag.  A point keeps the residual
     its polish evaluated and is evaluated again only when the polish moved
-    or snapped it."""
+    or snapped it; a nan component makes it nan."""
     active = (0,) * row.n_free + (1,) * row.t_free + (2, 4)
     points: list[tuple[SystemState, float | None]] = []
     for T0, I0 in seeds:
@@ -673,7 +647,7 @@ def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seed
     provenance = row.provenance(params)
     return [
         Equilibrium(
-            point, family, _residual(bound[0], point) if residual is None else residual,
+            point, family, _inf_norm(bound[0](*point.as_tuple())) if residual is None else residual,
             *row.flags(params, point), provenance=provenance,
         )
         for point, residual in _dedup(points, key=lambda pair: pair[0].as_tuple())

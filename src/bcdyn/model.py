@@ -395,9 +395,20 @@ def rhs(state: SystemState, params: ModelParams) -> tuple[float, float, float, f
     return make_rhs(params)(*state.as_tuple())
 
 
+def _inf_norm(values) -> float:
+    """max |v| over the sequence ``values``, nan when any v is: ``max`` alone
+    passes over a nan that is not first.  A nan sum finds one cheaply (or
+    is inf + -inf, which the exact test settles)."""
+    total = sum(values)
+    if total != total and any(map(math.isnan, values)):
+        return math.nan
+    return max(map(abs, values))
+
+
 def residual_norm(state: SystemState, params: ModelParams) -> float:
-    """Infinity norm of the vector field; zero at an exact equilibrium."""
-    return max(abs(v) for v in rhs(state, params))
+    """Infinity norm of the vector field, nan if a component is; zero at an
+    exact equilibrium."""
+    return _inf_norm(rhs(state, params))
 
 
 def make_jacobian(params: ModelParams):

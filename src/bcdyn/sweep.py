@@ -5,12 +5,14 @@ equilibrium pipeline: a grid point's parameter set is the scenario's with
 the swept fields replaced, which checks those fields only, and the
 eliminated polynomials of all points are rooted together.  The T = 0 rows
 (tumor_free, dead1) read none of the tumor-only fields d, b2, g1, m_d, d1
-and epsilon, so they are admitted once per value of the other fields and
-shared by every grid point with that value (``equilibria._find_batch``'s
-memo, fresh in each call).  Each row then takes its verdict and max
-Re(lambda) from one stacked spectrum of the Jacobians at all confirmed
-points, and R0 and R1 from the entries of the same Jacobians, with the
-same bits as :func:`classify` gives them (no branch continuation).
+and epsilon, so they are admitted once per group of grid points, the
+points with the same grid index in each swept field that is not
+tumor-only, and shared by the group (``equilibria._find_batch``): a d
+sweep is one group, a (k, d) grid one group per k.  Each row then takes
+its verdict and max Re(lambda) from one stacked spectrum of the Jacobians
+at all confirmed points, and R0 and R1 from the entries of the same
+Jacobians, with the same bits as :func:`classify` gives them (no branch
+continuation).
 Of each spectrum only the leading eigenvalue is kept, the one
 :func:`classify`'s sorted spectrum leads with; no spectrum is sorted.
 The stacked spectrum is one call of LAPACK's ``dgeev``
@@ -21,12 +23,13 @@ The bifurcation scanner brackets sign changes of the leading eigenvalue
 real part per family and bisects each bracket.  It solves its scan grid
 for all families in one batch, and reads only eigenvalues: no
 characteristic polynomial, Hurwitz minors or theorem rules.  A bisection
-midpoint is a batch of one solved for the bracketed family only, and it
-shares the scan's memo, so a tumor-free midpoint of a d scan admits no
-point and computes only its Jacobian and eigenvalues.  The bisection
-carries the entries at both bracket ends, so the reported eigenvalues
-need no further solve.  A bracket is halved down to its target width or
-until its ends are adjacent floats.
+midpoint is a batch of one solved for the bracketed family only.  A scan
+over a tumor-only field is one group, its midpoints included, so a
+tumor-free midpoint of a d scan admits no point and computes only its
+Jacobian and eigenvalues.  The bisection carries the entries at both
+bracket ends, so the reported eigenvalues need no further solve.  A
+bracket is halved down to its target width or until its ends are
+adjacent floats.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import FAMILIES, _catalog, _find_batch, _prepare
+from .equilibria import _TUMOR_ONLY, FAMILIES, _catalog, _find_batch, _prepare
 from .model import (
     _MAX_POINTS,
     PARAM_NAMES,
@@ -120,16 +123,16 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     return tuple(np.linspace(lo, hi, count))
 
 
-def _solve(prepared, families=FAMILIES, memo=None) -> list[list[tuple]]:
+def _solve(prepared, families=FAMILIES, shared=None) -> list[list[tuple]]:
     """Per set of ``prepared``, each entry its ``equilibria._prepare``,
     its catalog restricted to the rows ``families`` as (equilibrium,
     Jacobian rows, leading eigenvalue) triples, the last two None for
     unconfirmed points.  All sets go through one batched solve, which
-    shares the T = 0 rows through ``memo`` (see ``equilibria._find_batch``),
+    shares the T = 0 rows through ``shared`` (see ``equilibria._find_batch``),
     and the Jacobians at all confirmed points through one stacked
     eigenvalue call, which refuses a non-finite entry with a
     :class:`NumericsError`.  Each set's Jacobians are its own: J11 reads d."""
-    solved = [_catalog(eqs) for eqs in _find_batch(prepared, families, memo)]
+    solved = [_catalog(eqs) for eqs in _find_batch(prepared, families, shared)]
     Js = [
         jac(*eq.point.as_tuple())
         for (_, (_, jac), _), catalog in zip(prepared, solved)
@@ -150,17 +153,22 @@ def _solve(prepared, families=FAMILIES, memo=None) -> list[list[tuple]]:
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
     """One row per grid point per equilibrium, grid-major then family."""
     second = spec.second_grid or (None,)
-    points, prepared = [], []
-    for v1 in spec.grid:
-        for v2 in second:
+    # A group of points, named by the grid index of each swept field the
+    # T = 0 rows read, shares one dict of them; no float is compared.
+    reads = [name not in _TUMOR_ONLY for name in (spec.parameter_name, spec.second_parameter)]
+    groups: dict[tuple, dict] = {}
+    points, prepared, shared = [], [], []
+    for i, v1 in enumerate(spec.grid):
+        for j, v2 in enumerate(second):
             overrides = {spec.parameter_name: float(v1)}
             if spec.second_parameter is not None:
                 overrides[spec.second_parameter] = float(v2)
             params = scenario.params.replace(**overrides)
             prepared.append(_prepare(params, FAMILIES))
             points.append((v1, v2))
+            shared.append(groups.setdefault((i if reads[0] else None, j if reads[1] else None), {}))
     rows: list[dict] = []
-    for (v1, v2), catalog in zip(points, _solve(prepared, FAMILIES, {})):
+    for (v1, v2), catalog in zip(points, _solve(prepared, FAMILIES, shared)):
         for eq, J, lead in catalog:
             row = {
                 "parameter": spec.parameter_name,
@@ -230,16 +238,17 @@ def run_bifurcate(
         )
     grid = [float(v) for v in np.linspace(lo, hi, scan_points)]
     width_target = bracket_rel_width * (hi - lo)
-    # One memo for the scan and every midpoint: a tumor-free midpoint of a
-    # d scan reuses the T = 0 rows of the scan grid.
-    memo: dict = {}
+    # A scan over a tumor-only field is one group, its midpoints included:
+    # a tumor-free midpoint of a d scan reuses the scan's T = 0 rows.  Each
+    # value of another scan is a set of its own.
+    group = {} if parameter_name in _TUMOR_ONLY else None
 
     def solve(values: list[float], families=FAMILIES) -> list[dict[str, list]]:
         """Per parameter value, each confirmed point of each of ``families``
         with its leading eigenvalue, from one batched solve."""
-        params_list = [scenario.params.replace(**{parameter_name: v}) for v in values]
         found = [{fam: [] for fam in families} for _ in values]
-        catalogs = _solve([_prepare(params, families) for params in params_list], families, memo)
+        sets = [scenario.params.replace(**{parameter_name: v}) for v in values]
+        catalogs = _solve([_prepare(pm, families) for pm in sets], families, [group] * len(values))
         for by_family, catalog in zip(found, catalogs):
             for eq, _, lead in catalog:
                 if lead is not None:

@@ -21,7 +21,6 @@ from bcdyn.equilibria import (
     CONFIRM_TOL,
     FAMILIES,
     _admit,
-    _at_zero_key,
     _find_batch,
     _free_drug,
     _polish,
@@ -604,6 +603,25 @@ class TestExtremeValues:
                 pass
 
 
+    def test_overflowing_tumor_term_is_no_equilibrium(self, base_params):
+        """At g1 = 1.5e308, g1*I overflows at a T = 0 point and g1*I*T is
+        nan there.  The residual is then nan and the point unconfirmed: a
+        max over |f| that passed over the nan confirmed the default
+        scenario's tumor-free point, whose own tumor feed is 0.0058."""
+        rng = np.random.default_rng(34)
+        sets = [base_params] + [draw_params(rng) for _ in range(40)]
+        overflowing = 0
+        for pm in (pm.replace(g1=1.5e308) for pm in sets):
+            for eq in tumor_free(pm) + dead_type1(pm):
+                if math.isinf(pm.g1 * eq.point.I):
+                    overflowing += 1
+                    assert math.isnan(eq.residual) and not eq.confirmed
+                    assert math.isnan(residual_norm(eq.point, pm))
+        assert overflowing >= 20
+        (eq,) = tumor_free(base_params.replace(g1=1.5e308))
+        assert eq.flag_values["tumor_feed"] > CONFIRM_TOL and not eq.confirmed
+
+
 class TestDegenerateSlices:
     """Boundary slices the per-family finders missed before the family
     table gave every family one admission test."""
@@ -824,9 +842,9 @@ class TestSetupCache:
 AT_ZERO_ROWS = ("tumor_free", "dead1")
 
 
-def at_zero_rows(params, memo=None):
+def at_zero_rows(params):
     """The tumor_free and dead1 rows of ``params`` from one _find_batch call."""
-    return _find_batch([_prepare(params, AT_ZERO_ROWS)], AT_ZERO_ROWS, memo)[0]
+    return _find_batch([_prepare(params, AT_ZERO_ROWS)], AT_ZERO_ROWS)[0]
 
 
 class TestTumorOnlyFields:
@@ -866,34 +884,38 @@ class TestTumorOnlyFields:
         ]
         assert bounds[0] and bounds[0] != bounds[1]
 
-    def test_memo_key_reads_every_other_field(self, base_params):
-        key = _at_zero_key(base_params)
-        moved = {
-            name
-            for name in PARAM_NAMES
-            if _at_zero_key(base_params.replace(**{name: 0.5 * getattr(base_params, name)})) != key
-        }
-        assert moved == set(PARAM_NAMES) - _TUMOR_ONLY
+    def test_memo_keeps_the_sign_of_a_zero(self, monkeypatch):
+        """l1 = -0.0 is valid and makes the tumor-free feed -0.0.  A sweep
+        over l1 = (-0.0, 0.0) gives each set its own rows, so neither takes
+        the other's zero; sharing by a float tuple of the fields would."""
+        import bcdyn.sweep
 
-    def test_memo_keeps_the_sign_of_a_zero(self, base_params):
-        """l1 = -0.0 is valid and makes the tumor-free feed -0.0; a memo keyed
-        by a float tuple would hand the l1 = 0.0 set's +0.0 to it."""
-        sets = [base_params.replace(l1=-0.0), base_params.replace(l1=0.0)]
+        found = []
+        find_batch = bcdyn.sweep._find_batch
+
+        def recorded(*args):
+            found.append(find_batch(*args))
+            return found[-1]
+
+        monkeypatch.setattr(bcdyn.sweep, "_find_batch", recorded)
+        bcdyn.run_sweep(bcdyn.default_scenario(), bcdyn.SweepSpec("l1", (-0.0, 0.0)))
         feeds = [
             [eq.flag_values["tumor_feed"] for eq in catalog if eq.family == "tumor_free"]
-            for catalog in _find_batch([_prepare(pm, FAMILIES) for pm in sets], FAMILIES, {})
+            for catalog in found[0]
         ]
         assert [[math.copysign(1.0, x) for x in feed] for feed in feeds] == [[-1.0], [1.0]]
 
     def test_memo_skips_a_set_whose_tumor_terms_overflow(self, base_params):
-        """At g1 = 1.5e308, g1*I overflows and g1*I*T is nan at T = 0, which
-        the residual's max passes over, so the tumor-free row there differs
-        from the row at the scenario's g1.  The memo shares neither way."""
+        """At g1 = 1.5e308, g1*I overflows and g1*I*T is nan at T = 0, so
+        the rows there have a nan residual and differ from the rows at the
+        scenario's g1.  One dict for the three sets shares neither way."""
         sets = [base_params, base_params.replace(g1=1.5e308), base_params]
         alone = [repr(at_zero_rows(pm)) for pm in sets]
         assert alone[0] != alone[1]
         for order in (sets, sets[::-1]):
-            memo: dict = {}
-            shared = _find_batch([_prepare(pm, AT_ZERO_ROWS) for pm in order], AT_ZERO_ROWS, memo)
-            assert [repr(rows) for rows in shared] == [repr(at_zero_rows(pm)) for pm in order]
-            assert len(memo) == 1
+            rows: dict = {}
+            shared = _find_batch(
+                [_prepare(pm, AT_ZERO_ROWS) for pm in order], AT_ZERO_ROWS, [rows] * 3
+            )
+            assert [repr(found) for found in shared] == [repr(at_zero_rows(pm)) for pm in order]
+            assert set(rows) == set(AT_ZERO_ROWS)

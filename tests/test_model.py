@@ -34,7 +34,7 @@ from bcdyn.equilibria import (
     find_all,
     tumor_free,
 )
-from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES, _bind
+from bcdyn.model import _NONNEGATIVE_OK, PARAM_NAMES, _bind, _inf_norm
 from bcdyn.validation import draw_params, draw_state
 
 from conftest import JACOBIAN_ZEROS, random_params
@@ -99,6 +99,32 @@ class TestRhs:
     def test_rejects_non_finite_state(self, base_params):
         with pytest.raises(DomainError):
             rhs(SystemState(math.nan, 0, 0, 0, 0), base_params)
+
+
+class TestInfNorm:
+    """``_inf_norm`` is max |v|, and nan when any v is nan, wherever it is."""
+
+    @pytest.mark.parametrize("at", range(5))
+    def test_a_nan_anywhere_is_nan(self, at):
+        values = [1.0, -2.0, math.inf, 0.0, -math.inf]
+        values[at] = math.nan
+        assert math.isnan(_inf_norm(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [(0.5, -3.0, 1e-300, -0.0, 2.0), (-0.0, 0.0), (math.inf, -math.inf, 1.0), (-1e308,) * 3],
+    )
+    def test_without_a_nan_is_the_max(self, values):
+        assert _inf_norm(values) == max(map(abs, values))
+
+    def test_seeded_states(self, rng):
+        for _ in range(200):
+            values = rng.standard_normal(5).tolist()
+            want = max(map(abs, values))
+            assert _inf_norm(values) == want
+            at = int(rng.integers(5))
+            values[at] = math.nan
+            assert math.isnan(_inf_norm(values))
 
 
 class TestJacobian:

@@ -1,5 +1,6 @@
 """Parameter sweeps and bifurcation bracketing."""
 import hashlib
+import itertools
 import math
 import re
 import warnings
@@ -20,7 +21,15 @@ from bcdyn import (
     run_bifurcate,
     run_sweep,
 )
-from bcdyn.equilibria import FAMILIES, _catalog, _find_batch, _prepare, estrogen_level, tumor_free
+from bcdyn.equilibria import (
+    _TUMOR_ONLY,
+    FAMILIES,
+    _catalog,
+    _find_batch,
+    _prepare,
+    estrogen_level,
+    tumor_free,
+)
 from bcdyn.formats import bifurcation_to_json, sweep_to_csv
 from bcdyn.model import _MAX_POINTS, _NONNEGATIVE_OK, PARAM_NAMES, STATE_NAMES, _bind
 from bcdyn.numerics import NumericsError, _leading, _root_set
@@ -518,10 +527,10 @@ class TestBifurcate:
 
 
 class TestSharedAtZeroRows:
-    """One sweep or bifurcation call admits the T = 0 rows once per value of
-    the fields they read and hands them to every other point that shares
-    those values.  Its rows and results equal those of each value solved in
-    its own call."""
+    """One sweep or bifurcation call admits the T = 0 rows once per group of
+    grid points, the points whose sets differ only in tumor-only fields,
+    and hands them to every point of the group.  Its rows and results equal
+    those of each value solved in its own call."""
 
     def scenarios(self):
         rng = np.random.default_rng(33)
@@ -550,22 +559,56 @@ class TestSharedAtZeroRows:
             alone = [row for v in grid for row in run_sweep(sc, SweepSpec(name, (v,)))]
             assert repr(run_sweep(sc, SweepSpec(name, grid))) == repr(alone)
 
-    def test_two_parameter_k_d_grid(self):
-        k_grid, d_grid = build_grid(0.0, 1.0, 4), build_grid(0.3, 3.0, 5)
+    @staticmethod
+    def axis(sc, name):
+        """Distinct grid values of ``name``: k over [0, 1], d over [0.3, 3],
+        l1 at both signs of zero and the scenario's value, and any other
+        field at 0 (where valid), 0.5, 1 and 2 times the scenario's value."""
+        if name == "k":
+            return build_grid(0.0, 1.0, 4)
+        if name == "d":
+            return build_grid(0.3, 3.0, 5)
+        value = getattr(sc.params, name)
+        if name == "l1":
+            return (-0.0, 0.0, value)
+        return (0.0,) * (name in _NONNEGATIVE_OK) + (0.5 * value, value, 2.0 * value)
+
+    def assert_grid_equals_points(self, first, second):
         for sc in self.scenarios():
+            first_grid, second_grid = self.axis(sc, first), self.axis(sc, second)
             alone = [
                 row
-                for k in k_grid
-                for d in d_grid
-                for row in run_sweep(sc, SweepSpec("k", (k,), "d", (d,)))
+                for v1 in first_grid
+                for v2 in second_grid
+                for row in run_sweep(sc, SweepSpec(first, (v1,), second, (v2,)))
             ]
-            assert repr(run_sweep(sc, SweepSpec("k", k_grid, "d", d_grid))) == repr(alone)
+            spec = SweepSpec(first, first_grid, second, second_grid)
+            assert repr(run_sweep(sc, spec)) == repr(alone)
 
-    def test_bifurcation_over_d_and_g1(self, monkeypatch):
-        """Every _solve request split into one call per parameter set, each
-        with no memo, gives the same crossings."""
+    def test_two_parameter_k_d_grid(self):
+        self.assert_grid_equals_points("k", "d")
+
+    @pytest.mark.parametrize("first, second", [("d", "k"), ("d", "g1")])
+    def test_two_parameter_grid_with_d_first(self, first, second):
+        self.assert_grid_equals_points(first, second)
+
+    @staticmethod
+    def bifurcations_alone(monkeypatch, cases):
+        """``run_bifurcate`` of each case with every ``_solve`` request split
+        into one call per parameter set, which shares no T = 0 row."""
         import bcdyn.sweep
 
+        solve = bcdyn.sweep._solve
+
+        def alone(prepared, families=FAMILIES, *rest):
+            return [solve([entry], families)[0] for entry in prepared]
+
+        monkeypatch.setattr(bcdyn.sweep, "_solve", alone)
+        return [run_bifurcate(sc, name, a, b, scan_points=16) for sc, name, a, b in cases]
+
+    def test_bifurcation_over_d_and_g1(self, monkeypatch):
+        """Every _solve request split into one call per parameter set gives
+        the same crossings."""
         pm, d_star, lo, hi = TestBifurcate().planted_instance()
         cases = [(scenario_with(pm), "d", lo, hi)] + [
             (sc, name, 0.2 * getattr(sc.params, name), 3.0 * getattr(sc.params, name))
@@ -573,15 +616,7 @@ class TestSharedAtZeroRows:
             for name in ("d", "g1")
         ]
         shared = [run_bifurcate(sc, name, a, b, scan_points=16) for sc, name, a, b in cases]
-        solve = bcdyn.sweep._solve
-
-        def alone(prepared, families=FAMILIES, *rest):
-            return [solve([entry], families)[0] for entry in prepared]
-
-        monkeypatch.setattr(bcdyn.sweep, "_solve", alone)
-        assert repr(shared) == repr(
-            [run_bifurcate(sc, name, a, b, scan_points=16) for sc, name, a, b in cases]
-        )
+        assert repr(shared) == repr(self.bifurcations_alone(monkeypatch, cases))
         crossed = {
             (name, res.equilibrium_family)
             for (_, name, _, _), results in zip(cases, shared)
@@ -589,11 +624,86 @@ class TestSharedAtZeroRows:
         }
         assert {("d", "tumor_free"), ("g1", "tumor_free"), ("d", "dead2")} <= crossed
 
+    def test_bifurcation_over_k(self, monkeypatch):
+        """k is read by the T = 0 rows, so a k scan shares nothing, and its
+        crossings equal those of every set solved alone."""
+        rng = np.random.default_rng(33)
+        draws = [draw_params(rng) for _ in range(9)]
+        cases = [(scenario_with(pm), "k", 0.0, 1.0) for pm in draws[::4]]
+        shared = [run_bifurcate(sc, name, a, b, scan_points=16) for sc, name, a, b in cases]
+        assert repr(shared) == repr(self.bifurcations_alone(monkeypatch, cases))
+        crossed = [[res.equilibrium_family for res in results] for results in shared]
+        assert crossed == [["dead1"], ["coexisting"], ["dead2"]]
+
+    @staticmethod
+    def handed(monkeypatch):
+        """Every sweep._find_batch call, recorded as the parameter set of
+        each entry and the dict of T = 0 rows it was handed."""
+        import bcdyn.sweep
+
+        calls = []
+        find_batch = bcdyn.sweep._find_batch
+
+        def recorded(prepared, families, shared):
+            calls.append(list(zip([entry[0] for entry in prepared], shared)))
+            return find_batch(prepared, families, shared)
+
+        monkeypatch.setattr(bcdyn.sweep, "_find_batch", recorded)
+        return calls
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("d", None), ("k", None), ("l1", None), ("k", "d"), ("d", "k"), ("d", "g1"), ("l1", "d")],
+    )
+    def test_groups_differ_only_in_tumor_only_fields(self, monkeypatch, first, second):
+        """Two sets of a sweep get the same dict exactly when they differ
+        only in tumor-only fields (compared by repr, so -0.0 is not 0.0)."""
+        sc = default_scenario()
+        calls = self.handed(monkeypatch)
+        second_grid = self.axis(sc, second) if second else ()
+        spec = SweepSpec(first, self.axis(sc, first), second, second_grid)
+        run_sweep(sc, spec)
+        (handed,) = calls
+        assert len(handed) == len(spec.grid) * max(1, len(spec.second_grid))
+        for (a, shared_a), (b, shared_b) in itertools.combinations(handed, 2):
+            differ = {
+                name for name in PARAM_NAMES if repr(getattr(a, name)) != repr(getattr(b, name))
+            }
+            assert (shared_a is not None and shared_a is shared_b) == (differ <= _TUMOR_ONLY)
+
+    def test_bifurcation_groups(self, monkeypatch):
+        """A d scan hands one dict to its grid and every midpoint; a k scan
+        hands none."""
+        pm, d_star, lo, hi = TestBifurcate().planted_instance()
+        cases = [
+            (scenario_with(pm), "d", lo, hi),
+            (scenario_with(draw_params(np.random.default_rng(33))), "k", 0.0, 1.0),
+        ]
+        calls = self.handed(monkeypatch)
+        for sc, name, lo, hi in cases:
+            calls.clear()
+            assert run_bifurcate(sc, name, lo, hi, scan_points=16)
+            shared = [group for call in calls for _, group in call]
+            assert len(calls) > 1
+            if name == "d":
+                assert shared[0] is not None and all(group is shared[0] for group in shared)
+            else:
+                assert shared == [None] * len(shared)
+
     def test_sweep_admits_each_t_zero_row_once(self, monkeypatch):
         calls = self.admitted(monkeypatch)
         run_sweep(default_scenario(), SweepSpec("d", build_grid(0.5, 1.5, 8)))
         assert Counter(family for _, family in calls) == {
             "tumor_free": 1, "dead1": 1, "dead2": 8, "coexisting": 8,
+        }
+
+    def test_d_g1_grid_admits_each_t_zero_row_once(self, monkeypatch):
+        calls = self.admitted(monkeypatch)
+        g1 = default_scenario().params.g1
+        spec = SweepSpec("d", build_grid(0.5, 1.5, 4), "g1", (0.0, 0.5 * g1, g1))
+        run_sweep(default_scenario(), spec)
+        assert Counter(family for _, family in calls) == {
+            "tumor_free": 1, "dead1": 1, "dead2": 12, "coexisting": 12,
         }
 
     def test_planted_midpoints_admit_no_row(self, monkeypatch):
