@@ -498,28 +498,39 @@ def _shareable(params: ModelParams, eqs: list[Equilibrium]) -> bool:
     )
 
 
-def _prepare(params: ModelParams, families):
-    """The input :func:`_find_batch` takes for ``params`` and the rows
-    ``families``: ``(params, (f, jac), (E, (R, S, U), at_zero))``, with
-    the closures of ``model._bind``, E = E*, the immune quadratic R, S, U
-    and the (T, I) seeds at T = 0 that the T = 0 rows share, None when
-    ``families`` has no such row (a bisection midpoint of dead2 or
-    coexisting needs none)."""
+def _setup(params: ModelParams, families):
+    """The setup of ``params`` that every row reads: ``(E, (R, S, U),
+    at_zero)``, with E = E*, the immune quadratic R, S, U and the (T, I)
+    seeds at T = 0 that the T = 0 rows share, None when ``families`` has
+    no such row (a bisection midpoint of dead2 or coexisting needs none).
+    No part reads a ``_TUMOR_ONLY`` field, so sets that differ only there
+    have the same setup to the bit and may share one."""
     E = estrogen_level(params)
     R, S, U = _immune_quadratic(params, E)
     at_zero = None
     if not _AT_ZERO.isdisjoint(families):
         at_zero = tuple([(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)])
-    return params, _bind(params), (E, (R, S, U), at_zero)
+    return E, (R, S, U), at_zero
+
+
+def _prepare(params: ModelParams, families, setup=None):
+    """The input :func:`_find_batch` takes for ``params`` and the rows
+    ``families``: ``(params, (f, jac), setup)``, with the closures of
+    ``model._bind`` and the :func:`_setup` of ``params``.  A caller that
+    holds the setup of a set differing from ``params`` only in
+    ``_TUMOR_ONLY`` fields, built for rows including ``families``, passes
+    it as ``setup`` and so builds none."""
+    return params, _bind(params), _setup(params, families) if setup is None else setup
 
 
 def _find_batch(prepared, families, shared: list | None = None) -> list[list[Equilibrium]]:
     """Run the rows ``families`` of the family table on every parameter set
-    of ``prepared``, each entry the set's :func:`_prepare`.  The eliminated
-    polynomials of all sets and rows are rooted together (see
-    :func:`_positive_roots_each`); seeding, polish, admission, dedup and
-    flags stay per set.  Per set: its points, row by row in ``families``
-    order, each row deduplicated.
+    of ``prepared``, each entry the set's :func:`_prepare`; the sets of one
+    sweep group hold the same setup tuple, which is read and never
+    written.  The eliminated polynomials of all sets and rows are rooted
+    together (see :func:`_positive_roots_each`); seeding, polish,
+    admission, dedup and flags stay per set.  Per set: its points, row by
+    row in ``families`` order, each row deduplicated.
 
     T = 0 rows take their seeds from the setup.  Otherwise T runs over the
     positive roots of R*P^2 + S*P*Q + U*Q^2 and I = P/Q; with g1 = 0 (Q = 0)

@@ -3,33 +3,37 @@
 A sweep solves its whole grid (1-D or 2-D) in one batched call of the
 equilibrium pipeline: a grid point's parameter set is the scenario's with
 the swept fields replaced, which checks those fields only, and the
-eliminated polynomials of all points are rooted together.  The T = 0 rows
+eliminated polynomials of all points are rooted together.  The setup
+(E*, the immune quadratic, the T = 0 seeds) and the T = 0 rows
 (tumor_free, dead1) read none of the tumor-only fields d, b2, g1, m_d, d1
-and epsilon, so they are admitted once per group of grid points, the
-points with the same grid index in each swept field that is not
-tumor-only, and shared by the group (``equilibria._find_batch``): a d
-sweep is one group, a (k, d) grid one group per k.  Each row then takes
-its verdict and max Re(lambda) from one stacked spectrum of the Jacobians
-at all confirmed points, and R0 and R1 from the entries of the same
-Jacobians, with the same bits as :func:`classify` gives them (no branch
-continuation).
+and epsilon.  So each group of grid points, the points with the same grid
+index in each swept field that is not tumor-only, builds one setup
+(``equilibria._setup``) and admits its T = 0 rows once
+(``equilibria._find_batch``): a d sweep is one group, a (k, d) grid one
+group per k.  What is left per point is its ``replace`` and its
+``model._bind``.  Each row then takes its verdict and max Re(lambda) from
+one stacked spectrum of the Jacobians at all confirmed points, and R0 and
+R1 from the entries of the same Jacobians, with the same bits as
+:func:`classify` gives them (no branch continuation).
 Of each spectrum only the leading eigenvalue is kept, the one
 :func:`classify`'s sorted spectrum leads with; no spectrum is sorted.
-The stacked spectrum is one call of LAPACK's ``dgeev``
-(:func:`~bcdyn.numerics._eigvals`), so the Jacobian entries are checked
-finite before it, where ``np.linalg.eigvals`` would have checked them.
+The Jacobian rows are read into one (B, 5, 5) array in one flat pass,
+which is checked finite as a whole before the stacked spectrum: that is
+one call of LAPACK's ``dgeev`` (:func:`~bcdyn.numerics._eigvals`), where
+``np.linalg.eigvals`` would have checked the entries.
 
 The bifurcation scanner brackets sign changes of the leading eigenvalue
 real part per family and bisects each bracket.  It solves its scan grid
 for all families in one batch, and reads only eigenvalues: no
 characteristic polynomial, Hurwitz minors or theorem rules.  A bisection
 midpoint is a batch of one solved for the bracketed family only.  A scan
-over a tumor-only field is one group, its midpoints included, so a
-tumor-free midpoint of a d scan admits no point and computes only its
-Jacobian and eigenvalues.  The bisection carries the entries at both
-bracket ends, so the reported eigenvalues need no further solve.  A
-bracket is halved down to its target width or until its ends are
-adjacent floats.
+over a tumor-only field is one group, its midpoints included: it builds
+one setup, from the scenario's set, and a tumor-free midpoint of a d scan
+admits no point and computes only its Jacobian and eigenvalues.  A scan
+over any other field prepares each value.  The bisection carries the
+entries at both bracket ends, so the reported eigenvalues need no further
+solve.  A bracket is halved down to its target width or until its ends
+are adjacent floats.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import _TUMOR_ONLY, FAMILIES, _catalog, _find_batch, _prepare
+from .equilibria import _TUMOR_ONLY, FAMILIES, _catalog, _find_batch, _prepare, _setup
 from .model import (
     _MAX_POINTS,
     PARAM_NAMES,
@@ -139,10 +143,12 @@ def _solve(prepared, families=FAMILIES, shared=None) -> list[list[tuple]]:
         for eq in catalog
         if eq.confirmed
     ]
+    # One flat pass over the 25 entries of each 5x5 Jacobian, in row order.
     entries = itertools.chain.from_iterable(itertools.chain.from_iterable(Js))
-    if not all(map(math.isfinite, entries)):
+    stack = np.fromiter(entries, float, 25 * len(Js)).reshape(len(Js), 5, 5)
+    if not np.isfinite(stack).all():
         raise NumericsError("non-finite Jacobian entry")
-    leads = map(_leading, _eigvals(np.array(Js))) if Js else ()
+    leads = map(_leading, _eigvals(stack)) if Js else ()
     found = zip(Js, leads)
     return [
         [(eq, *next(found)) if eq.confirmed else (eq, None, None) for eq in catalog]
@@ -154,9 +160,10 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
     """One row per grid point per equilibrium, grid-major then family."""
     second = spec.second_grid or (None,)
     # A group of points, named by the grid index of each swept field the
-    # T = 0 rows read, shares one dict of them; no float is compared.
+    # T = 0 rows read, shares one setup and one dict of those rows; no
+    # float is compared.
     reads = [name not in _TUMOR_ONLY for name in (spec.parameter_name, spec.second_parameter)]
-    groups: dict[tuple, dict] = {}
+    groups: dict[tuple, tuple] = {}
     points, prepared, shared = [], [], []
     for i, v1 in enumerate(spec.grid):
         for j, v2 in enumerate(second):
@@ -164,9 +171,13 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
             if spec.second_parameter is not None:
                 overrides[spec.second_parameter] = float(v2)
             params = scenario.params.replace(**overrides)
-            prepared.append(_prepare(params, FAMILIES))
+            key = (i if reads[0] else None, j if reads[1] else None)
+            if key not in groups:
+                groups[key] = ({}, _setup(params, FAMILIES))
+            at_zero_rows, setup = groups[key]
+            prepared.append(_prepare(params, FAMILIES, setup))
             points.append((v1, v2))
-            shared.append(groups.setdefault((i if reads[0] else None, j if reads[1] else None), {}))
+            shared.append(at_zero_rows)
     rows: list[dict] = []
     for (v1, v2), catalog in zip(points, _solve(prepared, FAMILIES, shared)):
         for eq, J, lead in catalog:
@@ -239,16 +250,20 @@ def run_bifurcate(
     grid = [float(v) for v in np.linspace(lo, hi, scan_points)]
     width_target = bracket_rel_width * (hi - lo)
     # A scan over a tumor-only field is one group, its midpoints included:
-    # a tumor-free midpoint of a d scan reuses the scan's T = 0 rows.  Each
-    # value of another scan is a set of its own.
-    group = {} if parameter_name in _TUMOR_ONLY else None
+    # every value takes the scenario's setup, and a tumor-free midpoint of
+    # a d scan reuses the scan's T = 0 rows.  Each value of another scan is
+    # a set of its own.
+    group, setup = None, None
+    if parameter_name in _TUMOR_ONLY:
+        group, setup = {}, _setup(scenario.params, FAMILIES)
 
     def solve(values: list[float], families=FAMILIES) -> list[dict[str, list]]:
         """Per parameter value, each confirmed point of each of ``families``
         with its leading eigenvalue, from one batched solve."""
         found = [{fam: [] for fam in families} for _ in values]
         sets = [scenario.params.replace(**{parameter_name: v}) for v in values]
-        catalogs = _solve([_prepare(pm, families) for pm in sets], families, [group] * len(values))
+        prepared = [_prepare(pm, families, setup) for pm in sets]
+        catalogs = _solve(prepared, families, [group] * len(values))
         for by_family, catalog in zip(found, catalogs):
             for eq, _, lead in catalog:
                 if lead is not None:

@@ -331,6 +331,67 @@ class TestBatchedSweep:
         with pytest.raises(NumericsError, match="^non-finite Jacobian entry$"):
             bcdyn.sweep._solve([(params, (f, overflowing), _prepare(params, FAMILIES)[2])])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_in_a_later_jacobian_raises(self, monkeypatch, bad):
+        """Only the last Jacobian of the stack has the bad entry, its E row's
+        last column (which no polish reads); the stack is refused before
+        the eigenvalue call all the same."""
+        import bcdyn.sweep
+
+        params = default_scenario().params
+        f, jac = _bind(params)
+        setup = _prepare(params, FAMILIES)[2]
+        last = max(eq.point.T for eq in find_all(params) if eq.confirmed)
+
+        def bad_at_last(*state):
+            rows = [list(row) for row in jac(*state)]
+            if state[1] == last:
+                rows[3][4] = bad
+            return rows
+
+        monkeypatch.setattr(bcdyn.sweep, "_eigvals", refuse)
+        prepared = [(params, (f, jac), setup), (params, (f, bad_at_last), setup)]
+        with pytest.raises(NumericsError, match="^non-finite Jacobian entry$"):
+            bcdyn.sweep._solve(prepared)
+
+    def test_stack_holds_the_bits_of_each_jacobian(self, monkeypatch):
+        """The (B, 5, 5) stack handed to the eigenvalue call is the array of
+        the confirmed points' Jacobian rows, in catalog order, bit for bit."""
+        import bcdyn.sweep
+
+        stacks, solved = [], []
+        eigvals, solve = bcdyn.sweep._eigvals, bcdyn.sweep._solve
+
+        def recorded_eigvals(a):
+            stacks.append(a)
+            return eigvals(a)
+
+        def recorded_solve(*args):
+            solved.append(solve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(bcdyn.sweep, "_eigvals", recorded_eigvals)
+        monkeypatch.setattr(bcdyn.sweep, "_solve", recorded_solve)
+        run_sweep(default_scenario(), SweepSpec("k", build_grid(0.0, 1.0, 3), "d", (0.5, 2.0)))
+        (stack,), (catalogs,) = stacks, solved
+        want = np.array([J for catalog in catalogs for _, J, _ in catalog if J is not None])
+        assert stack.dtype == want.dtype and stack.shape == want.shape == (len(want), 5, 5)
+        assert stack.flags.c_contiguous and stack.tobytes() == want.tobytes()
+
+    def test_sweep_without_a_confirmed_point_calls_no_eigenvalues(self, monkeypatch):
+        """At k = 1 and g1 = 1.5e308, g1*I*T is nan at T = 0, so the T = 0
+        points have nan residuals, and below d = m_d/a2 there is no T > 0
+        point: every row is unconfirmed and no eigenvalue is asked for."""
+        import bcdyn.sweep
+
+        monkeypatch.setattr(bcdyn.sweep, "_eigvals", refuse)
+        params = default_scenario().params.replace(k=1.0, g1=1.5e308, p_M=0.2)
+        rows = run_sweep(scenario_with(params), SweepSpec("d", (0.1, 0.2)))
+        assert [(row["value"], row["family"]) for row in rows] == [
+            (d, family) for d in (0.1, 0.2) for family in ("tumor_free", "dead1")
+        ]
+        assert all(math.isnan(row["residual"]) and "verdict" not in row for row in rows)
+
     def test_invalid_grid_point_names_the_point(self):
         with pytest.raises(DomainError) as exc:
             SweepSpec("d", (0.5, 0.0, 1.0))
@@ -720,6 +781,70 @@ class TestSharedAtZeroRows:
         assert Counter(family for _, family in calls) == {
             "tumor_free": 1, "dead1": 1, "dead2": 32, "coexisting": 32,
         }
+
+
+class TestSetupPerGroup:
+    """A sweep builds the setup (E*, the immune quadratic, the T = 0 seeds)
+    once per group of grid points, and a bifurcation over a tumor-only
+    field once for its scan and all its midpoints.  Counted at
+    equilibria._immune_quadratic, which each setup calls once."""
+
+    @staticmethod
+    def built(monkeypatch):
+        import bcdyn.equilibria
+
+        calls = []
+        quadratic = bcdyn.equilibria._immune_quadratic
+
+        def counted(params, E):
+            calls.append(params)
+            return quadratic(params, E)
+
+        monkeypatch.setattr(bcdyn.equilibria, "_immune_quadratic", counted)
+        return calls
+
+    @staticmethod
+    def solved_values(monkeypatch):
+        """The parameter sets of every sweep._solve call, in call order."""
+        import bcdyn.sweep
+
+        sets = []
+        solve = bcdyn.sweep._solve
+
+        def recorded(prepared, *rest):
+            sets.extend(params for params, *_ in prepared)
+            return solve(prepared, *rest)
+
+        monkeypatch.setattr(bcdyn.sweep, "_solve", recorded)
+        return sets
+
+    def test_d_sweep_builds_one(self, monkeypatch):
+        built = self.built(monkeypatch)
+        run_sweep(default_scenario(), SweepSpec("d", build_grid(0.5, 1.5, 8)))
+        assert len(built) == 1
+
+    def test_d_k_grid_builds_one_per_k(self, monkeypatch):
+        built = self.built(monkeypatch)
+        spec = SweepSpec("d", build_grid(0.5, 1.5, 3), "k", build_grid(0.0, 1.0, 3))
+        run_sweep(default_scenario(), spec)
+        assert [params.k for params in built] == list(spec.second_grid)
+
+    def test_d_bifurcation_builds_one(self, monkeypatch):
+        """The default scenario brackets dead2 and coexisting over d, so the
+        scan is followed by midpoint solves."""
+        sets = self.solved_values(monkeypatch)
+        built = self.built(monkeypatch)
+        assert run_bifurcate(default_scenario(), "d", 0.05, 5.0, scan_points=16)
+        assert len(sets) > 16
+        assert len(built) == 1
+
+    def test_k_bifurcation_builds_one_per_solved_value(self, monkeypatch):
+        sets = self.solved_values(monkeypatch)
+        built = self.built(monkeypatch)
+        scenario = scenario_with(draw_params(np.random.default_rng(33)))
+        assert run_bifurcate(scenario, "k", 0.0, 1.0, scan_points=16)
+        assert len(sets) > 16
+        assert [params.k for params in built] == [params.k for params in sets]
 
 
 class TestLeadingEigenvalue:
