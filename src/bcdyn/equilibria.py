@@ -18,10 +18,13 @@ R P^2 + S P Q + U Q^2, where I = P/Q solves the steady tumor equation (the
 roots of P when g1 = 0 makes Q vanish).  I is P/Q or a root of the immune
 quadratic, which has the exact root I = 0 when s = 0 (the polynomial is then
 P (R P + S Q), and a root of P seeds I = 0).  The polynomial products are
-plain floats (:func:`_mul`), so no BLAS kernel sets their bits.  Roots come
-from companion-matrix eigenvalues, so no grid decides which points are found;
-a batch of parameter sets roots all its companions of one size with one
-stacked LAPACK call, and one set is a batch of one.  Those eigenvalue digits
+straight-line plain-float kernels, one per family shape
+(:func:`_eliminate_quartic`, :func:`_eliminate_octic` and the s = 0
+factors :func:`_ratio_factor_cubic`, :func:`_ratio_factor_quintic`), so no
+BLAS kernel sets their bits.  Roots come from companion-matrix
+eigenvalues, so no grid decides which points are found; a batch of
+parameter sets roots all its companions of one size with one stacked
+LAPACK call, and one set is a batch of one.  Those eigenvalue digits
 are the host LAPACK's, and the polish settles them: 5,000 seeded catalogs
 are byte-identical under OpenBLAS's SkylakeX and Haswell kernels.
 Newton polishes the free components with E pinned.  A seed whose free
@@ -159,43 +162,142 @@ def _immune_quadratic(params: ModelParams, E: float):
     return R, S, U
 
 
-def _mul(a, b) -> list[float]:
-    """Product of descending coefficient lists in plain floats: each
-    coefficient sums its products from +0.0 in the order of ``a``'s index,
-    so no BLAS kernel sets its bits, and an overflow is inf or nan."""
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _add(a, b) -> list[float]:
-    """Sum of descending coefficient lists, the shorter padded with zeros."""
-    n = max(len(a), len(b))
-    return [x + y for x, y in zip([0.0] * (n - len(a)) + a, [0.0] * (n - len(b)) + b)]
-
-
 def _tumor_ratio(params: ModelParams, E: float, n_free: bool):
     """(P, Q), descending in T, with I = P(T)/Q(T) from the steady tumor
     equation.  At N = 0, I = (a2*d - m_d - b2*T)/g1.  With the closed-form
     N(T) both are multiplied by b1*(1 + epsilon*T): P is a cubic and
-    Q = g1*b1*T*(1 + epsilon*T).  Q vanishes when g1 = 0."""
-    net = [-params.b2, params.a2 * params.d - params.m_d]
+    Q = g1*b1*T*(1 + epsilon*T).  Q vanishes when g1 = 0.  The product
+    (epsilon*T^2 + T)*(a2*d - m_d - b2*T) in P is written out as the
+    elimination kernels below are (:func:`_eliminate_quartic`,
+    :func:`_eliminate_octic`), its structural 1.0 and 0.0 factors
+    included."""
+    n0, n1 = -params.b2, params.a2 * params.d - params.m_d
     if not n_free:
-        return net, [params.g1]
+        return [n0, n1], [params.g1]
     c = params.l1 * E * (1.0 - params.k)
     eps, b1 = params.epsilon, params.b1
     a1c = params.a1 - c
-    feed = (0.0, 0.0, a1c * eps - params.d1, a1c)
-    P = [b1 * g + c * f for g, f in zip(_mul((eps, 1.0, 0.0), net), feed)]
-    return P, [params.g1 * b1 * q for q in (eps, 1.0, 0.0)]
+    gb = params.g1 * b1
+    P = [
+        b1 * (0.0 + eps * n0) + c * 0.0,
+        b1 * (0.0 + eps * n1 + 1.0 * n0) + c * 0.0,
+        b1 * (0.0 + 1.0 * n1 + 0.0 * n0) + c * (a1c * eps - params.d1),
+        b1 * (0.0 + 0.0 * n1) + c * a1c,
+    ]
+    return P, [gb * eps, gb * 1.0, gb * 0.0]
 
 
-def _eliminate(R, S, U, P, Q) -> list[float]:
+# The elimination kernels: products of descending coefficient sequences,
+# written out for the two family shapes and named by index (p0 leads P).
+# Each coefficient of a product sums its terms from +0.0 in the order of
+# the left factor's index, and a sum of two products of unequal length
+# pads the shorter with leading 0.0 addends, as a generic convolution
+# would; every term is kept, structural zeros included (Q's constant, U's
+# leading coefficient), so an overflow is inf or nan and reaches the
+# caller's finiteness check.  Plain floats, so no BLAS kernel sets their
+# bits; on (B,) float64 arrays, under np.errstate(all="ignore"), each row
+# has the bits of the float call.
+
+
+def _eliminate_quartic(R, S, U, P, Q) -> list[float]:
     """R*P^2 + S*P*Q + U*Q^2: the immune equation with I = P/Q substituted
-    and Q^2 cleared.  A quartic in T at N = 0, an octic with N(T)."""
-    return _add(_add(_mul(R, _mul(P, P)), _mul(S, _mul(P, Q))), _mul(U, _mul(Q, Q)))
+    and Q^2 cleared, at N = 0, where P is linear and Q constant."""
+    r0, r1, r2 = R
+    s0, s1, s2 = S
+    u0, u1, u2 = U
+    p0, p1 = P
+    (q0,) = Q
+    pp0 = 0.0 + p0 * p0
+    pp1 = 0.0 + p0 * p1 + p1 * p0
+    pp2 = 0.0 + p1 * p1
+    pq0 = 0.0 + p0 * q0
+    pq1 = 0.0 + p1 * q0
+    qq0 = 0.0 + q0 * q0
+    return [
+        (0.0 + r0 * pp0) + 0.0 + 0.0,
+        (0.0 + r0 * pp1 + r1 * pp0) + (0.0 + s0 * pq0) + 0.0,
+        (0.0 + r0 * pp2 + r1 * pp1 + r2 * pp0) + (0.0 + s0 * pq1 + s1 * pq0) + (0.0 + u0 * qq0),
+        (0.0 + r1 * pp2 + r2 * pp1) + (0.0 + s1 * pq1 + s2 * pq0) + (0.0 + u1 * qq0),
+        (0.0 + r2 * pp2) + (0.0 + s2 * pq1) + (0.0 + u2 * qq0),
+    ]
+
+
+def _eliminate_octic(R, S, U, P, Q) -> list[float]:
+    """:func:`_eliminate_quartic`'s polynomial with the closed-form N(T),
+    where P is cubic and Q quadratic."""
+    r0, r1, r2 = R
+    s0, s1, s2 = S
+    u0, u1, u2 = U
+    p0, p1, p2, p3 = P
+    q0, q1, q2 = Q
+    pp0 = 0.0 + p0 * p0
+    pp1 = 0.0 + p0 * p1 + p1 * p0
+    pp2 = 0.0 + p0 * p2 + p1 * p1 + p2 * p0
+    pp3 = 0.0 + p0 * p3 + p1 * p2 + p2 * p1 + p3 * p0
+    pp4 = 0.0 + p1 * p3 + p2 * p2 + p3 * p1
+    pp5 = 0.0 + p2 * p3 + p3 * p2
+    pp6 = 0.0 + p3 * p3
+    pq0 = 0.0 + p0 * q0
+    pq1 = 0.0 + p0 * q1 + p1 * q0
+    pq2 = 0.0 + p0 * q2 + p1 * q1 + p2 * q0
+    pq3 = 0.0 + p1 * q2 + p2 * q1 + p3 * q0
+    pq4 = 0.0 + p2 * q2 + p3 * q1
+    pq5 = 0.0 + p3 * q2
+    qq0 = 0.0 + q0 * q0
+    qq1 = 0.0 + q0 * q1 + q1 * q0
+    qq2 = 0.0 + q0 * q2 + q1 * q1 + q2 * q0
+    qq3 = 0.0 + q1 * q2 + q2 * q1
+    qq4 = 0.0 + q2 * q2
+    return [
+        (0.0 + r0 * pp0) + 0.0 + 0.0,
+        (0.0 + r0 * pp1 + r1 * pp0) + (0.0 + s0 * pq0) + 0.0,
+        (0.0 + r0 * pp2 + r1 * pp1 + r2 * pp0) + (0.0 + s0 * pq1 + s1 * pq0) + (0.0 + u0 * qq0),
+        (0.0 + r0 * pp3 + r1 * pp2 + r2 * pp1)
+        + (0.0 + s0 * pq2 + s1 * pq1 + s2 * pq0)
+        + (0.0 + u0 * qq1 + u1 * qq0),
+        (0.0 + r0 * pp4 + r1 * pp3 + r2 * pp2)
+        + (0.0 + s0 * pq3 + s1 * pq2 + s2 * pq1)
+        + (0.0 + u0 * qq2 + u1 * qq1 + u2 * qq0),
+        (0.0 + r0 * pp5 + r1 * pp4 + r2 * pp3)
+        + (0.0 + s0 * pq4 + s1 * pq3 + s2 * pq2)
+        + (0.0 + u0 * qq3 + u1 * qq2 + u2 * qq1),
+        (0.0 + r0 * pp6 + r1 * pp5 + r2 * pp4)
+        + (0.0 + s0 * pq5 + s1 * pq4 + s2 * pq3)
+        + (0.0 + u0 * qq4 + u1 * qq3 + u2 * qq2),
+        (0.0 + r1 * pp6 + r2 * pp5) + (0.0 + s1 * pq5 + s2 * pq4) + (0.0 + u1 * qq4 + u2 * qq3),
+        (0.0 + r2 * pp6) + (0.0 + s2 * pq5) + (0.0 + u2 * qq4),
+    ]
+
+
+def _ratio_factor_cubic(R, S, P, Q) -> list[float]:
+    """R*P + S*Q at N = 0: the factor of R*P^2 + S*P*Q whose roots have
+    I = P/Q > 0 when s = 0 makes U vanish."""
+    r0, r1, r2 = R
+    s0, s1, s2 = S
+    p0, p1 = P
+    (q0,) = Q
+    return [
+        (0.0 + r0 * p0) + 0.0,
+        (0.0 + r0 * p1 + r1 * p0) + (0.0 + s0 * q0),
+        (0.0 + r1 * p1 + r2 * p0) + (0.0 + s1 * q0),
+        (0.0 + r2 * p1) + (0.0 + s2 * q0),
+    ]
+
+
+def _ratio_factor_quintic(R, S, P, Q) -> list[float]:
+    """:func:`_ratio_factor_cubic`'s factor with the closed-form N(T)."""
+    r0, r1, r2 = R
+    s0, s1, s2 = S
+    p0, p1, p2, p3 = P
+    q0, q1, q2 = Q
+    return [
+        (0.0 + r0 * p0) + 0.0,
+        (0.0 + r0 * p1 + r1 * p0) + (0.0 + s0 * q0),
+        (0.0 + r0 * p2 + r1 * p1 + r2 * p0) + (0.0 + s0 * q1 + s1 * q0),
+        (0.0 + r0 * p3 + r1 * p2 + r2 * p1) + (0.0 + s0 * q2 + s1 * q1 + s2 * q0),
+        (0.0 + r1 * p3 + r2 * p2) + (0.0 + s1 * q2 + s2 * q1),
+        (0.0 + r2 * p3) + (0.0 + s2 * q2),
+    ]
 
 
 def _quadratic_positive_roots(coeffs: tuple[float, float, float]) -> list[float]:
@@ -253,9 +355,9 @@ def _positive_roots_each(polys, names) -> list[list[float]]:
     stacked LAPACK ``dgeev`` call (:func:`~bcdyn.numerics._eigvals`).  A
     root whose imaginary part is below NEAR_REAL_TOL of its modulus is the
     rounded image of a (near-)double real root and is taken as real; the
-    polish decides whether it is an equilibrium.  A finite polynomial whose companion row
-    overflows when divided by its leading coefficient raises
-    :class:`NumericsError` naming its entry of ``names``."""
+    polish decides whether it is an equilibrium.  A finite polynomial
+    whose companion row overflows when divided by its leading coefficient
+    raises :class:`NumericsError` naming its entry of ``names``."""
     if not polys:
         return []
     found: list[list[float]] = [[] for _ in polys]
@@ -565,9 +667,11 @@ def _find_batch(prepared, families, shared: list | None = None) -> list[list[Equ
             elif params.s == 0:
                 # U = 0, so the eliminated polynomial is P*(R*P + S*Q), and
                 # I = P/Q is 0 exactly at the roots of P.
-                factors = [(P, "zero"), (_add(_mul(R, P), _mul(S, Q)), "ratio")]
+                factor = _ratio_factor_quintic if row.n_free else _ratio_factor_cubic
+                factors = [(P, "zero"), (factor(R, S, P, Q), "ratio")]
             else:
-                factors = [(_eliminate(R, S, U, P, Q), "ratio")]
+                eliminate = _eliminate_octic if row.n_free else _eliminate_quartic
+                factors = [(eliminate(R, S, U, P, Q), "ratio")]
             for poly, how in factors:
                 if not all(map(math.isfinite, poly)):
                     raise NumericsError(f"{family} polynomial in T overflows")

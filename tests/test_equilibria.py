@@ -9,6 +9,7 @@ import threading
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,10 +22,15 @@ from bcdyn.equilibria import (
     CONFIRM_TOL,
     FAMILIES,
     _admit,
+    _eliminate_octic,
+    _eliminate_quartic,
     _find_batch,
     _free_drug,
+    _immune_quadratic,
     _polish,
     _prepare,
+    _ratio_factor_cubic,
+    _ratio_factor_quintic,
     _tumor_ratio,
     coexisting,
     dead_type1,
@@ -351,6 +357,174 @@ class TestTumorRatioBits:
             )
 
 
+def _mul(a, b) -> list[float]:
+    """Product of descending coefficient lists in plain floats: each
+    coefficient sums its products from +0.0 in the order of ``a``'s index.
+    The generic form the finders' kernels replaced, kept as their oracle."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _add(a, b) -> list[float]:
+    """Sum of descending coefficient lists, the shorter padded with zeros."""
+    n = max(len(a), len(b))
+    return [x + y for x, y in zip([0.0] * (n - len(a)) + a, [0.0] * (n - len(b)) + b)]
+
+
+def oracle_eliminate(R, S, U, P, Q):
+    return _add(_add(_mul(R, _mul(P, P)), _mul(S, _mul(P, Q))), _mul(U, _mul(Q, Q)))
+
+
+def oracle_ratio_factor(R, S, P, Q):
+    return _add(_mul(R, P), _mul(S, Q))
+
+
+def oracle_tumor_ratio(pm, E, n_free):
+    """(P, Q) of _tumor_ratio as the generic product composed them."""
+    net = [-pm.b2, pm.a2 * pm.d - pm.m_d]
+    if not n_free:
+        return net, [pm.g1]
+    c = pm.l1 * E * (1.0 - pm.k)
+    eps, b1 = pm.epsilon, pm.b1
+    a1c = pm.a1 - c
+    feed = (0.0, 0.0, a1c * eps - pm.d1, a1c)
+    P = [b1 * g + c * f for g, f in zip(_mul((eps, 1.0, 0.0), net), feed)]
+    return P, [pm.g1 * b1 * q for q in (eps, 1.0, 0.0)]
+
+
+def bits(coeffs) -> bytes:
+    """The float64 bytes of ``coeffs``, each nan written as ``math.nan``.
+    Which of two nan operands a float ``+`` or ``*`` returns is up to the
+    machine code: CPython 3.11 on x86-64 returns the right one from the
+    generic operator and the left one once the instruction has
+    specialized (after its first runs), so the sign of such a nan depends
+    on how often a line ran, not on the order of the arithmetic.  Every
+    other value, signed zeros and infinities included, keeps its bytes."""
+    values = np.array(coeffs, dtype=np.float64)
+    values[np.isnan(values)] = math.nan
+    return values.tobytes()
+
+
+def mixed_floats(rng, shape) -> np.ndarray:
+    """Seeded floats of ``shape``: half ordinary (any sign, magnitudes
+    1e-3 to 1e3), the rest signed zeros, subnormals, +-1e+-300 (scaled up
+    to 10x), +-inf and nan of either sign, in equal shares."""
+    ordinary = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    magnitude = rng.uniform(1.0, 10.0, shape)
+    kinds = [
+        ordinary,
+        np.zeros(shape),
+        magnitude * 1e-310,
+        magnitude * 1e-300,
+        magnitude * 1e300,
+        np.full(shape, math.inf),
+        np.full(shape, math.nan),
+    ]
+    pick = np.where(rng.random(shape) < 0.5, 0, rng.integers(1, len(kinds), shape))
+    values = np.choose(pick, kinds)
+    return np.where(rng.random(shape) < 0.5, -values, values)
+
+
+class TestEliminationKernels:
+    """The straight-line kernels give the bytes of the _mul/_add
+    composition they replaced (a nan as a nan, see :func:`bits`), on
+    seeded coefficient sets that mix ordinary floats with signed zeros,
+    subnormals, +-1e+-300, +-inf and nan: every product and every padding
+    0.0 kept, in _mul's order."""
+
+    SETS = 20_000
+
+    def test_mixture_reaches_every_kind(self):
+        values = mixed_floats(np.random.default_rng(0), (1_000,))
+        size = np.abs(values)
+        for kind in (
+            values == 0.0,
+            (0.0 < size) & (size < 2.2e-308),
+            (1e-3 <= size) & (size <= 1e3),
+            (1e299 < size) & (size < math.inf),
+            np.isinf(values),
+            np.isnan(values),
+        ):
+            assert kind.sum() > 20
+            assert 0 < np.signbit(values[kind]).sum() < kind.sum()
+
+    @pytest.mark.parametrize(
+        "kernel, p, seed",
+        [(_eliminate_quartic, 2, 3601), (_eliminate_octic, 4, 3602)],
+        ids=["quartic", "octic"],
+    )
+    def test_eliminate(self, kernel, p, seed):
+        """P of length p, Q of length p - 1."""
+        rng = np.random.default_rng(seed)
+        for row in mixed_floats(rng, (self.SETS, 8 + 2 * p)).tolist():
+            R, S, U, P, Q = row[0:3], row[3:6], row[6:9], row[9:9 + p], row[9 + p:]
+            want = oracle_eliminate(R, S, U, P, Q)
+            assert bits(kernel(R, S, U, P, Q)) == bits(want), row
+
+    @pytest.mark.parametrize(
+        "kernel, p, seed",
+        [(_ratio_factor_cubic, 2, 3603), (_ratio_factor_quintic, 4, 3604)],
+        ids=["cubic", "quintic"],
+    )
+    def test_ratio_factor(self, kernel, p, seed):
+        rng = np.random.default_rng(seed)
+        for row in mixed_floats(rng, (self.SETS, 5 + 2 * p)).tolist():
+            R, S, P, Q = row[0:3], row[3:6], row[6:6 + p], row[6 + p:]
+            want = oracle_ratio_factor(R, S, P, Q)
+            assert bits(kernel(R, S, P, Q)) == bits(want), row
+
+    @pytest.mark.parametrize("n_free", [False, True], ids=["linear", "cubic"])
+    def test_tumor_ratio(self, n_free):
+        """Every field _tumor_ratio reads, and E, from the mixture."""
+        names = ("a1", "b1", "d1", "epsilon", "l1", "k", "a2", "d", "b2", "g1", "m_d")
+        rng = np.random.default_rng(3605 + n_free)
+        for *values, E in mixed_floats(rng, (self.SETS, len(names) + 1)).tolist():
+            pm = SimpleNamespace(**dict(zip(names, values)))
+            got, want = _tumor_ratio(pm, E, n_free), oracle_tumor_ratio(pm, E, n_free)
+            assert [bits(c) for c in got] == [bits(c) for c in want], (values, E)
+
+
+def columns(rows):
+    """Per coefficient, the (B,) array of its values over ``rows``, each
+    row a tuple of coefficient sequences."""
+    return [tuple(map(np.array, zip(*part))) for part in zip(*rows)]
+
+
+class TestKernelsOnArrays:
+    """On (B,) float64 arrays the kernels give, row by row, the bytes of
+    their float calls: (P, Q), the dead2 and coexisting polynomials of the
+    default 21x21 (k, d) grid and their s = 0 factors, one call each."""
+
+    def test_default_k_d_grid(self, base_params):
+        sets = [
+            base_params.replace(k=k, d=d)
+            for k in bcdyn.build_grid(0.0, 1.0, 21)
+            for d in bcdyn.build_grid(0.05, 5.0, 21)
+        ]
+        E = [estrogen_level(pm) for pm in sets]
+        fields = SimpleNamespace(
+            **{name: np.array([getattr(pm, name) for pm in sets]) for name in PARAM_NAMES}
+        )
+        quadratics = [_immune_quadratic(pm, e) for pm, e in zip(sets, E)]
+        R, S, U = columns(quadratics)
+        for n_free, eliminate, factor in (
+            (False, _eliminate_quartic, _ratio_factor_cubic),
+            (True, _eliminate_octic, _ratio_factor_quintic),
+        ):
+            ratios = [_tumor_ratio(pm, e, n_free) for pm, e in zip(sets, E)]
+            P, Q = columns(ratios)
+            with np.errstate(all="ignore"):
+                P_fields, Q_fields = _tumor_ratio(fields, np.array(E), n_free)
+                arrays = [P_fields + Q_fields, eliminate(R, S, U, P, Q), factor(R, S, P, Q)]
+            for b, ((Rb, Sb, Ub), (Pb, Qb)) in enumerate(zip(quadratics, ratios)):
+                floats = [Pb + Qb, eliminate(Rb, Sb, Ub, Pb, Qb), factor(Rb, Sb, Pb, Qb)]
+                got = [bits([c[b] for c in poly]) for poly in arrays]
+                assert got == [bits(poly) for poly in floats], (b, n_free)
+
+
 class TestFindAll:
     def test_residuals_and_count(self):
         for seed in range(40):
@@ -555,12 +729,22 @@ class TestExtremeValues:
                     with pytest.raises(DomainError, match="^Jacobian overflows"):
                         classify(eq, pm)
 
-    #: Sets whose eliminated polynomial (b1) or tumor-ratio feed (the
-    #: others) overflows, with the error a finiteness check downstream
-    #: names them by.
+    #: The 14 of the 50 extreme sets that overflow, with the error a
+    #: finiteness check downstream names them by: an eliminated polynomial
+    #: in T, or the Jacobian at a confirmed point.  The other 36 return.
     OVERFLOWING = {
-        ("b1", 1e300): (NumericsError, "coexisting polynomial in T overflows"),
-        ("p", 1e300): (DomainError, "Jacobian overflows at state"),
+        **{
+            (name, 1e300): (NumericsError, "coexisting polynomial in T overflows")
+            for name in ("a1", "b1", "d1", "epsilon", "m_d")
+        },
+        **{
+            (name, 1e300): (NumericsError, "dead2 polynomial in T overflows")
+            for name in ("a2", "d", "b2", "g1")
+        },
+        **{
+            (name, 1e300): (DomainError, "Jacobian overflows at state")
+            for name in ("o", "j_M", "p", "xi")
+        },
         ("theta", 1e-300): (DomainError, "Jacobian overflows at state"),
     }
 
@@ -581,8 +765,8 @@ class TestExtremeValues:
     @pytest.mark.parametrize("name", [name for name in PARAM_NAMES if name != "k"])
     def test_extreme_parameter_returns_or_names_the_failure(self, base_params, name, value):
         """With one parameter at 1e-300 or 1e300, find_all and classify of
-        each confirmed point return or raise DomainError/NumericsError, with
-        no numpy warning on the way."""
+        each confirmed point return, or raise the error OVERFLOWING names,
+        with no numpy warning on the way."""
 
         def catalog_and_classify():
             pm = base_params.replace(**{name: value})
@@ -596,11 +780,8 @@ class TestExtremeValues:
                 error, message = self.OVERFLOWING[name, value]
                 with pytest.raises(error, match=f"^{message}"):
                     catalog_and_classify()
-                return
-            try:
+            else:
                 catalog_and_classify()
-            except (DomainError, NumericsError):
-                pass
 
 
     def test_overflowing_tumor_term_is_no_equilibrium(self, base_params):
