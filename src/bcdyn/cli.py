@@ -132,8 +132,11 @@ def _cmd_stability(args: argparse.Namespace) -> list[tuple[str, str]]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> list[tuple[str, str]]:
-    scenario = _load(args)
     second = args.parameter2
+    if args.svg and second is not None:
+        # The charts plot against the first parameter only.
+        raise ScenarioError("--svg draws one-parameter sweeps only")
+    scenario = _load(args)
     if second is not None and (args.min2 is None or args.max2 is None):
         raise ScenarioError("--parameter2 requires --min2 and --max2")
     if second is None and (args.min2 is not None or args.max2 is not None):

@@ -576,9 +576,6 @@ _TABLE = {
 }
 
 
-#: The rows of the family table with T = 0.
-_AT_ZERO = frozenset(family for family, row in _TABLE.items() if not row.t_free)
-
 #: The fields that no T = 0 row reads.  At T = 0 each is absent or
 #: multiplies T = 0.0 in ``f``, in :func:`_closed_N` and in the Jacobian
 #: rows the T = 0 polish reads (N, I and M); the tumor equation's residual
@@ -600,32 +597,36 @@ def _shareable(params: ModelParams, eqs: list[Equilibrium]) -> bool:
     )
 
 
-def _setup(params: ModelParams, families):
+def _setup(params: ModelParams):
     """The setup of ``params`` that every row reads: ``(E, (R, S, U),
     at_zero)``, with E = E*, the immune quadratic R, S, U and the (T, I)
-    seeds at T = 0 that the T = 0 rows share, None when ``families`` has
-    no such row (a bisection midpoint of dead2 or coexisting needs none).
-    No part reads a ``_TUMOR_ONLY`` field, so sets that differ only there
-    have the same setup to the bit and may share one."""
+    seeds at T = 0 that the T = 0 rows share.  No part reads a
+    ``_TUMOR_ONLY`` field, so sets that differ only there have the same
+    setup to the bit and may share one."""
     E = estrogen_level(params)
     R, S, U = _immune_quadratic(params, E)
-    at_zero = None
-    if not _AT_ZERO.isdisjoint(families):
-        at_zero = tuple([(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)])
-    return E, (R, S, U), at_zero
+    return E, (R, S, U), tuple([(0.0, I) for I in _immune_roots(params, R, S, U, 0.0)])
 
 
-def _prepare(params: ModelParams, families, setup=None):
-    """The input :func:`_find_batch` takes for ``params`` and the rows
-    ``families``: ``(params, (f, jac), setup)``, with the closures of
-    ``model._bind`` and the :func:`_setup` of ``params``.  A caller that
-    holds the setup of a set differing from ``params`` only in
-    ``_TUMOR_ONLY`` fields, built for rows including ``families``, passes
-    it as ``setup`` and so builds none."""
-    return params, _bind(params), _setup(params, families) if setup is None else setup
+def _group(params: ModelParams):
+    """A new sweep group for ``params``: ``(setup, rows)``, its
+    :func:`_setup` and an empty dict of admitted T = 0 rows.  Every set
+    prepared with the group must differ from ``params`` only in
+    ``_TUMOR_ONLY`` fields, which the caller knows from how it built them
+    (see ``sweep.run_sweep``)."""
+    return _setup(params), {}
 
 
-def _find_batch(prepared, families, shared: list | None = None) -> list[list[Equilibrium]]:
+def _prepare(params: ModelParams, group=None):
+    """The input :func:`_find_batch` takes for ``params``: ``(params, (f,
+    jac), setup, rows)``, with the closures of ``model._bind``, and the
+    setup and rows dict of ``group`` (see :func:`_group`).  Without a
+    group the set builds its own setup and shares no row (rows None)."""
+    setup, rows = (_setup(params), None) if group is None else group
+    return params, _bind(params), setup, rows
+
+
+def _find_batch(prepared, families) -> list[list[Equilibrium]]:
     """Run the rows ``families`` of the family table on every parameter set
     of ``prepared``, each entry the set's :func:`_prepare`; the sets of one
     sweep group hold the same setup tuple, which is read and never
@@ -641,17 +642,14 @@ def _find_batch(prepared, families, shared: list | None = None) -> list[list[Equ
     found apart, and a root of P seeds I = 0 exactly, not the rounding
     noise of P/Q there.
 
-    ``shared``, when given, holds per set a dict owned by the caller, or
-    None.  Sets handed the same dict must differ only in ``_TUMOR_ONLY``
-    fields, which the caller knows from how it built them (see
-    ``sweep.run_sweep``).  A T = 0 row is admitted once per dict and its
+    A T = 0 row is admitted once per group's rows dict and its
     ``Equilibrium`` list handed out again, the same objects, which are
     frozen and whose dicts nothing mutates.  A list is stored and reused
     only where sharing it is exact to the bit (:func:`_shareable`).  The
-    sweeps build their dicts in each call, so none outlives it."""
+    sweeps build their groups in each call, so none outlives it."""
     rows = [(family, _TABLE[family]) for family in families]
     seeds, rooted, polys = [], [], []
-    for i, (params, _, (E, (R, S, U), at_zero)) in enumerate(prepared):
+    for i, (params, _, (E, (R, S, U), at_zero), _) in enumerate(prepared):
         seeds.append([])
         for j, (family, row) in enumerate(rows):
             if not row.t_free:
@@ -680,26 +678,24 @@ def _find_batch(prepared, families, shared: list | None = None) -> list[list[Equ
     names = [rows[j][0] for _, j, *_ in rooted]
     for (i, j, how, P, Q), roots in zip(rooted, _positive_roots_each(polys, names)):
         if how == "immune":
-            params, _, (_, (R, S, U), _) = prepared[i]
+            params, _, (_, (R, S, U), _), _ = prepared[i]
             seeds[i][j] += [(T, I) for T in roots for I in _immune_roots(params, R, S, U, T)]
         elif how == "zero":
             seeds[i][j] += [(T, 0.0) for T in roots]
         else:
             seeds[i][j] += [(T, _horner(P, T) / _horner(Q, T)) for T in roots]
     found = []
-    for (params, bound, (E, *_)), set_seeds, group in zip(
-        prepared, seeds, shared or [None] * len(prepared)
-    ):
+    for (params, bound, (E, *_), admitted), set_seeds in zip(prepared, seeds):
         eqs: list[Equilibrium] = []
         for (family, row), row_seeds in zip(rows, set_seeds):
-            if group is None or row.t_free:
+            if admitted is None or row.t_free:
                 eqs += _admit(params, bound, E, family, row, row_seeds)
                 continue
-            known = group.get(family)
+            known = admitted.get(family)
             if known is None or not _shareable(params, known):
                 known = _admit(params, bound, E, family, row, row_seeds)
                 if _shareable(params, known):
-                    group[family] = known
+                    admitted[family] = known
             eqs += known
         found.append(eqs)
     return found
@@ -770,7 +766,7 @@ def _admit(params: ModelParams, bound, E: float, family: str, row: _Family, seed
 
 
 #: The :func:`_prepare` of the parameter set found last.
-_last_prepared: tuple = (None, None, None)
+_last_prepared: tuple = (None, None, None, None)
 
 
 def _find(params: ModelParams, family: str) -> list[Equilibrium]:
@@ -783,14 +779,16 @@ def _find(params: ModelParams, family: str) -> list[Equilibrium]:
     keyed by identity (``params is`` its first item, which keeps the set
     alive, so its id cannot pass to another set).  A catalog then prepares
     its set once, not four times.  The entry is read once and replaced by
-    a fresh tuple, so threads need no lock.  The batched sweep prepares
-    its sets itself and leaves the entry alone.  Once the tracer no longer
+    a fresh tuple, so threads need no lock.  The entry has no group, so
+    two catalogs of one set admit their T = 0 points apart and never hand
+    out the same ``Equilibrium`` objects.  The batched sweep prepares its
+    sets itself and leaves the entry alone.  Once the tracer no longer
     needs the named finders and find_all runs as one batch, this cache is
     dead code: delete it with the tracer shims."""
     global _last_prepared
     prepared = _last_prepared
     if prepared[0] is not params:
-        prepared = _last_prepared = _prepare(params, FAMILIES)
+        prepared = _last_prepared = _prepare(params)
     return _find_batch([prepared], (family,))[0]
 
 

@@ -7,11 +7,12 @@ eliminated polynomials of all points are rooted together.  The setup
 (E*, the immune quadratic, the T = 0 seeds) and the T = 0 rows
 (tumor_free, dead1) read none of the tumor-only fields d, b2, g1, m_d, d1
 and epsilon.  So each group of grid points, the points with the same grid
-index in each swept field that is not tumor-only, builds one setup
-(``equilibria._setup``) and admits its T = 0 rows once
-(``equilibria._find_batch``): a d sweep is one group, a (k, d) grid one
-group per k.  What is left per point is its ``replace`` and its
-``model._bind``.  Each row then takes its verdict and max Re(lambda) from
+index in each swept field that is not tumor-only, holds one group
+(``equilibria._group``): one setup and one dict in which
+``equilibria._find_batch`` admits the group's T = 0 rows once.  Each
+point's ``equilibria._prepare`` carries its group, so no other list
+follows the points.  A d sweep is one group, a (k, d) grid one group per
+k.  What is left per point is its ``replace`` and its ``model._bind``.  Each row then takes its verdict and max Re(lambda) from
 one stacked spectrum of the Jacobians at all confirmed points, and R0 and
 R1 from the entries of the same Jacobians, with the same bits as
 :func:`classify` gives them (no branch continuation).
@@ -27,8 +28,8 @@ real part per family and bisects each bracket.  It solves its scan grid
 for all families in one batch, and reads only eigenvalues: no
 characteristic polynomial, Hurwitz minors or theorem rules.  A bisection
 midpoint is a batch of one solved for the bracketed family only.  A scan
-over a tumor-only field is one group, its midpoints included: it builds
-one setup, from the scenario's set, and a tumor-free midpoint of a d scan
+over a tumor-only field is one group, its midpoints included: its setup
+is the scenario set's, and a tumor-free midpoint of a d scan
 admits no point and computes only its Jacobian and eigenvalues.  A scan
 over any other field prepares each value.  The bisection carries the
 entries at both bracket ends, so the reported eigenvalues need no further
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import _TUMOR_ONLY, FAMILIES, _catalog, _find_batch, _prepare, _setup
+from .equilibria import _TUMOR_ONLY, FAMILIES, _catalog, _find_batch, _group, _prepare
 from .model import (
     _MAX_POINTS,
     PARAM_NAMES,
@@ -127,19 +128,20 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     return tuple(np.linspace(lo, hi, count))
 
 
-def _solve(prepared, families=FAMILIES, shared=None) -> list[list[tuple]]:
+def _solve(prepared, families=FAMILIES) -> list[list[tuple]]:
     """Per set of ``prepared``, each entry its ``equilibria._prepare``,
     its catalog restricted to the rows ``families`` as (equilibrium,
     Jacobian rows, leading eigenvalue) triples, the last two None for
     unconfirmed points.  All sets go through one batched solve, which
-    shares the T = 0 rows through ``shared`` (see ``equilibria._find_batch``),
-    and the Jacobians at all confirmed points through one stacked
-    eigenvalue call, which refuses a non-finite entry with a
-    :class:`NumericsError`.  Each set's Jacobians are its own: J11 reads d."""
-    solved = [_catalog(eqs) for eqs in _find_batch(prepared, families, shared)]
+    shares the T = 0 rows within each sweep group that the entries carry
+    (see ``equilibria._find_batch``), and the Jacobians at all confirmed
+    points through one stacked eigenvalue call, which refuses a
+    non-finite entry with a :class:`NumericsError`.  Each set's Jacobians
+    are its own: J11 reads d."""
+    solved = [_catalog(eqs) for eqs in _find_batch(prepared, families)]
     Js = [
         jac(*eq.point.as_tuple())
-        for (_, (_, jac), _), catalog in zip(prepared, solved)
+        for (_, (_, jac), *_), catalog in zip(prepared, solved)
         for eq in catalog
         if eq.confirmed
     ]
@@ -164,7 +166,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
     # float is compared.
     reads = [name not in _TUMOR_ONLY for name in (spec.parameter_name, spec.second_parameter)]
     groups: dict[tuple, tuple] = {}
-    points, prepared, shared = [], [], []
+    points, prepared = [], []
     for i, v1 in enumerate(spec.grid):
         for j, v2 in enumerate(second):
             overrides = {spec.parameter_name: float(v1)}
@@ -173,13 +175,11 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[dict]:
             params = scenario.params.replace(**overrides)
             key = (i if reads[0] else None, j if reads[1] else None)
             if key not in groups:
-                groups[key] = ({}, _setup(params, FAMILIES))
-            at_zero_rows, setup = groups[key]
-            prepared.append(_prepare(params, FAMILIES, setup))
+                groups[key] = _group(params)
+            prepared.append(_prepare(params, groups[key]))
             points.append((v1, v2))
-            shared.append(at_zero_rows)
     rows: list[dict] = []
-    for (v1, v2), catalog in zip(points, _solve(prepared, FAMILIES, shared)):
+    for (v1, v2), catalog in zip(points, _solve(prepared)):
         for eq, J, lead in catalog:
             row = {
                 "parameter": spec.parameter_name,
@@ -253,17 +253,14 @@ def run_bifurcate(
     # every value takes the scenario's setup, and a tumor-free midpoint of
     # a d scan reuses the scan's T = 0 rows.  Each value of another scan is
     # a set of its own.
-    group, setup = None, None
-    if parameter_name in _TUMOR_ONLY:
-        group, setup = {}, _setup(scenario.params, FAMILIES)
+    group = _group(scenario.params) if parameter_name in _TUMOR_ONLY else None
 
     def solve(values: list[float], families=FAMILIES) -> list[dict[str, list]]:
         """Per parameter value, each confirmed point of each of ``families``
         with its leading eigenvalue, from one batched solve."""
         found = [{fam: [] for fam in families} for _ in values]
         sets = [scenario.params.replace(**{parameter_name: v}) for v in values]
-        prepared = [_prepare(pm, families, setup) for pm in sets]
-        catalogs = _solve(prepared, families, [group] * len(values))
+        catalogs = _solve([_prepare(pm, group) for pm in sets], families)
         for by_family, catalog in zip(found, catalogs):
             for eq, _, lead in catalog:
                 if lead is not None:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .equilibria import drug_level, estrogen_level, find_all
@@ -88,11 +86,7 @@ def draw_state(rng: np.random.Generator, scale: float = 2.0) -> SystemState:
     return SystemState.from_sequence(rng.uniform(0.0, scale, size=5))
 
 
-def suite_jacobian_fd(
-    seed: int,
-    draws: int = 200,
-    jac_fn: Callable[[SystemState, ModelParams], np.ndarray] = jacobian,
-) -> SuiteResult:
+def suite_jacobian_fd(seed: int, draws: int = 200) -> SuiteResult:
     """Analytic Jacobian vs central finite differences of the vector field."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -100,7 +94,7 @@ def suite_jacobian_fd(
         params = draw_params(rng)
         state = draw_state(rng)
         f = make_rhs(params)
-        J = jac_fn(state, params)
+        J = jacobian(state, params)
         x = state.as_array()
         for j in range(5):
             h = 1e-6 * max(1.0, abs(x[j]))
@@ -290,9 +284,11 @@ def _eliminated_curves(params: ModelParams):
 #: slices: total blockade (k = 1, so E* = 0) and epsilon = 0, where the
 #: coexisting octic loses degree.
 _COMPLETENESS_SLICES = (("", {}), ("k=1", {"k": 1.0}), ("epsilon=0", {"epsilon": 0.0}))
+#: Points of the log grid in T on which catalog_completeness brackets.
+_COMPLETENESS_GRID = 400
 
 
-def suite_catalog_completeness(seed: int, draws: int = 50, grid_points: int = 400) -> SuiteResult:
+def suite_catalog_completeness(seed: int, draws: int = 50) -> SuiteResult:
     """Every sign change of the steady immune residual along the dead2 and
     coexisting curves has a confirmed catalog point of that family inside
     its bracket.  The residual is the vector field's immune component on a
@@ -310,7 +306,7 @@ def suite_catalog_completeness(seed: int, draws: int = 50, grid_points: int = 40
             for families, state_at, T_hi in _eliminated_curves(params):
                 if not T_hi > 0.0:
                     continue
-                grid = np.geomspace(T_hi * 1e-6, T_hi, grid_points)
+                grid = np.geomspace(T_hi * 1e-6, T_hi, _COMPLETENESS_GRID)
                 states = [state_at(float(T)) for T in grid]
                 values = [None if st is None else f(*st)[2] for st in states]
                 for Ta, Tb, fa, fb in zip(grid, grid[1:], values, values[1:]):

@@ -366,8 +366,9 @@ class TestSweepCommand:
         )
         assert not out.exists()
 
-    # Both used to exit 0: the second grid overwrote the first, and an
-    # orphan --min2 was dropped for a 1-D sweep.
+    # All used to exit 0: the second grid overwrote the first, an orphan
+    # --min2 was dropped for a 1-D sweep, and --svg drew each first-grid
+    # value's second-grid points as a vertical zigzag.
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -375,6 +376,8 @@ class TestSweepCommand:
              "cannot sweep k against itself"),
             (["--min2", "0.5", "--max2", "0.6"], "--min2 and --max2 require --parameter2"),
             (["--max2", "0.6"], "--min2 and --max2 require --parameter2"),
+            (["--parameter2", "d", "--min2", "0.5", "--max2", "1.5", "--count2", "3", "--svg"],
+             "--svg draws one-parameter sweeps only"),
         ],
     )
     def test_bad_second_parameter_exit_2(self, tmp_path, capsys, extra, message):

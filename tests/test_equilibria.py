@@ -25,6 +25,7 @@ from bcdyn.equilibria import (
     _eliminate_octic,
     _eliminate_quartic,
     _find_batch,
+    _group,
     _free_drug,
     _immune_quadratic,
     _polish,
@@ -1025,7 +1026,7 @@ AT_ZERO_ROWS = ("tumor_free", "dead1")
 
 def at_zero_rows(params):
     """The tumor_free and dead1 rows of ``params`` from one _find_batch call."""
-    return _find_batch([_prepare(params, AT_ZERO_ROWS)], AT_ZERO_ROWS)[0]
+    return _find_batch([_prepare(params)], AT_ZERO_ROWS)[0]
 
 
 class TestTumorOnlyFields:
@@ -1089,14 +1090,12 @@ class TestTumorOnlyFields:
     def test_memo_skips_a_set_whose_tumor_terms_overflow(self, base_params):
         """At g1 = 1.5e308, g1*I overflows and g1*I*T is nan at T = 0, so
         the rows there have a nan residual and differ from the rows at the
-        scenario's g1.  One dict for the three sets shares neither way."""
+        scenario's g1.  One group for the three sets shares neither way."""
         sets = [base_params, base_params.replace(g1=1.5e308), base_params]
         alone = [repr(at_zero_rows(pm)) for pm in sets]
         assert alone[0] != alone[1]
         for order in (sets, sets[::-1]):
-            rows: dict = {}
-            shared = _find_batch(
-                [_prepare(pm, AT_ZERO_ROWS) for pm in order], AT_ZERO_ROWS, [rows] * 3
-            )
-            assert [repr(found) for found in shared] == [repr(at_zero_rows(pm)) for pm in order]
-            assert set(rows) == set(AT_ZERO_ROWS)
+            group = _group(order[0])
+            grouped = _find_batch([_prepare(pm, group) for pm in order], AT_ZERO_ROWS)
+            assert [repr(found) for found in grouped] == [repr(at_zero_rows(pm)) for pm in order]
+            assert set(group[1]) == set(AT_ZERO_ROWS)

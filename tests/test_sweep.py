@@ -329,7 +329,7 @@ class TestBatchedSweep:
 
         assert any(eq.confirmed for eq in find_all(params))
         with pytest.raises(NumericsError, match="^non-finite Jacobian entry$"):
-            bcdyn.sweep._solve([(params, (f, overflowing), _prepare(params, FAMILIES)[2])])
+            bcdyn.sweep._solve([(params, (f, overflowing), *_prepare(params)[2:])])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_entry_in_a_later_jacobian_raises(self, monkeypatch, bad):
@@ -340,7 +340,7 @@ class TestBatchedSweep:
 
         params = default_scenario().params
         f, jac = _bind(params)
-        setup = _prepare(params, FAMILIES)[2]
+        setup_rows = _prepare(params)[2:]
         last = max(eq.point.T for eq in find_all(params) if eq.confirmed)
 
         def bad_at_last(*state):
@@ -350,7 +350,7 @@ class TestBatchedSweep:
             return rows
 
         monkeypatch.setattr(bcdyn.sweep, "_eigvals", refuse)
-        prepared = [(params, (f, jac), setup), (params, (f, bad_at_last), setup)]
+        prepared = [(params, (f, jac), *setup_rows), (params, (f, bad_at_last), *setup_rows)]
         with pytest.raises(NumericsError, match="^non-finite Jacobian entry$"):
             bcdyn.sweep._solve(prepared)
 
@@ -489,10 +489,10 @@ class TestBifurcate:
         requests: dict[float, list[tuple[str, ...]]] = {}
         solve = bcdyn.sweep._solve
 
-        def counted(prepared, families=FAMILIES, *rest):
+        def counted(prepared, families=FAMILIES):
             for params, *_ in prepared:
                 requests.setdefault(params.d, []).append(families)
-            return solve(prepared, families, *rest)
+            return solve(prepared, families)
 
         monkeypatch.setattr(bcdyn.sweep, "_solve", counted)
         results = run_bifurcate(scenario, "d", lo, hi, scan_points=scan_points)
@@ -656,13 +656,14 @@ class TestSharedAtZeroRows:
     @staticmethod
     def bifurcations_alone(monkeypatch, cases):
         """``run_bifurcate`` of each case with every ``_solve`` request split
-        into one call per parameter set, which shares no T = 0 row."""
+        into one call per parameter set without its group's rows dict, so
+        it shares no T = 0 row."""
         import bcdyn.sweep
 
         solve = bcdyn.sweep._solve
 
-        def alone(prepared, families=FAMILIES, *rest):
-            return [solve([entry], families)[0] for entry in prepared]
+        def alone(prepared, families=FAMILIES):
+            return [solve([(*entry[:3], None)], families)[0] for entry in prepared]
 
         monkeypatch.setattr(bcdyn.sweep, "_solve", alone)
         return [run_bifurcate(sc, name, a, b, scan_points=16) for sc, name, a, b in cases]
@@ -699,15 +700,15 @@ class TestSharedAtZeroRows:
     @staticmethod
     def handed(monkeypatch):
         """Every sweep._find_batch call, recorded as the parameter set of
-        each entry and the dict of T = 0 rows it was handed."""
+        each prepared entry and the dict of T = 0 rows it carries."""
         import bcdyn.sweep
 
         calls = []
         find_batch = bcdyn.sweep._find_batch
 
-        def recorded(prepared, families, shared):
-            calls.append(list(zip([entry[0] for entry in prepared], shared)))
-            return find_batch(prepared, families, shared)
+        def recorded(prepared, families):
+            calls.append([(params, rows) for params, _, _, rows in prepared])
+            return find_batch(prepared, families)
 
         monkeypatch.setattr(bcdyn.sweep, "_find_batch", recorded)
         return calls
@@ -726,11 +727,11 @@ class TestSharedAtZeroRows:
         run_sweep(sc, spec)
         (handed,) = calls
         assert len(handed) == len(spec.grid) * max(1, len(spec.second_grid))
-        for (a, shared_a), (b, shared_b) in itertools.combinations(handed, 2):
+        for (a, rows_a), (b, rows_b) in itertools.combinations(handed, 2):
             differ = {
                 name for name in PARAM_NAMES if repr(getattr(a, name)) != repr(getattr(b, name))
             }
-            assert (shared_a is not None and shared_a is shared_b) == (differ <= _TUMOR_ONLY)
+            assert (rows_a is not None and rows_a is rows_b) == (differ <= _TUMOR_ONLY)
 
     def test_bifurcation_groups(self, monkeypatch):
         """A d scan hands one dict to its grid and every midpoint; a k scan
@@ -744,12 +745,12 @@ class TestSharedAtZeroRows:
         for sc, name, lo, hi in cases:
             calls.clear()
             assert run_bifurcate(sc, name, lo, hi, scan_points=16)
-            shared = [group for call in calls for _, group in call]
+            dicts = [rows for call in calls for _, rows in call]
             assert len(calls) > 1
             if name == "d":
-                assert shared[0] is not None and all(group is shared[0] for group in shared)
+                assert dicts[0] is not None and all(rows is dicts[0] for rows in dicts)
             else:
-                assert shared == [None] * len(shared)
+                assert dicts == [None] * len(dicts)
 
     def test_sweep_admits_each_t_zero_row_once(self, monkeypatch):
         calls = self.admitted(monkeypatch)
@@ -846,6 +847,50 @@ class TestSetupPerGroup:
         assert len(sets) > 16
         assert [params.k for params in built] == [params.k for params in sets]
 
+    def test_setup_calls_per_group(self, monkeypatch):
+        """equilibria._setup runs once per group: once for a d sweep, once
+        per k for a (k, d) grid, once for a d bifurcation's scan and
+        midpoints, and once per solved value of a k bifurcation.  The
+        catalog's cached entry has no group, so two find_all calls on one
+        set give T = 0 points that are equal but not the same objects."""
+        import bcdyn.equilibria
+
+        built = []
+        setup = bcdyn.equilibria._setup
+
+        def counted(params):
+            built.append(params)
+            return setup(params)
+
+        monkeypatch.setattr(bcdyn.equilibria, "_setup", counted)
+        sc = default_scenario()
+        run_sweep(sc, SweepSpec("d", build_grid(0.5, 1.5, 8)))
+        assert len(built) == 1
+        built.clear()
+        run_sweep(sc, SweepSpec("k", build_grid(0.0, 1.0, 3), "d", build_grid(0.5, 1.5, 4)))
+        assert len(built) == 3
+        built.clear()
+        sets = self.solved_values(monkeypatch)
+        assert run_bifurcate(sc, "d", 0.05, 5.0, scan_points=16)
+        assert len(sets) > 16 and len(built) == 1
+        built.clear()
+        sets.clear()
+        scenario = scenario_with(draw_params(np.random.default_rng(33)))
+        assert run_bifurcate(scenario, "k", 0.0, 1.0, scan_points=16)
+        assert len(sets) > 16 and len(built) == len(sets)
+
+        built.clear()
+        pm = sc.params.replace()
+        first, second = [
+            [eq for eq in find_all(pm) if eq.family in ("tumor_free", "dead1")] for _ in range(2)
+        ]
+        assert len(built) == 1
+        assert first and repr(first) == repr(second)
+        assert all(
+            a is not b and a.existence_flags is not b.existence_flags
+            for a, b in zip(first, second)
+        )
+
 
 class TestLeadingEigenvalue:
     """The sweep reads one eigenvalue per point: the one that
@@ -896,7 +941,7 @@ class TestSingleRow:
     def assert_row_exact(self, params):
         full = find_all(params)
         for family in FAMILIES:
-            row = _catalog(_find_batch([_prepare(params, (family,))], (family,))[0])
+            row = _catalog(_find_batch([_prepare(params)], (family,))[0])
             want = [eq for eq in full if eq.family == family]
             assert [repr((eq.family, eq.point, eq.residual)) for eq in row] == [
                 repr((eq.family, eq.point, eq.residual)) for eq in want

@@ -66,14 +66,16 @@ class TestSuites:
         b, _ = run_validation(3)
         assert a == b
 
-    def test_flipped_jacobian_negative_control(self):
+    def test_flipped_jacobian_negative_control(self, monkeypatch):
         """A corrupted build (sign-flipped Jacobian) must be caught by the
         finite-difference suite."""
+        import bcdyn.validation
 
         def flipped(state, params):
             return -jacobian(state, params)
 
-        result = suite_jacobian_fd(0, draws=10, jac_fn=flipped)
+        monkeypatch.setattr(bcdyn.validation, "jacobian", flipped)
+        result = suite_jacobian_fd(0, draws=10)
         assert not result.passed
 
     def test_completeness_covers_blockade_and_epsilon_zero_slices(self, monkeypatch):
