@@ -104,6 +104,10 @@ POLISH_TOL = 1e-13
 #: Roots with |imag| below this fraction of their modulus are taken as real.
 NEAR_REAL_TOL = 1e-6
 
+#: The default of a record's dict field in its written-out ``__init__``:
+#: an omitted one gets a fresh dict, and an explicit None stays None.
+_FRESH = object()
+
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -116,6 +120,21 @@ class Equilibrium:
     existence_flags: dict[str, bool] = field(default_factory=dict)
     flag_values: dict[str, float] = field(default_factory=dict)
     provenance: str = "newton_refined"
+
+    # Fills the instance dict directly, as model.SystemState's __init__
+    # does; an omitted dict field gets a fresh dict, as its factory gives.
+    def __init__(
+        self, point: SystemState, family: str, residual: float,
+        existence_flags: dict[str, bool] = _FRESH, flag_values: dict[str, float] = _FRESH,
+        provenance: str = "newton_refined",
+    ) -> None:
+        attrs = self.__dict__
+        attrs["point"] = point
+        attrs["family"] = family
+        attrs["residual"] = residual
+        attrs["existence_flags"] = {} if existence_flags is _FRESH else existence_flags
+        attrs["flag_values"] = {} if flag_values is _FRESH else flag_values
+        attrs["provenance"] = provenance
 
     @property
     def confirmed(self) -> bool:
@@ -358,8 +377,6 @@ def _positive_roots_each(polys, names) -> list[list[float]]:
     polish decides whether it is an equilibrium.  A finite polynomial
     whose companion row overflows when divided by its leading coefficient
     raises :class:`NumericsError` naming its entry of ``names``."""
-    if not polys:
-        return []
     found: list[list[float]] = [[] for _ in polys]
     by_size: dict[int, list[tuple[int, bool, list[float]]]] = {}
     for i, (name, coeffs) in enumerate(zip(names, polys)):
@@ -443,7 +460,10 @@ def _polish(bound, active: tuple[int, ...], template: list[float]):
     except DomainError as exc:
         log.debug("polish failed from %s: %s", template, exc)
         return None
-    if all(abs(full[i]) < POLISH_TOL for i in active):
+    for i in active:
+        if not abs(full[i]) < POLISH_TOL:  # a nan component is not converged
+            break
+    else:
         snapped = _snap(template)
         return SystemState(*snapped), (_inf_norm(full) if snapped == template else None)
 
@@ -675,17 +695,18 @@ def _find_batch(prepared, families) -> list[list[Equilibrium]]:
                     raise NumericsError(f"{family} polynomial in T overflows")
                 rooted.append((i, j, how, P, Q))
                 polys.append(poly)
-    names = [rows[j][0] for _, j, *_ in rooted]
-    for (i, j, how, P, Q), roots in zip(rooted, _positive_roots_each(polys, names)):
-        if how == "immune":
-            params, _, (_, (R, S, U), _), _ = prepared[i]
-            seeds[i][j] += [(T, I) for T in roots for I in _immune_roots(params, R, S, U, T)]
-        elif how == "zero":
-            seeds[i][j] += [(T, 0.0) for T in roots]
-        else:
-            seeds[i][j] += [(T, _horner(P, T) / _horner(Q, T)) for T in roots]
+    if polys:  # the T = 0 rows root nothing
+        names = [rows[j][0] for _, j, *_ in rooted]
+        for (i, j, how, P, Q), roots in zip(rooted, _positive_roots_each(polys, names)):
+            if how == "immune":
+                params, _, (_, (R, S, U), _), _ = prepared[i]
+                seeds[i][j] += [(T, I) for T in roots for I in _immune_roots(params, R, S, U, T)]
+            elif how == "zero":
+                seeds[i][j] += [(T, 0.0) for T in roots]
+            else:
+                seeds[i][j] += [(T, _horner(P, T) / _horner(Q, T)) for T in roots]
     found = []
-    for (params, bound, (E, *_), admitted), set_seeds in zip(prepared, seeds):
+    for (params, bound, (E, _, _), admitted), set_seeds in zip(prepared, seeds):
         eqs: list[Equilibrium] = []
         for (family, row), row_seeds in zip(rows, set_seeds):
             if admitted is None or row.t_free:

@@ -174,6 +174,19 @@ class SystemState:
     E: float
     M: float
 
+    # @dataclass keeps an __init__ the class defines.  This one fills the
+    # instance dict directly, as ModelParams.replace does, where the
+    # generated frozen __init__ calls object.__setattr__ once per field and
+    # costs twice as much; the finders build several states per point.  A
+    # new field needs its store here too (tests/test_records.py).
+    def __init__(self, N: float, T: float, I: float, E: float, M: float) -> None:
+        attrs = self.__dict__
+        attrs["N"] = N
+        attrs["T"] = T
+        attrs["I"] = I
+        attrs["E"] = E
+        attrs["M"] = M
+
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.N, self.T, self.I, self.E, self.M)
 
@@ -455,6 +468,19 @@ class ReproductionNumbers:
     r0_defined: bool
     r1_defined: bool
     r_im_defined: bool
+
+    # Fills the instance dict directly, as SystemState's __init__ does.
+    def __init__(
+        self, r0: float, r1: float, r_im: float,
+        r0_defined: bool, r1_defined: bool, r_im_defined: bool,
+    ) -> None:
+        attrs = self.__dict__
+        attrs["r0"] = r0
+        attrs["r1"] = r1
+        attrs["r_im"] = r_im
+        attrs["r0_defined"] = r0_defined
+        attrs["r1_defined"] = r1_defined
+        attrs["r_im_defined"] = r_im_defined
 
 
 def _safe_ratio(num: float, den: float) -> tuple[float, bool]:

@@ -81,7 +81,16 @@ def _eigvals(a) -> list:
     matrix.  Non-convergence still raises ``LinAlgError``, under the
     wrapper's error state.  Each caller checks that ``a`` is finite, on
     the Python floats it builds ``a`` from: given an inf or NaN entry,
-    ``dgeev`` returns NaNs, or values that ignore the entry, and no error."""
+    ``dgeev`` returns NaNs, or values that ignore the entry, and no error.
+
+    The error state is built and entered on every call, though one
+    ``np.errstate`` made once would cost less (+3.1 % on the benchmark's
+    ``catalog`` as a decorator).  Only numpy >= 2 keeps a decorator's state
+    per call: at the 1.24 floor ``errstate`` is a ``ContextDecorator``
+    that stores the saved state on its one instance, which concurrent
+    threads would share, and numpy 2.4 raises ``TypeError: Cannot enter
+    np.errstate twice`` when one instance is entered again, even after it
+    was left."""
     with np.errstate(
         call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
     ):
@@ -122,6 +131,13 @@ class HurwitzVerdict:
     minors: tuple[float, ...]
     all_positive: bool
     verdict: str
+
+    # Fills the instance dict directly, as model.SystemState's __init__ does.
+    def __init__(self, minors: tuple[float, ...], all_positive: bool, verdict: str) -> None:
+        attrs = self.__dict__
+        attrs["minors"] = minors
+        attrs["all_positive"] = all_positive
+        attrs["verdict"] = verdict
 
 
 def _homogeneous(form, values, degrees) -> tuple[float, ...]:

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import Equilibrium
+from .equilibria import _FRESH, Equilibrium
 from .model import (
     DomainError,
     ModelParams,
@@ -97,6 +97,14 @@ class ConditionCheck:
     lhs: float
     rhs: float
 
+    # Fills the instance dict directly, as model.SystemState's __init__ does.
+    def __init__(self, name: str, holds: bool, lhs: float, rhs: float) -> None:
+        attrs = self.__dict__
+        attrs["name"] = name
+        attrs["holds"] = holds
+        attrs["lhs"] = lhs
+        attrs["rhs"] = rhs
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -109,6 +117,26 @@ class StabilityReport:
     repro: ReproductionNumbers | None
     theorem_checks: dict[str, ConditionCheck] = field(default_factory=dict)
     agreement: dict[str, bool | None] = field(default_factory=dict)
+
+    # Fills the instance dict directly, as model.SystemState's __init__
+    # does; an omitted dict field gets a fresh dict, as its factory gives.
+    def __init__(
+        self, equilibrium: Equilibrium, jacobian: np.ndarray, char_coeffs: tuple[float, ...],
+        eigenvalues: tuple[complex, ...], hurwitz: HurwitzVerdict, verdict: str,
+        repro: ReproductionNumbers | None,
+        theorem_checks: dict[str, ConditionCheck] = _FRESH,
+        agreement: dict[str, bool | None] = _FRESH,
+    ) -> None:
+        attrs = self.__dict__
+        attrs["equilibrium"] = equilibrium
+        attrs["jacobian"] = jacobian
+        attrs["char_coeffs"] = char_coeffs
+        attrs["eigenvalues"] = eigenvalues
+        attrs["hurwitz"] = hurwitz
+        attrs["verdict"] = verdict
+        attrs["repro"] = repro
+        attrs["theorem_checks"] = {} if theorem_checks is _FRESH else theorem_checks
+        attrs["agreement"] = {} if agreement is _FRESH else agreement
 
     @property
     def max_real(self) -> float:

@@ -12,16 +12,18 @@ index in each swept field that is not tumor-only, holds one group
 ``equilibria._find_batch`` admits the group's T = 0 rows once.  Each
 point's ``equilibria._prepare`` carries its group, so no other list
 follows the points.  A d sweep is one group, a (k, d) grid one group per
-k.  What is left per point is its ``replace`` and its ``model._bind``.  Each row then takes its verdict and max Re(lambda) from
-one stacked spectrum of the Jacobians at all confirmed points, and R0 and
-R1 from the entries of the same Jacobians, with the same bits as
-:func:`classify` gives them (no branch continuation).
-Of each spectrum only the leading eigenvalue is kept, the one
-:func:`classify`'s sorted spectrum leads with; no spectrum is sorted.
-The Jacobian rows are read into one (B, 5, 5) array in one flat pass,
-which is checked finite as a whole before the stacked spectrum: that is
-one call of LAPACK's ``dgeev`` (:func:`~bcdyn.numerics._eigvals`), where
-``np.linalg.eigvals`` would have checked the entries.
+k.  What is left per point is its ``replace`` and its ``model._bind``.
+
+Each row then takes its verdict and max Re(lambda) from one stacked
+spectrum of the Jacobians at all confirmed points, and R0 and R1 from the
+entries of the same Jacobians, with the same bits as :func:`classify`
+gives them (no branch continuation).  Of each spectrum only the leading
+eigenvalue is kept, the one :func:`classify`'s sorted spectrum leads
+with; no spectrum is sorted.  The Jacobian rows are read into one
+(B, 5, 5) array in one flat pass, which is checked finite as a whole
+before the stacked spectrum: that is one call of LAPACK's ``dgeev``
+(:func:`~bcdyn.numerics._eigvals`), where ``np.linalg.eigvals`` would
+have checked the entries.
 
 The bifurcation scanner brackets sign changes of the leading eigenvalue
 real part per family and bisects each bracket.  It solves its scan grid

@@ -684,6 +684,18 @@ class TestPolishFastPath:
             eq.point.E, 1.4359711492989313,
         )
 
+    def test_nan_component_runs_newton(self, newton_calls):
+        """A nan in the field is not below the tolerance: the seed goes to
+        Newton, which fails on it, and is never taken as it is."""
+        def f(*x):
+            return [0.0, 0.0, 0.0, 0.0, math.nan]
+
+        def jac(*x):
+            return [[float(i == j) for j in range(5)] for i in range(5)]
+
+        assert _polish((f, jac), (0, 1, 2, 4), [1.0, 1.0, 1.0, 1.0, 1.0]) is None
+        assert len(newton_calls) == 1
+
     def test_residual_is_the_field_norm_at_the_point(self):
         rng = np.random.default_rng(0)
         confirmed = 0
