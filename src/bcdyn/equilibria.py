@@ -17,11 +17,11 @@ the family's flags and provenance.  T is 0 or a positive real root of
 R P^2 + S P Q + U Q^2, where I = P/Q solves the steady tumor equation (the
 roots of P when g1 = 0 makes Q vanish).  I is P/Q or a root of the immune
 quadratic, which has the exact root I = 0 when s = 0 (the polynomial is then
-P (R P + S Q), and a root of P seeds I = 0).  The polynomial products are
-straight-line plain-float kernels, one per family shape
-(:func:`_eliminate_quartic`, :func:`_eliminate_octic` and the s = 0
-factors :func:`_ratio_factor_cubic`, :func:`_ratio_factor_quintic`), so no
-BLAS kernel sets their bits.  Roots come from companion-matrix
+P (R P + S Q), and a root of P seeds I = 0).  Both T > 0 rows give P and Q
+one shape, the N = 0 ratio padded with leading zeros, so each polynomial
+product is one straight-line plain-float kernel (:func:`_eliminate_octic`
+and the s = 0 factor :func:`_ratio_factor_quintic`), and no BLAS kernel
+sets their bits.  Roots come from companion-matrix
 eigenvalues, so no grid decides which points are found; a batch of
 parameter sets roots all its companions of one size with one stacked
 LAPACK call, and one set is a batch of one.  Those eigenvalue digits
@@ -183,16 +183,21 @@ def _immune_quadratic(params: ModelParams, E: float):
 
 def _tumor_ratio(params: ModelParams, E: float, n_free: bool):
     """(P, Q), descending in T, with I = P(T)/Q(T) from the steady tumor
-    equation.  At N = 0, I = (a2*d - m_d - b2*T)/g1.  With the closed-form
-    N(T) both are multiplied by b1*(1 + epsilon*T): P is a cubic and
-    Q = g1*b1*T*(1 + epsilon*T).  Q vanishes when g1 = 0.  The product
-    (epsilon*T^2 + T)*(a2*d - m_d - b2*T) in P is written out as the
-    elimination kernels below are (:func:`_eliminate_quartic`,
-    :func:`_eliminate_octic`), its structural 1.0 and 0.0 factors
-    included."""
+    equation: a cubic P and a quadratic Q, so that one kernel per product
+    serves both T > 0 rows.  At N = 0, I = (a2*d - m_d - b2*T)/g1, padded
+    with exact +0.0 leads: P = [0, 0, -b2, a2*d - m_d] and Q = [0, 0, g1].
+    The kernels sum each coefficient from +0.0, and a structural zero
+    times a finite factor is a signed zero that leaves such a sum as it
+    is, so a finite padded product has the unpadded one's bits behind its
+    leading zeros, which :func:`_positive_roots_each` trims, and a
+    non-finite one stays non-finite.  With the closed-form N(T) both
+    are multiplied by b1*(1 + epsilon*T): Q = g1*b1*T*(1 + epsilon*T).  Q
+    vanishes when g1 = 0.  The product (epsilon*T^2 + T)*(a2*d - m_d -
+    b2*T) in P is written out as the elimination kernels below are, its
+    structural 1.0 and 0.0 factors included."""
     n0, n1 = -params.b2, params.a2 * params.d - params.m_d
     if not n_free:
-        return [n0, n1], [params.g1]
+        return [0.0, 0.0, n0, n1], [0.0, 0.0, params.g1]
     c = params.l1 * E * (1.0 - params.k)
     eps, b1 = params.epsilon, params.b1
     a1c = params.a1 - c
@@ -207,7 +212,9 @@ def _tumor_ratio(params: ModelParams, E: float, n_free: bool):
 
 
 # The elimination kernels: products of descending coefficient sequences,
-# written out for the two family shapes and named by index (p0 leads P).
+# one per product, written out for a cubic P and a quadratic Q (the shape
+# :func:`_tumor_ratio` gives both T > 0 rows) and named by index (p0 leads
+# P).
 # Each coefficient of a product sums its terms from +0.0 in the order of
 # the left factor's index, and a sum of two products of unequal length
 # pads the shorter with leading 0.0 addends, as a generic convolution
@@ -218,32 +225,9 @@ def _tumor_ratio(params: ModelParams, E: float, n_free: bool):
 # has the bits of the float call.
 
 
-def _eliminate_quartic(R, S, U, P, Q) -> list[float]:
-    """R*P^2 + S*P*Q + U*Q^2: the immune equation with I = P/Q substituted
-    and Q^2 cleared, at N = 0, where P is linear and Q constant."""
-    r0, r1, r2 = R
-    s0, s1, s2 = S
-    u0, u1, u2 = U
-    p0, p1 = P
-    (q0,) = Q
-    pp0 = 0.0 + p0 * p0
-    pp1 = 0.0 + p0 * p1 + p1 * p0
-    pp2 = 0.0 + p1 * p1
-    pq0 = 0.0 + p0 * q0
-    pq1 = 0.0 + p1 * q0
-    qq0 = 0.0 + q0 * q0
-    return [
-        (0.0 + r0 * pp0) + 0.0 + 0.0,
-        (0.0 + r0 * pp1 + r1 * pp0) + (0.0 + s0 * pq0) + 0.0,
-        (0.0 + r0 * pp2 + r1 * pp1 + r2 * pp0) + (0.0 + s0 * pq1 + s1 * pq0) + (0.0 + u0 * qq0),
-        (0.0 + r1 * pp2 + r2 * pp1) + (0.0 + s1 * pq1 + s2 * pq0) + (0.0 + u1 * qq0),
-        (0.0 + r2 * pp2) + (0.0 + s2 * pq1) + (0.0 + u2 * qq0),
-    ]
-
-
 def _eliminate_octic(R, S, U, P, Q) -> list[float]:
-    """:func:`_eliminate_quartic`'s polynomial with the closed-form N(T),
-    where P is cubic and Q quadratic."""
+    """R*P^2 + S*P*Q + U*Q^2: the immune equation with I = P/Q substituted
+    and Q^2 cleared, for a cubic P and a quadratic Q."""
     r0, r1, r2 = R
     s0, s1, s2 = S
     u0, u1, u2 = U
@@ -288,23 +272,9 @@ def _eliminate_octic(R, S, U, P, Q) -> list[float]:
     ]
 
 
-def _ratio_factor_cubic(R, S, P, Q) -> list[float]:
-    """R*P + S*Q at N = 0: the factor of R*P^2 + S*P*Q whose roots have
-    I = P/Q > 0 when s = 0 makes U vanish."""
-    r0, r1, r2 = R
-    s0, s1, s2 = S
-    p0, p1 = P
-    (q0,) = Q
-    return [
-        (0.0 + r0 * p0) + 0.0,
-        (0.0 + r0 * p1 + r1 * p0) + (0.0 + s0 * q0),
-        (0.0 + r1 * p1 + r2 * p0) + (0.0 + s1 * q0),
-        (0.0 + r2 * p1) + (0.0 + s2 * q0),
-    ]
-
-
 def _ratio_factor_quintic(R, S, P, Q) -> list[float]:
-    """:func:`_ratio_factor_cubic`'s factor with the closed-form N(T)."""
+    """R*P + S*Q: the factor of R*P^2 + S*P*Q whose roots have I = P/Q > 0
+    when s = 0 makes U vanish."""
     r0, r1, r2 = R
     s0, s1, s2 = S
     p0, p1, p2, p3 = P
@@ -685,11 +655,9 @@ def _find_batch(prepared, families) -> list[list[Equilibrium]]:
             elif params.s == 0:
                 # U = 0, so the eliminated polynomial is P*(R*P + S*Q), and
                 # I = P/Q is 0 exactly at the roots of P.
-                factor = _ratio_factor_quintic if row.n_free else _ratio_factor_cubic
-                factors = [(P, "zero"), (factor(R, S, P, Q), "ratio")]
+                factors = [(P, "zero"), (_ratio_factor_quintic(R, S, P, Q), "ratio")]
             else:
-                eliminate = _eliminate_octic if row.n_free else _eliminate_quartic
-                factors = [(eliminate(R, S, U, P, Q), "ratio")]
+                factors = [(_eliminate_octic(R, S, U, P, Q), "ratio")]
             for poly, how in factors:
                 if not all(map(math.isfinite, poly)):
                     raise NumericsError(f"{family} polynomial in T overflows")

@@ -801,6 +801,9 @@ def settle(
     of the terminal state in the scaled infinity norm
     ``||x(t) - x(horizon)||_inf / (1 + ||x(horizon)||_inf)``.
     """
+    for name, value in (("horizon", horizon), ("window", window), ("eps", eps)):
+        if _beyond_float(value):
+            raise DomainError(f"{name} must be finite, got an integer beyond the float range")
     if not horizon > window > 0:
         raise DomainError(f"need horizon > window > 0, got {horizon}, {window}")
     sample_count = int(min(5000, max(401, 20 * horizon / window))) + 1

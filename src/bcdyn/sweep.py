@@ -111,6 +111,11 @@ def build_grid(lo: float, hi: float, count: int, spacing: str = "linear") -> tup
     if spacing not in ("linear", "log"):
         raise DomainError(f"unknown grid spacing {spacing!r}; expected 'linear' or 'log'")
     _check_count("count", count)
+    if _beyond_float(lo) or _beyond_float(hi):
+        raise DomainError(
+            "grid bounds must be finite with a finite span hi - lo, "
+            "got an integer beyond the float range"
+        )
     if not 1 <= count <= _MAX_POINTS or hi < lo:
         raise DomainError(
             f"bad grid request [{lo}, {hi}] x {count}: need hi >= lo and 1 to {_MAX_POINTS} points"

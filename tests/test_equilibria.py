@@ -23,14 +23,13 @@ from bcdyn.equilibria import (
     FAMILIES,
     _admit,
     _eliminate_octic,
-    _eliminate_quartic,
     _find_batch,
     _group,
     _free_drug,
     _immune_quadratic,
     _polish,
+    _positive_roots_each,
     _prepare,
-    _ratio_factor_cubic,
     _ratio_factor_quintic,
     _tumor_ratio,
     coexisting,
@@ -248,13 +247,36 @@ class TestEliminationRegressions:
         assert split == [pytest.approx(2.0, rel=1e-7)]
         assert none == []
 
+    def test_leading_zeros_are_trimmed(self):
+        """Every dead2 polynomial leads with structural +0.0 coefficients.
+        Leading +0.0 and -0.0 give the roots of the trimmed polynomial to
+        the bit: a linear factor's closed-form root, a root of the flipped
+        companion (|leading| < |trailing| once trimmed), and the roots of a
+        companion stacked in one call with an unpadded one of its size."""
+        linear = [3.0, -7.0]
+        flipped = np.poly([3.0, 7.0, complex(2.0, 4.0), complex(2.0, -4.0)]).real.tolist()
+        assert abs(flipped[0]) < abs(flipped[-1])
+        cubics = [np.poly(roots).real.tolist() for roots in ([0.5, 1.5, -2.0], [0.25, 4.0, 9.0])]
+        pad = [0.0, -0.0, 0.0, -0.0]
+        got = _positive_roots_each(
+            [pad + linear, pad[:1] + flipped, pad[1:] + cubics[0], cubics[1]], list("abcd")
+        )
+        want = [
+            *(_positive_roots_each([poly], ["x"])[0] for poly in (linear, flipped)),
+            *_positive_roots_each(cubics, ["c", "d"]),
+        ]
+        assert got[0] == [7.0 / 3.0]
+        assert all(got)
+        assert [bits(roots) for roots in got] == [bits(roots) for roots in want]
+
 
 def array_tumor_ratio(pm, E, n_free):
     """(P, Q) of _tumor_ratio in the array form it replaced: np.convolve
-    for the growth, the feed added elementwise."""
+    for the growth, the feed added elementwise.  At N = 0 the net growth
+    and g1 stand behind exact +0.0 leads, in the shape of the other row."""
     net_growth = np.array([-pm.b2, pm.a2 * pm.d - pm.m_d])
     if not n_free:
-        return net_growth, np.array([pm.g1])
+        return np.concatenate([[0.0, 0.0], net_growth]), np.array([0.0, 0.0, pm.g1])
     c = pm.l1 * E * (1.0 - pm.k)
     a1c = pm.a1 - c
     growth = pm.b1 * np.convolve([pm.epsilon, 1.0, 0.0], net_growth)
@@ -326,7 +348,8 @@ class TestDrugFreeLine:
 
 class TestTumorRatioBits:
     """The plain-float (P, Q) carry the bits of the array form, signed
-    zeros included, so every eliminated polynomial is unchanged."""
+    zeros included, so every eliminated polynomial is unchanged; the N = 0
+    ratio is padded with +0.0, never -0.0."""
 
     @staticmethod
     def assert_same_bits(pm):
@@ -384,10 +407,11 @@ def oracle_ratio_factor(R, S, P, Q):
 
 
 def oracle_tumor_ratio(pm, E, n_free):
-    """(P, Q) of _tumor_ratio as the generic product composed them."""
+    """(P, Q) of _tumor_ratio as the generic product composed them, the
+    N = 0 ratio padded with exact +0.0 leads to the shape of the other."""
     net = [-pm.b2, pm.a2 * pm.d - pm.m_d]
     if not n_free:
-        return net, [pm.g1]
+        return [0.0, 0.0, *net], [0.0, 0.0, pm.g1]
     c = pm.l1 * E * (1.0 - pm.k)
     eps, b1 = pm.epsilon, pm.b1
     a1c = pm.a1 - c
@@ -429,12 +453,30 @@ def mixed_floats(rng, shape) -> np.ndarray:
     return np.where(rng.random(shape) < 0.5, -values, values)
 
 
+def padded_n0_ratio(P, Q):
+    """_tumor_ratio's N = 0 (P, Q) for the linear P and constant Q given:
+    -b2 and a2*d - m_d are P's coefficients and g1 is Q's, to the bit."""
+    (p0, p1), (q0,) = P, Q
+    return _tumor_ratio(SimpleNamespace(b2=-p0, a2=p1, d=1.0, m_d=0.0, g1=q0), 0.0, False)
+
+
+def assert_padded(got, want, leads):
+    """``got`` is non-finite exactly when ``want`` is, and when finite is
+    ``want`` behind ``leads`` exact +0.0 coefficients."""
+    finite = all(map(math.isfinite, want))
+    assert all(map(math.isfinite, got)) == finite, (got, want)
+    if finite:
+        assert bits(got) == bits([0.0] * leads + want), (got, want)
+
+
 class TestEliminationKernels:
     """The straight-line kernels give the bytes of the _mul/_add
     composition they replaced (a nan as a nan, see :func:`bits`), on
     seeded coefficient sets that mix ordinary floats with signed zeros,
     subnormals, +-1e+-300, +-inf and nan: every product and every padding
-    0.0 kept, in _mul's order."""
+    0.0 kept, in _mul's order.  The N = 0 products (the quartic and the
+    cubic factor) run the same kernels on _tumor_ratio's padded ratio and
+    give the generic product of the unpadded one behind +0.0 leads."""
 
     SETS = 20_000
 
@@ -452,30 +494,31 @@ class TestEliminationKernels:
             assert kind.sum() > 20
             assert 0 < np.signbit(values[kind]).sum() < kind.sum()
 
-    @pytest.mark.parametrize(
-        "kernel, p, seed",
-        [(_eliminate_quartic, 2, 3601), (_eliminate_octic, 4, 3602)],
-        ids=["quartic", "octic"],
-    )
-    def test_eliminate(self, kernel, p, seed):
-        """P of length p, Q of length p - 1."""
+    @pytest.mark.parametrize("p, seed", [(2, 3601), (4, 3602)], ids=["quartic", "octic"])
+    def test_eliminate(self, p, seed):
+        """P of length p, Q of length p - 1; at p = 2 the octic of the
+        padded ratio has four +0.0 leads."""
         rng = np.random.default_rng(seed)
         for row in mixed_floats(rng, (self.SETS, 8 + 2 * p)).tolist():
             R, S, U, P, Q = row[0:3], row[3:6], row[6:9], row[9:9 + p], row[9 + p:]
             want = oracle_eliminate(R, S, U, P, Q)
-            assert bits(kernel(R, S, U, P, Q)) == bits(want), row
+            if p == 2:
+                assert_padded(_eliminate_octic(R, S, U, *padded_n0_ratio(P, Q)), want, 4)
+            else:
+                assert bits(_eliminate_octic(R, S, U, P, Q)) == bits(want), row
 
-    @pytest.mark.parametrize(
-        "kernel, p, seed",
-        [(_ratio_factor_cubic, 2, 3603), (_ratio_factor_quintic, 4, 3604)],
-        ids=["cubic", "quintic"],
-    )
-    def test_ratio_factor(self, kernel, p, seed):
+    @pytest.mark.parametrize("p, seed", [(2, 3603), (4, 3604)], ids=["cubic", "quintic"])
+    def test_ratio_factor(self, p, seed):
+        """At p = 2 the quintic factor of the padded ratio has two +0.0
+        leads."""
         rng = np.random.default_rng(seed)
         for row in mixed_floats(rng, (self.SETS, 5 + 2 * p)).tolist():
             R, S, P, Q = row[0:3], row[3:6], row[6:6 + p], row[6 + p:]
             want = oracle_ratio_factor(R, S, P, Q)
-            assert bits(kernel(R, S, P, Q)) == bits(want), row
+            if p == 2:
+                assert_padded(_ratio_factor_quintic(R, S, *padded_n0_ratio(P, Q)), want, 2)
+            else:
+                assert bits(_ratio_factor_quintic(R, S, P, Q)) == bits(want), row
 
     @pytest.mark.parametrize("n_free", [False, True], ids=["linear", "cubic"])
     def test_tumor_ratio(self, n_free):
@@ -497,7 +540,8 @@ def columns(rows):
 class TestKernelsOnArrays:
     """On (B,) float64 arrays the kernels give, row by row, the bytes of
     their float calls: (P, Q), the dead2 and coexisting polynomials of the
-    default 21x21 (k, d) grid and their s = 0 factors, one call each."""
+    default 21x21 (k, d) grid and their s = 0 factors.  Both rows have one
+    shape, so each product is one call over the two rows stacked."""
 
     def test_default_k_d_grid(self, base_params):
         sets = [
@@ -509,21 +553,28 @@ class TestKernelsOnArrays:
         fields = SimpleNamespace(
             **{name: np.array([getattr(pm, name) for pm in sets]) for name in PARAM_NAMES}
         )
-        quadratics = [_immune_quadratic(pm, e) for pm, e in zip(sets, E)]
+        quadratics = [_immune_quadratic(pm, e) for pm, e in zip(sets, E)] * 2
         R, S, U = columns(quadratics)
-        for n_free, eliminate, factor in (
-            (False, _eliminate_quartic, _ratio_factor_cubic),
-            (True, _eliminate_octic, _ratio_factor_quintic),
-        ):
-            ratios = [_tumor_ratio(pm, e, n_free) for pm, e in zip(sets, E)]
-            P, Q = columns(ratios)
-            with np.errstate(all="ignore"):
-                P_fields, Q_fields = _tumor_ratio(fields, np.array(E), n_free)
-                arrays = [P_fields + Q_fields, eliminate(R, S, U, P, Q), factor(R, S, P, Q)]
-            for b, ((Rb, Sb, Ub), (Pb, Qb)) in enumerate(zip(quadratics, ratios)):
-                floats = [Pb + Qb, eliminate(Rb, Sb, Ub, Pb, Qb), factor(Rb, Sb, Pb, Qb)]
-                got = [bits([c[b] for c in poly]) for poly in arrays]
-                assert got == [bits(poly) for poly in floats], (b, n_free)
+        # The dead2 rows of every set, then the coexisting rows.
+        ratios = [_tumor_ratio(pm, e, n_free) for n_free in (False, True) for pm, e in zip(sets, E)]
+        P, Q = columns(ratios)
+        with np.errstate(all="ignore"):
+            ratio_fields = [_tumor_ratio(fields, np.array(E), n_free) for n_free in (False, True)]
+            # The N = 0 ratio's structural +0.0 leads are scalars.
+            stacked = [
+                np.concatenate(np.broadcast_arrays(*coeffs))
+                for coeffs in zip(*[P_f + Q_f for P_f, Q_f in ratio_fields])
+            ]
+            arrays = [stacked, _eliminate_octic(R, S, U, P, Q), _ratio_factor_quintic(R, S, P, Q)]
+        for b, ((Rb, Sb, Ub), (Pb, Qb)) in enumerate(zip(quadratics, ratios)):
+            floats = [
+                Pb + Qb, _eliminate_octic(Rb, Sb, Ub, Pb, Qb), _ratio_factor_quintic(Rb, Sb, Pb, Qb)
+            ]
+            got = [bits([c[b] for c in poly]) for poly in arrays]
+            assert got == [bits(poly) for poly in floats], b
+            if b < len(sets):  # a dead2 row: its structural leads are +0.0
+                leads = [Pb[:2], Qb[:2], floats[1][:4], floats[2][:2]]
+                assert [bits(c) for c in leads] == [bits([0.0] * len(c)) for c in leads], b
 
 
 class TestFindAll:

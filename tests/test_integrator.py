@@ -504,6 +504,17 @@ class TestSettle:
         with pytest.raises(DomainError):
             settle(SystemState(0, 0, 0, 0, 0), base_params, horizon=1.0, window=2.0, eps=1e-6)
 
+    # An int beyond the float range raised a bare OverflowError, or a
+    # message printed all its digits, and past 4,300 digits str raised
+    # ValueError; the message names it instead.
+    @pytest.mark.parametrize("name", ["horizon", "window", "eps"])
+    def test_integers_beyond_the_float_range_are_rejected(self, base_params, name):
+        for value in (10**400, 10**5000, -(10**400)):
+            args = {"horizon": 10.0, "window": 1.0, "eps": 1e-6, name: value}
+            with pytest.raises(DomainError) as exc:
+                settle(SystemState(0, 0, 0, 0, 0), base_params, **args)
+            assert str(exc.value) == f"{name} must be finite, got an integer beyond the float range"
+
 
 class TestCsv:
     def test_header_and_rows(self, base_params):

@@ -127,14 +127,28 @@ class TestGrid:
         assert len(SweepSpec("k", (0.5,) * 1000, "d", (0.5,) * 1000).grid) == 1000
 
     # numpy's linspace warned on these spans and returned NaN grid values.
+    # An int beyond the float range raised a bare OverflowError; the
+    # message names it without its digits, which past 4,300 raise in str.
     @pytest.mark.parametrize(
-        "lo, hi", [(0.0, math.inf), (-1e308, 1e308), (-math.inf, 0.0), (math.nan, 1.0)]
+        "lo, hi",
+        [
+            (0.0, math.inf), (-1e308, 1e308), (-math.inf, 0.0), (math.nan, 1.0),
+            pytest.param(0, 10**400, id="0-1e400"),
+            pytest.param(0, 10**5000, id="0-1e5000"),
+            pytest.param(-(10**400), 0, id="-1e400-0"),
+        ],
     )
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_bounds_need_a_finite_span(self, lo, hi, spacing):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            message = f"grid bounds [{lo}, {hi}] must be finite with a finite span hi - lo"
+            if isinstance(lo, int):
+                message = (
+                    "grid bounds must be finite with a finite span hi - lo, "
+                    "got an integer beyond the float range"
+                )
+            else:
+                message = f"grid bounds [{lo}, {hi}] must be finite with a finite span hi - lo"
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 build_grid(lo, hi, 3, spacing)
 
